@@ -1,19 +1,22 @@
 """Batch command-line surface with machine-readable JSON output.
 
 Exit codes: 0 computed positive/affirmative answer, 1 computed negative
-verdict, 2 usage error, 3 internal assertion failure.  stdout carries JSON or
-JSON-lines; diagnostics go to stderr.
+verdict, 2 usage error, 3 internal assertion failure, 141 (128 + SIGPIPE)
+stdout closed by its reader before the output was written.  stdout carries
+JSON or JSON-lines; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .subsets import (
     MinorIndex,
+    check_in_range,
     minor_exponent,
     parse_subset,
     plucker_exponent,
@@ -42,6 +45,7 @@ from .positivity import POSITIVE, positivity_test
 from .verify import run_suite
 
 OK, NEGATIVE, USAGE, INTERNAL = 0, 1, 2, 3
+PIPE_CLOSED = 128 + 13  # SIGPIPE
 
 
 def _emit(payload, fmt: str = "json") -> None:
@@ -56,15 +60,27 @@ def _emit_lines(records) -> None:
         print(json.dumps(rec, sort_keys=True))
 
 
+def _read_text(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
 def _load_collection(path: str) -> WSCollection:
-    data = sys.stdin.read() if path == "-" else open(path).read()
-    return WSCollection.from_json_dict(json.loads(data))
+    return WSCollection.from_json_dict(json.loads(_read_text(path)))
 
 
-def _load_values(path: str) -> dict:
-    data = sys.stdin.read() if path == "-" else open(path).read()
-    raw = json.loads(data)
-    return {tuple(json.loads(key)): Fraction(val) for key, val in raw.items()}
+def _load_values(path: str, n: int) -> dict:
+    """Values keyed by canonical subsets of [1..n]; two keys naming the same
+    subset are an error."""
+    out = {}
+    for key, val in json.loads(_read_text(path)).items():
+        K = check_in_range(json.loads(key), n)
+        if K in out:
+            raise ValueError(f"two value keys name the subset {K}")
+        out[K] = Fraction(val)
+    return out
 
 
 def _values_to_json(values: dict) -> dict:
@@ -162,7 +178,7 @@ def _wiring_payload(word, args) -> dict:
 
 def cmd_wiring(args) -> int:
     if args.word_file:
-        text = sys.stdin.read() if args.word_file == "-" else open(args.word_file).read()
+        text = _read_text(args.word_file)
         words = [parse_word(line) for line in text.splitlines() if line.strip()]
         payloads = [_wiring_payload(w, args) for w in words]
         _emit_lines(payloads)
@@ -200,7 +216,7 @@ def cmd_gen_w3(args) -> int:
 
 def cmd_positivity(args) -> int:
     c = _load_collection(args.collection)
-    vals = _load_values(args.values)
+    vals = _load_values(args.values, c.n)
     if args.mode == "float":
         vals = {K: float(v) for K, v in vals.items()}
     verdict = positivity_test(c, vals, mode=args.mode)
@@ -322,7 +338,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone. Send the rest of the output to the null device,
+        # so the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_CLOSED
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -18,6 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
+from .subsets import _from_mask
 from .wscoll import Move, WSCollection, apply_move, find_moves
 
 
@@ -107,14 +108,14 @@ def propagate(
         raise ValueError("propagation relies on move-graph connectivity (k in {2,3})")
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    known = {}
-    for s in c.sets:
+    known = {}  # keyed by subset bitmask
+    for s, m in zip(c.sets, c.masks()):
         if s not in vals:
             raise ValueError(f"no value supplied for member {s}")
         v = vals[s]
         if not v > 0:
             raise ValueError(f"value for {s} is not positive")
-        known[s] = float(v) if mode == "float" else v
+        known[m] = float(v) if mode == "float" else v
 
     def close(a, b) -> bool:
         if mode == "exact":
@@ -122,34 +123,33 @@ def propagate(
         scale = max(abs(a), abs(b))
         return scale == 0 or abs(a - b) <= rel_tol * scale
 
+    def values() -> dict:
+        return {_from_mask(m): v for m, v in known.items()}
+
     seen = {c}
     queue = deque([c])
     while queue:
         cur = queue.popleft()
         for mv, nxt in _move_edges(cur):
-            a = mv.anchor
-            side = lambda x, y: tuple(sorted(a + (x, y)))
-            numerator = (
-                known[side(mv.i, mv.s)] * known[side(mv.j, mv.t)]
-                + known[side(mv.i, mv.t)] * known[side(mv.s, mv.j)]
-            )
-            if known[mv.removes] == 0:
-                return Propagation(False, known, f"division by zero at {mv.removes}")
-            value = numerator / known[mv.removes]
-            if mv.adds in known:
-                if not close(known[mv.adds], value):
+            m_is, m_sj, m_jt, m_it = mv.side_masks
+            numerator = known[m_is] * known[m_jt] + known[m_it] * known[m_sj]
+            if known[mv.removes_mask] == 0:
+                return Propagation(False, values(), f"division by zero at {mv.removes}")
+            value = numerator / known[mv.removes_mask]
+            if mv.adds_mask in known:
+                if not close(known[mv.adds_mask], value):
                     return Propagation(
                         False,
-                        known,
+                        values(),
                         f"inconsistent re-derivation of {mv.adds}: "
-                        f"{known[mv.adds]} vs {value}",
+                        f"{known[mv.adds_mask]} vs {value}",
                     )
             else:
-                known[mv.adds] = value
+                known[mv.adds_mask] = value
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return Propagation(True, known, None)
+    return Propagation(True, values(), None)
 
 
 POSITIVE = "POSITIVE"

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .subsets import Dihedral, as_subset, precedes
-from .wscoll import WSCollection, dihedral_orbits, pinch_index, translate, validate
+from .subsets import Dihedral, _precedes_masks, _to_mask
+from .wscoll import WSCollection, pinch_index, translate, validate
 
 
 def _require_k3(c: WSCollection):
@@ -24,15 +24,15 @@ def project(c: WSCollection) -> WSCollection:
     n = c.n
     if (1, n - 2, n - 1) not in c:
         raise ValueError(f"projection requires {{1,{n-2},{n-1}}} in the collection")
-    images = set()
-    for s in c.sets:
-        if n in s:
-            if n - 1 in s:
+    top, below = 1 << n, 1 << (n - 1)
+    images = []
+    for m in c.masks():
+        if m & top:
+            if m & below:
                 continue
-            images.add(as_subset(tuple(x for x in s if x != n) + (n - 1,)))
-        else:
-            images.add(s)
-    out = WSCollection.of(3, n - 1, images)
+            m ^= top | below
+        images.append(m)
+    out = WSCollection.of_masks(3, n - 1, images)
     if len(out) != len(c) - 3:
         raise AssertionError("projection changed the size by an unexpected amount")
     return out
@@ -49,19 +49,14 @@ def f_set(b_coll: WSCollection) -> set[int]:
     {1,b,top} present such that {1,b}-{s,t} wholly precedes {s,t}-{1,b} for
     every member {s,t,top} with 1 < s < t."""
     _require_k3(b_coll)
-    top = b_coll.n
-    members = b_coll.member_set()
-    inner_pairs = [
-        (s[0], s[1]) for s in b_coll.sets if s[2] == top and s[0] > 1
-    ]
+    top = 1 << b_coll.n
+    inner_pairs = [m ^ top for m in b_coll.masks() if m & top and not m & 2]
     out = set()
-    for b in range(2, top):
-        if tuple(sorted((1, b, top))) not in members:
+    for b in range(2, b_coll.n):
+        lb = 2 | 1 << b
+        if not b_coll.has_mask(lb | top):
             continue
-        lb = {1, b}
-        if all(
-            precedes(lb - {s, t}, {s, t} - lb) for (s, t) in inner_pairs
-        ):
+        if all(_precedes_masks(lb & ~p, p & ~lb) for p in inner_pairs):
             out.add(b)
     return out
 
@@ -74,21 +69,15 @@ def lift(b_coll: WSCollection, b: int) -> WSCollection:
     if b not in f_set(b_coll):
         raise ValueError(f"index {b} is not an admissible lift index")
     n = b_coll.n + 1
-    lb = {1, b}
-    lifted = set()
-    for s in b_coll.sets:
-        if n - 1 in s and precedes(set(s) - {1, b, n - 1}, lb - set(s)):
-            lifted.add(as_subset(tuple(x for x in s if x != n - 1) + (n,)))
-        else:
-            lifted.add(s)
-    lifted.update(
-        {
-            tuple(sorted((1, b, n - 1))),
-            tuple(sorted((1, n - 1, n))),
-            tuple(sorted((n - 2, n - 1, n))),
-        }
-    )
-    out = WSCollection.of(3, n, lifted)
+    lb = 2 | 1 << b
+    old, new = 1 << (n - 1), 1 << n
+    lifted = []
+    for m in b_coll.masks():
+        if m & old and _precedes_masks(m & ~(lb | old), lb & ~m):
+            m ^= old | new
+        lifted.append(m)
+    lifted += [_to_mask((1, b, n - 1)), _to_mask((1, n - 1, n)), _to_mask((n - 2, n - 1, n))]
+    out = WSCollection.of_masks(3, n, lifted)
     if len(out) != len(b_coll) + 3:
         raise AssertionError("lift changed the size by an unexpected amount")
     if not validate(out).ok:
@@ -117,12 +106,9 @@ def generate_w3(n: int) -> set[WSCollection]:
                 lifted.add(lift(b_coll, b))
         closed = set()
         top = next(iter(lifted)).n
+        group = tuple(Dihedral.group(top))
         for c in lifted:
-            for g in Dihedral.group(top):
+            for g in group:
                 closed.add(translate(c, g))
         current = closed
     return current
-
-
-def orbit_count_w3(n: int) -> int:
-    return len(dihedral_orbits(generate_w3(n)))

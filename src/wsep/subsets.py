@@ -1,7 +1,11 @@
 """Subset-level combinatorics: weak separation, the Stieffel map, commutation
 exponents, the dihedral action on the n-gon, and diameter/boundary notions.
 
-Subsets of [1..n] are handled as sorted tuples of distinct 1-based integers.
+Internally a subset is an int bitmask, bit x set for each element x
+(`_to_mask`, `_from_mask`); weak separation and the commutation exponents are
+decided with bit operations.  The public functions take and return subsets
+as sorted tuples of distinct 1-based integers, which `as_subset` and
+`check_in_range` produce and check at ingress.
 """
 
 from __future__ import annotations
@@ -35,8 +39,22 @@ def parse_subset(text: str) -> tuple[int, ...]:
     return as_subset(int(tok) for tok in text.split(","))
 
 
-def format_subset(K: Iterable[int]) -> str:
-    return ",".join(str(x) for x in K)
+def _to_mask(K: Iterable[int]) -> int:
+    """The bitmask of a subset: bit x is set for each element x."""
+    m = 0
+    for x in K:
+        m |= 1 << x
+    return m
+
+
+def _from_mask(m: int) -> tuple[int, ...]:
+    """The sorted tuple of the elements of a bitmask."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
 
 
 def precedes(I: Iterable[int], J: Iterable[int]) -> bool:
@@ -48,44 +66,49 @@ def precedes(I: Iterable[int], J: Iterable[int]) -> bool:
     return max(I) < min(J)
 
 
-def _side_split(first: frozenset, second: frozenset):
+def _precedes_masks(I: int, J: int) -> bool:
+    """`precedes` on bitmasks: every bit of I lies below the lowest bit of J."""
+    return not J or I < (J & -J)
+
+
+def _span(m: int) -> int:
+    """The bits from the lowest to the highest set bit of m, inclusive."""
+    return ((1 << m.bit_length()) - 1) & ~((m & -m) - 1)
+
+
+def _split_sizes(first: int, second: int):
     """Split second-first into the parts below / above first-second.
 
-    Returns (low, high) when the split exhausts the difference -- i.e. when
-    the pair satisfies the separation condition with `first` in the large
-    role -- else None.  The split is forced: an element strictly inside the
-    span of first-second can join neither part.
+    Returns the sizes (low, high) when the split exhausts the difference --
+    i.e. when the pair satisfies the separation condition with `first` in
+    the large role -- else None.  The split is forced: an element strictly
+    inside the span of first-second can join neither part.
     """
-    d_first = first - second
-    d_second = second - first
-    if not d_first:
-        return ((), tuple(sorted(d_second)))
-    lo, hi = min(d_first), max(d_first)
-    low = tuple(x for x in sorted(d_second) if x < lo)
-    high = tuple(x for x in sorted(d_second) if x > hi)
-    if len(low) + len(high) != len(d_second):
+    d_first = first & ~second
+    d_second = second & ~first
+    if d_second & _span(d_first):
         return None
-    return (low, high)
+    low = (d_second & ((d_first & -d_first) - 1)).bit_count() if d_first else 0
+    return low, d_second.bit_count() - low
 
 
-def separation_split(I: Iterable[int], J: Iterable[int]):
-    """The canonical split of J-I around I-J, or None when no valid split
-    exists.  Requires |I| >= |J| to be meaningful as "case one"."""
-    return _side_split(frozenset(I), frozenset(J))
+def _weakly_separated_masks(I: int, J: int) -> bool:
+    """Weak separation of two subsets given as bitmasks.  With A = I-J and
+    B = J-I: when |I| >= |J| it suffices that B has no element inside the
+    span of A, and when |J| >= |I| that A has none inside the span of B."""
+    A = I & ~J
+    B = J & ~I
+    a, b = I.bit_count(), J.bit_count()
+    return (a >= b and not B & _span(A)) or (b >= a and not A & _span(B))
 
 
 def weakly_separated(I: Iterable[int], J: Iterable[int]) -> bool:
     """Weak separation of two subsets of the same ground set [1..n].
 
-    Evaluated via the canonical split; `weakly_separated_by_crossings` is an
-    independent second path and the two must agree.
+    Evaluated on bitmasks; `weakly_separated_by_crossings` is an independent
+    second path and the two must agree.
     """
-    sI, sJ = frozenset(I), frozenset(J)
-    if len(sI) >= len(sJ) and _side_split(sI, sJ) is not None:
-        return True
-    if len(sJ) >= len(sI) and _side_split(sJ, sI) is not None:
-        return True
-    return False
+    return _weakly_separated_masks(_to_mask(I), _to_mask(J))
 
 
 def weakly_separated_by_crossings(I: Iterable[int], J: Iterable[int]) -> bool:
@@ -158,17 +181,17 @@ def plucker_exponent(I: Iterable[int], J: Iterable[int]) -> int | None:
     """Commutation exponent of two equal-size Pluecker index sets: |high| -
     |low| of the canonical split when I takes the large role, the negated
     swap otherwise; None when the pair is not weakly separated."""
-    sI, sJ = frozenset(I), frozenset(J)
-    if len(sI) != len(sJ):
+    mI, mJ = _to_mask(I), _to_mask(J)
+    if mI.bit_count() != mJ.bit_count():
         raise ValueError("plucker_exponent needs equal-size subsets")
-    split = _side_split(sI, sJ)
+    split = _split_sizes(mI, mJ)
     if split is not None:
         low, high = split
-        return len(high) - len(low)
-    split = _side_split(sJ, sI)
+        return high - low
+    split = _split_sizes(mJ, mI)
     if split is not None:
         low, high = split
-        return -(len(high) - len(low))
+        return -(high - low)
     return None
 
 
@@ -177,16 +200,16 @@ def minor_exponent(p: MinorIndex, r: MinorIndex) -> int | None:
     quasi-commute.  Antisymmetric by construction."""
     if (p.k, p.m) != (r.k, r.m):
         raise ValueError("minor indices must share the same algebra dimensions")
-    I = frozenset(stieffel_subset(p))
-    J = frozenset(stieffel_subset(r))
-    split = _side_split(I, J)
+    I = _to_mask(stieffel_subset(p))
+    J = _to_mask(stieffel_subset(r))
+    split = _split_sizes(I, J)
     if split is not None:
         low, high = split
-        return len(high) - len(low) + p.size - r.size
-    split = _side_split(J, I)
+        return high - low + p.size - r.size
+    split = _split_sizes(J, I)
     if split is not None:
         low, high = split
-        return -(len(high) - len(low) + r.size - p.size)
+        return -(high - low + r.size - p.size)
     return None
 
 

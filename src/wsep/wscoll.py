@@ -1,46 +1,210 @@
 """Maximal weakly separated collections: validation, greedy completion, the
 base collection, exchange moves, flip-graph enumeration, dihedral orbits,
 height, and the constructive reduction to the base collection for k in {2,3}.
+
+A collection is one int over the ranks of a per-(k, n) table of k-subsets,
+and an exchange move is a presence check plus an XOR on it; member sets are
+sorted tuples only at the boundary (`WSCollection.of`, `.sets`, JSON, `Move`
+fields).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, total_ordering
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
 from .subsets import (
     Dihedral,
+    _from_mask,
+    _to_mask,
+    _weakly_separated_masks,
     as_subset,
     check_in_range,
     is_boundary,
-    weakly_separated,
 )
 
+# Collections are ints over the subset ranks of a per-(k, n) table; past
+# this many k-subsets the table and the ints stop being small.
+MAX_SUBSETS = 1 << 16
 
-@dataclass(frozen=True, order=True)
+
+class _Table:
+    """The k-subsets of [1..n] in lexicographic order, which is the order of
+    their sorted tuples: rank r stands for `subsets[r]`, for the bitmask
+    `masks[r]` and, in a collection, for bit 1 << r.  The move, symmetry
+    and height tables are built on first use."""
+
+    def __init__(self, k: int, n: int):
+        if comb(n, k) > MAX_SUBSETS:
+            raise ValueError(
+                f"{comb(n, k)} {k}-subsets of [1..{n}] exceed the limit of {MAX_SUBSETS}"
+            )
+        self.k, self.n = k, n
+        self.subsets = tuple(combinations(range(1, n + 1), k))
+        self.masks = tuple(_to_mask(s) for s in self.subsets)
+        self.rank = {s: r for r, s in enumerate(self.subsets)}
+        self.bit = {m: 1 << r for r, m in enumerate(self.masks)}
+
+    @cached_property
+    def quads(self) -> tuple:
+        """One entry per anchor and quadruple i < s < j < t, in the scan
+        order of `find_moves`: (side bits, bit of anchor+{i,j}, bit of
+        anchor+{s,t}, the move removing anchor+{i,j}, its inverse)."""
+        bit = self.bit
+        universe = range(1, self.n + 1)
+        out = []
+        for anchor in combinations(universe, self.k - 2):
+            rest = [x for x in universe if x not in anchor]
+            for i, s, j, t in combinations(rest, 4):
+                fwd = Move(
+                    anchor, i, s, j, t,
+                    tuple(sorted(anchor + (i, j))),
+                    tuple(sorted(anchor + (s, t))),
+                )
+                sides = 0
+                for m in fwd.side_masks:
+                    sides |= bit[m]
+                out.append(
+                    (sides, bit[fwd.removes_mask], bit[fwd.adds_mask], fwd, fwd.inverse())
+                )
+        return tuple(out)
+
+    @cached_property
+    def symmetries(self) -> tuple:
+        """For the element rho^rot sigma^refl of the dihedral group, entry
+        rot + n*refl maps each rank to the bit of its image."""
+        n = self.n
+        rho = [self.rank[Dihedral.rotation(n).apply_subset(s)] for s in self.subsets]
+        sigma = [self.rank[Dihedral.reflection(n).apply_subset(s)] for s in self.subsets]
+        rows = []
+        for perm in (range(len(self.subsets)), sigma):
+            for _ in range(n):
+                rows.append(tuple(1 << r for r in perm))
+                perm = [rho[r] for r in perm]
+        return tuple(rows)
+
+    @cached_property
+    def height_bits(self) -> int:
+        """Bits of the non-boundary subsets that contain n."""
+        out = 0
+        for r, s in enumerate(self.subsets):
+            if self.n in s and not is_boundary(s, self.n):
+                out |= 1 << r
+        return out
+
+
+@lru_cache(maxsize=None)
+def _table(k: int, n: int) -> _Table:
+    return _Table(k, n)
+
+
+@total_ordering
 class WSCollection:
-    """A collection of k-subsets of [1..n] in canonical (sorted) form."""
+    """A collection of k-subsets of [1..n]: one int `bits` over the subset
+    ranks of the (k, n) table.  `sets` lists the members as sorted tuples
+    in sorted order; collections compare as (k, n, sets) do.
 
-    k: int
-    n: int
-    sets: tuple[tuple[int, ...], ...]
+    Build collections from outside with `of`, which checks every member;
+    the constructor trusts its arguments.  The hash is computed once, so
+    the attributes must not be reassigned.
+    """
+
+    __slots__ = ("k", "n", "bits", "table", "_hash", "_ranks")
+
+    def __init__(self, table: _Table, bits: int):
+        self.k = table.k
+        self.n = table.n
+        self.bits = bits
+        self.table = table
+        self._hash = hash((table.k, table.n, bits))
+        self._ranks = None
 
     @staticmethod
     def of(k: int, n: int, sets: Iterable[Iterable[int]]) -> "WSCollection":
-        canon = sorted({check_in_range(s, n) for s in sets})
-        for s in canon:
-            if len(s) != k:
-                raise ValueError(f"{s} is not a {k}-subset")
-        return WSCollection(k, n, tuple(canon))
+        """Check and canonicalise members given as iterables of ints; a
+        repeated member is an error."""
+        if not (isinstance(k, int) and isinstance(n, int)):
+            raise ValueError(f"k and n must be integers, got {k!r} and {n!r}")
+        table = _table(k, n)
+        bits = 0
+        for s in sets:
+            t = check_in_range(s, n)
+            if len(t) != k:
+                raise ValueError(f"{t} is not a {k}-subset")
+            b = 1 << table.rank[t]
+            if bits & b:
+                raise ValueError(f"{t} appears more than once in the collection")
+            bits |= b
+        return WSCollection(table, bits)
+
+    @staticmethod
+    def of_masks(k: int, n: int, masks: Iterable[int]) -> "WSCollection":
+        """Trusted constructor from member bitmasks, each a k-subset of
+        [1..n]; a repeated mask counts once."""
+        table = _table(k, n)
+        bit = table.bit
+        bits = 0
+        for m in masks:
+            bits |= bit[m]
+        return WSCollection(table, bits)
+
+    def ranks(self) -> tuple[int, ...]:
+        """Member ranks, ascending; decoded from `bits` on first use."""
+        if self._ranks is None:
+            self._ranks = _from_mask(self.bits)
+        return self._ranks
+
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        subsets = self.table.subsets
+        return tuple(subsets[r] for r in self.ranks())
+
+    def masks(self) -> list[int]:
+        """Member bitmasks in the order of `sets`."""
+        masks = self.table.masks
+        return [masks[r] for r in self.ranks()]
+
+    def has_mask(self, m: int) -> bool:
+        """Whether the subset with bitmask m is a member."""
+        return bool(self.bits & self.table.bit.get(m, 0))
 
     def __contains__(self, s) -> bool:
-        return tuple(s) in set(self.sets)
+        r = self.table.rank.get(tuple(s))
+        return r is not None and bool(self.bits >> r & 1)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return self.bits.bit_count()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WSCollection):
+            return NotImplemented
+        return self.bits == other.bits and self.k == other.k and self.n == other.n
+
+    def __lt__(self, other) -> bool:
+        if not isinstance(other, WSCollection):
+            return NotImplemented
+        if self.k != other.k or self.n != other.n:
+            return (self.k, self.n) < (other.k, other.n)
+        # Lexicographic order of the ascending rank sequences: decided at
+        # the lowest rank r in exactly one of the two.
+        a, b = self.bits, other.bits
+        d = a ^ b
+        if not d:
+            return False
+        low = d & -d
+        if a & low:
+            return b > low  # b goes on past r
+        return a < low  # a stops before r
+
+    def __repr__(self) -> str:
+        return f"WSCollection(k={self.k}, n={self.n}, sets={self.sets!r})"
 
     def member_set(self) -> frozenset:
         return frozenset(self.sets)
@@ -61,7 +225,8 @@ class Move:
     """Exchange move inside a maximal collection: swaps the two diagonals
     anchor+{i,j} and anchor+{s,t} of the quadruple i < s < j < t whose four
     side sets anchor+{i,s}, anchor+{s,j}, anchor+{j,t}, anchor+{i,t} are all
-    present."""
+    present.  `side_masks`, `removes_mask` and `adds_mask` hold the same
+    sets as bitmasks, computed on first use."""
 
     anchor: tuple[int, ...]
     i: int
@@ -81,15 +246,23 @@ class Move:
         if self.removes == self.adds:
             raise ValueError("degenerate move")
 
+    @cached_property
+    def side_masks(self) -> tuple[int, int, int, int]:
+        a = _to_mask(self.anchor)
+        i, s, j, t = 1 << self.i, 1 << self.s, 1 << self.j, 1 << self.t
+        return (a | i | s, a | s | j, a | j | t, a | i | t)
+
+    @cached_property
+    def removes_mask(self) -> int:
+        return _to_mask(self.removes)
+
+    @cached_property
+    def adds_mask(self) -> int:
+        return _to_mask(self.adds)
+
     @property
     def sides(self) -> tuple[tuple[int, ...], ...]:
-        a = self.anchor
-        return (
-            as_subset(a + (self.i, self.s)),
-            as_subset(a + (self.s, self.j)),
-            as_subset(a + (self.j, self.t)),
-            as_subset(a + (self.i, self.t)),
-        )
+        return tuple(_from_mask(m) for m in self.side_masks)
 
     @staticmethod
     def between(anchor: Iterable[int], removes: Iterable[int], adds: Iterable[int]) -> "Move":
@@ -129,15 +302,19 @@ class ValidationReport:
 
 
 def validate(c: WSCollection) -> ValidationReport:
+    """Test every pair of members for weak separation.  Members are
+    k-subsets of [1..n] by construction."""
+    subsets, masks = c.table.subsets, c.table.masks
+    ranks = c.ranks()
     issues = []
     crossings = []
-    for s in c.sets:
-        if len(s) != c.k:
-            issues.append(f"{s} has size {len(s)}, expected {c.k}")
-    for a, b in combinations(c.sets, 2):
-        if not weakly_separated(a, b):
-            crossings.append((a, b))
-            issues.append(f"{a} and {b} are not weakly separated")
+    for x, r in enumerate(ranks):
+        a = masks[r]
+        for r2 in ranks[x + 1:]:
+            if not _weakly_separated_masks(a, masks[r2]):
+                pair = (subsets[r], subsets[r2])
+                crossings.append(pair)
+                issues.append(f"{pair[0]} and {pair[1]} are not weakly separated")
     return ValidationReport(not issues, tuple(issues), tuple(crossings))
 
 
@@ -147,15 +324,15 @@ def complete_to_maximal(c: WSCollection) -> WSCollection:
     report = validate(c)
     if not report.ok:
         raise ValueError(f"cannot complete an invalid collection: {report.issues[0]}")
-    chosen = list(c.sets)
-    have = set(chosen)
-    for cand in combinations(range(1, c.n + 1), c.k):
-        if cand in have:
+    chosen = c.masks()
+    bits = c.bits
+    for r, cand in enumerate(c.table.masks):
+        if bits >> r & 1:
             continue
-        if all(weakly_separated(cand, s) for s in chosen):
+        if all(_weakly_separated_masks(cand, m) for m in chosen):
             chosen.append(cand)
-            have.add(cand)
-    return WSCollection.of(c.k, c.n, chosen)
+            bits |= 1 << r
+    return WSCollection(c.table, bits)
 
 
 def is_maximal(c: WSCollection) -> bool:
@@ -185,69 +362,39 @@ def base_collection(k: int, n: int) -> WSCollection:
 def translate(c: WSCollection, g: Dihedral) -> WSCollection:
     if g.n != c.n:
         raise ValueError("dihedral element acts on the wrong polygon")
-    return WSCollection.of(c.k, c.n, (g.apply_subset(s) for s in c.sets))
+    image = c.table.symmetries[g.rot + (c.n if g.refl else 0)]
+    return WSCollection(c.table, sum(map(image.__getitem__, c.ranks())))
 
 
 def find_moves(c: WSCollection) -> list[Move]:
     """All exchange moves available in c (which should be maximal): for each
     anchor and quadruple with all four sides present, exactly one diagonal is
     present in a maximal collection, and the move swaps it for the other."""
-    members = c.member_set()
-    universe = range(1, c.n + 1)
+    bits = c.bits
     moves = []
-    for anchor in combinations(universe, c.k - 2):
-        rest = [x for x in universe if x not in anchor]
-        for i, s, j, t in combinations(rest, 4):
-            a = anchor
-            if not (
-                tuple(sorted(a + (i, s))) in members
-                and tuple(sorted(a + (s, j))) in members
-                and tuple(sorted(a + (j, t))) in members
-                and tuple(sorted(a + (i, t))) in members
-            ):
-                continue
-            diag_ij = tuple(sorted(a + (i, j)))
-            diag_st = tuple(sorted(a + (s, t)))
-            if diag_ij in members:
-                moves.append(Move(a, i, s, j, t, diag_ij, diag_st))
-            elif diag_st in members:
-                moves.append(Move(a, i, s, j, t, diag_st, diag_ij))
+    for sides, diag_ij, diag_st, fwd, back in c.table.quads:
+        if bits & sides == sides:
+            if bits & diag_ij:
+                moves.append(fwd)
+            elif bits & diag_st:
+                moves.append(back)
     return moves
 
 
-def diagonal_dichotomy_holds(c: WSCollection) -> bool:
-    """Whenever all four sides of a quadruple are present, exactly one of the
-    two diagonals is."""
-    members = c.member_set()
-    universe = range(1, c.n + 1)
-    for anchor in combinations(universe, c.k - 2):
-        rest = [x for x in universe if x not in anchor]
-        for i, s, j, t in combinations(rest, 4):
-            a = anchor
-            if not all(
-                tuple(sorted(a + pair)) in members
-                for pair in ((i, s), (s, j), (j, t), (i, t))
-            ):
-                continue
-            if (tuple(sorted(a + (i, j))) in members) == (
-                tuple(sorted(a + (s, t))) in members
-            ):
-                return False
-    return True
-
-
 def apply_move(c: WSCollection, mv: Move) -> WSCollection:
-    members = set(c.sets)
-    for side in mv.sides:
-        if side not in members:
-            raise ValueError(f"move side {side} absent from collection")
-    if mv.removes not in members:
+    bit = c.table.bit
+    bits = c.bits
+    for x, m in enumerate(mv.side_masks):
+        if not bits & bit.get(m, 0):
+            raise ValueError(f"move side {mv.sides[x]} absent from collection")
+    # with the sides present, both diagonals are k-subsets of [1..n] too
+    removes = bit[mv.removes_mask]
+    adds = bit[mv.adds_mask]
+    if not bits & removes:
         raise ValueError(f"move diagonal {mv.removes} absent from collection")
-    if mv.adds in members:
+    if bits & adds:
         raise ValueError(f"move target {mv.adds} already present")
-    members.remove(mv.removes)
-    members.add(mv.adds)
-    return WSCollection.of(c.k, c.n, members)
+    return WSCollection(c.table, bits ^ removes ^ adds)
 
 
 def enumerate_component(seed: WSCollection) -> set[WSCollection]:
@@ -287,9 +434,7 @@ def dihedral_orbits(cs: Iterable[WSCollection]) -> list[tuple[WSCollection, ...]
 
 def height(c: WSCollection) -> int:
     """Number of non-boundary member sets containing the top index n."""
-    return sum(
-        1 for s in c.sets if c.n in s and not is_boundary(s, c.n)
-    )
+    return (c.bits & c.table.height_bits).bit_count()
 
 
 @dataclass(frozen=True)
@@ -303,7 +448,6 @@ class Reduction:
     pre_translation: Dihedral
     moves: tuple[Move, ...]
     end: WSCollection
-    intermediates: tuple[WSCollection, ...] = field(repr=False, default=())
 
     def to_json_dict(self) -> dict:
         return {
@@ -342,16 +486,15 @@ def pinch_index(c: WSCollection, top: int | None = None) -> int:
     if c.k not in (2, 3):
         raise ValueError("pinch index defined for k in {2,3} only")
     top = c.n if top is None else top
-    pre = _prefix(c.k)
-    members = c.member_set()
-    if c.k == 3 and tuple(sorted((1, top - 2, top - 1))) not in members:
+    pre = _to_mask(_prefix(c.k))
+    if c.k == 3 and not c.has_mask(_to_mask((1, top - 2, top - 1))):
         raise ValueError(f"collection lacks {{1,{top-2},{top-1}}}")
     lo = 2 if c.k == 3 else 1
     for b in range(top - 2, lo - 1, -1):
-        if tuple(sorted(pre + (b, top))) in members:
-            partner = tuple(sorted(pre + (b, top - 1)))
-            if partner not in members:
-                raise ValueError(f"pinch candidate {b} lacks partner {partner}")
+        if c.has_mask(pre | 1 << b | 1 << top):
+            partner = pre | 1 << b | 1 << (top - 1)
+            if not c.has_mask(partner):
+                raise ValueError(f"pinch candidate {b} lacks partner {_from_mask(partner)}")
             return b
     raise ValueError("no pinch index found")
 
@@ -361,18 +504,18 @@ def _pinch_move(c: WSCollection, top: int) -> Move:
     prefix+{b,top} for prefix+{a,top-1} where b is the pinch index and a is
     the largest smaller index with prefix+{a,top} present."""
     pre = _prefix(c.k)
-    members = c.member_set()
+    pm = _to_mask(pre)
     b = pinch_index(c, top)
     lo = 2 if c.k == 3 else 1
     a = None
     for x in range(b - 1, lo - 1, -1):
-        if tuple(sorted(pre + (x, top))) in members:
+        if c.has_mask(pm | 1 << x | 1 << top):
             a = x
             break
     if a is None:
         raise ValueError("no companion index below the pinch index")
-    if tuple(sorted(pre + (a, b))) not in members:
-        raise ValueError(f"expected {tuple(sorted(pre + (a, b)))} to be present")
+    if not c.has_mask(pm | 1 << a | 1 << b):
+        raise ValueError(f"expected {_from_mask(pm | 1 << a | 1 << b)} to be present")
     return Move(
         pre,
         a,
@@ -423,8 +566,7 @@ def _base_translate_moves(k: int, g: Dihedral, m: int) -> list[Move]:
 def _moves_to_base(c: WSCollection) -> list[Move]:
     k, m = c.k, c.n
     if m <= k + 1:
-        expected = WSCollection.of(k, m, combinations(range(1, m + 1), k))
-        if c != expected:
+        if len(c) != len(c.table.subsets):
             raise ValueError("unexpected non-maximal collection at recursion floor")
         return []
     g = dihedral_witness(c) if k == 3 else Dihedral.identity(m)
@@ -434,7 +576,7 @@ def _moves_to_base(c: WSCollection) -> list[Move]:
         mv = _pinch_move(d, m)
         d = apply_move(d, mv)
         pinch_moves.append(mv)
-    stripped = WSCollection.of(k, m - 1, (s for s in d.sets if m not in s))
+    stripped = WSCollection.of_masks(k, m - 1, (s for s in d.masks() if not s >> m & 1))
     inner = _moves_to_base(stripped)
     ginv = g.inverse()
     tail = _base_translate_moves(k, ginv, m)
@@ -453,12 +595,10 @@ def reduce_to_base(c: WSCollection) -> Reduction:
         raise ValueError("reduction requires a maximal collection")
     moves = _moves_to_base(c)
     cur = c
-    intermediates = []
     for mv in moves:
         cur = apply_move(cur, mv)
         if not validate(cur).ok:
             raise AssertionError("reduction produced a non-separated collection")
-        intermediates.append(cur)
     target = base_collection(c.k, c.n)
     if cur != target:
         raise AssertionError("reduction did not land on the base collection")
@@ -467,7 +607,6 @@ def reduce_to_base(c: WSCollection) -> Reduction:
         pre_translation=Dihedral.identity(c.n),
         moves=tuple(moves),
         end=cur,
-        intermediates=tuple(intermediates),
     )
 
 

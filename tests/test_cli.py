@@ -1,7 +1,14 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import wsep
 from wsep.cli import main
 from wsep.wscoll import base_collection
 
@@ -185,6 +192,30 @@ class TestPositivity:
         assert code == 2
 
 
+    def write_square(self, tmp_path, vals):
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(base_collection(2, 4).to_json_dict()))
+        vf = tmp_path / "v.json"
+        vf.write_text(json.dumps(vals))
+        return str(cf), str(vf)
+
+    def test_value_keys_are_canonicalised(self, capsys, tmp_path):
+        vals = {"[2,1]": "1", "[2,3]": "1", "[3,4]": "1", "[1,4]": "1", "[1,3]": "1"}
+        cf, vf = self.write_square(tmp_path, vals)
+        code, out = run(capsys, "positivity", "--collection", cf, "--values", vf)
+        assert code == 0
+        assert json.loads(out)["values"]["[1,2]"] == "1"
+
+    def test_colliding_value_keys_usage_error(self, capsys, tmp_path):
+        vals = {"[1,2]": "1", "[2,1]": "2", "[2,3]": "1", "[3,4]": "1", "[1,4]": "1", "[1,3]": "1"}
+        cf, vf = self.write_square(tmp_path, vals)
+        code = main(["positivity", "--collection", cf, "--values", vf])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "(1, 2)" in captured.err
+
+
 class TestOracleVerify:
     def test_small_suite_passes(self, capsys):
         code, out = run(capsys, "oracle-verify", "--suite", "small")
@@ -211,3 +242,52 @@ class TestUsageErrors:
         code, out = run(capsys, "validate", "--file", str(f))
         assert code == 1
         assert not json.loads(out)["ok"]
+
+    def test_duplicate_member_rejected(self, capsys, tmp_path):
+        f = tmp_path / "dup.json"
+        sets = [[1, 2], [2, 3], [3, 4], [1, 4], [1, 3], [1, 3]]
+        f.write_text(json.dumps({"k": 2, "n": 4, "sets": sets}))
+        code = main(["validate", "--file", str(f)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "(1, 3)" in captured.err
+
+
+class TestFilesClosed:
+    def test_no_resource_warning(self, capsys, tmp_path):
+        c = base_collection(2, 4)
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(c.to_json_dict()))
+        vf = tmp_path / "v.json"
+        vf.write_text(json.dumps({json.dumps(list(K)): "1" for K in c.sets}))
+        wf = tmp_path / "words.txt"
+        wf.write_text("2 1r 1 2 3 2r 2 1 4 1r 3 2 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", "--file", str(cf)]) == 0
+            assert main(["positivity", "--collection", str(cf), "--values", str(vf)]) == 0
+            assert main(["wiring", "--word-file", str(wf), "--k", "3", "--m", "5"]) == 0
+            gc.collect()
+        capsys.readouterr()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class TestClosedPipe:
+    def test_exit_code_and_quiet_stderr(self):
+        src = str(Path(wsep.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # several hundred kB of output: far more than a pipe buffers
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wsep.cli", "enumerate", "--k", "3", "--n", "8"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
+        assert json.loads(first)["k"] == 3

@@ -1,0 +1,52 @@
+"""The walk, orbit, lift and reduction outputs pinned byte for byte: sha256
+digests of CLI stdout and of certified reduction paths."""
+
+import hashlib
+import json
+
+import pytest
+
+from wsep.cli import main
+from wsep.wscoll import component_of_base, reduce_to_base
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "enumerate --k 3 --n 7",
+            "22a56c98ae3aba231c8e775ab5dba2198af9423a1bfef61a1aeaeb2cf7b120e0",
+        ),
+        (
+            "orbits --k 3 --n 7",
+            "295df3fe1435807af5726dba2aa320537d93e2a394dc77c5262b9d3a74e95c66",
+        ),
+        (
+            "enumerate --k 4 --n 7",
+            "2df67c4baa07c878ceb5d3430f629831e19842baa3687a0cc21a5978c1dad28b",
+        ),
+        (
+            "gen-w3 --n 7",
+            "2ab004d06711167eefb0c6760cd99a2933958fcf12f2f421d60450c31d95e234",
+        ),
+        (
+            "enumerate --k 2 --n 8",
+            "0eff735fa363de1e2759cce852e31565ff449a76c311f6d8fd7bec711057a989",
+        ),
+    ],
+)
+def test_cli_stdout(capsys, argv, digest):
+    assert main(argv.split()) == 0
+    assert sha256(capsys.readouterr().out) == digest
+
+
+def test_reduction_paths():
+    text = "".join(
+        json.dumps(reduce_to_base(c).to_json_dict(), sort_keys=True) + "\n"
+        for c in sorted(component_of_base(3, 7))[:20]
+    )
+    assert sha256(text) == "f42583e26b2c181e5243c255d8b3091c419cb12031f1aae3d6a964a73d5d28fd"

@@ -9,14 +9,18 @@ from wsep.subsets import (
     MinorIndex,
     as_subset,
     diameter,
+    _from_mask,
     is_boundary,
     minor_exponent,
     parse_subset,
     plucker_exponent,
     precedes,
+    _precedes_masks,
     stieffel_subset,
+    _to_mask,
     weakly_separated,
     weakly_separated_by_crossings,
+    _weakly_separated_masks,
 )
 from wsep.quantum import quantum_minor, quasi_commutation_exponent
 
@@ -83,6 +87,24 @@ class TestWeaklySeparated:
         J = data.draw(st.sets(st.integers(1, n), max_size=n))
         assert weakly_separated(I, I)
         assert weakly_separated(I, J) == weakly_separated(J, I)
+
+    @given(
+        st.sets(st.integers(1, 12), max_size=12),
+        st.sets(st.integers(1, 12), max_size=12),
+    )
+    def test_bitmask_predicate_matches_bruteforce(self, I, J):
+        # any sizes, equal or not, empty included
+        expected = weakly_separated_bf(I, J)
+        assert _weakly_separated_masks(_to_mask(I), _to_mask(J)) == expected
+        assert weakly_separated(sorted(I), sorted(J)) == expected
+
+    @given(
+        st.sets(st.integers(1, 12), max_size=12),
+        st.sets(st.integers(1, 12), max_size=12),
+    )
+    def test_mask_round_trip_and_precedes(self, I, J):
+        assert _from_mask(_to_mask(I)) == tuple(sorted(I))
+        assert _precedes_masks(_to_mask(I), _to_mask(J)) == precedes(I, J)
 
     def test_dihedral_invariance_exhaustive(self):
         for n in (4, 5, 6, 7):

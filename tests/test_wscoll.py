@@ -12,7 +12,6 @@ from wsep.wscoll import (
     boundary_sets,
     complete_to_maximal,
     component_of_base,
-    diagonal_dichotomy_holds,
     dihedral_orbits,
     dihedral_witness,
     enumerate_component,
@@ -29,6 +28,26 @@ from wsep.wscoll import (
 
 def catalan(n):
     return comb(2 * n, n) // (n + 1)
+
+
+def diagonal_dichotomy_holds(c):
+    """Whenever all four sides of a quadruple are present, exactly one of
+    the two diagonals is; checked on sorted tuples, apart from find_moves."""
+    members = c.member_set()
+    universe = range(1, c.n + 1)
+    for a in combinations(universe, c.k - 2):
+        rest = [x for x in universe if x not in a]
+        for i, s, j, t in combinations(rest, 4):
+            if not all(
+                tuple(sorted(a + pair)) in members
+                for pair in ((i, s), (s, j), (j, t), (i, t))
+            ):
+                continue
+            if (tuple(sorted(a + (i, j))) in members) == (
+                tuple(sorted(a + (s, t))) in members
+            ):
+                return False
+    return True
 
 
 def random_greedy_maximal(k, n, rng):
@@ -285,3 +304,51 @@ class TestJson:
         mv = find_moves(base_collection(3, 6))[0]
         d = mv.to_json_dict()
         assert d["quad"] == [mv.i, mv.s, mv.j, mv.t]
+
+
+class TestBitmaskKernel:
+    """The int-per-collection layout against plain sorted-tuple computations."""
+
+    def test_order_matches_sets(self):
+        rng = random.Random(5)
+        pool = list(combinations(range(1, 7), 3))
+        cs = list(component_of_base(3, 6))
+        for _ in range(200):  # unequal sizes, one a prefix of another
+            cs.append(WSCollection.of(3, 6, rng.sample(pool, rng.randint(0, 6))))
+        assert sorted(cs) == sorted(cs, key=lambda c: c.sets)
+        assert [c.sets for c in sorted(cs)] == sorted(c.sets for c in cs)
+        assert min(cs).sets == min(c.sets for c in cs)
+
+    def test_of_rejects_repeated_member(self):
+        with pytest.raises(ValueError, match=r"\(1, 3\)"):
+            WSCollection.of(2, 4, [(1, 2), (1, 3), (3, 1)])
+
+    def test_of_rejects_oversized_table(self):
+        with pytest.raises(ValueError):
+            WSCollection.of(10, 40, [])
+
+    def test_translate_matches_tuple_image(self):
+        for c in component_of_base(3, 6):
+            for g in Dihedral.group(6):
+                image = tuple(sorted(g.apply_subset(s) for s in c.sets))
+                assert translate(c, g).sets == image
+
+    def test_find_moves_matches_tuple_scan(self):
+        for k, n in [(2, 6), (3, 6), (4, 7)]:
+            for c in sorted(component_of_base(k, n))[:40]:
+                members = c.member_set()
+                expected = []
+                universe = range(1, n + 1)
+                for a in combinations(universe, k - 2):
+                    rest = [x for x in universe if x not in a]
+                    for i, s, j, t in combinations(rest, 4):
+                        sides = [tuple(sorted(a + p)) for p in ((i, s), (s, j), (j, t), (i, t))]
+                        if not all(x in members for x in sides):
+                            continue
+                        ij, st = tuple(sorted(a + (i, j))), tuple(sorted(a + (s, t)))
+                        if ij in members:
+                            expected.append((a, ij, st))
+                        elif st in members:
+                            expected.append((a, st, ij))
+                got = [(m.anchor, m.removes, m.adds) for m in find_moves(c)]
+                assert got == expected
