@@ -95,7 +95,10 @@ def _split_sizes(first: int, second: int):
 def _weakly_separated_masks(I: int, J: int) -> bool:
     """Weak separation of two subsets given as bitmasks.  With A = I-J and
     B = J-I: when |I| >= |J| it suffices that B has no element inside the
-    span of A, and when |J| >= |I| that A has none inside the span of B."""
+    span of A, and when |J| >= |I| that A has none inside the span of B.
+
+    This is the test of `_split_sizes` in both roles without the sizes,
+    written out here because `validate` runs it on every pair."""
     A = I & ~J
     B = J & ~I
     a, b = I.bit_count(), J.bit_count()

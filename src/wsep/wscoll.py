@@ -2,17 +2,17 @@
 base collection, exchange moves, flip-graph enumeration, dihedral orbits,
 height, and the constructive reduction to the base collection for k in {2,3}.
 
-A collection is one int over the ranks of a per-(k, n) table of k-subsets,
-and an exchange move is a presence check plus an XOR on it; member sets are
-sorted tuples only at the boundary (`WSCollection.of`, `.sets`, JSON, `Move`
-fields).
+A collection is one int over the lexicographic ranks of its member
+k-subsets, and an exchange move is a presence check plus an XOR on it;
+member sets are sorted tuples only at the boundary (`WSCollection.of`,
+`.sets`, JSON, `Move` fields).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, total_ordering
+from functools import cached_property, lru_cache, partial, total_ordering
 from itertools import combinations
 from math import comb
 from typing import Iterable
@@ -27,34 +27,72 @@ from .subsets import (
     is_boundary,
 )
 
-# Collections are ints over the subset ranks of a per-(k, n) table; past
-# this many k-subsets the table and the ints stop being small.
-MAX_SUBSETS = 1 << 16
+
+class _Lazy(dict):
+    """A dict that fills a missing key with `fill(key)` on lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 class _Table:
-    """The k-subsets of [1..n] in lexicographic order, which is the order of
-    their sorted tuples: rank r stands for `subsets[r]`, for the bitmask
-    `masks[r]` and, in a collection, for bit 1 << r.  The move, symmetry
-    and height tables are built on first use."""
+    """The k-subsets of [1..n] ranked in lexicographic order, which is the
+    order of their sorted tuples; in a collection, rank r stands for bit
+    1 << r.  Ranks come from the combinatorial number system and are
+    memoised as they are looked up, so a table holds only the subsets in
+    use.  The move table and the symmetry images serve the walk and are
+    built on first use.
+
+    `rank[m]` is the rank of bitmask m, or -1 if m is not a k-subset of
+    [1..n]; `subset[r]` and `mask[r]` give rank r back as a sorted tuple and
+    as a bitmask; `image[rot, refl][r]` is the rank of the image of rank r
+    under the dihedral element `Dihedral(n, rot, refl)`.
+    """
 
     def __init__(self, k: int, n: int):
-        if comb(n, k) > MAX_SUBSETS:
-            raise ValueError(
-                f"{comb(n, k)} {k}-subsets of [1..{n}] exceed the limit of {MAX_SUBSETS}"
-            )
         self.k, self.n = k, n
-        self.subsets = tuple(combinations(range(1, n + 1), k))
-        self.masks = tuple(_to_mask(s) for s in self.subsets)
-        self.rank = {s: r for r, s in enumerate(self.subsets)}
-        self.bit = {m: 1 << r for r, m in enumerate(self.masks)}
+        self.size = comb(max(n, 0), k) if k >= 0 else 0
+        self.rank = _Lazy(self._rank_of)
+        self.subset = _Lazy(self._subset_of)
+        self.mask = _Lazy(lambda r: _to_mask(self.subset[r]))
+        self.image = _Lazy(lambda key: _Lazy(partial(self._image_of, Dihedral(n, *key))))
+
+    def _rank_of(self, m: int) -> int:
+        k, n = self.k, self.n
+        if m < 0 or m & 1 or m >> max(n + 1, 0) or m.bit_count() != k:
+            return -1
+        # c_1 < ... < c_k is followed by sum_i C(n - c_i, k - i + 1) subsets
+        return self.size - 1 - sum(comb(n - x, k - i) for i, x in enumerate(_from_mask(m)))
+
+    def _subset_of(self, r: int) -> tuple[int, ...]:
+        # inverse of _rank_of: greedy digits of size-1-r, largest first
+        rest = self.size - 1 - r
+        out = []
+        a = self.n
+        for j in range(self.k, 0, -1):
+            a -= 1
+            while comb(a, j) > rest:
+                a -= 1
+            rest -= comb(a, j)
+            out.append(self.n - a)
+        return tuple(out)
+
+    def _image_of(self, g: Dihedral, r: int) -> int:
+        return self.rank[_to_mask(g.apply_subset(self.subset[r]))]
 
     @cached_property
     def quads(self) -> tuple:
         """One entry per anchor and quadruple i < s < j < t, in the scan
         order of `find_moves`: (side bits, bit of anchor+{i,j}, bit of
         anchor+{s,t}, the move removing anchor+{i,j}, its inverse)."""
-        bit = self.bit
+        rank = self.rank
         universe = range(1, self.n + 1)
         out = []
         for anchor in combinations(universe, self.k - 2):
@@ -67,37 +105,26 @@ class _Table:
                 )
                 sides = 0
                 for m in fwd.side_masks:
-                    sides |= bit[m]
-                out.append(
-                    (sides, bit[fwd.removes_mask], bit[fwd.adds_mask], fwd, fwd.inverse())
-                )
+                    sides |= 1 << rank[m]
+                out.append((
+                    sides,
+                    1 << rank[fwd.removes_mask],
+                    1 << rank[fwd.adds_mask],
+                    fwd,
+                    fwd.inverse(),
+                ))
         return tuple(out)
 
     @cached_property
-    def symmetries(self) -> tuple:
-        """For the element rho^rot sigma^refl of the dihedral group, entry
-        rot + n*refl maps each rank to the bit of its image."""
-        n = self.n
-        rho = [self.rank[Dihedral.rotation(n).apply_subset(s)] for s in self.subsets]
-        sigma = [self.rank[Dihedral.reflection(n).apply_subset(s)] for s in self.subsets]
-        rows = []
-        for perm in (range(len(self.subsets)), sigma):
-            for _ in range(n):
-                rows.append(tuple(1 << r for r in perm))
-                perm = [rho[r] for r in perm]
-        return tuple(rows)
-
-    @cached_property
-    def height_bits(self) -> int:
-        """Bits of the non-boundary subsets that contain n."""
-        out = 0
-        for r, s in enumerate(self.subsets):
-            if self.n in s and not is_boundary(s, self.n):
-                out |= 1 << r
-        return out
+    def top_boundary(self) -> frozenset:
+        """Masks of the boundary subsets that contain n."""
+        k, n = self.k, self.n
+        return frozenset(
+            _to_mask((n - j + x - 1) % n + 1 for x in range(k)) for j in range(min(k, n))
+        )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _table(k: int, n: int) -> _Table:
     return _Table(k, n)
 
@@ -130,26 +157,30 @@ class WSCollection:
         if not (isinstance(k, int) and isinstance(n, int)):
             raise ValueError(f"k and n must be integers, got {k!r} and {n!r}")
         table = _table(k, n)
-        bits = 0
+        rank = table.rank
+        ranks = set()
         for s in sets:
             t = check_in_range(s, n)
             if len(t) != k:
                 raise ValueError(f"{t} is not a {k}-subset")
-            b = 1 << table.rank[t]
-            if bits & b:
+            r = rank[_to_mask(t)]
+            if r in ranks:
                 raise ValueError(f"{t} appears more than once in the collection")
-            bits |= b
-        return WSCollection(table, bits)
+            ranks.add(r)
+        c = _Unbuilt.__new__(_Unbuilt)
+        c.k, c.n, c.table = k, n, table
+        c._ranks = tuple(sorted(ranks))
+        return c
 
     @staticmethod
     def of_masks(k: int, n: int, masks: Iterable[int]) -> "WSCollection":
         """Trusted constructor from member bitmasks, each a k-subset of
         [1..n]; a repeated mask counts once."""
         table = _table(k, n)
-        bit = table.bit
+        rank = table.rank
         bits = 0
         for m in masks:
-            bits |= bit[m]
+            bits |= 1 << rank[m]
         return WSCollection(table, bits)
 
     def ranks(self) -> tuple[int, ...]:
@@ -160,24 +191,30 @@ class WSCollection:
 
     @property
     def sets(self) -> tuple[tuple[int, ...], ...]:
-        subsets = self.table.subsets
-        return tuple(subsets[r] for r in self.ranks())
+        subset = self.table.subset
+        return tuple(subset[r] for r in self.ranks())
 
     def masks(self) -> list[int]:
         """Member bitmasks in the order of `sets`."""
-        masks = self.table.masks
-        return [masks[r] for r in self.ranks()]
+        mask = self.table.mask
+        return [mask[r] for r in self.ranks()]
 
     def has_mask(self, m: int) -> bool:
         """Whether the subset with bitmask m is a member."""
-        return bool(self.bits & self.table.bit.get(m, 0))
+        r = self.table.rank[m]
+        return r >= 0 and bool(self.bits >> r & 1)
 
     def __contains__(self, s) -> bool:
-        r = self.table.rank.get(tuple(s))
-        return r is not None and bool(self.bits >> r & 1)
+        t = tuple(s)
+        try:
+            r = self.table.rank[_to_mask(t)]
+        except (TypeError, ValueError):
+            return False
+        return r >= 0 and bool(self.bits >> r & 1) and self.table.subset[r] == t
 
     def __len__(self) -> int:
-        return self.bits.bit_count()
+        ranks = self._ranks
+        return len(ranks) if ranks is not None else self.bits.bit_count()
 
     def __hash__(self) -> int:
         return self._hash
@@ -218,6 +255,25 @@ class WSCollection:
     @staticmethod
     def from_json_dict(d: dict) -> "WSCollection":
         return WSCollection.of(d["k"], d["n"], [tuple(s) for s in d["sets"]])
+
+
+class _Unbuilt(WSCollection):
+    """A collection made by `of`.  Its int `bits`, of up to C(n, k) bits,
+    and its hash are built on first use, so a large (k, n) that is only
+    validated or printed never builds them.  `__getattr__` lives on this
+    subclass because on `WSCollection` it would slow every attribute read
+    in the walk."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name == "bits":
+            self.bits = sum(map((1).__lshift__, self._ranks))
+            return self.bits
+        if name == "_hash":
+            self._hash = hash((self.k, self.n, self.bits))
+            return self._hash
+        raise AttributeError(name)
 
 
 @dataclass(frozen=True)
@@ -304,15 +360,13 @@ class ValidationReport:
 def validate(c: WSCollection) -> ValidationReport:
     """Test every pair of members for weak separation.  Members are
     k-subsets of [1..n] by construction."""
-    subsets, masks = c.table.subsets, c.table.masks
-    ranks = c.ranks()
+    masks = c.masks()
     issues = []
     crossings = []
-    for x, r in enumerate(ranks):
-        a = masks[r]
-        for r2 in ranks[x + 1:]:
-            if not _weakly_separated_masks(a, masks[r2]):
-                pair = (subsets[r], subsets[r2])
+    for x, a in enumerate(masks):
+        for b in masks[x + 1:]:
+            if not _weakly_separated_masks(a, b):
+                pair = (_from_mask(a), _from_mask(b))
                 crossings.append(pair)
                 issues.append(f"{pair[0]} and {pair[1]} are not weakly separated")
     return ValidationReport(not issues, tuple(issues), tuple(crossings))
@@ -325,10 +379,12 @@ def complete_to_maximal(c: WSCollection) -> WSCollection:
     if not report.ok:
         raise ValueError(f"cannot complete an invalid collection: {report.issues[0]}")
     chosen = c.masks()
+    members = set(c.ranks())
     bits = c.bits
-    for r, cand in enumerate(c.table.masks):
-        if bits >> r & 1:
+    for r, cand in enumerate(combinations(range(1, c.n + 1), c.k)):
+        if r in members:
             continue
+        cand = _to_mask(cand)
         if all(_weakly_separated_masks(cand, m) for m in chosen):
             chosen.append(cand)
             bits |= 1 << r
@@ -362,8 +418,8 @@ def base_collection(k: int, n: int) -> WSCollection:
 def translate(c: WSCollection, g: Dihedral) -> WSCollection:
     if g.n != c.n:
         raise ValueError("dihedral element acts on the wrong polygon")
-    image = c.table.symmetries[g.rot + (c.n if g.refl else 0)]
-    return WSCollection(c.table, sum(map(image.__getitem__, c.ranks())))
+    image = c.table.image[g.rot, g.refl]
+    return WSCollection(c.table, sum(map((1).__lshift__, map(image.__getitem__, c.ranks()))))
 
 
 def find_moves(c: WSCollection) -> list[Move]:
@@ -382,14 +438,15 @@ def find_moves(c: WSCollection) -> list[Move]:
 
 
 def apply_move(c: WSCollection, mv: Move) -> WSCollection:
-    bit = c.table.bit
+    rank = c.table.rank
     bits = c.bits
     for x, m in enumerate(mv.side_masks):
-        if not bits & bit.get(m, 0):
+        r = rank[m]
+        if r < 0 or not bits >> r & 1:
             raise ValueError(f"move side {mv.sides[x]} absent from collection")
     # with the sides present, both diagonals are k-subsets of [1..n] too
-    removes = bit[mv.removes_mask]
-    adds = bit[mv.adds_mask]
+    removes = 1 << rank[mv.removes_mask]
+    adds = 1 << rank[mv.adds_mask]
     if not bits & removes:
         raise ValueError(f"move diagonal {mv.removes} absent from collection")
     if bits & adds:
@@ -434,7 +491,8 @@ def dihedral_orbits(cs: Iterable[WSCollection]) -> list[tuple[WSCollection, ...]
 
 def height(c: WSCollection) -> int:
     """Number of non-boundary member sets containing the top index n."""
-    return (c.bits & c.table.height_bits).bit_count()
+    top, boundary = 1 << c.n, c.table.top_boundary
+    return sum(1 for m in c.masks() if m & top and m not in boundary)
 
 
 @dataclass(frozen=True)
@@ -467,7 +525,8 @@ def dihedral_witness(c: WSCollection) -> Dihedral:
     g.c; exists for every maximal k=3 collection."""
     marker = _marker(c.n)
     for g in Dihedral.group(c.n):
-        if marker in translate(c, g):
+        # marker in g.c exactly when its preimage is in c
+        if c.has_mask(_to_mask(g.inverse().apply_subset(marker))):
             return g
     raise ValueError("no dihedral translate contains the near-boundary marker")
 
@@ -566,7 +625,7 @@ def _base_translate_moves(k: int, g: Dihedral, m: int) -> list[Move]:
 def _moves_to_base(c: WSCollection) -> list[Move]:
     k, m = c.k, c.n
     if m <= k + 1:
-        if len(c) != len(c.table.subsets):
+        if len(c) != c.table.size:
             raise ValueError("unexpected non-maximal collection at recursion floor")
         return []
     g = dihedral_witness(c) if k == 3 else Dihedral.identity(m)

@@ -121,6 +121,17 @@ class TestWiring:
         assert len(payload["chambers"]) == 15
         assert payload["collection"]["n"] == 8
 
+    def test_collection_of_large_ground_set(self, capsys):
+        # C(19, 9) = 92378 subsets of which only the 91 members are used
+        def longest(size, suffix):
+            return [f"{j}{suffix}" for i in range(1, size) for j in range(i, 0, -1)]
+
+        word = " ".join(longest(10, "") + longest(9, "r"))
+        code, out = run(capsys, "wiring", "--word", word, "--k", "9", "--m", "10", "--collection")
+        payload = json.loads(out)
+        assert code == 0 and payload["optimal"]
+        assert len(payload["collection"]["sets"]) == 9 * 10 + 1
+
     def test_invalid_word(self, capsys):
         code, out = run(capsys, "wiring", "--word", "1 1 1", "--k", "2", "--m", "2")
         assert code == 1

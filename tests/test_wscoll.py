@@ -21,6 +21,7 @@ from wsep.wscoll import (
     pinch_index,
     reduce_to_base,
     sizes_histogram,
+    _table,
     translate,
     validate,
 )
@@ -323,9 +324,33 @@ class TestBitmaskKernel:
         with pytest.raises(ValueError, match=r"\(1, 3\)"):
             WSCollection.of(2, 4, [(1, 2), (1, 3), (3, 1)])
 
-    def test_of_rejects_oversized_table(self):
-        with pytest.raises(ValueError):
-            WSCollection.of(10, 40, [])
+    def test_ranks_are_lexicographic(self):
+        for k, n in [(0, 3), (1, 5), (2, 6), (3, 7), (4, 8), (6, 9)]:
+            table = _table(k, n)
+            subsets = list(combinations(range(1, n + 1), k))
+            assert table.size == len(subsets)
+            for r, s in enumerate(subsets):
+                assert table.subset[r] == s
+                assert table.rank[table.mask[r]] == r
+        table = _table(3, 6)
+        for m in (0, 1 | 2 | 4, 2 | 4, 2 | 4 | 128, 2 | 4 | 8 | 16):
+            assert table.rank[m] == -1
+
+    def test_large_ground_set(self):
+        # C(30, 10) ~ 3e7 subsets: only the members are ranked, and the
+        # C(30, 10)-bit int is not built until a comparison needs it
+        _table.cache_clear()
+        sets = [tuple(range(i, i + 10)) for i in range(1, 22, 2)]
+        c = WSCollection.of(10, 30, sets)
+        assert c.sets == tuple(sets) and len(c) == len(sets)
+        assert validate(c).ok
+        assert c.to_json_dict()["sets"] == [list(s) for s in sets]
+        assert len(_table(10, 30).rank) == len(sets)
+        with pytest.raises(AttributeError):
+            object.__getattribute__(c, "bits")
+        assert tuple(range(1, 11)) in c and (1, 2) not in c
+        assert c == WSCollection.of(10, 30, reversed(sets))
+        assert hash(c) == hash(WSCollection.of(10, 30, sets))
 
     def test_translate_matches_tuple_image(self):
         for c in component_of_base(3, 6):
