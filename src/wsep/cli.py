@@ -48,11 +48,8 @@ OK, NEGATIVE, USAGE, INTERNAL = 0, 1, 2, 3
 PIPE_CLOSED = 128 + 13  # SIGPIPE
 
 
-def _emit(payload, fmt: str = "json") -> None:
-    if fmt == "text":
-        print(payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True))
-    else:
-        print(json.dumps(payload, sort_keys=True))
+def _emit(payload) -> None:
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _emit_lines(records) -> None:
@@ -72,14 +69,24 @@ def _load_collection(path: str) -> WSCollection:
 
 
 def _load_values(path: str, n: int) -> dict:
-    """Values keyed by canonical subsets of [1..n]; two keys naming the same
-    subset are an error."""
+    """Values keyed by canonical subsets of [1..n]; a file that is not an
+    object from JSON arrays of integers to rationals, or two keys naming the
+    same subset, is an error."""
+    data = json.loads(_read_text(path))
+    if not isinstance(data, dict):
+        raise ValueError("a values file must be a JSON object mapping subsets to rationals")
     out = {}
-    for key, val in json.loads(_read_text(path)).items():
-        K = check_in_range(json.loads(key), n)
+    for key, val in data.items():
+        K = json.loads(key)
+        if not (isinstance(K, list) and all(isinstance(x, int) for x in K)):
+            raise ValueError(f"value key {key!r} is not a JSON array of integers")
+        K = check_in_range(K, n)
         if K in out:
             raise ValueError(f"two value keys name the subset {K}")
-        out[K] = Fraction(val)
+        try:
+            out[K] = Fraction(val)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"value {val!r} of key {key!r} is not a rational number") from None
     return out
 
 
@@ -94,7 +101,7 @@ def cmd_ws_check(args) -> int:
     I = parse_subset(args.i)
     J = parse_subset(args.j)
     ok = weakly_separated(I, J)
-    _emit({"weakly_separated": ok}, args.format)
+    _emit({"weakly_separated": ok})
     return OK if ok else NEGATIVE
 
 
@@ -109,14 +116,14 @@ def cmd_exponent(args) -> int:
         p = MinorIndex(parse_subset(args.a), parse_subset(args.b), args.k, args.m)
         r = MinorIndex(parse_subset(args.c), parse_subset(args.d), args.k, args.m)
         c = minor_exponent(p, r)
-    _emit({"c": c}, args.format)
+    _emit({"c": c})
     return OK if c is not None else NEGATIVE
 
 
 def cmd_stieffel(args) -> int:
     m = args.m if args.m else max(parse_subset(args.b) or (1,))
     mi = MinorIndex(parse_subset(args.a), parse_subset(args.b), args.k, m)
-    _emit({"s": list(stieffel_subset(mi))}, args.format)
+    _emit({"s": list(stieffel_subset(mi))})
     return OK
 
 
@@ -124,7 +131,7 @@ def cmd_enumerate(args) -> int:
     seed = base_collection(args.k, args.n)
     found = sorted(enumerate_component(seed))
     if args.count_only:
-        _emit({"count": len(found)}, args.format)
+        _emit({"count": len(found)})
         return OK
     _emit_lines(c.to_json_dict() for c in found)
     summary = {
@@ -132,7 +139,7 @@ def cmd_enumerate(args) -> int:
         "orbit_count": len(dihedral_orbits(found)),
         "sizes_histogram": {str(k): v for k, v in sizes_histogram(found).items()},
     }
-    _emit(summary, args.format)
+    _emit(summary)
     return OK
 
 
@@ -142,14 +149,14 @@ def cmd_orbits(args) -> int:
     _emit_lines(
         {"representative": o[0].to_json_dict(), "size": len(o)} for o in orbits
     )
-    _emit({"count": len(found), "orbit_count": len(orbits)}, args.format)
+    _emit({"count": len(found), "orbit_count": len(orbits)})
     return OK
 
 
 def cmd_reduce_base(args) -> int:
     c = _load_collection(args.file)
     red = reduce_to_base(c)
-    _emit(red.to_json_dict(), args.format)
+    _emit(red.to_json_dict())
     return OK
 
 
@@ -184,33 +191,30 @@ def cmd_wiring(args) -> int:
         _emit_lines(payloads)
         return OK if all(p["optimal"] for p in payloads) else NEGATIVE
     payload = _wiring_payload(parse_word(args.word), args)
-    _emit(payload, args.format)
+    _emit(payload)
     return OK if payload["optimal"] else NEGATIVE
 
 
 def cmd_lift(args) -> int:
     b_coll = _load_collection(args.file)
-    _emit(lift(b_coll, args.b).to_json_dict(), args.format)
+    _emit(lift(b_coll, args.b).to_json_dict())
     return OK
 
 
 def cmd_reduce(args) -> int:
     c = _load_collection(args.file)
     projected = project(c)
-    _emit(
-        {"projection": projected.to_json_dict(), "pinch_point": pinch_point(c)},
-        args.format,
-    )
+    _emit({"projection": projected.to_json_dict(), "pinch_point": pinch_point(c)})
     return OK
 
 
 def cmd_gen_w3(args) -> int:
     found = sorted(generate_w3(args.n))
     if args.count_only:
-        _emit({"count": len(found)}, args.format)
+        _emit({"count": len(found)})
         return OK
     _emit_lines(c.to_json_dict() for c in found)
-    _emit({"count": len(found)}, args.format)
+    _emit({"count": len(found)})
     return OK
 
 
@@ -226,12 +230,12 @@ def cmd_positivity(args) -> int:
     }
     if verdict.witness:
         payload["witness"] = verdict.witness
-    _emit(payload, args.format)
+    _emit(payload)
     return OK if verdict.verdict == POSITIVE else NEGATIVE
 
 
 def cmd_oracle_verify(args) -> int:
-    results = run_suite(args.suite, jobs=args.jobs)
+    results = run_suite(args.suite)
     payload = {
         "pass": sum(1 for r in results if r.ok),
         "fail": sum(1 for r in results if not r.ok),
@@ -239,20 +243,18 @@ def cmd_oracle_verify(args) -> int:
             {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
         ],
     }
-    _emit(payload, args.format)
+    _emit(payload)
     return OK if payload["fail"] == 0 else NEGATIVE
 
 
 def cmd_validate(args) -> int:
     report = validate(_load_collection(args.file))
-    _emit({"ok": report.ok, "issues": list(report.issues)}, args.format)
+    _emit({"ok": report.ok, "issues": list(report.issues)})
     return OK if report.ok else NEGATIVE
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="wsep", description=__doc__)
-    top.add_argument("--format", choices=("json", "text"), default="json")
-    top.add_argument("--jobs", type=int, default=1, help="worker count for sweeps")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ws-check", help="weak separation of two subsets")

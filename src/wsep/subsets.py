@@ -203,17 +203,8 @@ def minor_exponent(p: MinorIndex, r: MinorIndex) -> int | None:
     quasi-commute.  Antisymmetric by construction."""
     if (p.k, p.m) != (r.k, r.m):
         raise ValueError("minor indices must share the same algebra dimensions")
-    I = _to_mask(stieffel_subset(p))
-    J = _to_mask(stieffel_subset(r))
-    split = _split_sizes(I, J)
-    if split is not None:
-        low, high = split
-        return high - low + p.size - r.size
-    split = _split_sizes(J, I)
-    if split is not None:
-        low, high = split
-        return -(high - low + r.size - p.size)
-    return None
+    c = plucker_exponent(stieffel_subset(p), stieffel_subset(r))
+    return None if c is None else c + p.size - r.size
 
 
 @dataclass(frozen=True)
@@ -281,9 +272,6 @@ class Dihedral:
 
     def is_identity(self) -> bool:
         return self.rot == 0 and not self.refl
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "rot": self.rot, "refl": self.refl}
 
 
 def diameter(K: Iterable[int], n: int) -> int:

@@ -174,19 +174,7 @@ FULL_SUITE = SMALL_SUITE + [check_minors_1x3, check_minors_3x3]
 _SUITES = {"small": SMALL_SUITE, "full": FULL_SUITE}
 
 
-def _run_check(fn) -> CheckResult:
-    return fn()
-
-
-def run_suite(suite: str = "small", jobs: int = 1) -> list[CheckResult]:
+def run_suite(suite: str = "small") -> list[CheckResult]:
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
-    checks = _SUITES[suite]
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            results = pool.map(_run_check, checks)
-    else:
-        results = [fn() for fn in checks]
-    return sorted(results, key=lambda r: r.name)
+    return sorted((fn() for fn in _SUITES[suite]), key=lambda r: r.name)

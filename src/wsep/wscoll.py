@@ -254,7 +254,16 @@ class WSCollection:
 
     @staticmethod
     def from_json_dict(d: dict) -> "WSCollection":
-        return WSCollection.of(d["k"], d["n"], [tuple(s) for s in d["sets"]])
+        """A collection from its JSON object; a wrongly shaped object is a
+        ValueError."""
+        if not isinstance(d, dict) or not {"k", "n", "sets"} <= d.keys():
+            raise ValueError('a collection must be a JSON object with keys "k", "n" and "sets"')
+        sets = d["sets"]
+        if not isinstance(sets, list) or not all(
+            isinstance(t, list) and all(isinstance(x, int) for x in t) for t in sets
+        ):
+            raise ValueError('"sets" must be a list of lists of integers')
+        return WSCollection.of(d["k"], d["n"], sets)
 
 
 class _Unbuilt(WSCollection):
@@ -335,11 +344,7 @@ class Move:
         return Move(self.anchor, self.i, self.s, self.j, self.t, self.adds, self.removes)
 
     def translate(self, g: Dihedral) -> "Move":
-        return Move.between(
-            g.apply_subset(self.anchor),
-            g.apply_subset(self.removes),
-            g.apply_subset(self.adds),
-        )
+        return _relabel(g.apply, self.anchor, self.removes, self.adds)
 
     def to_json_dict(self) -> dict:
         return {
@@ -497,19 +502,14 @@ def height(c: WSCollection) -> int:
 
 @dataclass(frozen=True)
 class Reduction:
-    """A certified move path: applying `moves` in order to `pre_translation`
-    applied to `start` produces `end` (the base collection).  This
-    implementation always reduces by moves alone, so pre_translation is the
-    identity."""
+    """A certified move path: applying `moves` in order to the reduced
+    collection produces `end`, the base collection."""
 
-    start: WSCollection
-    pre_translation: Dihedral
     moves: tuple[Move, ...]
     end: WSCollection
 
     def to_json_dict(self) -> dict:
         return {
-            "pre_translation": self.pre_translation.to_json_dict(),
             "moves": [m.to_json_dict() for m in self.moves],
             "length": len(self.moves),
             "end": self.end.to_json_dict(),
@@ -586,30 +586,41 @@ def _pinch_move(c: WSCollection, top: int) -> Move:
     )
 
 
-def _generator_base_moves(k: int, gen: Dihedral, m: int) -> list[Move]:
+def _relabel(f, anchor, removes, adds) -> Move:
+    """The move anchor: removes -> adds with every index x replaced by f(x),
+    for f injective."""
+    return Move.between(map(f, anchor), map(f, removes), map(f, adds))
+
+
+def _compose(p: tuple[int, ...], g: Dihedral) -> tuple[int, ...]:
+    """The index map x -> p[g(x)] on [1..g.n], as a tuple indexed by x."""
+    return (0, *(p[g.apply(x)] for x in range(1, g.n + 1)))
+
+
+def _generator_base_moves(k: int, gen: Dihedral, m: int, p: tuple[int, ...]) -> list[Move]:
     """Moves reducing gen . base(k,m) to base(k,m) for gen a basic rotation
     or reflection, following the inductive two-step (rotation) / one-step
-    (reflection) descent to the (m-1)-gon."""
+    (reflection) descent to the (m-1)-gon; index x is written p[x]."""
     if m <= k + 1:
         return []
+    f = p.__getitem__
     if k == 2:
         # either generator sends the fan at 1 to the fan at 2
-        mv = Move.between((), (2, m), (1, m - 1))
-        return [mv] + _generator_base_moves(k, Dihedral(m - 1, gen.rot, gen.refl), m - 1)
-    if gen.refl:
-        mvs = [Move.between((m - 1,), (2, m - 1, m), (1, m - 2, m - 1))]
+        mvs = [_relabel(f, (), (2, m), (1, m - 1))]
+    elif gen.refl:
+        mvs = [_relabel(f, (m - 1,), (2, m - 1, m), (1, m - 2, m - 1))]
     else:
         mvs = [
-            Move.between((2,), (2, 3, m), (1, 2, m - 1)),
-            Move.between((m - 1,), (2, m - 1, m), (1, m - 2, m - 1)),
+            _relabel(f, (2,), (2, 3, m), (1, 2, m - 1)),
+            _relabel(f, (m - 1,), (2, m - 1, m), (1, m - 2, m - 1)),
         ]
-    return mvs + _generator_base_moves(k, Dihedral(m - 1, gen.rot, gen.refl), m - 1)
+    return mvs + _generator_base_moves(k, Dihedral(m - 1, gen.rot, gen.refl), m - 1, p)
 
 
-def _base_translate_moves(k: int, g: Dihedral, m: int) -> list[Move]:
+def _base_translate_moves(k: int, g: Dihedral, m: int, p: tuple[int, ...]) -> list[Move]:
     """Moves reducing g . base(k,m) to base(k,m), peeling one generator at a
     time: g = gen . g2, reduce g2 . base under gen's translation, then finish
-    with the generator reduction."""
+    with the generator reduction; index x is written p[x]."""
     if m <= k + 1 or g.is_identity():
         return []
     if g.rot > 0:
@@ -618,11 +629,14 @@ def _base_translate_moves(k: int, g: Dihedral, m: int) -> list[Move]:
     else:
         gen = Dihedral.reflection(m)
         g2 = Dihedral.identity(m)
-    inner = _base_translate_moves(k, g2, m)
-    return [mv.translate(gen) for mv in inner] + _generator_base_moves(k, gen, m)
+    return _base_translate_moves(k, g2, m, _compose(p, gen)) + _generator_base_moves(k, gen, m, p)
 
 
-def _moves_to_base(c: WSCollection) -> list[Move]:
+def _moves_to_base(c: WSCollection, p: tuple[int, ...]) -> list[Move]:
+    """Moves reducing c to the base collection, each built once with index
+    x written p[x]: p sends c's indices to those of the collection being
+    reduced, and the recursion passes it down composed with each level's
+    symmetry."""
     k, m = c.k, c.n
     if m <= k + 1:
         if len(c) != c.table.size:
@@ -630,43 +644,43 @@ def _moves_to_base(c: WSCollection) -> list[Move]:
         return []
     g = dihedral_witness(c) if k == 3 else Dihedral.identity(m)
     d = translate(c, g)
+    ginv = g.inverse()
+    q = _compose(p, ginv)
+    f = q.__getitem__
     pinch_moves = []
     while height(d) > 0:
         mv = _pinch_move(d, m)
         d = apply_move(d, mv)
-        pinch_moves.append(mv)
+        pinch_moves.append(_relabel(f, mv.anchor, mv.removes, mv.adds))
     stripped = WSCollection.of_masks(k, m - 1, (s for s in d.masks() if not s >> m & 1))
-    inner = _moves_to_base(stripped)
-    ginv = g.inverse()
-    tail = _base_translate_moves(k, ginv, m)
-    return [mv.translate(ginv) for mv in pinch_moves + inner] + tail
+    return pinch_moves + _moves_to_base(stripped, q) + _base_translate_moves(k, ginv, m, p)
 
 
 def reduce_to_base(c: WSCollection) -> Reduction:
     """A certified sequence of exchange moves from c to the base collection.
 
-    Every intermediate collection is replayed and validated; raises if the
-    path breaks (which would falsify the construction, not the input).
+    c is validated, and every move is replayed: each member it adds is
+    checked against the whole new collection, which with the previous
+    collection certified is a full validation.  Raises if the path breaks
+    (which would falsify the construction, not the input).
     """
     if c.k not in (2, 3):
         raise ValueError("reduction implemented for k in {2,3} only")
     if not is_maximal(c):
         raise ValueError("reduction requires a maximal collection")
-    moves = _moves_to_base(c)
+    moves = _moves_to_base(c, tuple(range(c.n + 1)))
+    mask = c.table.mask
     cur = c
     for mv in moves:
-        cur = apply_move(cur, mv)
-        if not validate(cur).ok:
-            raise AssertionError("reduction produced a non-separated collection")
-    target = base_collection(c.k, c.n)
-    if cur != target:
+        prev, cur = cur, apply_move(cur, mv)
+        members = cur.masks()
+        for r in _from_mask(cur.bits & ~prev.bits):
+            a = mask[r]
+            if not all(_weakly_separated_masks(a, b) for b in members):
+                raise AssertionError("reduction produced a non-separated collection")
+    if cur != base_collection(c.k, c.n):
         raise AssertionError("reduction did not land on the base collection")
-    return Reduction(
-        start=c,
-        pre_translation=Dihedral.identity(c.n),
-        moves=tuple(moves),
-        end=cur,
-    )
+    return Reduction(moves=tuple(moves), end=cur)
 
 
 def sizes_histogram(cs: Iterable[WSCollection]) -> dict[int, int]:

@@ -166,20 +166,15 @@ def test_criterion_06_purity():
     for _ in range(120):
         c = random_greedy_maximal(3, 8, rng)
         assert len(c) == 3 * 5 + 1
-    findings = []
     for n in (6, 7, 8):
-        bound = 4 * (n - 4) + 1
         for _ in range(40):
             c = random_greedy_maximal(4, n, rng)
-            assert len(c) <= bound, "size bound exceeded"
-            if len(c) < bound:
-                findings.append((n, len(c)))
-    note = f"; research finding: {len(findings)} deficient k=4 collections" if findings else ""
+            assert len(c) == 4 * (n - 4) + 1
     report(
         6,
         True,
         "all BFS and random-greedy maximal collections have size k(n-k)+1 for "
-        f"k=2 (n<=9), k=3 (n<=8); k=4 (n<=8) never exceeds the bound{note}",
+        "k=2 (n<=9), k=3 (n<=8) and k=4 (n<=8)",
     )
 
 

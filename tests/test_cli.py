@@ -235,11 +235,6 @@ class TestOracleVerify:
         assert payload["fail"] == 0
         assert payload["pass"] >= 9
 
-    def test_jobs_flag(self, capsys):
-        code, out = run(capsys, "--jobs", "2", "oracle-verify", "--suite", "small")
-        assert code == 0
-        assert json.loads(out)["fail"] == 0
-
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
@@ -263,6 +258,41 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert "(1, 3)" in captured.err
+
+
+class TestMalformedFiles:
+    def usage_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text", ['{"k":2,"n":4,"sets":[1,2]}', '{"k":2,"n":4}', "[1,2]"]
+    )
+    def test_collection_file(self, capsys, tmp_path, text):
+        f = tmp_path / "c.json"
+        f.write_text(text)
+        self.usage_error(capsys, ["validate", "--file", str(f)])
+
+    @pytest.mark.parametrize("text", ['{"1": "2"}', '{"[1]": [2]}', '["x"]'])
+    def test_values_file(self, capsys, tmp_path, text):
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(base_collection(2, 4).to_json_dict()))
+        vf = tmp_path / "v.json"
+        vf.write_text(text)
+        self.usage_error(capsys, ["positivity", "--collection", str(cf), "--values", str(vf)])
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--jobs", "1"]])
+    def test_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*flag, "oracle-verify", "--suite", "small"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestFilesClosed:

@@ -49,4 +49,4 @@ def test_reduction_paths():
         json.dumps(reduce_to_base(c).to_json_dict(), sort_keys=True) + "\n"
         for c in sorted(component_of_base(3, 7))[:20]
     )
-    assert sha256(text) == "f42583e26b2c181e5243c255d8b3091c419cb12031f1aae3d6a964a73d5d28fd"
+    assert sha256(text) == "64be0794946aecc08df706a3bbd3de1794065070990141131370b3955407c857"

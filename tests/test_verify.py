@@ -12,7 +12,3 @@ def test_full_suite_covers_3x3_minors():
     names = {r.name for r in results}
     assert "minors_3x3" in names
     assert all(r.ok for r in results), [r for r in results if not r.ok]
-
-
-def test_parallel_matches_serial():
-    assert run_suite("small", jobs=2) == run_suite("small", jobs=1)

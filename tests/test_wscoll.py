@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from wsep import wscoll
 from wsep.subsets import Dihedral, weakly_separated
 from wsep.wscoll import (
     WSCollection,
@@ -224,17 +225,12 @@ class TestPurity:
                 assert len(c) == k * (n - k) + 1
 
     def test_k4_size_bound(self):
+        # purity holds for every k (Oh-Postnikov-Speyer; Danilov-Karzanov-Koshevoy)
         rng = random.Random(99)
-        deficient = []
         for n in (6, 7, 8):
-            bound = 4 * (n - 4) + 1
             for _ in range(40):
                 c = random_greedy_maximal(4, n, rng)
-                assert len(c) <= bound
-                if len(c) < bound:
-                    deficient.append(c)
-        if deficient:  # educational sweep: record, do not fail
-            print(f"research finding: {len(deficient)} size-deficient maximal collections")
+                assert len(c) == 4 * (n - 4) + 1
 
 
 class TestHeightAndReduction:
@@ -265,7 +261,6 @@ class TestHeightAndReduction:
             for c in component_of_base(k, n):
                 red = reduce_to_base(c)
                 assert red.end == target
-                assert red.pre_translation.is_identity()
 
     def test_reduce_dihedral_translates(self):
         for k, n in [(2, 7), (2, 8), (3, 6), (3, 7), (3, 8)]:
@@ -294,6 +289,42 @@ class TestHeightAndReduction:
     def test_reduction_rejects_k4(self):
         with pytest.raises(ValueError):
             reduce_to_base(base_collection(4, 8))
+
+    def test_replay_checks_every_added_member(self, monkeypatch):
+        # Break apply_move during the replay only: the last move also adds a
+        # set X that is separated from the move's own target but crosses
+        # another member.  Checking mv.adds alone would miss it.
+        base = base_collection(3, 6)
+        c = max(component_of_base(3, 6))
+        real_moves_to_base, real_apply_move = wscoll._moves_to_base, wscoll.apply_move
+
+        def moves_then_break(*args):
+            # the recursion calls _moves_to_base too; break only the replay
+            monkeypatch.setattr(wscoll, "_moves_to_base", real_moves_to_base)
+            moves = real_moves_to_base(*args)
+            last = moves[-1]
+            X = next(
+                X for X in combinations(range(1, 7), 3)
+                if X not in base
+                and X not in (last.removes, last.adds)
+                and weakly_separated(X, last.adds)
+            )
+            assert any(not weakly_separated(X, Y) for Y in base.sets)
+            applied = []
+
+            def broken_apply_move(cur, mv):
+                out = real_apply_move(cur, mv)
+                applied.append(mv)
+                if len(applied) == len(moves):
+                    out = WSCollection.of(3, 6, out.sets + (X,))
+                return out
+
+            monkeypatch.setattr(wscoll, "apply_move", broken_apply_move)
+            return moves
+
+        monkeypatch.setattr(wscoll, "_moves_to_base", moves_then_break)
+        with pytest.raises(AssertionError, match="non-separated"):
+            reduce_to_base(c)
 
 
 class TestJson:
