@@ -5,8 +5,16 @@ exchange moves via the three-term exchange relation
     D[I+ij] * D[I+st] = D[I+is] * D[I+jt] + D[I+it] * D[I+sj]   (i<s<j<t)
 
 which is subtraction-free, so positive inputs propagate to positive outputs.
+Propagation works for every k: maximal collections are pure and their move
+graph is connected (Oh-Postnikov-Speyer, arXiv:1109.4434; Danilov-Karzanov-
+Koshevoy 2010).  Each distinct exchange relation is evaluated once per walk.
 Default arithmetic is exact rational; float mode exists for sweeps and is
 checked against a relative tolerance.
+
+The exchange moves of a collection and the collections they lead to are
+cached for the most recent `_MOVE_EDGES_CACHED` (8192) collections, at least
+|W(4,8)| = 5470, so a walk over a larger component recomputes edges rather
+than growing memory.
 """
 
 from __future__ import annotations
@@ -82,7 +90,10 @@ def vandermonde_point(nodes: Iterable[Fraction | int], k: int) -> GrassmannPoint
     return GrassmannPoint(tuple(tuple(x ** i for x in xs) for i in range(k)))
 
 
-@lru_cache(maxsize=None)
+_MOVE_EDGES_CACHED = 8192
+
+
+@lru_cache(maxsize=_MOVE_EDGES_CACHED)
 def _move_edges(c: WSCollection) -> tuple[tuple[Move, WSCollection], ...]:
     return tuple((mv, apply_move(c, mv)) for mv in find_moves(c))
 
@@ -101,11 +112,15 @@ def propagate(
     rel_tol: float = 1e-9,
 ) -> Propagation:
     """Extend positive values given on the members of c to every k-subset by
-    walking the move graph; each move computes the missing diagonal from the
-    exchange relation.  Re-derivations of an already-known value must agree
-    (exactly, or within rel_tol in float mode)."""
-    if c.k not in (2, 3):
-        raise ValueError("propagation relies on move-graph connectivity (k in {2,3})")
+    walking the move graph, for any k; each move computes the missing
+    diagonal from the exchange relation.  Re-derivations of an already-known
+    value must agree (exactly, or within rel_tol in float mode).
+
+    Each distinct relation is evaluated once: values are never overwritten
+    and every input of a move is known when the move is first met, so a
+    later visit would repeat the same computation and comparison.  A value
+    that does not agree with itself (an inf or nan float) is evaluated
+    again on every visit."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     known = {}  # keyed by subset bitmask
@@ -126,11 +141,18 @@ def propagate(
     def values() -> dict:
         return {_from_mask(m): v for m, v in known.items()}
 
-    seen = {c}
+    checked = set()  # (removes, adds) masks of relations already verified
+    seen = {c.bits}
     queue = deque([c])
     while queue:
         cur = queue.popleft()
         for mv, nxt in _move_edges(cur):
+            if nxt.bits not in seen:
+                seen.add(nxt.bits)
+                queue.append(nxt)
+            key = (mv.removes_mask, mv.adds_mask)
+            if key in checked:
+                continue
             m_is, m_sj, m_jt, m_it = mv.side_masks
             numerator = known[m_is] * known[m_jt] + known[m_it] * known[m_sj]
             if known[mv.removes_mask] == 0:
@@ -146,9 +168,8 @@ def propagate(
                     )
             else:
                 known[mv.adds_mask] = value
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+            if close(value, value):
+                checked.add(key)
     return Propagation(True, values(), None)
 
 

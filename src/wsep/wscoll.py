@@ -98,7 +98,7 @@ class _Table:
         for anchor in combinations(universe, self.k - 2):
             rest = [x for x in universe if x not in anchor]
             for i, s, j, t in combinations(rest, 4):
-                fwd = Move(
+                fwd = Move._trusted(
                     anchor, i, s, j, t,
                     tuple(sorted(anchor + (i, j))),
                     tuple(sorted(anchor + (s, t))),
@@ -291,7 +291,10 @@ class Move:
     anchor+{i,j} and anchor+{s,t} of the quadruple i < s < j < t whose four
     side sets anchor+{i,s}, anchor+{s,j}, anchor+{j,t}, anchor+{i,t} are all
     present.  `side_masks`, `removes_mask` and `adds_mask` hold the same
-    sets as bitmasks, computed on first use."""
+    sets as bitmasks, computed on first use.
+
+    The constructor and `between` check their arguments; moves built inside
+    the package from indices already checked use `_trusted`."""
 
     anchor: tuple[int, ...]
     i: int
@@ -310,6 +313,14 @@ class Move:
             raise ValueError("removes/adds must be the two diagonals of the quadruple")
         if self.removes == self.adds:
             raise ValueError("degenerate move")
+
+    @classmethod
+    def _trusted(cls, anchor, i, s, j, t, removes, adds) -> "Move":
+        """The move with these fields, which must already form a move:
+        sorted tuples, i < s < j < t, and removes and adds the two diagonals."""
+        mv = object.__new__(cls)
+        mv.__dict__.update(anchor=anchor, i=i, s=s, j=j, t=t, removes=removes, adds=adds)
+        return mv
 
     @cached_property
     def side_masks(self) -> tuple[int, int, int, int]:
@@ -341,7 +352,7 @@ class Move:
         return Move(anchor, i, s, j, t, removes, adds)
 
     def inverse(self) -> "Move":
-        return Move(self.anchor, self.i, self.s, self.j, self.t, self.adds, self.removes)
+        return Move._trusted(self.anchor, self.i, self.s, self.j, self.t, self.adds, self.removes)
 
     def translate(self, g: Dihedral) -> "Move":
         return _relabel(g.apply, self.anchor, self.removes, self.adds)
@@ -575,7 +586,7 @@ def _pinch_move(c: WSCollection, top: int) -> Move:
         raise ValueError("no companion index below the pinch index")
     if not c.has_mask(pm | 1 << a | 1 << b):
         raise ValueError(f"expected {_from_mask(pm | 1 << a | 1 << b)} to be present")
-    return Move(
+    return Move._trusted(
         pre,
         a,
         b,
@@ -589,7 +600,11 @@ def _pinch_move(c: WSCollection, top: int) -> Move:
 def _relabel(f, anchor, removes, adds) -> Move:
     """The move anchor: removes -> adds with every index x replaced by f(x),
     for f injective."""
-    return Move.between(map(f, anchor), map(f, removes), map(f, adds))
+    anchor = tuple(sorted(map(f, anchor)))
+    removes = tuple(sorted(map(f, removes)))
+    adds = tuple(sorted(map(f, adds)))
+    i, s, j, t = sorted({*removes, *adds}.difference(anchor))
+    return Move._trusted(anchor, i, s, j, t, removes, adds)
 
 
 def _compose(p: tuple[int, ...], g: Dihedral) -> tuple[int, ...]:

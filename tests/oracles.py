@@ -3,15 +3,19 @@
 These deliberately avoid the code paths they check: weak separation is
 decided by exhaustive partition search, diameters by scanning every cyclic
 interval, the Stieffel subset by a classical staircase-matrix determinant
-identity, and q->1 specialization against plain commutative multiplication.
+identity, q->1 specialization against plain commutative multiplication,
+and value propagation by evaluating the exchange relation on every edge of
+the move-graph walk.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from wsep.positivity import _det
+from wsep.positivity import Propagation, _det, _move_edges
+from wsep.subsets import _from_mask
 
 
 def precedes_bf(A, B) -> bool:
@@ -79,3 +83,52 @@ def commutative_image(terms) -> dict:
         elif key in out:
             del out[key]
     return out
+
+
+def propagate_every_edge(c, vals, mode="exact", rel_tol=1e-9) -> Propagation:
+    """`propagate` as a plain breadth-first walk that evaluates the exchange
+    relation on every edge it visits and compares every re-derivation."""
+    if mode not in ("exact", "float"):
+        raise ValueError("mode must be 'exact' or 'float'")
+    known = {}  # keyed by subset bitmask
+    for s, m in zip(c.sets, c.masks()):
+        if s not in vals:
+            raise ValueError(f"no value supplied for member {s}")
+        v = vals[s]
+        if not v > 0:
+            raise ValueError(f"value for {s} is not positive")
+        known[m] = float(v) if mode == "float" else v
+
+    def close(a, b) -> bool:
+        if mode == "exact":
+            return a == b
+        scale = max(abs(a), abs(b))
+        return scale == 0 or abs(a - b) <= rel_tol * scale
+
+    def values() -> dict:
+        return {_from_mask(m): v for m, v in known.items()}
+
+    seen = {c}
+    queue = deque([c])
+    while queue:
+        cur = queue.popleft()
+        for mv, nxt in _move_edges(cur):
+            m_is, m_sj, m_jt, m_it = mv.side_masks
+            numerator = known[m_is] * known[m_jt] + known[m_it] * known[m_sj]
+            if known[mv.removes_mask] == 0:
+                return Propagation(False, values(), f"division by zero at {mv.removes}")
+            value = numerator / known[mv.removes_mask]
+            if mv.adds_mask in known:
+                if not close(known[mv.adds_mask], value):
+                    return Propagation(
+                        False,
+                        values(),
+                        f"inconsistent re-derivation of {mv.adds}: "
+                        f"{known[mv.adds_mask]} vs {value}",
+                    )
+            else:
+                known[mv.adds_mask] = value
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return Propagation(True, values(), None)

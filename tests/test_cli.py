@@ -191,6 +191,21 @@ class TestPositivity:
         assert payload["verdict"] == "POSITIVE"
         assert payload["values"]["[2,4]"] == "2"
 
+    def test_k4_positive_point(self, capsys, tmp_path):
+        from wsep.positivity import vandermonde_point
+
+        c = base_collection(4, 8)
+        pv = vandermonde_point([1, 2, 3, 4, 5, 6, 7, 8], 4).plucker_vector()
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(c.to_json_dict()))
+        vf = tmp_path / "v.json"
+        vf.write_text(json.dumps({json.dumps(list(K)): str(pv[K]) for K in c.sets}))
+        code, out = run(capsys, "positivity", "--collection", str(cf), "--values", str(vf))
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["verdict"] == "POSITIVE"
+        assert len(payload["values"]) == 70
+
     def test_zero_value_usage_error(self, capsys, tmp_path):
         c = base_collection(2, 4)
         cf = tmp_path / "c.json"

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import propagate_every_edge
+from test_wscoll import random_greedy_maximal
 from wsep.positivity import (
     NOT_DETERMINED,
     POSITIVE,
     GrassmannPoint,
+    _move_edges,
     positivity_test,
     propagate,
     short_plucker_violations,
@@ -80,7 +83,7 @@ class TestPropagate:
             propagate(SQUARE, vals)
 
     def test_k4_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no value supplied"):
             propagate(base_collection(4, 8), {})
 
     def test_path_independence_randomized(self):
@@ -99,6 +102,64 @@ class TestPropagate:
         res = propagate(SQUARE, vals)
         assert res.ok
         assert short_plucker_violations(res.values, 2, 4) == []
+
+
+class TestEveryEdgeOracle:
+    """`propagate` evaluates each distinct exchange relation once; the oracle
+    evaluates it on every edge of the walk.  Verdict, values (in derivation
+    order) and witness must be the same."""
+
+    def assert_same(self, c, vals, **kw):
+        res = propagate(c, vals, **kw)
+        # repr, because an inf / inf value is a nan, unequal to itself
+        assert repr(res) == repr(propagate_every_edge(c, vals, **kw))
+        return res
+
+    def test_exact_random_collections(self):
+        rng = random.Random(41)
+        for k in (2, 3):
+            for _ in range(3):
+                c = random_greedy_maximal(k, 8, rng)
+                vals = {K: Fraction(rng.randint(1, 40), rng.randint(1, 7)) for K in c.sets}
+                assert self.assert_same(c, vals).ok
+
+    def test_float_mode(self):
+        rng = random.Random(43)
+        pv = vandermonde_point(sorted(rng.sample(range(1, 40), 8)), 3).as_floats().plucker_vector()
+        for _ in range(3):
+            c = random_greedy_maximal(3, 8, rng)
+            assert self.assert_same(c, restricted(pv, c), mode="float").ok
+
+    def test_zero_tolerance_witnesses(self):
+        rng = random.Random(47)
+        collections = [base_collection(3, 8)] + [random_greedy_maximal(3, 8, rng) for _ in range(3)]
+        for c in collections:
+            vals = {K: 10 ** rng.uniform(0, 10) for K in c.sets}
+            res = self.assert_same(c, vals, mode="float", rel_tol=0.0)
+            assert res.witness.startswith("inconsistent re-derivation")
+
+    def test_overflow_witnesses(self):
+        # inf does not agree with itself, so an overflowing relation is
+        # evaluated and compared again on every visit, as on every edge
+        rng = random.Random(53)
+        for c in [base_collection(3, 8), random_greedy_maximal(3, 8, rng)]:
+            vals = {K: 1e200 if x % 3 == 0 else rng.uniform(1, 10) for x, K in enumerate(c.sets)}
+            res = self.assert_same(c, vals, mode="float")
+            assert res.witness.endswith("inf vs inf")
+
+
+class TestAnyK:
+    def test_vandermonde_4_8_reconstructed(self):
+        rng = random.Random(59)
+        pv = vandermonde_point([1, 2, 3, 5, 8, 13, 21, 34], 4).plucker_vector()
+        for _ in range(2):
+            c = random_greedy_maximal(4, 8, rng)
+            v = positivity_test(c, restricted(pv, c))
+            assert v.verdict == POSITIVE
+            assert len(v.values) == 70 and v.values == pv
+
+    def test_move_edges_cache_holds_w48(self):
+        assert _move_edges.cache_info().maxsize >= 5470
 
 
 class TestVerdicts:

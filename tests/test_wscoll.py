@@ -7,6 +7,7 @@ import pytest
 from wsep import wscoll
 from wsep.subsets import Dihedral, weakly_separated
 from wsep.wscoll import (
+    Move,
     WSCollection,
     apply_move,
     base_collection,
@@ -135,6 +136,37 @@ class TestMoves:
         for mv in find_moves(c):
             d = apply_move(c, mv)
             assert apply_move(d, mv.inverse()) == c
+
+    def test_public_constructors_check_moves(self):
+        assert Move((1,), 2, 3, 4, 5, (1, 2, 4), (1, 3, 5)) == Move.between((1,), (1, 2, 4), (1, 3, 5))
+        for args in [
+            ((1,), 3, 2, 4, 5, (1, 3, 4), (1, 2, 5)),  # quadruple out of order
+            ((1,), 2, 3, 4, 5, (1, 2, 3), (1, 4, 5)),  # sides, not diagonals
+            ((1,), 2, 3, 4, 5, (1, 2, 4), (1, 2, 4)),  # degenerate
+            ((1,), 2, 3, 4, 5, (1, 4, 2), (1, 3, 5)),  # unsorted diagonal
+        ]:
+            with pytest.raises(ValueError):
+                Move(*args)
+        for anchor, removes, adds in [
+            ((1,), (1, 2, 4), (1, 2, 5)),  # only three indices off the anchor
+            ((1,), (1, 2, 3), (1, 4, 5)),  # sides, not diagonals
+            ((1,), (1, 2, 2), (1, 3, 5)),  # repeated element
+            ((0,), (0, 2, 4), (0, 3, 5)),  # element below 1
+        ]:
+            with pytest.raises(ValueError):
+                Move.between(anchor, removes, adds)
+
+    def test_internal_moves_are_valid(self):
+        # moves built without the checks pass them, and equal checked ones
+        rng = random.Random(13)
+        for k, n in ((2, 7), (3, 8)):
+            c = random_greedy_maximal(k, n, rng)
+            moves = find_moves(c) + list(reduce_to_base(c).moves)
+            moves += [mv.inverse() for mv in moves]
+            moves += [mv.translate(Dihedral(n, 2, True)) for mv in moves]
+            for mv in moves:
+                assert Move(mv.anchor, mv.i, mv.s, mv.j, mv.t, mv.removes, mv.adds) == mv
+                assert Move.between(mv.anchor, mv.removes, mv.adds) == mv
 
     def test_absent_side_rejected(self):
         c = base_collection(2, 5)
