@@ -11,10 +11,15 @@ Koshevoy 2010).  Each distinct exchange relation is evaluated once per walk.
 Default arithmetic is exact rational; float mode exists for sweeps and is
 checked against a relative tolerance.
 
+Propagation starts from a maximal collection: one of k(n-k)+1 pairwise
+weakly separated members, which by purity is the same as maximal.  Anything
+else is a ValueError, because a walk from it need not reach every k-subset.
+
 The exchange moves of a collection and the collections they lead to are
 cached for the most recent `_MOVE_EDGES_CACHED` (8192) collections, at least
 |W(4,8)| = 5470, so a walk over a larger component recomputes edges rather
-than growing memory.
+than growing memory.  The cache is keyed on the (k, n) rank table and the
+collection's bits, and gives the next collections as bits.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .subsets import _from_mask
-from .wscoll import Move, WSCollection, apply_move, find_moves
+from .wscoll import Move, WSCollection, _Table, apply_move, find_moves, validate
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,11 @@ _MOVE_EDGES_CACHED = 8192
 
 
 @lru_cache(maxsize=_MOVE_EDGES_CACHED)
-def _move_edges(c: WSCollection) -> tuple[tuple[Move, WSCollection], ...]:
-    return tuple((mv, apply_move(c, mv)) for mv in find_moves(c))
+def _move_edges(table: _Table, bits: int) -> tuple[tuple[Move, int], ...]:
+    """The exchange moves of the collection `bits` over `table`, each with
+    the bits of the collection it leads to."""
+    c = WSCollection(table, bits)
+    return tuple((mv, apply_move(c, mv).bits) for mv in find_moves(c))
 
 
 @dataclass(frozen=True)
@@ -111,10 +119,11 @@ def propagate(
     mode: str = "exact",
     rel_tol: float = 1e-9,
 ) -> Propagation:
-    """Extend positive values given on the members of c to every k-subset by
-    walking the move graph, for any k; each move computes the missing
-    diagonal from the exchange relation.  Re-derivations of an already-known
-    value must agree (exactly, or within rel_tol in float mode).
+    """Extend positive values given on the members of the maximal collection
+    c to every k-subset by walking the move graph, for any k; each move
+    computes the missing diagonal from the exchange relation.  Re-derivations
+    of an already-known value must agree (exactly, or within rel_tol in float
+    mode).  A collection that is not maximal is a ValueError.
 
     Each distinct relation is evaluated once: values are never overwritten
     and every input of a move is known when the move is first met, so a
@@ -123,6 +132,15 @@ def propagate(
     again on every visit."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
+    k, n = c.k, c.n
+    if len(c) != k * (n - k) + 1:
+        raise ValueError(
+            f"the collection is not maximal: it has {len(c)} members, "
+            f"a maximal collection of {k}-subsets of [1..{n}] has {k * (n - k) + 1}"
+        )
+    report = validate(c)
+    if not report.ok:
+        raise ValueError(f"the collection is not weakly separated: {report.issues[0]}")
     known = {}  # keyed by subset bitmask
     for s, m in zip(c.sets, c.masks()):
         if s not in vals:
@@ -142,13 +160,13 @@ def propagate(
         return {_from_mask(m): v for m, v in known.items()}
 
     checked = set()  # (removes, adds) masks of relations already verified
+    table = c.table
     seen = {c.bits}
-    queue = deque([c])
+    queue = deque([c.bits])
     while queue:
-        cur = queue.popleft()
-        for mv, nxt in _move_edges(cur):
-            if nxt.bits not in seen:
-                seen.add(nxt.bits)
+        for mv, nxt in _move_edges(table, queue.popleft()):
+            if nxt not in seen:
+                seen.add(nxt)
                 queue.append(nxt)
             key = (mv.removes_mask, mv.adds_mask)
             if key in checked:

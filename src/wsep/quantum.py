@@ -10,14 +10,28 @@ commutation relations of the algebra:
     s>i, t>j               :  x[i,j] x[s,t] + (q - q^-1) x[i,t] x[s,j]
 
 Each step decreases the word lexicographically at its leading position, so
-rewriting terminates; confluence is exercised by randomized-strategy tests.
+rewriting terminates.  One kernel, `_rewrite`, does all of it: it always
+rewrites the leftmost inversion and keeps every pending coefficient as two
+ints, q^e (q - q^-1)^b, so Laurent polynomials are built only for the
+finished monomials.  Confluence is checked by tests against an independent
+reference rewriter that picks inversions at random.
+
+Words are checked once, where they enter: `normalize_word` checks that
+they lie in the k-by-m algebra, and the `NCPoly(...)` constructor also that
+they are in normal form.  Internal results are built with `NCPoly._trusted`.
+
+The generator images of the k-by-m embedding, and whether they satisfy the
+defining relations, are cached for the most recent `_EMBEDDINGS_CACHED` (28)
+shapes: every (k, m) with k, m >= 1 and k + m <= 8, the default bound of
+`verify_embedding`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Iterable
+from math import comb
+from typing import Iterable, Sequence
 
 from .laurent import Laurent, ONE, Q, Q_MINUS_Q_INV, ZERO
 from .subsets import MinorIndex, as_subset, check_in_range, stieffel_subset
@@ -34,47 +48,81 @@ def _check_word(word: Iterable[Gen], k: int, m: int) -> Word:
     return w
 
 
-def inversion_positions(word: Word) -> list[int]:
-    return [p for p in range(len(word) - 1) if word[p] > word[p + 1]]
+# (q - q^-1)^b as ((exponent, coefficient), ...), index b; extended on demand.
+_QMQ_POWERS: list[tuple[tuple[int, int], ...]] = []
+
+
+def _qmq_power(b: int) -> tuple[tuple[int, int], ...]:
+    while len(_QMQ_POWERS) <= b:
+        a = len(_QMQ_POWERS)
+        _QMQ_POWERS.append(tuple((a - 2 * i, (-1) ** i * comb(a, i)) for i in range(a + 1)))
+    return _QMQ_POWERS[b]
+
+
+def _rewrite(
+    word: list[Gen], coeff: Sequence[tuple[int, int]], out: dict[Word, dict[int, int]]
+) -> None:
+    """Add coeff * word, in normal form, into out (monomial -> {exponent:
+    integer coefficient}); coeff is a sequence of (exponent, int) pairs and
+    word a list of checked generators, which this consumes.
+
+    A pending word carries q^e (q - q^-1)^b and the position where the scan
+    for its leftmost inversion resumes: after a swap at p the letters before
+    p are still in order, so the scan resumes at p - 1.  A swap is made in
+    place; the cross term of a diagonal pair is pushed as a new word."""
+    powers = _QMQ_POWERS
+    stack = [(word, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        w, e, b, p = pop()
+        last = len(w) - 1
+        while p < last:
+            x = w[p]
+            y = w[p + 1]
+            if x <= y:
+                p += 1
+                continue
+            s, t = x
+            i, j = y
+            if s == i or t == j:
+                e += 1
+            elif t > j:
+                cross = w[:]
+                cross[p] = (i, t)
+                cross[p + 1] = (s, j)
+                push((cross, e, b + 1, p - 1 if p else 0))
+            w[p] = y
+            w[p + 1] = x
+            if p:
+                p -= 1
+        key = tuple(w)
+        acc = out.get(key)
+        if acc is None:
+            acc = out[key] = {}
+        for d, u in powers[b] if b < len(powers) else _qmq_power(b):
+            d += e
+            for x, v in coeff:
+                x += d
+                acc[x] = acc.get(x, 0) + u * v
+
+
+def _laurents(out: dict[Word, dict[int, int]]) -> dict[Word, Laurent]:
+    """One Laurent per monomial of a `_rewrite` result; zeros dropped."""
+    t = {}
+    for w, acc in out.items():
+        c = Laurent(acc)
+        if c:
+            t[w] = c
+    return t
 
 
 def normalize_word(
-    k: int,
-    m: int,
-    word: Iterable[Gen],
-    coeff: Laurent = ONE,
-    pick: Callable[[list[int]], int] | None = None,
+    k: int, m: int, word: Iterable[Gen], coeff: Laurent = ONE
 ) -> dict[Word, Laurent]:
-    """Rewrite coeff * word into normal form, returning monomial -> Laurent.
-
-    `pick` selects which inversion to rewrite next (given the list of
-    inversion positions); the default takes the leftmost.  Any strategy must
-    produce the same normal form.
-    """
-    word = _check_word(word, k, m)
-    out: dict[Word, Laurent] = {}
-    stack: list[tuple[Word, Laurent]] = [(word, coeff)]
-    while stack:
-        w, c = stack.pop()
-        invs = inversion_positions(w)
-        if not invs:
-            acc = out.get(w, ZERO) + c
-            if acc:
-                out[w] = acc
-            elif w in out:
-                del out[w]
-            continue
-        p = invs[0] if pick is None else invs[pick(invs)]
-        (s, t), (i, j) = w[p], w[p + 1]
-        swapped = w[:p] + ((i, j), (s, t)) + w[p + 2:]
-        if s == i or t == j:
-            stack.append((swapped, c * Q))
-        elif t < j:
-            stack.append((swapped, c))
-        else:
-            stack.append((swapped, c))
-            stack.append((w[:p] + ((i, t), (s, j)) + w[p + 2:], c * Q_MINUS_Q_INV))
-    return out
+    """Rewrite coeff * word into normal form, returning monomial -> Laurent."""
+    out: dict[Word, dict[int, int]] = {}
+    _rewrite(list(_check_word(word, k, m)), tuple(coeff.items()), out)
+    return _laurents(out)
 
 
 class NCPoly:
@@ -83,9 +131,28 @@ class NCPoly:
     __slots__ = ("k", "m", "_t")
 
     def __init__(self, k: int, m: int, terms: dict[Word, Laurent] | None = None):
+        """Terms map words to coefficients; a word outside the k-by-m
+        algebra or not in normal form is a ValueError, and zero
+        coefficients are dropped."""
         self.k = k
         self.m = m
-        self._t = {w: c for w, c in (terms or {}).items() if c}
+        self._t = {}
+        for w, c in (terms or {}).items():
+            w = _check_word(w, k, m)
+            if any(w[p] > w[p + 1] for p in range(len(w) - 1)):
+                raise ValueError(f"word {w} is not in normal form")
+            if c:
+                self._t[w] = c
+
+    @classmethod
+    def _trusted(cls, k: int, m: int, t: dict[Word, Laurent]) -> "NCPoly":
+        """A polynomial from terms already known to be checked words with
+        nonzero coefficients; t is taken, not copied."""
+        p = cls.__new__(cls)
+        p.k = k
+        p.m = m
+        p._t = t
+        return p
 
     @staticmethod
     def zero(k: int, m: int) -> "NCPoly":
@@ -101,11 +168,11 @@ class NCPoly:
 
     @staticmethod
     def generator(k: int, m: int, i: int, j: int) -> "NCPoly":
-        return NCPoly(k, m, {_check_word([(i, j)], k, m): ONE})
+        return NCPoly(k, m, {((i, j),): ONE})
 
     @staticmethod
     def from_word(k: int, m: int, word: Iterable[Gen], coeff: Laurent = ONE) -> "NCPoly":
-        return NCPoly(k, m, normalize_word(k, m, word, coeff))
+        return NCPoly._trusted(k, m, normalize_word(k, m, word, coeff))
 
     def terms(self) -> dict[Word, Laurent]:
         return dict(self._t)
@@ -126,29 +193,33 @@ class NCPoly:
                 t[w] = acc
             elif w in t:
                 del t[w]
-        return NCPoly(self.k, self.m, t)
+        return NCPoly._trusted(self.k, self.m, t)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly(self.k, self.m, {w: -c for w, c in self._t.items()})
+        return NCPoly._trusted(self.k, self.m, {w: -c for w, c in self._t.items()})
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
+        """All |self|*|other| concatenations go through `_rewrite` into one
+        accumulator; both sides' words are already checked."""
         self._check_dims(other)
-        t: dict[Word, Laurent] = {}
+        out: dict[Word, dict[int, int]] = {}
         for w1, c1 in self._t.items():
+            c1 = c1.items()
             for w2, c2 in other._t.items():
-                for w, c in normalize_word(self.k, self.m, w1 + w2, c1 * c2).items():
-                    acc = t.get(w, ZERO) + c
-                    if acc:
-                        t[w] = acc
-                    elif w in t:
-                        del t[w]
-        return NCPoly(self.k, self.m, t)
+                coeff = [(x1 + x2, v1 * v2) for x1, v1 in c1 for x2, v2 in c2.items()]
+                _rewrite(list(w1 + w2), coeff, out)
+        return NCPoly._trusted(self.k, self.m, _laurents(out))
 
     def scale(self, c: Laurent) -> "NCPoly":
-        return NCPoly(self.k, self.m, {w: v * c for w, v in self._t.items()})
+        t = {}
+        for w, v in self._t.items():
+            v = v * c
+            if v:
+                t[w] = v
+        return NCPoly._trusted(self.k, self.m, t)
 
     def pow(self, e: int) -> "NCPoly":
         if e < 0:
@@ -255,7 +326,10 @@ def qplucker_relation_holds(I: Iterable[int], J: Iterable[int], k: int, n: int) 
     return acc.is_zero()
 
 
-@lru_cache(maxsize=None)
+_EMBEDDINGS_CACHED = 28
+
+
+@lru_cache(maxsize=_EMBEDDINGS_CACHED)
 def embedding_images(k: int, m: int) -> dict[Gen, NCPoly]:
     """Images of the x[i,j] under the coordinate embedding into the k-by-(k+m)
     algebra: each generator maps to the realized coordinate of its singleton
@@ -268,7 +342,7 @@ def embedding_images(k: int, m: int) -> dict[Gen, NCPoly]:
     }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_EMBEDDINGS_CACHED)
 def embedding_respects_relations(k: int, m: int) -> bool:
     """The generator images satisfy the same commutation relations pairwise."""
     phi = embedding_images(k, m)

@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: weak separation is
 decided by exhaustive partition search, diameters by scanning every cyclic
 interval, the Stieffel subset by a classical staircase-matrix determinant
 identity, q->1 specialization against plain commutative multiplication,
-and value propagation by evaluating the exchange relation on every edge of
-the move-graph walk.
+normal forms by a rewriter over Laurent objects with a caller-chosen
+rewriting order, and value propagation by evaluating the exchange relation
+on every edge of the move-graph walk.
 """
 
 from __future__ import annotations
@@ -13,9 +14,13 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, Iterable
 
-from wsep.positivity import Propagation, _det, _move_edges
+from wsep.laurent import Laurent, ONE, Q, Q_MINUS_Q_INV, ZERO
+from wsep.positivity import Propagation, _det
+from wsep.quantum import Gen, Word, _check_word
 from wsep.subsets import _from_mask
+from wsep.wscoll import apply_move, find_moves
 
 
 def precedes_bf(A, B) -> bool:
@@ -85,6 +90,64 @@ def commutative_image(terms) -> dict:
     return out
 
 
+def inversion_positions(word: Word) -> list[int]:
+    return [p for p in range(len(word) - 1) if word[p] > word[p + 1]]
+
+
+def normalize_word_bf(
+    k: int,
+    m: int,
+    word: Iterable[Gen],
+    coeff: Laurent = ONE,
+    pick: Callable[[list[int]], int] | None = None,
+) -> dict[Word, Laurent]:
+    """Rewrite coeff * word into normal form, returning monomial -> Laurent.
+
+    `pick` selects which inversion to rewrite next (given the list of
+    inversion positions); the default takes the leftmost.  Any strategy must
+    produce the same normal form.
+    """
+    word = _check_word(word, k, m)
+    out: dict[Word, Laurent] = {}
+    stack: list[tuple[Word, Laurent]] = [(word, coeff)]
+    while stack:
+        w, c = stack.pop()
+        invs = inversion_positions(w)
+        if not invs:
+            acc = out.get(w, ZERO) + c
+            if acc:
+                out[w] = acc
+            elif w in out:
+                del out[w]
+            continue
+        p = invs[0] if pick is None else invs[pick(invs)]
+        (s, t), (i, j) = w[p], w[p + 1]
+        swapped = w[:p] + ((i, j), (s, t)) + w[p + 2:]
+        if s == i or t == j:
+            stack.append((swapped, c * Q))
+        elif t < j:
+            stack.append((swapped, c))
+        else:
+            stack.append((swapped, c))
+            stack.append((w[:p] + ((i, t), (s, j)) + w[p + 2:], c * Q_MINUS_Q_INV))
+    return out
+
+
+def product_bf(p, r) -> dict[Word, Laurent]:
+    """Terms of the product p * r of two NCPolys: every concatenation
+    rewritten on its own by `normalize_word_bf`, the results summed."""
+    out: dict[Word, Laurent] = {}
+    for w1, c1 in p.terms().items():
+        for w2, c2 in r.terms().items():
+            for w, c in normalize_word_bf(p.k, p.m, w1 + w2, c1 * c2).items():
+                acc = out.get(w, ZERO) + c
+                if acc:
+                    out[w] = acc
+                elif w in out:
+                    del out[w]
+    return out
+
+
 def propagate_every_edge(c, vals, mode="exact", rel_tol=1e-9) -> Propagation:
     """`propagate` as a plain breadth-first walk that evaluates the exchange
     relation on every edge it visits and compares every re-derivation."""
@@ -112,7 +175,8 @@ def propagate_every_edge(c, vals, mode="exact", rel_tol=1e-9) -> Propagation:
     queue = deque([c])
     while queue:
         cur = queue.popleft()
-        for mv, nxt in _move_edges(cur):
+        for mv in find_moves(cur):
+            nxt = apply_move(cur, mv)
             m_is, m_sj, m_jt, m_it = mv.side_masks
             numerator = known[m_is] * known[m_jt] + known[m_it] * known[m_sj]
             if known[mv.removes_mask] == 0:

@@ -218,6 +218,18 @@ class TestPositivity:
         assert code == 2
 
 
+    def test_non_maximal_collection_usage_error(self, capsys, tmp_path):
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps({"k": 2, "n": 5, "sets": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}))
+        vf = tmp_path / "v.json"
+        vf.write_text(json.dumps({"[1,2]": "1", "[2,3]": "1", "[3,4]": "1", "[4,5]": "1", "[1,5]": "1"}))
+        code = main(["positivity", "--collection", str(cf), "--values", str(vf)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: the collection is not maximal")
+        assert captured.err.count("\n") == 1
+
     def write_square(self, tmp_path, vals):
         cf = tmp_path / "c.json"
         cf.write_text(json.dumps(base_collection(2, 4).to_json_dict()))

@@ -15,7 +15,7 @@ from wsep.positivity import (
     short_plucker_violations,
     vandermonde_point,
 )
-from wsep.wscoll import WSCollection, base_collection, component_of_base
+from wsep.wscoll import WSCollection, base_collection, boundary_sets, component_of_base
 
 SQUARE = WSCollection.of(2, 4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
 
@@ -199,6 +199,18 @@ class TestVerdicts:
                 hits += 1
                 assert "inconsistent" in v.witness
         assert hits > 0
+
+    def test_non_maximal_collection_rejected(self):
+        # the boundary of Gr(2,5) alone reaches 5 of the 10 coordinates
+        boundary = WSCollection.of(2, 5, boundary_sets(2, 5))
+        with pytest.raises(ValueError, match="not maximal: it has 5 members.* has 7"):
+            positivity_test(boundary, {K: Fraction(1) for K in boundary.sets})
+
+    def test_crossing_collection_rejected(self):
+        # right size, but (1,3) and (2,4) cross
+        c = WSCollection.of(2, 5, boundary_sets(2, 5) + [(1, 3), (2, 4)])
+        with pytest.raises(ValueError, match=r"\(1, 3\) and \(2, 4\) are not weakly separated"):
+            positivity_test(c, {K: Fraction(1) for K in c.sets})
 
     def test_zero_on_collection_is_error(self):
         vals = {K: Fraction(1) for K in SQUARE.sets}

@@ -8,6 +8,8 @@ from wsep.laurent import Laurent, ONE, Q, Q_INV
 from wsep.subsets import MinorIndex, stieffel_subset
 from wsep.quantum import (
     NCPoly,
+    _qmq_power,
+    embedding_images,
     embedding_respects_relations,
     normalize_word,
     plucker_realize,
@@ -17,11 +19,22 @@ from wsep.quantum import (
     verify_embedding,
 )
 
-from oracles import commutative_image
+from oracles import commutative_image, normalize_word_bf, product_bf
 
 
 def gen(k, m, i, j):
     return NCPoly.generator(k, m, i, j)
+
+
+def words(k, m, max_size):
+    """Words in the k-by-m generators, their lengths uniform up to
+    max_size; half of them in descending order, the order with the most
+    inversions."""
+    gens = st.sampled_from([(i, j) for i in range(1, k + 1) for j in range(1, m + 1)])
+    return st.tuples(
+        st.integers(0, max_size).flatmap(lambda n: st.lists(gens, min_size=n, max_size=n)),
+        st.booleans(),
+    ).map(lambda wd: sorted(wd[0], reverse=True) if wd[1] else wd[0])
 
 
 class TestNormalize:
@@ -48,22 +61,56 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize_word(2, 2, [(3, 1)])
 
-    @settings(max_examples=120)
+    def test_constructors_check_words(self):
+        with pytest.raises(ValueError, match=r"x\[3,1\] outside the 2x2 algebra"):
+            NCPoly(2, 2, {((1, 1), (3, 1)): ONE})
+        with pytest.raises(ValueError, match="outside"):
+            NCPoly.generator(2, 2, 1, 0)
+        with pytest.raises(ValueError, match="outside"):
+            NCPoly.from_word(2, 2, [(1, 1), (2, 3)])
+        # x[1,2] x[1,1] is q x[1,1] x[1,2]; kept as given it would compare unequal
+        with pytest.raises(ValueError, match="not in normal form"):
+            NCPoly(2, 2, {((1, 2), (1, 1)): ONE})
+
+    def test_deep_cross_terms_match_reference(self):
+        # nine cross terms on one rewriting path: (q - q^-1)^9
+        word = [(3, 3), (2, 2), (1, 1)] * 3
+        assert normalize_word(3, 3, word) == normalize_word_bf(3, 3, word)
+
+    def test_qmq_powers(self):
+        power = ONE
+        for b in range(13):
+            assert Laurent(_qmq_power(b)) == power
+            power = power * (Q - Q_INV)
+
+    @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_confluence_under_random_strategies(self, data):
         k = data.draw(st.integers(1, 3))
         m = data.draw(st.integers(1, 3))
-        word = data.draw(
-            st.lists(
-                st.tuples(st.integers(1, k), st.integers(1, m)),
-                max_size=6,
-            )
-        )
+        word = data.draw(words(k, m, 9))
         seed = data.draw(st.integers(0, 2**16))
         rng = random.Random(seed)
-        expected = normalize_word(k, m, word)
-        got = normalize_word(k, m, word, pick=lambda invs: rng.randrange(len(invs)))
-        assert got == expected
+        expected = normalize_word_bf(k, m, word, pick=lambda invs: rng.randrange(len(invs)))
+        assert normalize_word(k, m, word) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_products_match_reference(self, data):
+        # concatenations reach 9 letters, so cross terms stack up
+        k = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(1, 3))
+        coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), min_size=1, max_size=2)
+
+        def poly(max_letters):
+            acc = NCPoly.zero(k, m)
+            for _ in range(data.draw(st.integers(1, 3))):
+                word = data.draw(words(k, m, max_letters))
+                acc = acc + NCPoly.from_word(k, m, word, Laurent(data.draw(coeffs)))
+            return acc
+
+        p, r = poly(5), poly(4)
+        assert (p * r).terms() == product_bf(p, r)
 
     @settings(max_examples=120)
     @given(st.data())
@@ -186,6 +233,13 @@ class TestRealizedCoordinates:
 class TestEmbedding:
     def test_generator_images_satisfy_relations(self):
         assert embedding_respects_relations(2, 2)
+
+    def test_caches_hold_every_default_shape(self):
+        # every (k, m) with k, m >= 1 and k + m <= 8, the default cap
+        shapes = sum(1 for k in range(1, 8) for m in range(1, 9 - k))
+        for cached in (embedding_images, embedding_respects_relations):
+            maxsize = cached.cache_info().maxsize
+            assert maxsize is not None and maxsize >= shapes
 
     def test_image_exponent_example(self):
         phi = {

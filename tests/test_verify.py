@@ -1,4 +1,4 @@
-from wsep.verify import run_suite
+from wsep.verify import _plucker_pairs_agree, run_suite
 
 
 def test_small_suite_all_green():
@@ -12,3 +12,9 @@ def test_full_suite_covers_3x3_minors():
     names = {r.name for r in results}
     assert "minors_3x3" in names
     assert all(r.ok for r in results), [r for r in results if not r.ok]
+
+
+def test_plucker_3_6_pairs_agree():
+    result = _plucker_pairs_agree(3, 6)
+    assert result.ok, result.detail
+    assert result.detail == "400 ordered pairs agree"
