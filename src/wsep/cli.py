@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .subsets import (
     MinorIndex,
@@ -128,11 +129,11 @@ def cmd_stieffel(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    seed = base_collection(args.k, args.n)
-    found = sorted(enumerate_component(seed))
+    found = enumerate_component(base_collection(args.k, args.n))
     if args.count_only:
         _emit({"count": len(found)})
         return OK
+    found = sorted(found)
     _emit_lines(c.to_json_dict() for c in found)
     summary = {
         "count": len(found),
@@ -209,11 +210,11 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_gen_w3(args) -> int:
-    found = sorted(generate_w3(args.n))
+    found = generate_w3(args.n)
     if args.count_only:
         _emit({"count": len(found)})
         return OK
-    _emit_lines(c.to_json_dict() for c in found)
+    _emit_lines(c.to_json_dict() for c in sorted(found))
     _emit({"count": len(found)})
     return OK
 
@@ -336,9 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of `main` rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()

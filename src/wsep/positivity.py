@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .subsets import _from_mask
-from .wscoll import Move, WSCollection, _Table, apply_move, find_moves, validate
+from .wscoll import Move, WSCollection, _Table, apply_move, find_moves, require_maximal
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,7 @@ def propagate(
     again on every visit."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    k, n = c.k, c.n
-    if len(c) != k * (n - k) + 1:
-        raise ValueError(
-            f"the collection is not maximal: it has {len(c)} members, "
-            f"a maximal collection of {k}-subsets of [1..{n}] has {k * (n - k) + 1}"
-        )
-    report = validate(c)
-    if not report.ok:
-        raise ValueError(f"the collection is not weakly separated: {report.issues[0]}")
+    require_maximal(c)
     known = {}  # keyed by subset bitmask
     for s, m in zip(c.sets, c.masks()):
         if s not in vals:

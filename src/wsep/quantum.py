@@ -17,8 +17,10 @@ finished monomials.  Confluence is checked by tests against an independent
 reference rewriter that picks inversions at random.
 
 Words are checked once, where they enter: `normalize_word` checks that
-they lie in the k-by-m algebra, and the `NCPoly(...)` constructor also that
-they are in normal form.  Internal results are built with `NCPoly._trusted`.
+they lie in the k-by-m algebra (integer indices in range), and the
+`NCPoly(...)` constructor also that they are in normal form and that every
+coefficient is a `Laurent`.  Internal results are built with
+`NCPoly._trusted`.
 
 The generator images of the k-by-m embedding, and whether they satisfy the
 defining relations, are cached for the most recent `_EMBEDDINGS_CACHED` (28)
@@ -43,7 +45,7 @@ Word = tuple[Gen, ...]
 def _check_word(word: Iterable[Gen], k: int, m: int) -> Word:
     w = tuple(word)
     for (i, j) in w:
-        if not (1 <= i <= k and 1 <= j <= m):
+        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= k and 1 <= j <= m):
             raise ValueError(f"generator x[{i},{j}] outside the {k}x{m} algebra")
     return w
 
@@ -131,9 +133,9 @@ class NCPoly:
     __slots__ = ("k", "m", "_t")
 
     def __init__(self, k: int, m: int, terms: dict[Word, Laurent] | None = None):
-        """Terms map words to coefficients; a word outside the k-by-m
-        algebra or not in normal form is a ValueError, and zero
-        coefficients are dropped."""
+        """Terms map words to `Laurent` coefficients; a word outside the
+        k-by-m algebra or not in normal form, or a coefficient of another
+        type, is a ValueError, and zero coefficients are dropped."""
         self.k = k
         self.m = m
         self._t = {}
@@ -141,6 +143,8 @@ class NCPoly:
             w = _check_word(w, k, m)
             if any(w[p] > w[p + 1] for p in range(len(w) - 1)):
                 raise ValueError(f"word {w} is not in normal form")
+            if not isinstance(c, Laurent):
+                raise ValueError(f"coefficient {c!r} of word {w} is not a Laurent polynomial")
             if c:
                 self._t[w] = c
 

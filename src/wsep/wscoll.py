@@ -6,16 +6,23 @@ A collection is one int over the lexicographic ranks of its member
 k-subsets, and an exchange move is a presence check plus an XOR on it;
 member sets are sorted tuples only at the boundary (`WSCollection.of`,
 `.sets`, JSON, `Move` fields).
+
+`find_moves` scans every quad of the (k, n) table for one collection.  The
+closure walk (`enumerate_component`) scans only its seed: it carries each
+collection's moves as its live-move set, one int over the quad indices,
+and after a move re-tests only the quads through the diagonal it added.
+Each rank table also holds crossing rows, `crossing[r]` the int of the
+ranks not weakly separated from rank r, so that "r is separated from every
+member" is one AND; the k=3 lift generator certifies with them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, total_ordering
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .subsets import (
     Dihedral,
@@ -53,7 +60,10 @@ class _Table:
     `rank[m]` is the rank of bitmask m, or -1 if m is not a k-subset of
     [1..n]; `subset[r]` and `mask[r]` give rank r back as a sorted tuple and
     as a bitmask; `image[rot, refl][r]` is the rank of the image of rank r
-    under the dihedral element `Dihedral(n, rot, refl)`.
+    under the dihedral element `Dihedral(n, rot, refl)`; `crossing[r]` is
+    the int of the ranks whose subsets are not weakly separated from that
+    of rank r (C(n, k) pair tests per row, so only for tables whose every
+    rank is in use).
     """
 
     def __init__(self, k: int, n: int):
@@ -63,6 +73,7 @@ class _Table:
         self.subset = _Lazy(self._subset_of)
         self.mask = _Lazy(lambda r: _to_mask(self.subset[r]))
         self.image = _Lazy(lambda key: _Lazy(partial(self._image_of, Dihedral(n, *key))))
+        self.crossing = _Lazy(self._crossing_of)
 
     def _rank_of(self, m: int) -> int:
         k, n = self.k, self.n
@@ -87,15 +98,24 @@ class _Table:
     def _image_of(self, g: Dihedral, r: int) -> int:
         return self.rank[_to_mask(g.apply_subset(self.subset[r]))]
 
+    def _crossing_of(self, r: int) -> int:
+        a, mask = self.mask[r], self.mask
+        out = 0
+        for s in range(self.size):
+            if not _weakly_separated_masks(a, mask[s]):
+                out |= 1 << s
+        return out
+
     @cached_property
     def quads(self) -> tuple:
         """One entry per anchor and quadruple i < s < j < t, in the scan
         order of `find_moves`: (side bits, bit of anchor+{i,j}, bit of
-        anchor+{s,t}, the move removing anchor+{i,j}, its inverse)."""
+        anchor+{s,t}, the move removing anchor+{i,j}, its inverse).  For
+        k < 2 there are none."""
         rank = self.rank
         universe = range(1, self.n + 1)
         out = []
-        for anchor in combinations(universe, self.k - 2):
+        for anchor in combinations(universe, self.k - 2) if self.k >= 2 else ():
             rest = [x for x in universe if x not in anchor]
             for i, s, j, t in combinations(rest, 4):
                 fwd = Move._trusted(
@@ -114,6 +134,45 @@ class _Table:
                     fwd.inverse(),
                 ))
         return tuple(out)
+
+    @cached_property
+    def quad_tests(self) -> tuple:
+        """(side bits, diagonal bits, 1 << q) for each quad index q."""
+        return tuple((sides, ij | st, 1 << q) for q, (sides, ij, st, _, _) in enumerate(self.quads))
+
+    @cached_property
+    def steps(self) -> tuple:
+        """Per quad index q, what the walk needs to apply its move: (the
+        diagonal bits, the bit of anchor+{i,j}, the int of the quad indices
+        whose six sets avoid both diagonals, the `quad_tests` of the quads
+        through anchor+{s,t}, and of those through anchor+{i,j})."""
+        through = {}  # bit of a rank -> quad_tests of the quads whose six sets hold it
+        for test in self.quad_tests:
+            for r in _from_mask(test[0] | test[1]):
+                through.setdefault(1 << r, []).append(test)
+        # the bit of a rank -> (int over the quad indices through it, their tests)
+        through = {bit: (sum(t[2] for t in tests), tuple(tests)) for bit, tests in through.items()}
+        out = []
+        for _, ij, st, _, _ in self.quads:
+            (touch_ij, via_ij), (touch_st, via_st) = through[ij], through[st]
+            out.append((ij | st, ij, ~(touch_ij | touch_st), via_st, via_ij))
+        return tuple(out)
+
+    def live(self, bits: int, tests) -> int:
+        """The int over the quad indices of `tests` whose four sides and
+        one diagonal are in the collection `bits`: its moves among them.
+        A quad with its sides and both diagonals present raises the
+        ValueError that `apply_move` raises for it."""
+        out = 0
+        for sides, diags, qbit in tests:
+            if bits & sides == sides:
+                d = bits & diags
+                if d == diags:
+                    fwd = self.quads[qbit.bit_length() - 1][3]
+                    raise ValueError(f"move target {fwd.adds} already present")
+                if d:
+                    out |= qbit
+        return out
 
     @cached_property
     def top_boundary(self) -> frozenset:
@@ -411,6 +470,20 @@ def is_maximal(c: WSCollection) -> bool:
     return complete_to_maximal(c) == c
 
 
+def require_maximal(c: WSCollection) -> None:
+    """Raise ValueError unless c has k(n-k)+1 pairwise weakly separated
+    members, which by purity is the same as maximal."""
+    k, n = c.k, c.n
+    if len(c) != k * (n - k) + 1:
+        raise ValueError(
+            f"the collection is not maximal: it has {len(c)} members, "
+            f"a maximal collection of {k}-subsets of [1..{n}] has {k * (n - k) + 1}"
+        )
+    report = validate(c)
+    if not report.ok:
+        raise ValueError(f"the collection is not weakly separated: {report.issues[0]}")
+
+
 def boundary_sets(k: int, n: int) -> list[tuple[int, ...]]:
     return sorted(
         tuple(sorted((start + d) % n + 1 for d in range(k))) for start in range(n)
@@ -470,18 +543,53 @@ def apply_move(c: WSCollection, mv: Move) -> WSCollection:
     return WSCollection(c.table, bits ^ removes ^ adds)
 
 
+def _walk(seed: WSCollection) -> Iterator[tuple[int, int]]:
+    """(bits, live) of each collection in the closure of the seed under
+    exchange moves, in breadth-first order, where `live` is the int over
+    the quad indices of its moves: set bit q stands for the move of
+    `find_moves` on quad q, and the order of the set bits is theirs.
+
+    Only the seed is tested against every quad.  A move on quad q removes
+    one diagonal and adds the other, so only the quads through either
+    diagonal can change.  The quads through the added one are re-tested;
+    each quad through the removed one alone is dead afterwards: a side is
+    gone, or its other diagonal is absent.  A collection with a quad whose
+    sides and both diagonals are present raises the error of `apply_move`
+    before any of its moves is followed.
+
+    The walk goes level by level.  Every move has its inverse, so a
+    neighbour of a collection at distance d from the seed is at distance
+    d - 1, d or d + 1, and only those three levels are kept to recognise
+    collections already seen.  A queued collection keeps its parent's
+    moves and the quads to re-test, and its own moves are derived when it
+    is taken from the queue.
+    """
+    table = seed.table
+    steps, live = table.steps, table.live
+    older, current = set(), {seed.bits}
+    level = [(seed.bits, 0, 0, table.quad_tests)]
+    while level:
+        following, queued = set(), []
+        for bits, inherited, kept, tests in level:
+            moves = inherited & kept | live(bits, tests)
+            yield bits, moves
+            rest = moves
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                diags, ij, keep, via_st, via_ij = steps[low.bit_length() - 1]
+                nxt = bits ^ diags
+                if nxt in following or nxt in current or nxt in older:
+                    continue
+                following.add(nxt)
+                queued.append((nxt, moves, keep, via_ij if nxt & ij else via_st))
+        older, current, level = current, following, queued
+
+
 def enumerate_component(seed: WSCollection) -> set[WSCollection]:
     """Closure of the seed under all exchange moves (breadth-first)."""
-    seen = {seed}
-    queue = deque([seed])
-    while queue:
-        c = queue.popleft()
-        for mv in find_moves(c):
-            d = apply_move(c, mv)
-            if d not in seen:
-                seen.add(d)
-                queue.append(d)
-    return seen
+    table = seed.table
+    return {WSCollection(table, bits) for bits, _ in _walk(seed)}
 
 
 @lru_cache(maxsize=None)
@@ -491,18 +599,23 @@ def component_of_base(k: int, n: int) -> frozenset[WSCollection]:
 
 def dihedral_orbits(cs: Iterable[WSCollection]) -> list[tuple[WSCollection, ...]]:
     """Partition collections into orbits of the polygon-symmetry action.
-    Orbits are listed and internally sorted canonically."""
+    Orbits are listed and internally sorted canonically.
+
+    The collections are sorted once and taken in order, each one not yet
+    placed starting the orbit it is the least member of, so the orbits
+    come out sorted."""
     pool = set(cs)
     if not pool:
         return []
-    n = next(iter(pool)).n
+    group = tuple(Dihedral.group(next(iter(pool)).n))
+    placed = set()
     orbits = []
-    while pool:
-        c = min(pool)
-        orbit = {translate(c, g) for g in Dihedral.group(n)} & pool
-        pool -= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return sorted(orbits)
+    for c in sorted(pool):
+        if c not in placed:
+            orbit = {translate(c, g) for g in group} & pool
+            placed |= orbit
+            orbits.append(tuple(sorted(orbit)))
+    return orbits
 
 
 def height(c: WSCollection) -> int:

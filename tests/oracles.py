@@ -5,8 +5,10 @@ decided by exhaustive partition search, diameters by scanning every cyclic
 interval, the Stieffel subset by a classical staircase-matrix determinant
 identity, q->1 specialization against plain commutative multiplication,
 normal forms by a rewriter over Laurent objects with a caller-chosen
-rewriting order, and value propagation by evaluating the exchange relation
-on every edge of the move-graph walk.
+rewriting order, value propagation by evaluating the exchange relation
+on every edge of the move-graph walk, the move-graph closure by scanning
+every state with `find_moves`, and the maximal weakly separated collections
+by a clique search of the weak-separation graph that makes no moves.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from wsep.laurent import Laurent, ONE, Q, Q_MINUS_Q_INV, ZERO
 from wsep.positivity import Propagation, _det
 from wsep.quantum import Gen, Word, _check_word
 from wsep.subsets import _from_mask
-from wsep.wscoll import apply_move, find_moves
+from wsep.wscoll import apply_move, boundary_sets, find_moves
 
 
 def precedes_bf(A, B) -> bool:
@@ -196,3 +198,53 @@ def propagate_every_edge(c, vals, mode="exact", rel_tol=1e-9) -> Propagation:
                 seen.add(nxt)
                 queue.append(nxt)
     return Propagation(True, values(), None)
+
+
+def closure_by_moves(seed) -> set:
+    """The closure of a collection under exchange moves as a plain
+    breadth-first walk that scans every state with `find_moves` and applies
+    each move with `apply_move`."""
+    seen = {seed}
+    queue = deque([seed])
+    while queue:
+        c = queue.popleft()
+        for mv in find_moves(c):
+            d = apply_move(c, mv)
+            if d not in seen:
+                seen.add(d)
+                queue.append(d)
+    return seen
+
+
+def maximal_weakly_separated_bf(k: int, n: int) -> set[tuple[tuple[int, ...], ...]]:
+    """Every inclusion-maximal pairwise weakly separated collection of
+    k-subsets of [1..n], as sorted tuples of members: the maximal cliques of
+    the weak-separation graph (Bron-Kerbosch with pivoting, 1973), decided
+    by `weakly_separated_bf`.  The boundary sets are weakly separated from
+    every k-subset, so the search is seeded with them."""
+    subsets = list(combinations(range(1, n + 1), k))
+    nbrs = [
+        sum(1 << y for y, J in enumerate(subsets) if y != x and weakly_separated_bf(I, J))
+        for x, I in enumerate(subsets)
+    ]
+    seed = 0
+    for s in boundary_sets(k, n):
+        seed |= 1 << subsets.index(s)
+    out = set()
+
+    def expand(clique: int, cand: int, excl: int) -> None:
+        if not cand and not excl:
+            out.add(tuple(subsets[x] for x in _from_mask(clique)))
+            return
+        pivot = max(_from_mask(cand | excl), key=lambda u: (nbrs[u] & cand).bit_count())
+        for v in _from_mask(cand & ~nbrs[pivot]):
+            bit = 1 << v
+            expand(clique | bit, cand & nbrs[v], excl & nbrs[v])
+            cand &= ~bit
+            excl |= bit
+
+    rest = (1 << len(subsets)) - 1 & ~seed
+    for x in _from_mask(seed):
+        rest &= nbrs[x]
+    expand(seed, rest, 0)
+    return out

@@ -161,6 +161,34 @@ class TestReductionVerbs:
         assert code == 0
         assert json.loads(out) == c.to_json_dict()
 
+    @staticmethod
+    def usage_error(capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: the collection is {message}"]
+
+    def test_crossing_collection_usage_error(self, capsys, tmp_path):
+        # (1,3,5) in place of (1,3,4) crosses (1,2,4)
+        sets = [s for s in base_collection(3, 6).sets if s != (1, 3, 4)] + [(1, 3, 5)]
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"k": 3, "n": 6, "sets": sets}))
+        message = "not weakly separated: (1, 2, 4) and (1, 3, 5) are not weakly separated"
+        self.usage_error(capsys, ["reduce", "--file", str(f)], message)
+        self.usage_error(capsys, ["lift", "--file", str(f), "--b", "2"], message)
+
+    def test_non_maximal_collection_usage_error(self, capsys, tmp_path):
+        sets = [s for s in base_collection(3, 6).sets if s != (1, 3, 4)]
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"k": 3, "n": 6, "sets": sets}))
+        message = (
+            "not maximal: it has 9 members, "
+            "a maximal collection of 3-subsets of [1..6] has 10"
+        )
+        self.usage_error(capsys, ["reduce", "--file", str(f)], message)
+        self.usage_error(capsys, ["lift", "--file", str(f), "--b", "2"], message)
+
     def test_gen_w3_count(self, capsys):
         code, out = run(capsys, "gen-w3", "--n", "6", "--count-only")
         assert json.loads(out) == {"count": 34}
@@ -285,6 +313,44 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert "(1, 3)" in captured.err
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["ws-check", "--i", "1,3", "--j", "2,4"],
+        ["enumerate", "--k", "2", "--n", "5", "--count-only"],
+        ["no-such-command"],
+        ["exponent", "--i", "1,2"],
+        ["--help"],
+        ["gen-w3", "--help"],
+        ["enumerate", "--k", "3"],
+        ["gen-w3", "--n", "6", "--count-only"],
+        ["ws-check", "--i", "1,2", "--j", "3,4"],
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_one_parser_serves_every_call(self, capsys):
+        from wsep import cli
+
+        cli._parser.cache_clear()
+        shared = [self.call(capsys, argv) for argv in self.ARGVS]
+        assert cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv in self.ARGVS:
+            cli._parser.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        assert shared == fresh
+        codes = [code for code, _, _ in shared]
+        assert codes == [1, 0, ("SystemExit", 2), 2, ("SystemExit", 0), ("SystemExit", 0),
+                         ("SystemExit", 2), 0, 0]
 
 
 class TestMalformedFiles:

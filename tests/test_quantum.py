@@ -72,6 +72,16 @@ class TestNormalize:
         with pytest.raises(ValueError, match="not in normal form"):
             NCPoly(2, 2, {((1, 2), (1, 1)): ONE})
 
+    def test_constructors_check_types(self):
+        with pytest.raises(ValueError, match=r"x\[1.5,1\] outside the 2x2 algebra"):
+            NCPoly(2, 2, {((1.5, 1),): ONE})
+        with pytest.raises(ValueError, match="outside"):
+            normalize_word(2, 2, [(1, 1.0)])
+        with pytest.raises(ValueError, match="not a Laurent polynomial"):
+            NCPoly(2, 2, {((1, 1),): 3})
+        with pytest.raises(ValueError, match="not a Laurent polynomial"):
+            NCPoly.scalar(2, 2, 1)
+
     def test_deep_cross_terms_match_reference(self):
         # nine cross terms on one rewriting path: (q - q^-1)^9
         word = [(3, 3), (2, 2), (1, 1)] * 3

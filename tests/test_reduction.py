@@ -1,6 +1,6 @@
 import pytest
 
-from wsep.reduction import f_set, generate_w3, lift, pinch_point, project, w3_floor
+from wsep.reduction import _f_set, _lift, f_set, generate_w3, lift, pinch_point, project, w3_floor
 from wsep.wscoll import (
     WSCollection,
     base_collection,
@@ -10,6 +10,16 @@ from wsep.wscoll import (
 )
 
 BOUNDARY6 = [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (1, 5, 6), (1, 2, 6)]
+
+
+def short_base6():
+    """base(3, 6) without (1,3,4): weakly separated, one member short."""
+    return WSCollection.of(3, 6, [s for s in base_collection(3, 6).sets if s != (1, 3, 4)])
+
+
+def crossing_base6():
+    """base(3, 6) with (1,3,4) replaced by (1,3,5), which crosses (1,2,4)."""
+    return WSCollection.of(3, 6, short_base6().sets + ((1, 3, 5),))
 
 
 def worked_example():
@@ -112,6 +122,32 @@ class TestProjectPinch:
                 b = pinch_point(c)
                 assert b in f_set(down)
                 assert lift(down, b) == c
+
+
+class TestIngress:
+    CALLS = [project, pinch_point, f_set, lambda c: lift(c, 2)]
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_crossing_collection_rejected(self, call):
+        with pytest.raises(ValueError, match=r"not weakly separated: \(1, 2, 4\) and \(1, 3, 5\)"):
+            call(crossing_base6())
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_non_maximal_collection_rejected(self, call):
+        with pytest.raises(ValueError, match="not maximal: it has 9 members"):
+            call(short_base6())
+
+    def test_trusted_path_matches_public(self):
+        for c in component_of_base(3, 7):
+            assert _f_set(c) == f_set(c)
+            for b in _f_set(c):
+                assert _lift(c, b) == lift(c, b)
+
+    def test_trusted_lift_certifies_its_output(self):
+        # the trusted path does not certify its input; its crossing rows
+        # still catch a crossing lift, as the pair loop does
+        with pytest.raises(AssertionError, match="non-separated"):
+            _lift(crossing_base6(), 2)
 
 
 class TestGenerate:

@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
+from oracles import closure_by_moves, maximal_weakly_separated_bf, weakly_separated_bf
 from wsep import wscoll
-from wsep.subsets import Dihedral, weakly_separated
+from wsep.subsets import Dihedral, _from_mask, weakly_separated
 from wsep.wscoll import (
     Move,
     WSCollection,
@@ -220,13 +221,115 @@ class TestEnumeration:
             for c in component_of_base(3, n):
                 assert any(diameter(s, n) == 4 for s in c.sets)
 
+    def test_k1_has_no_moves(self):
+        base = base_collection(1, 5)
+        assert find_moves(base) == []
+        assert enumerate_component(base) == {base}
+
     def test_seed_choice_does_not_matter(self):
         cs = component_of_base(2, 6)
         other = enumerate_component(max(cs))
         assert frozenset(other) == cs
 
 
+class TestIncrementalWalk:
+    """The walk's live-move sets and crossing rows against the one-state
+    scan `find_moves`, `apply_move` and the pair loop of `validate`."""
+
+    @staticmethod
+    def live_moves(table, bits, live):
+        quads = table.quads
+        return [quads[q][3] if bits & quads[q][1] else quads[q][4] for q in _from_mask(live)]
+
+    @pytest.mark.parametrize("k, n", [(3, 8), (4, 8)])
+    def test_live_moves_match_find_moves_on_every_state(self, k, n):
+        table = _table(k, n)
+        states = 0
+        for bits, live in wscoll._walk(base_collection(k, n)):
+            assert self.live_moves(table, bits, live) == find_moves(WSCollection(table, bits))
+            states += 1
+        assert states == len(component_of_base(k, n))
+
+    def test_walk_matches_scan_on_random_seeds(self):
+        # separated or not, maximal or not: the same closure, or the same error
+        rng = random.Random(17)
+        for _ in range(150):
+            k, n = rng.choice([(2, 6), (3, 6), (3, 7), (4, 8)])
+            pool = list(combinations(range(1, n + 1), k))
+            sets = set(base_collection(k, n).sets)
+            sets -= set(rng.sample(sorted(sets), rng.randint(0, 2)))
+            sets |= set(rng.sample(pool, rng.randint(0, 3)))
+            seed = WSCollection.of(k, n, sets)
+            try:
+                expected = closure_by_moves(seed)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as caught:
+                    enumerate_component(seed)
+                assert str(caught.value) == str(exc)
+            else:
+                assert enumerate_component(seed) == expected
+
+    def test_non_separated_seed_raises(self):
+        # the fan at 1 with the crossing diagonal (3,5) added: the quad
+        # 1 < 3 < 4 < 5 has its four sides and both diagonals
+        seed = WSCollection.of(2, 6, base_collection(2, 6).sets + ((3, 5),))
+        with pytest.raises(ValueError) as expected:
+            apply_move(seed, Move.between((), (1, 4), (3, 5)))
+        assert str(expected.value) == "move target (3, 5) already present"
+        with pytest.raises(ValueError, match=r"^move target \(3, 5\) already present$"):
+            enumerate_component(seed)
+
+    def test_crossing_rows(self):
+        table = _table(3, 6)
+        for r in range(table.size):
+            a = table.subset[r]
+            expected = [s for s in range(table.size) if not weakly_separated_bf(a, table.subset[s])]
+            assert list(_from_mask(table.crossing[r])) == expected
+
+    def test_crossing_rows_decide_validate(self):
+        rng = random.Random(23)
+        for k, n in [(2, 7), (3, 7), (4, 8)]:
+            table = _table(k, n)
+            pool = list(combinations(range(1, n + 1), k))
+            cs = list(component_of_base(k, n))[:40]
+            cs += [WSCollection.of(k, n, rng.sample(pool, rng.randint(0, 12))) for _ in range(150)]
+            ok = 0
+            for c in cs:
+                certified = not any(c.bits & table.crossing[r] for r in c.ranks())
+                assert certified == validate(c).ok
+                ok += certified
+            assert 40 < ok < len(cs)  # both answers occur
+
+    @pytest.mark.parametrize("k, n, count", [(3, 8, 2136), (4, 8, 5470)])
+    def test_closure_is_every_maximal_collection(self, k, n, count):
+        expected = maximal_weakly_separated_bf(k, n)
+        assert len(expected) == count
+        assert {c.sets for c in component_of_base(k, n)} == expected
+
+
 class TestOrbits:
+    def test_orbit_stabilizer(self):
+        for k, n in [(2, 8), (3, 7), (4, 8)]:
+            cs = component_of_base(k, n)
+            orbits = dihedral_orbits(cs)
+            assert sum(len(o) for o in orbits) == len(cs)
+            assert all(2 * n % len(o) == 0 for o in orbits)
+            assert frozenset().union(*orbits) == cs
+
+    def test_orbits_match_least_first_partition(self):
+        # the partition taken one least collection at a time, orbits sorted
+        rng = random.Random(4)
+        cs = sorted(component_of_base(3, 7))
+        for pool in (set(cs), set(rng.sample(cs, 100))):
+            expected = []
+            rest = set(pool)
+            while rest:
+                c = min(rest)
+                orbit = {translate(c, g) for g in Dihedral.group(7)} & rest
+                rest -= orbit
+                expected.append(tuple(sorted(orbit)))
+            assert dihedral_orbits(pool) == sorted(expected)
+
     def test_w36_has_five_orbits(self):
         orbits = dihedral_orbits(component_of_base(3, 6))
         assert len(orbits) == 5
