@@ -9,7 +9,7 @@ import sys
 import time
 
 from wsep.reduction import generate_w3
-from wsep.wscoll import component_of_base, dihedral_orbits
+from wsep.wscoll import base_collection, dihedral_orbits, enumerate_component
 
 if __name__ == "__main__":
     max2 = int(sys.argv[1]) if len(sys.argv) > 1 else 9
@@ -18,7 +18,7 @@ if __name__ == "__main__":
     for k, max_n in ((2, max2), (3, max3)):
         for n in range(k + 2, max_n + 1):
             t0 = time.time()
-            comp = component_of_base(k, n)
+            comp = enumerate_component(base_collection(k, n))
             orbits = len(dihedral_orbits(comp))
             lifted = ""
             if k == 3:

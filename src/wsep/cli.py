@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .subsets import (
     MinorIndex,
+    _is_int,
     check_in_range,
     minor_exponent,
     parse_subset,
@@ -72,18 +73,20 @@ def _load_collection(path: str) -> WSCollection:
 def _load_values(path: str, n: int) -> dict:
     """Values keyed by canonical subsets of [1..n]; a file that is not an
     object from JSON arrays of integers to rationals, or two keys naming the
-    same subset, is an error."""
+    same subset, is an error.  Booleans are neither integers nor rationals."""
     data = json.loads(_read_text(path))
     if not isinstance(data, dict):
         raise ValueError("a values file must be a JSON object mapping subsets to rationals")
     out = {}
     for key, val in data.items():
         K = json.loads(key)
-        if not (isinstance(K, list) and all(isinstance(x, int) for x in K)):
+        if not (isinstance(K, list) and all(map(_is_int, K))):
             raise ValueError(f"value key {key!r} is not a JSON array of integers")
         K = check_in_range(K, n)
         if K in out:
             raise ValueError(f"two value keys name the subset {K}")
+        if isinstance(val, bool):
+            raise ValueError(f"value {json.dumps(val)} of key {key!r} is not a rational number")
         try:
             out[K] = Fraction(val)
         except (TypeError, ValueError, OverflowError):
@@ -122,7 +125,9 @@ def cmd_exponent(args) -> int:
 
 
 def cmd_stieffel(args) -> int:
-    m = args.m if args.m else max(parse_subset(args.b) or (1,))
+    if args.m is not None and args.m < 1:
+        raise ValueError(f"--m must be at least 1, got {args.m}")
+    m = args.m if args.m is not None else max(parse_subset(args.b) or (1,))
     mi = MinorIndex(parse_subset(args.a), parse_subset(args.b), args.k, m)
     _emit({"s": list(stieffel_subset(mi))})
     return OK
@@ -133,7 +138,7 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         _emit({"count": len(found)})
         return OK
-    found = sorted(found)
+    found = sorted(found, key=WSCollection.sort_key)
     _emit_lines(c.to_json_dict() for c in found)
     summary = {
         "count": len(found),
@@ -145,7 +150,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    found = sorted(enumerate_component(base_collection(args.k, args.n)))
+    found = enumerate_component(base_collection(args.k, args.n))
     orbits = dihedral_orbits(found)
     _emit_lines(
         {"representative": o[0].to_json_dict(), "size": len(o)} for o in orbits
@@ -214,7 +219,7 @@ def cmd_gen_w3(args) -> int:
     if args.count_only:
         _emit({"count": len(found)})
         return OK
-    _emit_lines(c.to_json_dict() for c in sorted(found))
+    _emit_lines(c.to_json_dict() for c in sorted(found, key=WSCollection.sort_key))
     _emit({"count": len(found)})
     return OK
 
@@ -223,7 +228,11 @@ def cmd_positivity(args) -> int:
     c = _load_collection(args.collection)
     vals = _load_values(args.values, c.n)
     if args.mode == "float":
-        vals = {K: float(v) for K, v in vals.items()}
+        for K, v in vals.items():
+            try:
+                vals[K] = float(v)
+            except OverflowError:
+                raise ValueError(f"value of key {list(K)} is too large for float mode") from None
     verdict = positivity_test(c, vals, mode=args.mode)
     payload = {
         "verdict": verdict.verdict,

@@ -4,11 +4,13 @@ index set, the inverse lift, and the full recursive generator.
 
 `project`, `pinch_point`, `f_set` and `lift` take a collection from outside
 and require it to be maximal (`require_maximal`); a lift is certified by
-the pair loop of `validate`.  `generate_w3` only lifts collections it has
-itself certified, through the trusted `_f_set` and `_lift`, and certifies
-each lift with the crossing rows of its rank table: member r is weakly
-separated from every other member exactly when `bits & crossing[r]` is 0,
-so this is the predicate of `validate`, one int AND per member.
+`wscoll._separated`, crossing rows or the pair loop by its cost rule.
+`generate_w3` only lifts collections it has itself certified, through the
+trusted `_f_set` and `_lift`, and certifies each lift with the crossing
+rows of its rank table whatever its size, since it checks many lifts on one
+table: member r is weakly separated from every other member exactly when
+`bits & crossing[r]` is 0, so this is the predicate of `validate`, one int
+AND per member.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .subsets import Dihedral, _precedes_masks, _to_mask
-from .wscoll import WSCollection, pinch_index, require_maximal, translate, validate
+from .wscoll import WSCollection, _separated, pinch_index, require_maximal, translate
 
 
 def _require_maximal_k3(c: WSCollection):
@@ -81,7 +83,7 @@ def lift(b_coll: WSCollection, b: int) -> WSCollection:
     if b not in f_set(b_coll):
         raise ValueError(f"index {b} is not an admissible lift index")
     out = _lifted(b_coll, b)
-    if not validate(out).ok:
+    if not _separated(out):
         raise AssertionError("lift produced a non-separated collection")
     return out
 

@@ -39,6 +39,11 @@ def parse_subset(text: str) -> tuple[int, ...]:
     return as_subset(int(tok) for tok in text.split(","))
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool (JSON `true` loads as True, which is 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _to_mask(K: Iterable[int]) -> int:
     """The bitmask of a subset: bit x is set for each element x."""
     m = 0

@@ -13,7 +13,22 @@ collection's moves as its live-move set, one int over the quad indices,
 and after a move re-tests only the quads through the diagonal it added.
 Each rank table also holds crossing rows, `crossing[r]` the int of the
 ranks not weakly separated from rank r, so that "r is separated from every
-member" is one AND; the k=3 lift generator certifies with them.
+member" is one AND.  The k=3 lift generator certifies every lift with them.
+
+A walk that re-checks separation (`reduce_to_base` at its start and after
+every move, `is_maximal` and `complete_to_maximal`, `require_maximal` for
+`propagate` and the k=3 verbs, and the public `lift`) asks `_separated`,
+which takes the rows when the table has at most `ROWS_PER_MEMBER` (4)
+subsets per member of the collection, `table.size <= 4 * len(c)`, and the
+pair loop otherwise.  A row costs C(n, k) pair tests once and one AND per
+use after, so the rows pay off on a small table checked repeatedly, such as
+(3, 7), (3, 8) and k=2 up to n=15; a one-off check at a large (k, n) keeps
+the pair loop and fills no row.  The rule decides only how, never whether:
+both ways answer the predicate of `validate(c).ok`.  A caller that reports
+a failure takes its message from `validate`, which is the pair loop and
+the report, so the messages do not depend on the rule.  A maximal
+collection is one that is separated and whose every non-member crosses
+some member.
 """
 
 from __future__ import annotations
@@ -27,6 +42,7 @@ from typing import Iterable, Iterator
 from .subsets import (
     Dihedral,
     _from_mask,
+    _is_int,
     _to_mask,
     _weakly_separated_masks,
     as_subset,
@@ -248,6 +264,12 @@ class WSCollection:
             self._ranks = _from_mask(self.bits)
         return self._ranks
 
+    def sort_key(self) -> tuple:
+        """(k, n, ranks()): sorting by this key gives the order of `<`, with
+        the comparisons made on tuples of ints.  It decodes the ranks, so it
+        pays off where they are decoded anyway, as in a printed listing."""
+        return (self.k, self.n, self.ranks())
+
     @property
     def sets(self) -> tuple[tuple[int, ...], ...]:
         subset = self.table.subset
@@ -314,12 +336,15 @@ class WSCollection:
     @staticmethod
     def from_json_dict(d: dict) -> "WSCollection":
         """A collection from its JSON object; a wrongly shaped object is a
-        ValueError."""
+        ValueError, and so is a boolean where an integer belongs."""
         if not isinstance(d, dict) or not {"k", "n", "sets"} <= d.keys():
             raise ValueError('a collection must be a JSON object with keys "k", "n" and "sets"')
+        for key in ("k", "n"):
+            if isinstance(d[key], bool):
+                raise ValueError(f'"{key}" must be an integer, got {str(d[key]).lower()}')
         sets = d["sets"]
         if not isinstance(sets, list) or not all(
-            isinstance(t, list) and all(isinstance(x, int) for x in t) for t in sets
+            isinstance(t, list) and all(map(_is_int, t)) for t in sets
         ):
             raise ValueError('"sets" must be a list of lists of integers')
         return WSCollection.of(d["k"], d["n"], sets)
@@ -344,13 +369,26 @@ class _Unbuilt(WSCollection):
         raise AttributeError(name)
 
 
+def _move_masks(anchor, i, s, j, t, removes) -> dict:
+    """`side_masks`, `removes_mask` and `adds_mask` of the move with these
+    fields; removes is the diagonal anchor+{i,j} exactly when it holds i."""
+    a = _to_mask(anchor)
+    bi, bs, bj, bt = 1 << i, 1 << s, 1 << j, 1 << t
+    ij, st = a | bi | bj, a | bs | bt
+    return {
+        "side_masks": (a | bi | bs, a | bs | bj, a | bj | bt, a | bi | bt),
+        "removes_mask": ij if i in removes else st,
+        "adds_mask": st if i in removes else ij,
+    }
+
+
 @dataclass(frozen=True)
 class Move:
     """Exchange move inside a maximal collection: swaps the two diagonals
     anchor+{i,j} and anchor+{s,t} of the quadruple i < s < j < t whose four
     side sets anchor+{i,s}, anchor+{s,j}, anchor+{j,t}, anchor+{i,t} are all
     present.  `side_masks`, `removes_mask` and `adds_mask` hold the same
-    sets as bitmasks, computed on first use.
+    sets as bitmasks, set when the move is built.
 
     The constructor and `between` check their arguments; moves built inside
     the package from indices already checked use `_trusted`."""
@@ -372,28 +410,20 @@ class Move:
             raise ValueError("removes/adds must be the two diagonals of the quadruple")
         if self.removes == self.adds:
             raise ValueError("degenerate move")
+        self.__dict__.update(
+            _move_masks(self.anchor, self.i, self.s, self.j, self.t, self.removes)
+        )
 
     @classmethod
     def _trusted(cls, anchor, i, s, j, t, removes, adds) -> "Move":
         """The move with these fields, which must already form a move:
         sorted tuples, i < s < j < t, and removes and adds the two diagonals."""
         mv = object.__new__(cls)
-        mv.__dict__.update(anchor=anchor, i=i, s=s, j=j, t=t, removes=removes, adds=adds)
+        mv.__dict__.update(
+            anchor=anchor, i=i, s=s, j=j, t=t, removes=removes, adds=adds,
+            **_move_masks(anchor, i, s, j, t, removes),
+        )
         return mv
-
-    @cached_property
-    def side_masks(self) -> tuple[int, int, int, int]:
-        a = _to_mask(self.anchor)
-        i, s, j, t = 1 << self.i, 1 << self.s, 1 << self.j, 1 << self.t
-        return (a | i | s, a | s | j, a | j | t, a | i | t)
-
-    @cached_property
-    def removes_mask(self) -> int:
-        return _to_mask(self.removes)
-
-    @cached_property
-    def adds_mask(self) -> int:
-        return _to_mask(self.adds)
 
     @property
     def sides(self) -> tuple[tuple[int, ...], ...]:
@@ -447,15 +477,54 @@ def validate(c: WSCollection) -> ValidationReport:
     return ValidationReport(not issues, tuple(issues), tuple(crossings))
 
 
+ROWS_PER_MEMBER = 4
+
+
+def _uses_rows(c: WSCollection) -> bool:
+    """The cost rule: crossing rows when the table has at most
+    `ROWS_PER_MEMBER` subsets per member of c, else the pair loop."""
+    return c.table.size <= ROWS_PER_MEMBER * len(c)
+
+
+def _separated(c: WSCollection, ranks: Iterable[int] | None = None) -> bool:
+    """Whether every member rank in `ranks` (default: every member) is
+    weakly separated from every member of c: one AND per rank with crossing
+    rows, else pair tests, as `_uses_rows` decides.  With the default this
+    is `validate(c).ok`."""
+    if _uses_rows(c):
+        bits, crossing = c.bits, c.table.crossing
+        for r in c.ranks() if ranks is None else ranks:
+            if bits & crossing[r]:
+                return False
+        return True
+    if ranks is None:
+        return validate(c).ok
+    mask, members = c.table.mask, c.masks()
+    return all(_weakly_separated_masks(mask[r], b) for r in ranks for b in members)
+
+
 def complete_to_maximal(c: WSCollection) -> WSCollection:
     """Greedy completion in lexicographic order; deterministic, maximal by
-    inclusion."""
-    report = validate(c)
-    if not report.ok:
-        raise ValueError(f"cannot complete an invalid collection: {report.issues[0]}")
+    inclusion.
+
+    With crossing rows, `blocked` holds the members and every rank that
+    crosses one, and the least rank not in it is the next one taken."""
+    if not _separated(c):
+        raise ValueError(f"cannot complete an invalid collection: {validate(c).issues[0]}")
+    table, bits = c.table, c.bits
+    if _uses_rows(c):
+        crossing = table.crossing
+        blocked = bits
+        for r in c.ranks():
+            blocked |= crossing[r]
+        free = ~blocked & ((1 << table.size) - 1)
+        while free:
+            low = free & -free
+            bits |= low
+            free &= ~(low | crossing[low.bit_length() - 1])
+        return WSCollection(table, bits)
     chosen = c.masks()
     members = set(c.ranks())
-    bits = c.bits
     for r, cand in enumerate(combinations(range(1, c.n + 1), c.k)):
         if r in members:
             continue
@@ -463,10 +532,12 @@ def complete_to_maximal(c: WSCollection) -> WSCollection:
         if all(_weakly_separated_masks(cand, m) for m in chosen):
             chosen.append(cand)
             bits |= 1 << r
-    return WSCollection(c.table, bits)
+    return WSCollection(table, bits)
 
 
 def is_maximal(c: WSCollection) -> bool:
+    """Whether c is weakly separated and every non-member crosses some
+    member; an invalid c is the ValueError of `complete_to_maximal`."""
     return complete_to_maximal(c) == c
 
 
@@ -479,9 +550,8 @@ def require_maximal(c: WSCollection) -> None:
             f"the collection is not maximal: it has {len(c)} members, "
             f"a maximal collection of {k}-subsets of [1..{n}] has {k * (n - k) + 1}"
         )
-    report = validate(c)
-    if not report.ok:
-        raise ValueError(f"the collection is not weakly separated: {report.issues[0]}")
+    if not _separated(c):
+        raise ValueError(f"the collection is not weakly separated: {validate(c).issues[0]}")
 
 
 def boundary_sets(k: int, n: int) -> list[tuple[int, ...]]:
@@ -592,18 +662,15 @@ def enumerate_component(seed: WSCollection) -> set[WSCollection]:
     return {WSCollection(table, bits) for bits, _ in _walk(seed)}
 
 
-@lru_cache(maxsize=None)
-def component_of_base(k: int, n: int) -> frozenset[WSCollection]:
-    return frozenset(enumerate_component(base_collection(k, n)))
-
-
 def dihedral_orbits(cs: Iterable[WSCollection]) -> list[tuple[WSCollection, ...]]:
     """Partition collections into orbits of the polygon-symmetry action.
     Orbits are listed and internally sorted canonically.
 
     The collections are sorted once and taken in order, each one not yet
     placed starting the orbit it is the least member of, so the orbits
-    come out sorted."""
+    come out sorted.  They are sorted with `<`, which reads `bits` only:
+    `sort_key` would decode the ranks of every collection, and most are
+    never decoded otherwise (orbits of W(3,9): 0.31 s against 0.37 s)."""
     pool = set(cs)
     if not pool:
         return []
@@ -787,25 +854,21 @@ def _moves_to_base(c: WSCollection, p: tuple[int, ...]) -> list[Move]:
 def reduce_to_base(c: WSCollection) -> Reduction:
     """A certified sequence of exchange moves from c to the base collection.
 
-    c is validated, and every move is replayed: each member it adds is
-    checked against the whole new collection, which with the previous
-    collection certified is a full validation.  Raises if the path breaks
-    (which would falsify the construction, not the input).
+    c is checked to be maximal, and every move is replayed: each member it
+    adds is checked against the whole new collection (`_separated`), which
+    with the previous collection certified is a full validation.  Raises if
+    the path breaks (which would falsify the construction, not the input).
     """
     if c.k not in (2, 3):
         raise ValueError("reduction implemented for k in {2,3} only")
     if not is_maximal(c):
         raise ValueError("reduction requires a maximal collection")
     moves = _moves_to_base(c, tuple(range(c.n + 1)))
-    mask = c.table.mask
     cur = c
     for mv in moves:
         prev, cur = cur, apply_move(cur, mv)
-        members = cur.masks()
-        for r in _from_mask(cur.bits & ~prev.bits):
-            a = mask[r]
-            if not all(_weakly_separated_masks(a, b) for b in members):
-                raise AssertionError("reduction produced a non-separated collection")
+        if not _separated(cur, _from_mask(cur.bits & ~prev.bits)):
+            raise AssertionError("reduction produced a non-separated collection")
     if cur != base_collection(c.k, c.n):
         raise AssertionError("reduction did not land on the base collection")
     return Reduction(moves=tuple(moves), end=cur)

@@ -9,12 +9,16 @@ rewriting order, value propagation by evaluating the exchange relation
 on every edge of the move-graph walk, the move-graph closure by scanning
 every state with `find_moves`, and the maximal weakly separated collections
 by a clique search of the weak-separation graph that makes no moves.
+
+`component_of_base` is not an oracle: it caches the move-graph closure of
+the base collection for the tests that share one.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -22,7 +26,14 @@ from wsep.laurent import Laurent, ONE, Q, Q_MINUS_Q_INV, ZERO
 from wsep.positivity import Propagation, _det
 from wsep.quantum import Gen, Word, _check_word
 from wsep.subsets import _from_mask
-from wsep.wscoll import apply_move, boundary_sets, find_moves
+from wsep.wscoll import apply_move, base_collection, boundary_sets, enumerate_component, find_moves
+
+
+@lru_cache(maxsize=None)
+def component_of_base(k: int, n: int) -> frozenset:
+    """The closure of base(k, n) under exchange moves, computed once per
+    test run."""
+    return frozenset(enumerate_component(base_collection(k, n)))
 
 
 def precedes_bf(A, B) -> bool:

@@ -25,7 +25,6 @@ from wsep.verify import all_minor_indices
 from wsep.wscoll import (
     WSCollection,
     base_collection,
-    component_of_base,
     dihedral_orbits,
     reduce_to_base,
     sizes_histogram,
@@ -35,7 +34,7 @@ from wsep.reduction import f_set, generate_w3, lift, pinch_point, project
 from wsep.wiring import all_optimal_words, chambers, parse_word, word_collection
 from wsep.positivity import propagate, vandermonde_point
 
-from oracles import weakly_separated_bf
+from oracles import component_of_base, weakly_separated_bf
 from test_wscoll import random_greedy_maximal
 
 

@@ -379,6 +379,135 @@ class TestMalformedFiles:
         self.usage_error(capsys, ["positivity", "--collection", str(cf), "--values", str(vf)])
 
 
+class TestBooleanIngress:
+    """JSON `true` is not the integer 1, and `--m 0` is not a missing --m."""
+
+    @staticmethod
+    def one_error(capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        return lines[0]
+
+    def test_true_for_one_in_sets(self, capsys, tmp_path):
+        f = tmp_path / "c.json"
+        text = json.dumps(base_collection(3, 6).to_json_dict())
+        f.write_text(text.replace("[1,", "[true,"))
+        for verb in ("validate", "reduce-base", "reduce"):
+            line = self.one_error(capsys, [verb, "--file", str(f)])
+            assert line == 'error: "sets" must be a list of lists of integers'
+
+    @pytest.mark.parametrize("key", ["k", "n"])
+    def test_true_for_k_or_n(self, capsys, tmp_path, key):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({**base_collection(3, 6).to_json_dict(), key: True}))
+        line = self.one_error(capsys, ["validate", "--file", str(f)])
+        assert line == f'error: "{key}" must be an integer, got true'
+
+    def positivity(self, capsys, tmp_path, vals, *mode):
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(base_collection(3, 6).to_json_dict()))
+        vf = tmp_path / "v.json"
+        vf.write_text(json.dumps(vals))
+        argv = ["positivity", "--collection", str(cf), "--values", str(vf), *mode]
+        return self.one_error(capsys, argv)
+
+    @staticmethod
+    def ones():
+        return {json.dumps(list(s)): 1 for s in base_collection(3, 6).sets}
+
+    def test_true_as_value(self, capsys, tmp_path):
+        vals = {**self.ones(), "[1, 2, 3]": True}
+        line = self.positivity(capsys, tmp_path, vals)
+        assert line == "error: value true of key '[1, 2, 3]' is not a rational number"
+
+    def test_true_in_value_key(self, capsys, tmp_path):
+        vals = self.ones()
+        vals["[true, 2, 3]"] = vals.pop("[1, 2, 3]")
+        line = self.positivity(capsys, tmp_path, vals)
+        assert line == "error: value key '[true, 2, 3]' is not a JSON array of integers"
+
+    def test_float_overflow(self, capsys, tmp_path):
+        vals = {**self.ones(), "[1, 2, 4]": "1e400"}
+        line = self.positivity(capsys, tmp_path, vals, "--mode", "float")
+        assert line == "error: value of key [1, 2, 4] is too large for float mode"
+        # exact mode takes the same value
+        cf, vf = str(tmp_path / "c.json"), str(tmp_path / "v.json")
+        code, _ = run(capsys, "positivity", "--collection", cf, "--values", vf)
+        assert code == 0
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_stieffel_m_below_one(self, capsys, m):
+        line = self.one_error(capsys, ["stieffel", "--a", "1", "--b", "1", "--k", "1", "--m", m])
+        assert line == f"error: --m must be at least 1, got {m}"
+
+
+def certify_cases():
+    """(name, k, n, sets) of crossing and non-maximal collections, on tables
+    that take crossing rows and on tables that keep the pair loop."""
+    b6, b8 = base_collection(3, 6).sets, base_collection(3, 8).sets
+    b13, b20 = base_collection(3, 13).sets, base_collection(2, 20).sets
+    swap = lambda sets, out, new: [s for s in sets if s not in out] + new  # noqa: E731
+    return [
+        ("x36", 3, 6, swap(b6, [(1, 3, 4)], [(1, 3, 5)])),
+        ("x38", 3, 8, swap(b8, [(1, 3, 4), (1, 6, 7)], [(1, 3, 5), (2, 4, 6)])),
+        ("m38", 3, 8, swap(b8, [(1, 3, 4)], [])),
+        ("x220", 2, 20, swap(b20, [(1, 5)], [(2, 6)])),
+        ("x313", 3, 13, swap(b13, [(1, 3, 4)], [(1, 3, 5)])),
+        ("m313", 3, 13, swap(b13, [(1, 3, 4)], [])),
+    ]
+
+
+# stderr of reduce-base, positivity, reduce and lift before crossing rows
+# served these checks
+CROSS_124_135 = "(1, 2, 4) and (1, 3, 5) are not weakly separated"
+NOT_SEPARATED = f"the collection is not weakly separated: {CROSS_124_135}"
+COMPLETE = f"cannot complete an invalid collection: {CROSS_124_135}"
+NOT_MAXIMAL_8 = (
+    "the collection is not maximal: it has 15 members, "
+    "a maximal collection of 3-subsets of [1..8] has 16"
+)
+NOT_MAXIMAL_13 = (
+    "the collection is not maximal: it has 30 members, "
+    "a maximal collection of 3-subsets of [1..13] has 31"
+)
+K3_ONLY = "reduction machinery is defined for k=3 collections"
+CERTIFY_ERRORS = {
+    "x36": [COMPLETE, NOT_SEPARATED, NOT_SEPARATED, NOT_SEPARATED],
+    "x38": [COMPLETE, NOT_SEPARATED, NOT_SEPARATED, NOT_SEPARATED],
+    "m38": ["reduction requires a maximal collection"] + [NOT_MAXIMAL_8] * 3,
+    "x220": [
+        "cannot complete an invalid collection: (1, 3) and (2, 6) are not weakly separated",
+        "the collection is not weakly separated: (1, 3) and (2, 6) are not weakly separated",
+        K3_ONLY,
+        K3_ONLY,
+    ],
+    "x313": [COMPLETE, NOT_SEPARATED, NOT_SEPARATED, NOT_SEPARATED],
+    "m313": ["reduction requires a maximal collection"] + [NOT_MAXIMAL_13] * 3,
+}
+
+
+class TestCertifyErrors:
+    @pytest.mark.parametrize("name, k, n, sets", certify_cases())
+    def test_exact_messages(self, capsys, tmp_path, name, k, n, sets):
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps({"k": k, "n": n, "sets": [list(s) for s in sets]}))
+        vf = tmp_path / "v.json"
+        vf.write_text(json.dumps({json.dumps(list(s)): "1" for s in sets}))
+        verbs = [
+            ["reduce-base", "--file", str(cf)],
+            ["positivity", "--collection", str(cf), "--values", str(vf)],
+            ["reduce", "--file", str(cf)],
+            ["lift", "--file", str(cf), "--b", "2"],
+        ]
+        for argv, message in zip(verbs, CERTIFY_ERRORS[name]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), argv
+
+
 class TestRemovedOptions:
     @pytest.mark.parametrize("flag", [["--format", "json"], ["--jobs", "1"]])
     def test_usage_error(self, capsys, flag):

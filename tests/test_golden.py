@@ -6,8 +6,9 @@ import json
 
 import pytest
 
+from oracles import component_of_base
 from wsep.cli import main
-from wsep.wscoll import component_of_base, reduce_to_base
+from wsep.wscoll import reduce_to_base
 
 
 def sha256(text: str) -> str:

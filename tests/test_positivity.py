@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import propagate_every_edge
+from oracles import component_of_base, propagate_every_edge
 from test_wscoll import random_greedy_maximal
 from wsep.positivity import (
     NOT_DETERMINED,
@@ -15,7 +15,7 @@ from wsep.positivity import (
     short_plucker_violations,
     vandermonde_point,
 )
-from wsep.wscoll import WSCollection, base_collection, boundary_sets, component_of_base
+from wsep.wscoll import WSCollection, base_collection, boundary_sets
 
 SQUARE = WSCollection.of(2, 4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
 

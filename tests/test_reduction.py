@@ -1,10 +1,10 @@
 import pytest
 
+from oracles import component_of_base
 from wsep.reduction import _f_set, _lift, f_set, generate_w3, lift, pinch_point, project, w3_floor
 from wsep.wscoll import (
     WSCollection,
     base_collection,
-    component_of_base,
     is_maximal,
     validate,
 )

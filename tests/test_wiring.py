@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from oracles import component_of_base
 from wsep.subsets import Dihedral, precedes
 from wsep.wiring import (
     all_optimal_words,
@@ -22,7 +23,6 @@ from wsep.wiring import (
 )
 from wsep.wscoll import (
     base_collection,
-    component_of_base,
     is_maximal,
     translate,
     validate,

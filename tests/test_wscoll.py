@@ -4,9 +4,14 @@ from math import comb
 
 import pytest
 
-from oracles import closure_by_moves, maximal_weakly_separated_bf, weakly_separated_bf
+from oracles import (
+    closure_by_moves,
+    component_of_base,
+    maximal_weakly_separated_bf,
+    weakly_separated_bf,
+)
 from wsep import wscoll
-from wsep.subsets import Dihedral, _from_mask, weakly_separated
+from wsep.subsets import Dihedral, _from_mask, _to_mask, weakly_separated
 from wsep.wscoll import (
     Move,
     WSCollection,
@@ -14,7 +19,6 @@ from wsep.wscoll import (
     base_collection,
     boundary_sets,
     complete_to_maximal,
-    component_of_base,
     dihedral_orbits,
     dihedral_witness,
     enumerate_component,
@@ -156,6 +160,30 @@ class TestMoves:
         ]:
             with pytest.raises(ValueError):
                 Move.between(anchor, removes, adds)
+
+    def test_masks_are_built_with_the_move(self):
+        def masks_match(mv):
+            # set before any read
+            assert {"side_masks", "removes_mask", "adds_mask"} <= vars(mv).keys()
+            a = mv.anchor
+            sides = [a + p for p in ((mv.i, mv.s), (mv.s, mv.j), (mv.j, mv.t), (mv.i, mv.t))]
+            assert mv.side_masks == tuple(map(_to_mask, sides))
+            assert mv.removes_mask == _to_mask(mv.removes)
+            assert mv.adds_mask == _to_mask(mv.adds)
+
+        moves = [
+            Move((1,), 2, 3, 4, 5, (1, 2, 4), (1, 3, 5)),
+            Move((1,), 2, 3, 4, 5, (1, 3, 5), (1, 2, 4)),
+            Move.between((2, 7), (1, 2, 5, 7), (2, 3, 7, 8)),
+            Move._trusted((), 1, 2, 3, 4, (2, 4), (1, 3)),
+        ]
+        moves += [mv.inverse() for mv in moves]
+        moves += [mv.translate(g) for mv in moves[:2] for g in Dihedral.group(6)]
+        moves += [mv.translate(g) for mv in moves[2:3] for g in Dihedral.group(8)]
+        for c in [base_collection(3, 7), base_collection(4, 8)]:
+            moves += find_moves(c)
+        for mv in moves:
+            masks_match(mv)
 
     def test_internal_moves_are_valid(self):
         # moves built without the checks pass them, and equal checked ones
@@ -305,6 +333,101 @@ class TestIncrementalWalk:
         expected = maximal_weakly_separated_bf(k, n)
         assert len(expected) == count
         assert {c.sets for c in component_of_base(k, n)} == expected
+
+
+class TestCrossingRule:
+    """`_separated` and its callers give the same answers, moves and errors
+    with crossing rows as with the pair loop, and a table above the rule
+    fills no row."""
+
+    @staticmethod
+    def pair_loop(monkeypatch):
+        monkeypatch.setattr(wscoll, "ROWS_PER_MEMBER", 0)
+
+    @staticmethod
+    def rows(monkeypatch):
+        monkeypatch.setattr(wscoll, "ROWS_PER_MEMBER", 10**9)
+
+    @staticmethod
+    def cases():
+        rng = random.Random(41)
+        cs = list(component_of_base(2, 7)) + list(component_of_base(3, 7))
+        cs += rng.sample(sorted(component_of_base(3, 8)), 200)
+        return cs
+
+    def test_the_rule(self):
+        rows = wscoll._uses_rows
+        assert wscoll.ROWS_PER_MEMBER == 4
+        assert rows(base_collection(3, 7)) and rows(base_collection(3, 8))
+        assert rows(base_collection(2, 15)) and not rows(base_collection(2, 16))
+        assert not rows(base_collection(3, 9))
+        assert not rows(WSCollection.of(3, 8, base_collection(3, 8).sets[:13]))
+
+    def test_reductions_match_pair_loop(self, monkeypatch):
+        cs = self.cases()
+        default = [reduce_to_base(c).moves for c in cs]
+        self.rows(monkeypatch)
+        assert [reduce_to_base(c).moves for c in cs] == default
+        self.pair_loop(monkeypatch)
+        assert [reduce_to_base(c).moves for c in cs] == default
+
+    def test_maximality_matches_pair_loop(self, monkeypatch):
+        # maximal collections and random subcollections of them
+        rng = random.Random(43)
+        cs = self.cases()
+        cs += [WSCollection.of(c.k, c.n, rng.sample(c.sets, rng.randint(0, len(c)))) for c in cs]
+        completed = {}
+        for mode in (self.pair_loop, self.rows):
+            mode(monkeypatch)
+            completed[mode] = [(is_maximal(c), complete_to_maximal(c).bits) for c in cs]
+        assert completed[self.rows] == completed[self.pair_loop]
+        assert 501 <= [m for m, _ in completed[self.rows]].count(True) < len(cs)
+
+    def test_separated_matches_pair_tests(self, monkeypatch):
+        rng = random.Random(47)
+        for k, n in [(2, 7), (3, 7), (3, 8)]:
+            table = _table(k, n)
+            pool = list(combinations(range(1, n + 1), k))
+            for _ in range(150):
+                c = WSCollection.of(k, n, rng.sample(pool, rng.randint(1, 2 * n)))
+                ranks = rng.sample(c.ranks(), rng.randint(0, len(c)))
+                expected = all(
+                    weakly_separated_bf(table.subset[r], s) for r in ranks for s in c.sets
+                )
+                for mode in (self.pair_loop, self.rows):
+                    mode(monkeypatch)
+                    assert wscoll._separated(c, ranks) == expected
+                    assert wscoll._separated(c) == validate(c).ok
+
+    @pytest.mark.parametrize("mode", ["rows", "pair_loop"])
+    def test_errors_do_not_depend_on_the_rule(self, monkeypatch, mode):
+        # two crossings: the message names the first pair of `validate`
+        sets = [s for s in base_collection(3, 8).sets if s not in ((1, 3, 4), (1, 6, 7))]
+        crossing = WSCollection.of(3, 8, sets + [(1, 3, 5), (2, 4, 6)])
+        first = "(1, 2, 4) and (1, 3, 5) are not weakly separated"
+        assert validate(crossing).issues[0] == first
+        getattr(self, mode)(monkeypatch)
+        with pytest.raises(ValueError) as exc:
+            reduce_to_base(crossing)
+        assert str(exc.value) == f"cannot complete an invalid collection: {first}"
+        with pytest.raises(ValueError) as exc:
+            wscoll.require_maximal(crossing)
+        assert str(exc.value) == f"the collection is not weakly separated: {first}"
+
+    def test_replay_checks_every_added_member_by_pair_loop(self, monkeypatch):
+        self.pair_loop(monkeypatch)
+        TestHeightAndReduction().test_replay_checks_every_added_member(monkeypatch)
+
+    @pytest.mark.parametrize("k, n", [(2, 40), (3, 13)])
+    def test_large_table_fills_no_row(self, k, n):
+        table = _table(k, n)
+        table.crossing.clear()
+        c = translate(base_collection(k, n), Dihedral.rotation(n))
+        assert validate(c).ok and is_maximal(c)
+        wscoll.require_maximal(c)
+        assert len(complete_to_maximal(WSCollection.of(k, n, c.sets[::2]))) == len(c)
+        assert reduce_to_base(c).end == base_collection(k, n)
+        assert len(table.crossing) == 0
 
 
 class TestOrbits:
@@ -485,6 +608,14 @@ class TestBitmaskKernel:
         assert sorted(cs) == sorted(cs, key=lambda c: c.sets)
         assert [c.sets for c in sorted(cs)] == sorted(c.sets for c in cs)
         assert min(cs).sets == min(c.sets for c in cs)
+
+    def test_sort_key_gives_the_order(self):
+        rng = random.Random(6)
+        cs = list(component_of_base(3, 7)) + list(component_of_base(2, 6))
+        pool = list(combinations(range(1, 7), 3))
+        cs += [WSCollection.of(3, 6, rng.sample(pool, rng.randint(0, 6))) for _ in range(200)]
+        rng.shuffle(cs)
+        assert sorted(cs, key=WSCollection.sort_key) == sorted(cs)
 
     def test_of_rejects_repeated_member(self):
         with pytest.raises(ValueError, match=r"\(1, 3\)"):
