@@ -110,13 +110,15 @@ def cmd_ws_check(args) -> int:
 
 
 def cmd_exponent(args) -> int:
-    if args.i or args.j:
-        if not (args.i and args.j):
+    if args.i is not None or args.j is not None:
+        if args.i is None or args.j is None:
             raise ValueError("need both --i and --j for the coordinate exponent")
         c = plucker_exponent(parse_subset(args.i), parse_subset(args.j))
     else:
-        if not (args.a and args.b and args.c and args.d and args.k and args.m):
+        if None in (args.a, args.b, args.c, args.d, args.k, args.m):
             raise ValueError("need --a --b --c --d --k --m for the minor exponent")
+        if args.m < 1:
+            raise ValueError(f"--m must be at least 1, got {args.m}")
         p = MinorIndex(parse_subset(args.a), parse_subset(args.b), args.k, args.m)
         r = MinorIndex(parse_subset(args.c), parse_subset(args.d), args.k, args.m)
         c = minor_exponent(p, r)

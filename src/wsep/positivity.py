@@ -7,32 +7,41 @@ exchange moves via the three-term exchange relation
 which is subtraction-free, so positive inputs propagate to positive outputs.
 Propagation works for every k: maximal collections are pure and their move
 graph is connected (Oh-Postnikov-Speyer, arXiv:1109.4434; Danilov-Karzanov-
-Koshevoy 2010).  Each distinct exchange relation is evaluated once per walk.
-Default arithmetic is exact rational; float mode exists for sweeps and is
-checked against a relative tolerance.
+Koshevoy 2010).  Each exchange relation is evaluated once per walk, in
+float mode once per direction.  Default arithmetic is exact rational; float
+mode exists for sweeps and is checked against a relative tolerance.
 
 Propagation starts from a maximal collection: one of k(n-k)+1 pairwise
 weakly separated members, which by purity is the same as maximal.  Anything
 else is a ValueError, because a walk from it need not reach every k-subset.
+Exact mode converts each member value with `Fraction` at ingress, so an int
+or float input is read as the rational it stands for.
 
-The exchange moves of a collection and the collections they lead to are
-cached for the most recent `_MOVE_EDGES_CACHED` (8192) collections, at least
-|W(4,8)| = 5470, so a walk over a larger component recomputes edges rather
-than growing memory.  The cache is keyed on the (k, n) rank table and the
-collection's bits, and gives the next collections as bits.
+The walk visits the collections of the component in the breadth-first order
+of `wscoll._walk` from the start, the moves of each in `find_moves` order.
+A move is named by its relation id 2*q + d: q is its quad index in the rank
+table, and d is 0 when it removes anchor+{i,j} and 1 when it removes
+anchor+{s,t}.  The first walk over a table's component that runs to its
+end compiles it: a state index, and per state the indices of its
+neighbours and the int over its relation ids.  The compiled component is
+kept for the table when it has at most `_COMPONENT_STATES` (8192) states,
+at least |W(4,8)| = 5470; later calls walk it breadth-first by index.  A
+larger component, such as the 18600 states of W(3,9), is not kept: every
+call streams `_walk`, which holds only three breadth-first levels, so
+memory stays bounded.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
+from weakref import WeakKeyDictionary
 
 from .subsets import _from_mask
-from .wscoll import Move, WSCollection, _Table, apply_move, find_moves, require_maximal
+from .wscoll import WSCollection, _Table, _walk, require_maximal
 
 
 @dataclass(frozen=True)
@@ -95,15 +104,75 @@ def vandermonde_point(nodes: Iterable[Fraction | int], k: int) -> GrassmannPoint
     return GrassmannPoint(tuple(tuple(x ** i for x in xs) for i in range(k)))
 
 
-_MOVE_EDGES_CACHED = 8192
+_COMPONENT_STATES = 8192
+
+# rank table -> its compiled component (state index, neighbour indices and
+# the int over the relation ids per state), or None once a walk found it
+# above the bound
+_components: WeakKeyDictionary = WeakKeyDictionary()
 
 
-@lru_cache(maxsize=_MOVE_EDGES_CACHED)
-def _move_edges(table: _Table, bits: int) -> tuple[tuple[Move, int], ...]:
-    """The exchange moves of the collection `bits` over `table`, each with
-    the bits of the collection it leads to."""
-    c = WSCollection(table, bits)
-    return tuple((mv, apply_move(c, mv).bits) for mv in find_moves(c))
+@lru_cache(maxsize=32)
+def _relations(table: _Table) -> tuple:
+    """Per relation id: the ranks of the removed and the added diagonal and
+    of the sides anchor+{i,s}, anchor+{j,t}, anchor+{i,t}, anchor+{s,j},
+    then the move, which names the sets in witness messages."""
+    rank = table.rank
+    out = []
+    for _, _, _, fwd, back in table.quads:
+        for mv in (fwd, back):
+            m_is, m_sj, m_jt, m_it = mv.side_masks
+            out.append((
+                rank[mv.removes_mask], rank[mv.adds_mask],
+                rank[m_is], rank[m_jt], rank[m_it], rank[m_sj], mv,
+            ))
+    return tuple(out)
+
+
+def _stream(c: WSCollection, keep: bool) -> Iterator[int]:
+    """The int over the relation ids of the moves of each collection of
+    `_walk(c)`, in its order.  With `keep`, a walk that runs to its end
+    keeps the compiled component for the table, or marks the table once the
+    walk passes the bound."""
+    table = c.table
+    quads, steps = table.quads, table.steps
+    record = [] if keep else None
+    for bits, live in _walk(c):
+        rels = 0
+        while live:
+            low = live & -live
+            live ^= low
+            q = low.bit_length() - 1
+            # bit 2q + d: d is 0 when the move removes anchor+{i,j}
+            rels |= (1 if bits & quads[q][1] else 2) << 2 * q
+        if record is not None:
+            record.append((bits, rels))
+            if len(record) > _COMPONENT_STATES:
+                record = None
+                _components[table] = None
+        yield rels
+    if record is not None:
+        index = {bits: x for x, (bits, _) in enumerate(record)}
+        nbrs = tuple(
+            tuple(index[bits ^ steps[rel >> 1][0]] for rel in _from_mask(rels))
+            for bits, rels in record
+        )
+        _components[table] = (index, nbrs, tuple(rels for _, rels in record))
+
+
+def _visit(component: tuple, start: int) -> Iterator[int]:
+    """The int over the relation ids of each state of a compiled component,
+    breadth-first from the state with index `start`: the order of `_walk`."""
+    _, nbrs, rels = component
+    seen = bytearray(len(nbrs))
+    seen[start] = 1
+    order = [start]
+    for x in order:
+        for y in nbrs[x]:
+            if not seen[y]:
+                seen[y] = 1
+                order.append(y)
+    return map(rels.__getitem__, order)
 
 
 @dataclass(frozen=True)
@@ -127,59 +196,73 @@ def propagate(
 
     Each distinct relation is evaluated once: values are never overwritten
     and every input of a move is known when the move is first met, so a
-    later visit would repeat the same computation and comparison.  A value
-    that does not agree with itself (an inf or nan float) is evaluated
-    again on every visit."""
+    later visit would repeat the same computation and comparison.  In exact
+    mode a relation checked in one direction holds in the other as well,
+    since all values are positive rationals.  In float mode each direction
+    is checked, and a value that does not agree with itself (an inf or nan)
+    is evaluated again on every visit."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     require_maximal(c)
-    known = {}  # keyed by subset bitmask
-    for s, m in zip(c.sets, c.masks()):
+    exact = mode == "exact"
+    known = {}  # keyed by subset rank
+    for s, r in zip(c.sets, c.ranks()):
         if s not in vals:
             raise ValueError(f"no value supplied for member {s}")
         v = vals[s]
         if not v > 0:
             raise ValueError(f"value for {s} is not positive")
-        known[m] = float(v) if mode == "float" else v
+        if not exact:
+            known[r] = float(v)
+            continue
+        try:
+            known[r] = Fraction(v)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"value for {s} is not a rational number") from None
 
     def close(a, b) -> bool:
-        if mode == "exact":
+        if exact:
             return a == b
         scale = max(abs(a), abs(b))
         return scale == 0 or abs(a - b) <= rel_tol * scale
 
-    def values() -> dict:
-        return {_from_mask(m): v for m, v in known.items()}
-
-    checked = set()  # (removes, adds) masks of relations already verified
     table = c.table
-    seen = {c.bits}
-    queue = deque([c.bits])
-    while queue:
-        for mv, nxt in _move_edges(table, queue.popleft()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-            key = (mv.removes_mask, mv.adds_mask)
-            if key in checked:
-                continue
-            m_is, m_sj, m_jt, m_it = mv.side_masks
-            numerator = known[m_is] * known[m_jt] + known[m_it] * known[m_sj]
-            if known[mv.removes_mask] == 0:
+
+    def values() -> dict:
+        subset = table.subset
+        return {subset[r]: v for r, v in known.items()}
+
+    component = _components.get(table)
+    if component is not None:
+        source = _visit(component, component[0][c.bits])
+    else:
+        source = _stream(c, keep=table not in _components)
+    relations = _relations(table)
+    todo = (1 << len(relations)) - 1  # relation ids not yet checked
+    for rels in source:
+        new = rels & todo
+        while new:
+            low = new & -new
+            new ^= low
+            rel = low.bit_length() - 1
+            rm, add, r_is, r_jt, r_it, r_sj, mv = relations[rel]
+            numerator = known[r_is] * known[r_jt] + known[r_it] * known[r_sj]
+            if not known[rm]:
                 return Propagation(False, values(), f"division by zero at {mv.removes}")
-            value = numerator / known[mv.removes_mask]
-            if mv.adds_mask in known:
-                if not close(known[mv.adds_mask], value):
+            value = numerator / known[rm]
+            if add in known:
+                if not close(known[add], value):
                     return Propagation(
                         False,
                         values(),
-                        f"inconsistent re-derivation of {mv.adds}: "
-                        f"{known[mv.adds_mask]} vs {value}",
+                        f"inconsistent re-derivation of {mv.adds}: {known[add]} vs {value}",
                     )
             else:
-                known[mv.adds_mask] = value
-            if close(value, value):
-                checked.add(key)
+                known[add] = value
+            if exact:
+                todo &= ~(3 << (rel & -2))  # both directions: ids 2q and 2q + 1
+            elif close(value, value):
+                todo ^= low
     return Propagation(True, values(), None)
 
 

@@ -15,8 +15,13 @@ from typing import Iterable
 
 
 def as_subset(xs: Iterable[int]) -> tuple[int, ...]:
-    """Canonical form: strictly increasing tuple; rejects duplicates."""
-    t = tuple(sorted(xs))
+    """Canonical form: strictly increasing tuple; rejects duplicates and
+    elements that are not ints (a bool is not the int it equals)."""
+    t = tuple(xs)
+    for x in t:
+        if not _is_int(x):
+            raise ValueError(f"subset element {x!r} is not an integer")
+    t = tuple(sorted(t))
     if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
         raise ValueError(f"duplicate elements in subset {t}")
     if t and t[0] < 1:

@@ -229,7 +229,7 @@ class WSCollection:
     def of(k: int, n: int, sets: Iterable[Iterable[int]]) -> "WSCollection":
         """Check and canonicalise members given as iterables of ints; a
         repeated member is an error."""
-        if not (isinstance(k, int) and isinstance(n, int)):
+        if not (_is_int(k) and _is_int(n)):
             raise ValueError(f"k and n must be integers, got {k!r} and {n!r}")
         table = _table(k, n)
         rank = table.rank

@@ -443,6 +443,17 @@ class TestBooleanIngress:
         line = self.one_error(capsys, ["stieffel", "--a", "1", "--b", "1", "--k", "1", "--m", m])
         assert line == f"error: --m must be at least 1, got {m}"
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_exponent_m_below_one(self, capsys, m):
+        argv = ["exponent", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--k", "1", "--m", m]
+        line = self.one_error(capsys, argv)
+        assert line == f"error: --m must be at least 1, got {m}"
+
+    def test_exponent_flags_given_as_zero_are_not_missing(self, capsys):
+        argv = ["exponent", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--k", "0", "--m", "1"]
+        line = self.one_error(capsys, argv)
+        assert line == "error: row set (1,) exceeds k=0"
+
 
 def certify_cases():
     """(name, k, n, sets) of crossing and non-maximal collections, on tables

@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
+from weakref import WeakKeyDictionary
 
 import pytest
 
 from oracles import component_of_base, propagate_every_edge
 from test_wscoll import random_greedy_maximal
+from wsep import positivity
 from wsep.positivity import (
     NOT_DETERMINED,
     POSITIVE,
     GrassmannPoint,
-    _move_edges,
     positivity_test,
     propagate,
     short_plucker_violations,
@@ -148,6 +149,59 @@ class TestEveryEdgeOracle:
             assert res.witness.endswith("inf vs inf")
 
 
+class TestEveryEdgeOracleStreamed(TestEveryEdgeOracle):
+    """The same comparisons with no component kept, so that every call
+    streams the incremental walk."""
+
+    @pytest.fixture(autouse=True)
+    def no_compiled_components(self, monkeypatch):
+        monkeypatch.setattr(positivity, "_COMPONENT_STATES", 0)
+        monkeypatch.setattr(positivity, "_components", WeakKeyDictionary())
+        yield
+        assert all(v is None for v in positivity._components.values())
+
+
+class TestEveryStart:
+    """`propagate` from every collection of W(3,7) and from two of W(4,8)
+    against the every-edge oracle, once walking the compiled component and
+    once streaming the incremental walk."""
+
+    @staticmethod
+    def starts():
+        rng = random.Random(61)
+        return sorted(component_of_base(3, 7)) + [
+            base_collection(4, 8),
+            random_greedy_maximal(4, 8, rng),
+        ]
+
+    @staticmethod
+    def assert_same(monkeypatch, c, vals, **kw):
+        # repr, because an inf / inf value is a nan, unequal to itself
+        want = repr(propagate_every_edge(c, vals, **kw))
+        res = propagate(c, vals, **kw)
+        assert repr(res) == want
+        with monkeypatch.context() as m:
+            m.setattr(positivity, "_COMPONENT_STATES", 0)
+            m.setattr(positivity, "_components", WeakKeyDictionary())
+            assert repr(propagate(c, vals, **kw)) == want
+        return res
+
+    def test_exact(self, monkeypatch):
+        rng = random.Random(67)
+        for c in self.starts():
+            vals = {K: Fraction(rng.randint(1, 40), rng.randint(1, 7)) for K in c.sets}
+            assert self.assert_same(monkeypatch, c, vals).ok
+            assert positivity._components[c.table] is not None
+
+    def test_float(self, monkeypatch):
+        rng = random.Random(71)
+        for c in self.starts():
+            vals = {K: rng.uniform(1, 10) for K in c.sets}
+            assert self.assert_same(monkeypatch, c, vals, mode="float").ok
+            res = self.assert_same(monkeypatch, c, vals, mode="float", rel_tol=0.0)
+            assert res.witness.startswith("inconsistent re-derivation")
+
+
 class TestAnyK:
     def test_vandermonde_4_8_reconstructed(self):
         rng = random.Random(59)
@@ -158,8 +212,46 @@ class TestAnyK:
             assert v.verdict == POSITIVE
             assert len(v.values) == 70 and v.values == pv
 
-    def test_move_edges_cache_holds_w48(self):
-        assert _move_edges.cache_info().maxsize >= 5470
+    def test_component_kept_for_w48_not_w39(self):
+        w48, w39 = base_collection(4, 8), base_collection(3, 9)
+        for c in (w48, w39):
+            assert positivity_test(c, {K: 1 for K in c.sets}).verdict == POSITIVE
+        index, nbrs, rels = positivity._components[w48.table]
+        assert len(index) == len(nbrs) == len(rels) == 5470
+        assert positivity._components[w39.table] is None
+
+    @pytest.mark.parametrize("bound, kept", [(258, False), (259, True)])
+    def test_component_bound_is_inclusive(self, monkeypatch, bound, kept):
+        monkeypatch.setattr(positivity, "_COMPONENT_STATES", bound)
+        monkeypatch.setattr(positivity, "_components", WeakKeyDictionary())
+        c = base_collection(3, 7)  # |W(3,7)| = 259
+        assert propagate(c, {K: 1 for K in c.sets}).ok
+        assert (positivity._components[c.table] is not None) == kept
+
+
+class TestExactIngress:
+    def test_int_values_are_read_as_rationals(self):
+        # int / int is a float, whose rounding made a re-derivation of
+        # (1, 2, 5) differ from itself in the last place
+        c = base_collection(3, 9)
+        v = positivity_test(c, {K: 10 ** (3 * i) for i, K in enumerate(c.sets)})
+        assert v.verdict == POSITIVE, v.witness
+        assert len(v.values) == 84
+        assert all(type(x) is Fraction for x in v.values.values())
+        assert short_plucker_violations(v.values, 3, 9) == []
+
+    def test_float_value_is_its_exact_rational(self):
+        vals = {K: Fraction(1) for K in SQUARE.sets}
+        vals[(1, 3)] = 0.1
+        res = propagate(SQUARE, vals)
+        assert res.ok and res.values[(1, 3)] == Fraction(0.1)
+        assert res.values[(2, 4)] == 2 / Fraction(0.1)
+
+    def test_infinite_value_rejected(self):
+        vals = {K: Fraction(1) for K in SQUARE.sets}
+        vals[(1, 3)] = float("inf")
+        with pytest.raises(ValueError, match=r"value for \(1, 3\) is not a rational number"):
+            propagate(SQUARE, vals)
 
 
 class TestVerdicts:

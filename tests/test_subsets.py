@@ -8,6 +8,7 @@ from wsep.subsets import (
     Dihedral,
     MinorIndex,
     as_subset,
+    check_in_range,
     diameter,
     _from_mask,
     is_boundary,
@@ -295,6 +296,15 @@ class TestParsing:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             as_subset((1, 1, 2))
+
+    def test_non_int_elements_rejected(self):
+        assert check_in_range([3, 1], 4) == (1, 3)
+        for bad in (True, False, 1.0):
+            for check in (as_subset, lambda K: check_in_range(K, 4)):
+                with pytest.raises(ValueError, match=f"subset element {bad!r} is not an integer"):
+                    check((bad, 2))
+        with pytest.raises(ValueError, match="subset element True is not an integer"):
+            MinorIndex((True,), (1,), 1, 1)
 
     def test_minor_index_json_round_trip(self):
         mi = MinorIndex((1, 2), (1, 3), 2, 3)

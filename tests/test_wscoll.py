@@ -596,6 +596,25 @@ class TestJson:
         assert d["quad"] == [mv.i, mv.s, mv.j, mv.t]
 
 
+class TestLibraryIngress:
+    """`WSCollection.of` and `Move` take ints, and a bool is not the int it
+    equals."""
+
+    def test_bool_for_k_or_n(self):
+        with pytest.raises(ValueError, match="k and n must be integers, got True and 4"):
+            WSCollection.of(True, 4, [(1,)])
+        with pytest.raises(ValueError, match="k and n must be integers, got 2 and False"):
+            WSCollection.of(2, False, [])
+
+    def test_bool_or_float_element(self):
+        with pytest.raises(ValueError, match="subset element True is not an integer"):
+            WSCollection.of(2, 4, [(True, 2), (2, 3)])
+        with pytest.raises(ValueError, match="subset element 2.0 is not an integer"):
+            WSCollection.of(2, 4, [(1, 2.0)])
+        with pytest.raises(ValueError, match="subset element True is not an integer"):
+            Move.between((), (True, 3), (2, 4))
+
+
 class TestBitmaskKernel:
     """The int-per-collection layout against plain sorted-tuple computations."""
 
