@@ -369,7 +369,8 @@ def embedding_respects_relations(k: int, m: int) -> bool:
 
 
 def verify_embedding(mi: MinorIndex, max_total: int = 8) -> bool:
-    """Check the minor-level embedding identity: the image of the minor equals
+    """Check the minor-level embedding identity: the image of
+    `quantum_minor(mi)` under the generator images equals
     q^(l choose 2) * D^(l-1) * (realized coordinate of its Stieffel subset),
     where D is the realized coordinate of [1..k]; also checks the generator
     images satisfy the defining relations.  Symbolic expansion grows steeply,
@@ -382,11 +383,10 @@ def verify_embedding(mi: MinorIndex, max_total: int = 8) -> bool:
     n = k + m
     phi = embedding_images(k, m)
     lhs = NCPoly.zero(k, n)
-    for sigma in permutations(range(l)):
-        inv = sum(1 for a in range(l) for b in range(a + 1, l) if sigma[a] > sigma[b])
-        term = NCPoly.scalar(k, n, Laurent.term((-1) ** inv, -inv))
-        for r in range(l):
-            term = term * phi[(mi.rows[r], mi.cols[sigma[r]])]
+    for word, coeff in quantum_minor(mi).terms().items():
+        term = NCPoly.scalar(k, n, coeff)
+        for g in word:
+            term = term * phi[g]
         lhs = lhs + term
     delta = plucker_realize(tuple(range(1, k + 1)), k, n)
     rhs = delta.pow(l - 1) * plucker_realize(stieffel_subset(mi), k, n)

@@ -15,20 +15,25 @@ Each rank table also holds crossing rows, `crossing[r]` the int of the
 ranks not weakly separated from rank r, so that "r is separated from every
 member" is one AND.  The k=3 lift generator certifies every lift with them.
 
-A walk that re-checks separation (`reduce_to_base` at its start and after
-every move, `is_maximal` and `complete_to_maximal`, `require_maximal` for
-`propagate` and the k=3 verbs, and the public `lift`) asks `_separated`,
-which takes the rows when the table has at most `ROWS_PER_MEMBER` (4)
-subsets per member of the collection, `table.size <= 4 * len(c)`, and the
-pair loop otherwise.  A row costs C(n, k) pair tests once and one AND per
-use after, so the rows pay off on a small table checked repeatedly, such as
-(3, 7), (3, 8) and k=2 up to n=15; a one-off check at a large (k, n) keeps
-the pair loop and fills no row.  The rule decides only how, never whether:
-both ways answer the predicate of `validate(c).ok`.  A caller that reports
-a failure takes its message from `validate`, which is the pair loop and
-the report, so the messages do not depend on the rule.  A maximal
-collection is one that is separated and whose every non-member crosses
-some member.
+A maximal collection is one that is separated and whose every non-member
+crosses some member.  By purity (Oh-Postnikov-Speyer, arXiv:1109.4434;
+Danilov-Karzanov-Koshevoy, 2010) that is the same as a separated collection
+of k(n-k)+1 members, and that is what `is_maximal` tests and
+`require_maximal` demands; `propagate`, `reduce_to_base` and the k=3 verbs
+call the latter first.  `complete_to_maximal` is a greedy pair loop that no
+certifying path uses.
+
+A check of separation (`is_maximal` and `require_maximal`, `reduce_to_base`
+after every move, and the public `lift`) asks `_separated`, which takes the
+rows when the table has at most `ROWS_PER_MEMBER` (4) subsets per member of
+the collection, `table.size <= 4 * len(c)`, and the pair loop otherwise.  A
+row costs C(n, k) pair tests once and one AND per use after, so the rows
+pay off on a small table checked repeatedly, such as (3, 7), (3, 8) and k=2
+up to n=15; a one-off check at a large (k, n) keeps the pair loop and fills
+no row.  The rule decides only how, never whether: both ways answer the
+predicate of `validate(c).ok`.  A caller that reports a failure takes its
+message from `validate`, which is the pair loop and the report, so the
+messages do not depend on the rule.
 """
 
 from __future__ import annotations
@@ -66,12 +71,12 @@ class _Lazy(dict):
 
 
 class _Table:
-    """The k-subsets of [1..n] ranked in lexicographic order, which is the
-    order of their sorted tuples; in a collection, rank r stands for bit
-    1 << r.  Ranks come from the combinatorial number system and are
-    memoised as they are looked up, so a table holds only the subsets in
-    use.  The move table and the symmetry images serve the walk and are
-    built on first use.
+    """The k-subsets of [1..n], 0 <= k <= n, ranked in lexicographic order,
+    which is the order of their sorted tuples; in a collection, rank r
+    stands for bit 1 << r.  Ranks come from the combinatorial number system
+    and are memoised as they are looked up, so a table holds only the
+    subsets in use.  The move table and the symmetry images serve the walk
+    and are built on first use.
 
     `rank[m]` is the rank of bitmask m, or -1 if m is not a k-subset of
     [1..n]; `subset[r]` and `mask[r]` give rank r back as a sorted tuple and
@@ -84,7 +89,7 @@ class _Table:
 
     def __init__(self, k: int, n: int):
         self.k, self.n = k, n
-        self.size = comb(max(n, 0), k) if k >= 0 else 0
+        self.size = comb(n, k)
         self.rank = _Lazy(self._rank_of)
         self.subset = _Lazy(self._subset_of)
         self.mask = _Lazy(lambda r: _to_mask(self.subset[r]))
@@ -93,7 +98,7 @@ class _Table:
 
     def _rank_of(self, m: int) -> int:
         k, n = self.k, self.n
-        if m < 0 or m & 1 or m >> max(n + 1, 0) or m.bit_count() != k:
+        if m < 0 or m & 1 or m >> n + 1 or m.bit_count() != k:
             return -1
         # c_1 < ... < c_k is followed by sum_i C(n - c_i, k - i + 1) subsets
         return self.size - 1 - sum(comb(n - x, k - i) for i, x in enumerate(_from_mask(m)))
@@ -195,7 +200,7 @@ class _Table:
         """Masks of the boundary subsets that contain n."""
         k, n = self.k, self.n
         return frozenset(
-            _to_mask((n - j + x - 1) % n + 1 for x in range(k)) for j in range(min(k, n))
+            _to_mask((n - j + x - 1) % n + 1 for x in range(k)) for j in range(k)
         )
 
 
@@ -231,6 +236,8 @@ class WSCollection:
         repeated member is an error."""
         if not (_is_int(k) and _is_int(n)):
             raise ValueError(f"k and n must be integers, got {k!r} and {n!r}")
+        if not 0 <= k <= n:
+            raise ValueError(f"need 0 <= k <= n, got k={k} and n={n}")
         table = _table(k, n)
         rank = table.rank
         ranks = set()
@@ -504,27 +511,14 @@ def _separated(c: WSCollection, ranks: Iterable[int] | None = None) -> bool:
 
 
 def complete_to_maximal(c: WSCollection) -> WSCollection:
-    """Greedy completion in lexicographic order; deterministic, maximal by
-    inclusion.
-
-    With crossing rows, `blocked` holds the members and every rank that
-    crosses one, and the least rank not in it is the next one taken."""
-    if not _separated(c):
-        raise ValueError(f"cannot complete an invalid collection: {validate(c).issues[0]}")
-    table, bits = c.table, c.bits
-    if _uses_rows(c):
-        crossing = table.crossing
-        blocked = bits
-        for r in c.ranks():
-            blocked |= crossing[r]
-        free = ~blocked & ((1 << table.size) - 1)
-        while free:
-            low = free & -free
-            bits |= low
-            free &= ~(low | crossing[low.bit_length() - 1])
-        return WSCollection(table, bits)
+    """Greedy completion in lexicographic order: each non-member separated
+    from every member taken so far joins; deterministic, maximal by
+    inclusion.  An invalid c is a ValueError naming its first crossing."""
+    issues = validate(c).issues
+    if issues:
+        raise ValueError(f"cannot complete an invalid collection: {issues[0]}")
     chosen = c.masks()
-    members = set(c.ranks())
+    bits, members = c.bits, set(c.ranks())
     for r, cand in enumerate(combinations(range(1, c.n + 1), c.k)):
         if r in members:
             continue
@@ -532,18 +526,18 @@ def complete_to_maximal(c: WSCollection) -> WSCollection:
         if all(_weakly_separated_masks(cand, m) for m in chosen):
             chosen.append(cand)
             bits |= 1 << r
-    return WSCollection(table, bits)
+    return WSCollection(c.table, bits)
 
 
 def is_maximal(c: WSCollection) -> bool:
-    """Whether c is weakly separated and every non-member crosses some
-    member; an invalid c is the ValueError of `complete_to_maximal`."""
-    return complete_to_maximal(c) == c
+    """Whether c has k(n-k)+1 pairwise weakly separated members, which by
+    purity is the same as maximal; a crossing c is not maximal."""
+    return len(c) == c.k * (c.n - c.k) + 1 and _separated(c)
 
 
 def require_maximal(c: WSCollection) -> None:
-    """Raise ValueError unless c has k(n-k)+1 pairwise weakly separated
-    members, which by purity is the same as maximal."""
+    """Raise ValueError unless `is_maximal(c)`, naming the wrong size or
+    the first crossing pair of `validate`."""
     k, n = c.k, c.n
     if len(c) != k * (n - k) + 1:
         raise ValueError(
@@ -560,9 +554,11 @@ def boundary_sets(k: int, n: int) -> list[tuple[int, ...]]:
     )
 
 
+@lru_cache(maxsize=32, typed=True)
 def base_collection(k: int, n: int) -> WSCollection:
     """The fan-shaped maximal collection: all boundary subsets together with
-    the prefix-plus-run family [1..i] + [j..j+k-i-1]; its size is k(n-k)+1."""
+    the prefix-plus-run family [1..i] + [j..j+k-i-1]; its size is k(n-k)+1.
+    Every caller of a (k, n) shares one object, so it must not be changed."""
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     sets = set(boundary_sets(k, n))
@@ -854,15 +850,15 @@ def _moves_to_base(c: WSCollection, p: tuple[int, ...]) -> list[Move]:
 def reduce_to_base(c: WSCollection) -> Reduction:
     """A certified sequence of exchange moves from c to the base collection.
 
-    c is checked to be maximal, and every move is replayed: each member it
-    adds is checked against the whole new collection (`_separated`), which
-    with the previous collection certified is a full validation.  Raises if
-    the path breaks (which would falsify the construction, not the input).
+    c is checked by `require_maximal`, and every move is replayed: each
+    member it adds is checked against the whole new collection
+    (`_separated`), which with the previous collection certified is a full
+    validation.  Raises if the path breaks (which would falsify the
+    construction, not the input).
     """
     if c.k not in (2, 3):
         raise ValueError("reduction implemented for k in {2,3} only")
-    if not is_maximal(c):
-        raise ValueError("reduction requires a maximal collection")
+    require_maximal(c)
     moves = _moves_to_base(c, tuple(range(c.n + 1)))
     cur = c
     for mv in moves:

@@ -455,6 +455,28 @@ class TestBooleanIngress:
         assert line == "error: row set (1,) exceeds k=0"
 
 
+class TestRangeIngress:
+    """A collection whose k or n is out of range is a usage error for every
+    verb that reads one, not an empty valid collection."""
+
+    @pytest.mark.parametrize("k, n", [(-1, 4), (2, -3), (3, 2)])
+    def test_every_verb(self, capsys, tmp_path, k, n):
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps({"k": k, "n": n, "sets": []}))
+        vf = tmp_path / "v.json"
+        vf.write_text("{}")
+        verbs = [
+            ["validate", "--file", str(cf)],
+            ["reduce-base", "--file", str(cf)],
+            ["positivity", "--collection", str(cf), "--values", str(vf)],
+            ["reduce", "--file", str(cf)],
+            ["lift", "--file", str(cf), "--b", "2"],
+        ]
+        for argv in verbs:
+            line = TestBooleanIngress.one_error(capsys, argv)
+            assert line == f"error: need 0 <= k <= n, got k={k} and n={n}", argv
+
+
 def certify_cases():
     """(name, k, n, sets) of crossing and non-maximal collections, on tables
     that take crossing rows and on tables that keep the pair loop."""
@@ -471,11 +493,10 @@ def certify_cases():
     ]
 
 
-# stderr of reduce-base, positivity, reduce and lift before crossing rows
-# served these checks
+# stderr of reduce-base, positivity, reduce and lift, which all check their
+# input with `require_maximal`
 CROSS_124_135 = "(1, 2, 4) and (1, 3, 5) are not weakly separated"
 NOT_SEPARATED = f"the collection is not weakly separated: {CROSS_124_135}"
-COMPLETE = f"cannot complete an invalid collection: {CROSS_124_135}"
 NOT_MAXIMAL_8 = (
     "the collection is not maximal: it has 15 members, "
     "a maximal collection of 3-subsets of [1..8] has 16"
@@ -486,17 +507,17 @@ NOT_MAXIMAL_13 = (
 )
 K3_ONLY = "reduction machinery is defined for k=3 collections"
 CERTIFY_ERRORS = {
-    "x36": [COMPLETE, NOT_SEPARATED, NOT_SEPARATED, NOT_SEPARATED],
-    "x38": [COMPLETE, NOT_SEPARATED, NOT_SEPARATED, NOT_SEPARATED],
-    "m38": ["reduction requires a maximal collection"] + [NOT_MAXIMAL_8] * 3,
+    "x36": [NOT_SEPARATED] * 4,
+    "x38": [NOT_SEPARATED] * 4,
+    "m38": [NOT_MAXIMAL_8] * 4,
     "x220": [
-        "cannot complete an invalid collection: (1, 3) and (2, 6) are not weakly separated",
+        "the collection is not weakly separated: (1, 3) and (2, 6) are not weakly separated",
         "the collection is not weakly separated: (1, 3) and (2, 6) are not weakly separated",
         K3_ONLY,
         K3_ONLY,
     ],
-    "x313": [COMPLETE, NOT_SEPARATED, NOT_SEPARATED, NOT_SEPARATED],
-    "m313": ["reduction requires a maximal collection"] + [NOT_MAXIMAL_13] * 3,
+    "x313": [NOT_SEPARATED] * 4,
+    "m313": [NOT_MAXIMAL_13] * 4,
 }
 
 

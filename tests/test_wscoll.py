@@ -335,6 +335,48 @@ class TestIncrementalWalk:
         assert {c.sets for c in component_of_base(k, n)} == expected
 
 
+class TestMaximalityByPurity:
+    """`is_maximal` against the clique-search oracle, which makes no moves
+    and does not count members: every maximal collection passes; one member
+    fewer or one non-member more never does; a member swapped for a
+    non-member passes exactly when the oracle lists the result; and none of
+    it raises, crossing input included."""
+
+    @pytest.mark.parametrize("k, n", [(2, 6), (3, 7), (4, 8)])
+    def test_against_oracle(self, k, n):
+        expected = maximal_weakly_separated_bf(k, n)
+        table = _table(k, n)
+        every = (1 << table.size) - 1
+        rng = random.Random(53)
+        answers = []
+        for sets in sorted(expected):
+            c = WSCollection.of(k, n, sets)
+            assert is_maximal(c)
+            others = _from_mask(every & ~c.bits)
+            for r in c.ranks():
+                assert not is_maximal(WSCollection(table, c.bits ^ 1 << r))
+            for r in others:
+                assert not is_maximal(WSCollection(table, c.bits | 1 << r))
+            for r in c.ranks():
+                swapped = WSCollection(table, c.bits ^ 1 << r | 1 << rng.choice(others))
+                answers.append(is_maximal(swapped))
+                assert answers[-1] == (swapped.sets in expected)
+        assert True in answers and False in answers
+
+    @pytest.mark.parametrize("k, n", [(0, 0), (0, 3), (1, 4), (3, 3)])
+    def test_edges_of_the_range(self, k, n):
+        # k(n-k)+1 is C(n, k) here: the maximal collection holds every k-subset
+        every = WSCollection.of(k, n, combinations(range(1, n + 1), k))
+        assert len(every) == k * (n - k) + 1 and is_maximal(every)
+        assert complete_to_maximal(WSCollection.of(k, n, [])) == every
+
+    @pytest.mark.parametrize("k, n", [(-1, 4), (2, -3), (3, 2), (1, -1)])
+    def test_out_of_range_rejected(self, k, n):
+        with pytest.raises(ValueError) as exc:
+            WSCollection.of(k, n, [])
+        assert str(exc.value) == f"need 0 <= k <= n, got k={k} and n={n}"
+
+
 class TestCrossingRule:
     """`_separated` and its callers give the same answers, moves and errors
     with crossing rows as with the pair loop, and a table above the rule
@@ -409,7 +451,7 @@ class TestCrossingRule:
         getattr(self, mode)(monkeypatch)
         with pytest.raises(ValueError) as exc:
             reduce_to_base(crossing)
-        assert str(exc.value) == f"cannot complete an invalid collection: {first}"
+        assert str(exc.value) == f"the collection is not weakly separated: {first}"
         with pytest.raises(ValueError) as exc:
             wscoll.require_maximal(crossing)
         assert str(exc.value) == f"the collection is not weakly separated: {first}"
