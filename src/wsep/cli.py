@@ -89,7 +89,7 @@ def _load_values(path: str, n: int) -> dict:
             raise ValueError(f"value {json.dumps(val)} of key {key!r} is not a rational number")
         try:
             out[K] = Fraction(val)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             raise ValueError(f"value {val!r} of key {key!r} is not a rational number") from None
     return out
 

@@ -21,27 +21,26 @@ The walk visits the collections of the component in the breadth-first order
 of `wscoll._walk` from the start, the moves of each in `find_moves` order.
 A move is named by its relation id 2*q + d: q is its quad index in the rank
 table, and d is 0 when it removes anchor+{i,j} and 1 when it removes
-anchor+{s,t}.  The first walk over a table's component that runs to its
-end compiles it: a state index, and per state the indices of its
-neighbours and the int over its relation ids.  The compiled component is
-kept for the table when it has at most `_COMPONENT_STATES` (8192) states,
-at least |W(4,8)| = 5470; later calls walk it breadth-first by index.  A
-larger component, such as the 18600 states of W(3,9), is not kept: every
-call streams `_walk`, which holds only three breadth-first levels, so
-memory stays bounded.
+anchor+{s,t}; the ranks of its six sets are in `quads[q]`.  The first walk
+over a table's component that runs to its end compiles it: a state index,
+and per state the indices of its neighbours and the int over its relation
+ids.  The rank table keeps the compiled component as `table.component`
+when it has at most `_COMPONENT_STATES` (8192) states, at least |W(4,8)| =
+5470; later calls walk it breadth-first by index.  A larger component,
+such as the 18600 states of W(3,9), is not kept (`table.component` is
+False): every call streams `_walk`, which holds only three breadth-first
+levels, so memory stays bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
-from weakref import WeakKeyDictionary
 
 from .subsets import _from_mask
-from .wscoll import WSCollection, _Table, _walk, require_maximal
+from .wscoll import WSCollection, _require_ints, _table, _walk, require_maximal
 
 
 @dataclass(frozen=True)
@@ -106,33 +105,11 @@ def vandermonde_point(nodes: Iterable[Fraction | int], k: int) -> GrassmannPoint
 
 _COMPONENT_STATES = 8192
 
-# rank table -> its compiled component (state index, neighbour indices and
-# the int over the relation ids per state), or None once a walk found it
-# above the bound
-_components: WeakKeyDictionary = WeakKeyDictionary()
-
-
-@lru_cache(maxsize=32)
-def _relations(table: _Table) -> tuple:
-    """Per relation id: the ranks of the removed and the added diagonal and
-    of the sides anchor+{i,s}, anchor+{j,t}, anchor+{i,t}, anchor+{s,j},
-    then the move, which names the sets in witness messages."""
-    rank = table.rank
-    out = []
-    for _, _, _, fwd, back in table.quads:
-        for mv in (fwd, back):
-            m_is, m_sj, m_jt, m_it = mv.side_masks
-            out.append((
-                rank[mv.removes_mask], rank[mv.adds_mask],
-                rank[m_is], rank[m_jt], rank[m_it], rank[m_sj], mv,
-            ))
-    return tuple(out)
-
 
 def _stream(c: WSCollection, keep: bool) -> Iterator[int]:
     """The int over the relation ids of the moves of each collection of
     `_walk(c)`, in its order.  With `keep`, a walk that runs to its end
-    keeps the compiled component for the table, or marks the table once the
+    sets `table.component` to the compiled component, or to False once the
     walk passes the bound."""
     table = c.table
     quads, steps = table.quads, table.steps
@@ -149,7 +126,7 @@ def _stream(c: WSCollection, keep: bool) -> Iterator[int]:
             record.append((bits, rels))
             if len(record) > _COMPONENT_STATES:
                 record = None
-                _components[table] = None
+                table.component = False
         yield rels
     if record is not None:
         index = {bits: x for x, (bits, _) in enumerate(record)}
@@ -157,7 +134,7 @@ def _stream(c: WSCollection, keep: bool) -> Iterator[int]:
             tuple(index[bits ^ steps[rel >> 1][0]] for rel in _from_mask(rels))
             for bits, rels in record
         )
-        _components[table] = (index, nbrs, tuple(rels for _, rels in record))
+        table.component = (index, nbrs, tuple(rels for _, rels in record))
 
 
 def _visit(component: tuple, start: int) -> Iterator[int]:
@@ -232,30 +209,33 @@ def propagate(
         subset = table.subset
         return {subset[r]: v for r, v in known.items()}
 
-    component = _components.get(table)
-    if component is not None:
+    component = table.component
+    if component:
         source = _visit(component, component[0][c.bits])
     else:
-        source = _stream(c, keep=table not in _components)
-    relations = _relations(table)
-    todo = (1 << len(relations)) - 1  # relation ids not yet checked
+        source = _stream(c, keep=component is None)
+    quads = table.quads
+    todo = (1 << 2 * len(quads)) - 1  # relation ids not yet checked
     for rels in source:
         new = rels & todo
         while new:
             low = new & -new
             new ^= low
             rel = low.bit_length() - 1
-            rm, add, r_is, r_jt, r_it, r_sj, mv = relations[rel]
+            # as for d = 0, the move removing anchor+{i,j}, then swapped for d = 1
+            r_is, r_sj, r_jt, r_it, rm, add = quads[rel >> 1][5]
+            if rel & 1:
+                rm, add = add, rm
             numerator = known[r_is] * known[r_jt] + known[r_it] * known[r_sj]
             if not known[rm]:
-                return Propagation(False, values(), f"division by zero at {mv.removes}")
+                return Propagation(False, values(), f"division by zero at {table.subset[rm]}")
             value = numerator / known[rm]
             if add in known:
                 if not close(known[add], value):
                     return Propagation(
                         False,
                         values(),
-                        f"inconsistent re-derivation of {mv.adds}: {known[add]} vs {value}",
+                        f"inconsistent re-derivation of {table.subset[add]}: {known[add]} vs {value}",
                     )
             else:
                 known[add] = value
@@ -298,25 +278,25 @@ def short_plucker_violations(
     values: Mapping[tuple[int, ...], object], k: int, n: int, rel_tol: float = 0.0
 ) -> list[tuple]:
     """Quadruples (anchor, i, s, j, t) whose six-term exchange relation fails
-    on the given (possibly partial) value assignment."""
+    on the given (possibly partial) value assignment, in the order of the
+    (k, n) table's `quads`.  k and n must be ints: `_table` would hand a
+    float the int table."""
+    _require_ints(k, n)
+    table = _table(k, n)
+    subset = table.subset
     out = []
-    universe = range(1, n + 1)
-    for anchor in combinations(universe, k - 2):
-        rest = [x for x in universe if x not in anchor]
-        for i, s, j, t in combinations(rest, 4):
-            need = [
-                tuple(sorted(anchor + pair))
-                for pair in ((i, j), (s, t), (i, s), (j, t), (i, t), (s, j))
-            ]
-            if any(K not in values for K in need):
-                continue
-            lhs = values[need[0]] * values[need[1]]
-            rhs = values[need[2]] * values[need[3]] + values[need[4]] * values[need[5]]
-            if rel_tol == 0.0:
-                bad = lhs != rhs
-            else:
-                scale = max(abs(lhs), abs(rhs))
-                bad = scale != 0 and abs(lhs - rhs) > rel_tol * scale
-            if bad:
-                out.append((anchor, i, s, j, t))
+    for _, _, _, mv, _, ranks in table.quads:
+        sets = [subset[r] for r in ranks]
+        if any(K not in values for K in sets):
+            continue
+        v_is, v_sj, v_jt, v_it, v_ij, v_st = map(values.__getitem__, sets)
+        lhs = v_ij * v_st
+        rhs = v_is * v_jt + v_it * v_sj
+        if rel_tol == 0.0:
+            bad = lhs != rhs
+        else:
+            scale = max(abs(lhs), abs(rhs))
+            bad = scale != 0 and abs(lhs - rhs) > rel_tol * scale
+        if bad:
+            out.append((mv.anchor, mv.i, mv.s, mv.j, mv.t))
     return out

@@ -24,8 +24,8 @@ coefficient is a `Laurent`.  Internal results are built with
 
 The generator images of the k-by-m embedding, and whether they satisfy the
 defining relations, are cached for the most recent `_EMBEDDINGS_CACHED` (28)
-shapes: every (k, m) with k, m >= 1 and k + m <= 8, the default bound of
-`verify_embedding`.
+shapes: every (k, m) with k, m >= 1 and k + m <= `_EMBEDDING_MAX_TOTAL` (8),
+the bound of `verify_embedding`.
 """
 
 from __future__ import annotations
@@ -330,7 +330,8 @@ def qplucker_relation_holds(I: Iterable[int], J: Iterable[int], k: int, n: int) 
     return acc.is_zero()
 
 
-_EMBEDDINGS_CACHED = 28
+_EMBEDDING_MAX_TOTAL = 8
+_EMBEDDINGS_CACHED = _EMBEDDING_MAX_TOTAL * (_EMBEDDING_MAX_TOTAL - 1) // 2
 
 
 @lru_cache(maxsize=_EMBEDDINGS_CACHED)
@@ -368,15 +369,16 @@ def embedding_respects_relations(k: int, m: int) -> bool:
     return True
 
 
-def verify_embedding(mi: MinorIndex, max_total: int = 8) -> bool:
+def verify_embedding(mi: MinorIndex) -> bool:
     """Check the minor-level embedding identity: the image of
     `quantum_minor(mi)` under the generator images equals
     q^(l choose 2) * D^(l-1) * (realized coordinate of its Stieffel subset),
     where D is the realized coordinate of [1..k]; also checks the generator
     images satisfy the defining relations.  Symbolic expansion grows steeply,
-    so k+m is capped at a configurable desk-scale bound."""
-    if mi.k + mi.m > max_total:
-        raise ValueError(f"k+m = {mi.k + mi.m} exceeds the bound {max_total}")
+    so k+m is capped at the desk-scale bound `_EMBEDDING_MAX_TOTAL` (8), for
+    which the caches are sized."""
+    if mi.k + mi.m > _EMBEDDING_MAX_TOTAL:
+        raise ValueError(f"k+m = {mi.k + mi.m} exceeds the bound {_EMBEDDING_MAX_TOTAL}")
     if not embedding_respects_relations(mi.k, mi.m):
         return False
     k, m, l = mi.k, mi.m, mi.size

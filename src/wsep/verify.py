@@ -5,6 +5,7 @@ Each check is independent and reports (name, ok, detail)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .laurent import Q, Q_INV
@@ -55,22 +56,6 @@ def _minor_pairs_agree(k: int, m: int, sizes=None) -> CheckResult:
     return CheckResult(f"minors_{k}x{m}", True, f"{checked} ordered pairs agree")
 
 
-def check_minors_2x2() -> CheckResult:
-    return _minor_pairs_agree(2, 2)
-
-
-def check_minors_2x3() -> CheckResult:
-    return _minor_pairs_agree(2, 3, sizes=(1, 2))
-
-
-def check_minors_3x3() -> CheckResult:
-    return _minor_pairs_agree(3, 3)
-
-
-def check_minors_1x3() -> CheckResult:
-    return _minor_pairs_agree(1, 3)
-
-
 def _plucker_pairs_agree(k: int, n: int) -> CheckResult:
     subsets = list(combinations(range(1, n + 1), k))
     polys = {K: plucker_realize(K, k, n) for K in subsets}
@@ -87,14 +72,6 @@ def _plucker_pairs_agree(k: int, n: int) -> CheckResult:
                 )
             checked += 1
     return CheckResult(f"plucker_{k}_{n}", True, f"{checked} ordered pairs agree")
-
-
-def check_plucker_2_4() -> CheckResult:
-    return _plucker_pairs_agree(2, 4)
-
-
-def check_plucker_2_5() -> CheckResult:
-    return _plucker_pairs_agree(2, 5)
 
 
 def check_straightening() -> CheckResult:
@@ -158,10 +135,10 @@ def check_aux_exponents() -> CheckResult:
 
 
 SMALL_SUITE = [
-    check_minors_2x2,
-    check_minors_2x3,
-    check_plucker_2_4,
-    check_plucker_2_5,
+    partial(_minor_pairs_agree, 2, 2),
+    partial(_minor_pairs_agree, 2, 3, sizes=(1, 2)),
+    partial(_plucker_pairs_agree, 2, 4),
+    partial(_plucker_pairs_agree, 2, 5),
     check_straightening,
     check_exchange_relations,
     check_embedding,
@@ -169,7 +146,7 @@ SMALL_SUITE = [
     check_aux_exponents,
 ]
 
-FULL_SUITE = SMALL_SUITE + [check_minors_1x3, check_minors_3x3]
+FULL_SUITE = SMALL_SUITE + [partial(_minor_pairs_agree, 1, 3), partial(_minor_pairs_agree, 3, 3)]
 
 _SUITES = {"small": SMALL_SUITE, "full": FULL_SUITE}
 

@@ -66,6 +66,11 @@ def _is_reduced_for_longest(letters: Sequence[int], size: int) -> bool:
 
 
 def validate_word(word: Word, k: int, m: int) -> bool:
+    """Whether word is a shuffle of reduced words for the longest elements
+    of S_m (black) and S_k (red).  Word collections need 0 <= k <= m; other
+    k and m are a ValueError."""
+    if not 0 <= k <= m:
+        raise ValueError(f"need 0 <= k <= m, got k={k} and m={m}")
     if any(x > 0 and x > m - 1 or x < 0 and -x > k - 1 for x in word):
         return False
     return _is_reduced_for_longest(black_part(word), m) and _is_reduced_for_longest(

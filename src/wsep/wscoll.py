@@ -85,6 +85,14 @@ class _Table:
     the int of the ranks whose subsets are not weakly separated from that
     of rank r (C(n, k) pair tests per row, so only for tables whose every
     rank is in use).
+
+    The table is the one holder of what is built per (k, n): besides the
+    ranks and rows, the exchange quads (`quads`, with the ranks of their six
+    sets), the base collection (`base`) and the component that `propagate`
+    compiles (`component`: None until a walk over it runs to its end, False
+    once a walk found it above `positivity._COMPONENT_STATES`, else the
+    compiled tuple).  All of it goes with the table, once `_table` (the 32
+    most recently used) has evicted it and no collection refers to it.
     """
 
     def __init__(self, k: int, n: int):
@@ -95,6 +103,7 @@ class _Table:
         self.mask = _Lazy(lambda r: _to_mask(self.subset[r]))
         self.image = _Lazy(lambda key: _Lazy(partial(self._image_of, Dihedral(n, *key))))
         self.crossing = _Lazy(self._crossing_of)
+        self.component = None
 
     def _rank_of(self, m: int) -> int:
         k, n = self.k, self.n
@@ -131,7 +140,10 @@ class _Table:
     def quads(self) -> tuple:
         """One entry per anchor and quadruple i < s < j < t, in the scan
         order of `find_moves`: (side bits, bit of anchor+{i,j}, bit of
-        anchor+{s,t}, the move removing anchor+{i,j}, its inverse).  For
+        anchor+{s,t}, the move removing anchor+{i,j}, its inverse, the ranks
+        of anchor+{i,s}, anchor+{s,j}, anchor+{j,t}, anchor+{i,t},
+        anchor+{i,j} and anchor+{s,t}).  The ranks are those of the exchange
+        relation D[I+ij] D[I+st] = D[I+is] D[I+jt] + D[I+it] D[I+sj].  For
         k < 2 there are none."""
         rank = self.rank
         universe = range(1, self.n + 1)
@@ -144,22 +156,15 @@ class _Table:
                     tuple(sorted(anchor + (i, j))),
                     tuple(sorted(anchor + (s, t))),
                 )
-                sides = 0
-                for m in fwd.side_masks:
-                    sides |= 1 << rank[m]
-                out.append((
-                    sides,
-                    1 << rank[fwd.removes_mask],
-                    1 << rank[fwd.adds_mask],
-                    fwd,
-                    fwd.inverse(),
-                ))
+                ranks = tuple(rank[m] for m in (*fwd.side_masks, fwd.removes_mask, fwd.adds_mask))
+                sides = sum(1 << r for r in ranks[:4])
+                out.append((sides, 1 << ranks[4], 1 << ranks[5], fwd, fwd.inverse(), ranks))
         return tuple(out)
 
     @cached_property
     def quad_tests(self) -> tuple:
         """(side bits, diagonal bits, 1 << q) for each quad index q."""
-        return tuple((sides, ij | st, 1 << q) for q, (sides, ij, st, _, _) in enumerate(self.quads))
+        return tuple((sides, ij | st, 1 << q) for q, (sides, ij, st, *_) in enumerate(self.quads))
 
     @cached_property
     def steps(self) -> tuple:
@@ -174,7 +179,7 @@ class _Table:
         # the bit of a rank -> (int over the quad indices through it, their tests)
         through = {bit: (sum(t[2] for t in tests), tuple(tests)) for bit, tests in through.items()}
         out = []
-        for _, ij, st, _, _ in self.quads:
+        for _, ij, st, *_ in self.quads:
             (touch_ij, via_ij), (touch_st, via_st) = through[ij], through[st]
             out.append((ij | st, ij, ~(touch_ij | touch_st), via_st, via_ij))
         return tuple(out)
@@ -196,6 +201,22 @@ class _Table:
         return out
 
     @cached_property
+    def base(self) -> "WSCollection":
+        """The fan-shaped maximal collection: all boundary subsets together
+        with the prefix-plus-run family [1..i] + [j..j+k-i-1], k(n-k)+1
+        members for 1 <= k < n.  Every caller shares this one object, so it
+        must not be changed."""
+        k, n = self.k, self.n
+        sets = set(boundary_sets(k, n))
+        for i in range(1, k):
+            for j in range(i + 2, n + i - k + 1):
+                sets.add(tuple(range(1, i + 1)) + tuple(range(j, j + k - i)))
+        rank = self.rank
+        out = WSCollection(self, sum(1 << rank[_to_mask(t)] for t in sets))
+        assert len(out) == k * (n - k) + 1
+        return out
+
+    @cached_property
     def top_boundary(self) -> frozenset:
         """Masks of the boundary subsets that contain n."""
         k, n = self.k, self.n
@@ -207,6 +228,11 @@ class _Table:
 @lru_cache(maxsize=32)
 def _table(k: int, n: int) -> _Table:
     return _Table(k, n)
+
+
+def _require_ints(k, n) -> None:
+    if not (_is_int(k) and _is_int(n)):
+        raise ValueError(f"k and n must be integers, got {k!r} and {n!r}")
 
 
 @total_ordering
@@ -234,8 +260,7 @@ class WSCollection:
     def of(k: int, n: int, sets: Iterable[Iterable[int]]) -> "WSCollection":
         """Check and canonicalise members given as iterables of ints; a
         repeated member is an error."""
-        if not (_is_int(k) and _is_int(n)):
-            raise ValueError(f"k and n must be integers, got {k!r} and {n!r}")
+        _require_ints(k, n)
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k} and n={n}")
         table = _table(k, n)
@@ -554,20 +579,15 @@ def boundary_sets(k: int, n: int) -> list[tuple[int, ...]]:
     )
 
 
-@lru_cache(maxsize=32, typed=True)
 def base_collection(k: int, n: int) -> WSCollection:
-    """The fan-shaped maximal collection: all boundary subsets together with
-    the prefix-plus-run family [1..i] + [j..j+k-i-1]; its size is k(n-k)+1.
-    Every caller of a (k, n) shares one object, so it must not be changed."""
+    """The fan-shaped maximal collection of k-subsets of [1..n], 1 <= k < n,
+    kept by the (k, n) rank table (`_Table.base`).  Every caller of a
+    (k, n) shares one object, so it must not be changed.  k and n must be
+    ints: `_table` would hand a float or a bool the int table."""
+    _require_ints(k, n)
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    sets = set(boundary_sets(k, n))
-    for i in range(1, k):
-        for j in range(i + 2, n + i - k + 1):
-            sets.add(tuple(range(1, i + 1)) + tuple(range(j, j + k - i)))
-    out = WSCollection.of(k, n, sets)
-    assert len(out) == k * (n - k) + 1
-    return out
+    return _table(k, n).base
 
 
 def translate(c: WSCollection, g: Dihedral) -> WSCollection:
@@ -583,7 +603,7 @@ def find_moves(c: WSCollection) -> list[Move]:
     present in a maximal collection, and the move swaps it for the other."""
     bits = c.bits
     moves = []
-    for sides, diag_ij, diag_st, fwd, back in c.table.quads:
+    for sides, diag_ij, diag_st, fwd, back, _ in c.table.quads:
         if bits & sides == sides:
             if bits & diag_ij:
                 moves.append(fwd)

@@ -145,6 +145,22 @@ class TestWiring:
         assert [l["valid"] for l in lines] == [True, False]
         assert code == 1
 
+    @pytest.mark.parametrize("word, k, m", [("1r", 2, 1), ("1", -1, 2), ("1r", -1, 2), ("1 2 1", 4, 3)])
+    def test_k_out_of_range(self, capsys, tmp_path, word, k, m):
+        want = f"error: need 0 <= k <= m, got k={k} and m={m}\n"
+        argv = ["--k", str(k), "--m", str(m), "--chambers", "--collection"]
+        assert main(["wiring", "--word", word, *argv]) == 2
+        assert capsys.readouterr() == ("", want)
+        f = tmp_path / "words.txt"
+        f.write_text(word + "\n")
+        assert main(["wiring", "--word-file", str(f), *argv]) == 2
+        assert capsys.readouterr() == ("", want)
+
+    def test_k_zero(self, capsys):
+        code, out = run(capsys, "wiring", "--word", "1 2 1", "--k", "0", "--m", "3", "--collection")
+        assert code == 0
+        assert json.loads(out)["collection"] == {"k": 0, "n": 3, "sets": [[]]}
+
 
 class TestReductionVerbs:
     def test_reduce_and_lift_round_trip(self, capsys, tmp_path):
@@ -370,7 +386,7 @@ class TestMalformedFiles:
         f.write_text(text)
         self.usage_error(capsys, ["validate", "--file", str(f)])
 
-    @pytest.mark.parametrize("text", ['{"1": "2"}', '{"[1]": [2]}', '["x"]'])
+    @pytest.mark.parametrize("text", ['{"1": "2"}', '{"[1]": [2]}', '["x"]', '{"[1,2]": "1/0"}'])
     def test_values_file(self, capsys, tmp_path, text):
         cf = tmp_path / "c.json"
         cf.write_text(json.dumps(base_collection(2, 4).to_json_dict()))

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from weakref import WeakKeyDictionary
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +16,7 @@ from wsep.positivity import (
     short_plucker_violations,
     vandermonde_point,
 )
-from wsep.wscoll import WSCollection, base_collection, boundary_sets
+from wsep.wscoll import WSCollection, _table, base_collection, boundary_sets
 
 SQUARE = WSCollection.of(2, 4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
 
@@ -105,6 +105,41 @@ class TestPropagate:
         assert short_plucker_violations(res.values, 2, 4) == []
 
 
+class TestShortPluckerViolations:
+    @staticmethod
+    def quadruples(k, n):
+        """(anchor, i, s, j, t, the six sets of its relation) in order."""
+        universe = range(1, n + 1)
+        for anchor in combinations(universe, k - 2):
+            rest = [x for x in universe if x not in anchor]
+            for i, s, j, t in combinations(rest, 4):
+                pairs = ((i, j), (s, t), (i, s), (j, t), (i, t), (s, j))
+                yield (anchor, i, s, j, t), {tuple(sorted(anchor + p)) for p in pairs}
+
+    def test_one_doubled_value(self):
+        pv = vandermonde_point([1, 2, 3, 5, 8, 13, 21], 3).plucker_vector()
+        assert short_plucker_violations(pv, 3, 7) == []
+        for K in [(1, 2, 3), (2, 4, 6), (3, 5, 7)]:
+            vals = dict(pv)
+            vals[K] *= 2
+            want = [quad for quad, sets in self.quadruples(3, 7) if K in sets]
+            assert want
+            assert short_plucker_violations(vals, 3, 7) == want
+            # a relation with a missing value is skipped
+            del vals[K]
+            assert short_plucker_violations(vals, 3, 7) == []
+            float_vals = {S: float(v) for S, v in pv.items()}
+            float_vals[K] *= 1 + 1e-6
+            assert short_plucker_violations(float_vals, 3, 7, rel_tol=1e-9) == want
+            assert short_plucker_violations(float_vals, 3, 7, rel_tol=1e-3) == []
+
+    def test_non_int_rejected(self):
+        # the (3, 7) table is cached, and the table cache is untyped
+        assert short_plucker_violations({}, 3, 7) == []
+        with pytest.raises(ValueError, match="k and n must be integers"):
+            short_plucker_violations({}, 3.0, 7)
+
+
 class TestEveryEdgeOracle:
     """`propagate` evaluates each distinct exchange relation once; the oracle
     evaluates it on every edge of the walk.  Verdict, values (in derivation
@@ -153,12 +188,15 @@ class TestEveryEdgeOracleStreamed(TestEveryEdgeOracle):
     """The same comparisons with no component kept, so that every call
     streams the incremental walk."""
 
+    TABLES = [(2, 8), (3, 8)]  # every (k, n) of the inherited tests
+
     @pytest.fixture(autouse=True)
     def no_compiled_components(self, monkeypatch):
         monkeypatch.setattr(positivity, "_COMPONENT_STATES", 0)
-        monkeypatch.setattr(positivity, "_components", WeakKeyDictionary())
+        for k, n in self.TABLES:
+            monkeypatch.setattr(_table(k, n), "component", None)
         yield
-        assert all(v is None for v in positivity._components.values())
+        assert all(not isinstance(_table(k, n).component, tuple) for k, n in self.TABLES)
 
 
 class TestEveryStart:
@@ -182,7 +220,7 @@ class TestEveryStart:
         assert repr(res) == want
         with monkeypatch.context() as m:
             m.setattr(positivity, "_COMPONENT_STATES", 0)
-            m.setattr(positivity, "_components", WeakKeyDictionary())
+            m.setattr(c.table, "component", None)
             assert repr(propagate(c, vals, **kw)) == want
         return res
 
@@ -191,7 +229,7 @@ class TestEveryStart:
         for c in self.starts():
             vals = {K: Fraction(rng.randint(1, 40), rng.randint(1, 7)) for K in c.sets}
             assert self.assert_same(monkeypatch, c, vals).ok
-            assert positivity._components[c.table] is not None
+            assert isinstance(c.table.component, tuple)
 
     def test_float(self, monkeypatch):
         rng = random.Random(71)
@@ -216,17 +254,18 @@ class TestAnyK:
         w48, w39 = base_collection(4, 8), base_collection(3, 9)
         for c in (w48, w39):
             assert positivity_test(c, {K: 1 for K in c.sets}).verdict == POSITIVE
-        index, nbrs, rels = positivity._components[w48.table]
+        index, nbrs, rels = w48.table.component
         assert len(index) == len(nbrs) == len(rels) == 5470
-        assert positivity._components[w39.table] is None
+        assert w39.table.component is False
 
     @pytest.mark.parametrize("bound, kept", [(258, False), (259, True)])
     def test_component_bound_is_inclusive(self, monkeypatch, bound, kept):
         monkeypatch.setattr(positivity, "_COMPONENT_STATES", bound)
-        monkeypatch.setattr(positivity, "_components", WeakKeyDictionary())
         c = base_collection(3, 7)  # |W(3,7)| = 259
+        monkeypatch.setattr(c.table, "component", None)
         assert propagate(c, {K: 1 for K in c.sets}).ok
-        assert (positivity._components[c.table] is not None) == kept
+        assert c.table.component is not None
+        assert isinstance(c.table.component, tuple) == kept
 
 
 class TestExactIngress:

@@ -244,6 +244,10 @@ class TestEmbedding:
     def test_generator_images_satisfy_relations(self):
         assert embedding_respects_relations(2, 2)
 
+    def test_shape_above_the_cap_rejected(self):
+        with pytest.raises(ValueError, match="k\\+m = 9 exceeds the bound 8"):
+            verify_embedding(MinorIndex((1,), (1,), 1, 8))
+
     def test_caches_hold_every_default_shape(self):
         # every (k, m) with k, m >= 1 and k + m <= 8, the default cap
         shapes = sum(1 for k in range(1, 8) for m in range(1, 9 - k))

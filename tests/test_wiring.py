@@ -81,6 +81,12 @@ class TestWords:
     def test_wrong_length_invalid(self):
         assert not validate_word(parse_word("1"), 2, 3)
 
+    @pytest.mark.parametrize("k, m", [(2, 1), (-1, 2), (4, 3)])
+    def test_k_out_of_range(self, k, m):
+        for f in (validate_word, is_optimal, chambers, word_collection):
+            with pytest.raises(ValueError, match=f"need 0 <= k <= m, got k={k} and m={m}"):
+                f(parse_word("1r"), k, m)
+
     def test_equal_ranks_every_shuffle_optimal(self):
         for bw in reduced_words_of_longest(3):
             for rw in reduced_words_of_longest(3):

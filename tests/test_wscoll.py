@@ -120,6 +120,25 @@ class TestBaseCollection:
             member = base_collection(k, n).member_set()
             assert set(boundary_sets(k, n)) <= member
 
+    def test_shares_the_table_after_eviction(self):
+        # the rank table keeps the base collection, so evicting (2, 7) from
+        # the table cache drops both, and the next ones share a new table
+        base_collection(2, 7)
+        for n in range(9, 42):
+            WSCollection.of(1, n, [])
+        base = base_collection(2, 7)
+        assert base.table is WSCollection.of(2, 7, base.sets).table
+        assert base.table is _table(2, 7)
+
+    @pytest.mark.parametrize("k, n", [(3.0, 8), (True, 8), (3, 8.0)])
+    def test_non_int_rejected(self, k, n):
+        # the table cache is untyped: it would hand 3.0 or True the int
+        # table, and with it the int base collection
+        base_collection(3, 8)
+        base_collection(1, 8)
+        with pytest.raises(ValueError, match="k and n must be integers"):
+            base_collection(k, n)
+
 
 class TestMoves:
     def test_square_flip(self):
