@@ -27,6 +27,7 @@ from .subsets import (
 )
 from .wscoll import (
     WSCollection,
+    _walk,
     base_collection,
     dihedral_orbits,
     enumerate_component,
@@ -136,11 +137,11 @@ def cmd_stieffel(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    found = enumerate_component(base_collection(args.k, args.n))
+    seed = base_collection(args.k, args.n)
     if args.count_only:
-        _emit({"count": len(found)})
+        _emit({"count": sum(1 for _ in _walk(seed))})
         return OK
-    found = sorted(found, key=WSCollection.sort_key)
+    found = sorted(enumerate_component(seed), key=WSCollection.sort_key)
     _emit_lines(c.to_json_dict() for c in found)
     summary = {
         "count": len(found),

@@ -5,31 +5,26 @@ exchange moves via the three-term exchange relation
     D[I+ij] * D[I+st] = D[I+is] * D[I+jt] + D[I+it] * D[I+sj]   (i<s<j<t)
 
 which is subtraction-free, so positive inputs propagate to positive outputs.
-Propagation works for every k: maximal collections are pure and their move
-graph is connected (Oh-Postnikov-Speyer, arXiv:1109.4434; Danilov-Karzanov-
-Koshevoy 2010).  Each exchange relation is evaluated once per walk, in
-float mode once per direction.  Default arithmetic is exact rational; float
-mode exists for sweeps and is checked against a relative tolerance.
+Propagation works for every k.  Maximal collections are clusters: pure,
+with a connected move graph (Oh-Postnikov-Speyer, arXiv:1109.4434;
+Danilov-Karzanov-Koshevoy 2010), and every Pluecker coordinate is a
+subtraction-free Laurent polynomial in the values on any one of them.  So
+positive values on a maximal collection extend to one set of values,
+whatever order the relations derive them in.  Each exchange relation is
+evaluated once per call, in float mode once per direction.  Default
+arithmetic is exact rational; float mode exists for sweeps and is checked
+against a relative tolerance.
 
 Propagation starts from a maximal collection: one of k(n-k)+1 pairwise
 weakly separated members, which by purity is the same as maximal.  Anything
-else is a ValueError, because a walk from it need not reach every k-subset.
-Exact mode converts each member value with `Fraction` at ingress, so an int
-or float input is read as the rational it stands for.
+else is a ValueError, because the relations need not reach every k-subset
+from it.  Exact mode converts each member value with `Fraction` at ingress,
+so an int or float input is read as the rational it stands for.
 
-The walk visits the collections of the component in the breadth-first order
-of `wscoll._walk` from the start, the moves of each in `find_moves` order.
-A move is named by its relation id 2*q + d: q is its quad index in the rank
-table, and d is 0 when it removes anchor+{i,j} and 1 when it removes
-anchor+{s,t}; the ranks of its six sets are in `quads[q]`.  The first walk
-over a table's component that runs to its end compiles it: a state index,
-and per state the indices of its neighbours and the int over its relation
-ids.  The rank table keeps the compiled component as `table.component`
-when it has at most `_COMPONENT_STATES` (8192) states, at least |W(4,8)| =
-5470; later calls walk it breadth-first by index.  A larger component,
-such as the 18600 states of W(3,9), is not kept (`table.component` is
-False): every call streams `_walk`, which holds only three breadth-first
-levels, so memory stays bounded.
+A relation is named by its id 2*q + d: q is its quad index in the rank
+table, and d is 0 when it derives anchor+{s,t} from anchor+{i,j} and 1 the
+other way round; the ranks of its six sets are in `quads[q]`.  Nothing
+about positivity is kept between calls.
 """
 
 from __future__ import annotations
@@ -37,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .subsets import _from_mask
-from .wscoll import WSCollection, _require_ints, _table, _walk, require_maximal
+from .wscoll import WSCollection, _require_ints, _table, require_maximal
 
 
 @dataclass(frozen=True)
@@ -103,55 +97,6 @@ def vandermonde_point(nodes: Iterable[Fraction | int], k: int) -> GrassmannPoint
     return GrassmannPoint(tuple(tuple(x ** i for x in xs) for i in range(k)))
 
 
-_COMPONENT_STATES = 8192
-
-
-def _stream(c: WSCollection, keep: bool) -> Iterator[int]:
-    """The int over the relation ids of the moves of each collection of
-    `_walk(c)`, in its order.  With `keep`, a walk that runs to its end
-    sets `table.component` to the compiled component, or to False once the
-    walk passes the bound."""
-    table = c.table
-    quads, steps = table.quads, table.steps
-    record = [] if keep else None
-    for bits, live in _walk(c):
-        rels = 0
-        while live:
-            low = live & -live
-            live ^= low
-            q = low.bit_length() - 1
-            # bit 2q + d: d is 0 when the move removes anchor+{i,j}
-            rels |= (1 if bits & quads[q][1] else 2) << 2 * q
-        if record is not None:
-            record.append((bits, rels))
-            if len(record) > _COMPONENT_STATES:
-                record = None
-                table.component = False
-        yield rels
-    if record is not None:
-        index = {bits: x for x, (bits, _) in enumerate(record)}
-        nbrs = tuple(
-            tuple(index[bits ^ steps[rel >> 1][0]] for rel in _from_mask(rels))
-            for bits, rels in record
-        )
-        table.component = (index, nbrs, tuple(rels for _, rels in record))
-
-
-def _visit(component: tuple, start: int) -> Iterator[int]:
-    """The int over the relation ids of each state of a compiled component,
-    breadth-first from the state with index `start`: the order of `_walk`."""
-    _, nbrs, rels = component
-    seen = bytearray(len(nbrs))
-    seen[start] = 1
-    order = [start]
-    for x in order:
-        for y in nbrs[x]:
-            if not seen[y]:
-                seen[y] = 1
-                order.append(y)
-    return map(rels.__getitem__, order)
-
-
 @dataclass(frozen=True)
 class Propagation:
     ok: bool
@@ -166,18 +111,19 @@ def propagate(
     rel_tol: float = 1e-9,
 ) -> Propagation:
     """Extend positive values given on the members of the maximal collection
-    c to every k-subset by walking the move graph, for any k; each move
-    computes the missing diagonal from the exchange relation.  Re-derivations
-    of an already-known value must agree (exactly, or within rel_tol in float
-    mode).  A collection that is not maximal is a ValueError.
+    c to every k-subset through the exchange relations, for any k, then
+    check every relation on the result.  Re-derivations of an already-known
+    value must agree (exactly, or within rel_tol in float mode).  A
+    collection that is not maximal is a ValueError.
 
-    Each distinct relation is evaluated once: values are never overwritten
-    and every input of a move is known when the move is first met, so a
-    later visit would repeat the same computation and comparison.  In exact
-    mode a relation checked in one direction holds in the other as well,
-    since all values are positive rationals.  In float mode each direction
-    is checked, and a value that does not agree with itself (an inf or nan)
-    is evaluated again on every visit."""
+    Passes over the quads in index order derive values until a pass derives
+    nothing: a quad whose four sides and one diagonal are known gives the
+    other diagonal.  Each derivation checks its relation.  In exact mode
+    that holds in the other direction as well, since all values are
+    positive rationals.  In float mode it checks the one direction, and a
+    value that does not agree with itself (an inf or nan) leaves it
+    unchecked.  One loop over the quads then checks every relation not yet
+    checked: one direction per quad in exact mode, both in float mode."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     require_maximal(c)
@@ -204,45 +150,52 @@ def propagate(
         return scale == 0 or abs(a - b) <= rel_tol * scale
 
     table = c.table
+    subset, quads = table.subset, table.quads
+    have = c.bits  # the int over the ranks in `known`
+    checked = bytearray(2 * len(quads))  # per relation id 2*q + d
 
     def values() -> dict:
-        subset = table.subset
         return {subset[r]: v for r, v in known.items()}
 
-    component = table.component
-    if component:
-        source = _visit(component, component[0][c.bits])
-    else:
-        source = _stream(c, keep=component is None)
-    quads = table.quads
-    todo = (1 << 2 * len(quads)) - 1  # relation ids not yet checked
-    for rels in source:
-        new = rels & todo
-        while new:
-            low = new & -new
-            new ^= low
-            rel = low.bit_length() - 1
-            # as for d = 0, the move removing anchor+{i,j}, then swapped for d = 1
-            r_is, r_sj, r_jt, r_it, rm, add = quads[rel >> 1][5]
-            if rel & 1:
-                rm, add = add, rm
-            numerator = known[r_is] * known[r_jt] + known[r_it] * known[r_sj]
-            if not known[rm]:
-                return Propagation(False, values(), f"division by zero at {table.subset[rm]}")
-            value = numerator / known[rm]
-            if add in known:
-                if not close(known[add], value):
-                    return Propagation(
-                        False,
-                        values(),
-                        f"inconsistent re-derivation of {table.subset[add]}: {known[add]} vs {value}",
-                    )
-            else:
-                known[add] = value
-            if exact:
-                todo &= ~(3 << (rel & -2))  # both directions: ids 2q and 2q + 1
-            elif close(value, value):
-                todo ^= low
+    def evaluate(rel: int) -> str | None:
+        """Evaluate relation `rel`: record the value of the set it adds, or
+        compare it with the known one.  A witness when it fails."""
+        nonlocal have
+        # as for d = 0, deriving anchor+{s,t} from anchor+{i,j}; swapped for d = 1
+        r_is, r_sj, r_jt, r_it, rm, add = quads[rel >> 1][5]
+        if rel & 1:
+            rm, add = add, rm
+        if not known[rm]:
+            return f"division by zero at {subset[rm]}"
+        value = (known[r_is] * known[r_jt] + known[r_it] * known[r_sj]) / known[rm]
+        if add not in known:
+            known[add] = value
+            have |= 1 << add
+        elif not close(known[add], value):
+            return f"inconsistent re-derivation of {subset[add]}: {known[add]} vs {value}"
+        if exact:
+            checked[rel & -2] = checked[rel | 1] = 1
+        elif close(value, value):
+            checked[rel] = 1
+        return None
+
+    grown = True
+    while grown:
+        grown = False
+        for q, (sides, ij, st, *_) in enumerate(quads):
+            if have & sides == sides and (have & ij == 0) != (have & st == 0):
+                witness = evaluate(2 * q + (have & ij == 0))
+                if witness:
+                    return Propagation(False, values(), witness)
+                grown = True
+    if len(known) < table.size:
+        missing = next(r for r in range(table.size) if r not in known)
+        raise AssertionError(f"no exchange relation derived a value for {subset[missing]}")
+    for rel in range(0, len(checked), 2 if exact else 1):
+        if not checked[rel]:
+            witness = evaluate(rel)
+            if witness:
+                return Propagation(False, values(), witness)
     return Propagation(True, values(), None)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .subsets import MinorIndex, is_boundary, stieffel_subset
 from .wscoll import WSCollection
@@ -65,12 +65,16 @@ def _is_reduced_for_longest(letters: Sequence[int], size: int) -> bool:
     return state == list(range(size, 0, -1))
 
 
-def validate_word(word: Word, k: int, m: int) -> bool:
-    """Whether word is a shuffle of reduced words for the longest elements
-    of S_m (black) and S_k (red).  Word collections need 0 <= k <= m; other
-    k and m are a ValueError."""
+def _require_ranks(k: int, m: int) -> None:
+    """Word collections need 0 <= k <= m; other k and m are a ValueError."""
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got k={k} and m={m}")
+
+
+def validate_word(word: Word, k: int, m: int) -> bool:
+    """Whether word is a shuffle of reduced words for the longest elements
+    of S_m (black) and S_k (red).  k and m are checked by `_require_ranks`."""
+    _require_ranks(k, m)
     if any(x > 0 and x > m - 1 or x < 0 and -x > k - 1 for x in word):
         return False
     return _is_reduced_for_longest(black_part(word), m) and _is_reduced_for_longest(
@@ -186,16 +190,17 @@ def shuffles(black: Sequence[int], red: Sequence[int]) -> Iterable[Word]:
         yield tuple(word)
 
 
-def all_optimal_words(k: int, m: int) -> Iterable[Word]:
+def all_optimal_words(k: int, m: int) -> Iterator[Word]:
+    """Every optimal word for k and m.  k and m are checked by
+    `_require_ranks` when it is called, not when it is first iterated."""
+    _require_ranks(k, m)
     optimal_blacks = [
         w
         for w in reduced_words_of_longest(m)
         if sum(1 for x in w if k + 1 <= x <= m - 1) == comb(m - k, 2)
     ]
     reds = reduced_words_of_longest(k)
-    for bw in optimal_blacks:
-        for rw in reds:
-            yield from shuffles(bw, rw)
+    return (w for bw in optimal_blacks for rw in reds for w in shuffles(bw, rw))
 
 
 def is_wiring_parametrizable(c: WSCollection) -> bool:

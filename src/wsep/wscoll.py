@@ -88,11 +88,10 @@ class _Table:
 
     The table is the one holder of what is built per (k, n): besides the
     ranks and rows, the exchange quads (`quads`, with the ranks of their six
-    sets), the base collection (`base`) and the component that `propagate`
-    compiles (`component`: None until a walk over it runs to its end, False
-    once a walk found it above `positivity._COMPONENT_STATES`, else the
-    compiled tuple).  All of it goes with the table, once `_table` (the 32
-    most recently used) has evicted it and no collection refers to it.
+    sets, which are also the exchange relations `propagate` evaluates) and
+    the base collection (`base`).  All of it goes with the table, once
+    `_table` (the 32 most recently used) has evicted it and no collection
+    refers to it.
     """
 
     def __init__(self, k: int, n: int):
@@ -103,7 +102,6 @@ class _Table:
         self.mask = _Lazy(lambda r: _to_mask(self.subset[r]))
         self.image = _Lazy(lambda key: _Lazy(partial(self._image_of, Dihedral(n, *key))))
         self.crossing = _Lazy(self._crossing_of)
-        self.component = None
 
     def _rank_of(self, m: int) -> int:
         k, n = self.k, self.n

@@ -162,8 +162,9 @@ def product_bf(p, r) -> dict[Word, Laurent]:
 
 
 def propagate_every_edge(c, vals, mode="exact", rel_tol=1e-9) -> Propagation:
-    """`propagate` as a plain breadth-first walk that evaluates the exchange
-    relation on every edge it visits and compares every re-derivation."""
+    """What `propagate` computes, by a plain breadth-first walk over the move
+    graph that evaluates the exchange relation on every edge it visits and
+    compares every re-derivation."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     known = {}  # keyed by subset bitmask

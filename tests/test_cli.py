@@ -67,7 +67,9 @@ class TestStieffel:
 
 
 class TestEnumerate:
-    def test_count_only(self, capsys):
+    def test_count_only(self, capsys, monkeypatch):
+        # counting builds no WSCollection per state
+        monkeypatch.setattr(wsep.cli, "enumerate_component", None)
         code, out = run(capsys, "enumerate", "--k", "3", "--n", "6", "--count-only")
         assert json.loads(out) == {"count": 34}
         assert code == 0

@@ -83,9 +83,12 @@ class TestWords:
 
     @pytest.mark.parametrize("k, m", [(2, 1), (-1, 2), (4, 3)])
     def test_k_out_of_range(self, k, m):
+        message = f"need 0 <= k <= m, got k={k} and m={m}"
         for f in (validate_word, is_optimal, chambers, word_collection):
-            with pytest.raises(ValueError, match=f"need 0 <= k <= m, got k={k} and m={m}"):
+            with pytest.raises(ValueError, match=message):
                 f(parse_word("1r"), k, m)
+        with pytest.raises(ValueError, match=message):
+            all_optimal_words(k, m)
 
     def test_equal_ranks_every_shuffle_optimal(self):
         for bw in reduced_words_of_longest(3):
