@@ -19,7 +19,12 @@ Propagation starts from a maximal collection: one of k(n-k)+1 pairwise
 weakly separated members, which by purity is the same as maximal.  Anything
 else is a ValueError, because the relations need not reach every k-subset
 from it.  Exact mode converts each member value with `Fraction` at ingress,
-so an int or float input is read as the rational it stands for.
+so an int or float input is read as the rational it stands for.  It then
+runs on ints: each value is a reduced numerator and positive denominator,
+in two lists indexed by subset rank.  A derivation combines the ints of
+its relation and reduces the result by one gcd; a re-derivation is checked
+by one integer cross-multiplication.  `Fraction` comes back only in the
+returned values and in witness texts.
 
 A relation is named by its id 2*q + d: q is its quad index in the rank
 table, and d is 0 when it derives anchor+{s,t} from anchor+{i,j} and 1 the
@@ -32,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Mapping
 
 from .wscoll import WSCollection, _require_ints, _table, require_maximal
@@ -123,12 +129,21 @@ def propagate(
     positive rationals.  In float mode it checks the one direction, and a
     value that does not agree with itself (an inf or nan) leaves it
     unchecked.  One loop over the quads then checks every relation not yet
-    checked: one direction per quad in exact mode, both in float mode."""
+    checked: one direction per quad in exact mode, both in float mode.
+
+    Exact mode runs on reduced int numerator/denominator pairs: a derived
+    value is reduced by one gcd, and a re-derivation agrees when the two
+    cross-multiplied products are equal."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     require_maximal(c)
     exact = mode == "exact"
-    known = {}  # keyed by subset rank
+    table = c.table
+    subset, quads = table.subset, table.quads
+    # exact: the value of rank r is num[r] / den[r], reduced; den[r] is 0
+    # while it is unknown.  float: known[r].
+    num, den = [0] * table.size, [0] * table.size
+    known = {}
     for s, r in zip(c.sets, c.ranks()):
         if s not in vals:
             raise ValueError(f"no value supplied for member {s}")
@@ -139,22 +154,21 @@ def propagate(
             known[r] = float(v)
             continue
         try:
-            known[r] = Fraction(v)
+            v = Fraction(v)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"value for {s} is not a rational number") from None
+        num[r], den[r] = v.numerator, v.denominator
 
     def close(a, b) -> bool:
-        if exact:
-            return a == b
         scale = max(abs(a), abs(b))
         return scale == 0 or abs(a - b) <= rel_tol * scale
 
-    table = c.table
-    subset, quads = table.subset, table.quads
-    have = c.bits  # the int over the ranks in `known`
+    have = c.bits  # the int over the ranks with a known value
     checked = bytearray(2 * len(quads))  # per relation id 2*q + d
 
     def values() -> dict:
+        if exact:
+            return {subset[r]: Fraction(num[r], den[r]) for r in range(table.size) if den[r]}
         return {subset[r]: v for r, v in known.items()}
 
     def evaluate(rel: int) -> str | None:
@@ -165,6 +179,24 @@ def propagate(
         r_is, r_sj, r_jt, r_it, rm, add = quads[rel >> 1][5]
         if rel & 1:
             rm, add = add, rm
+        if exact:
+            if not num[rm]:
+                return f"division by zero at {subset[rm]}"
+            # top / bot = (is*jt + it*sj) / rm, each value read as num / den
+            d_is_jt, d_it_sj = den[r_is] * den[r_jt], den[r_it] * den[r_sj]
+            top = (num[r_is] * num[r_jt] * d_it_sj + num[r_it] * num[r_sj] * d_is_jt) * den[rm]
+            bot = d_is_jt * d_it_sj * num[rm]
+            if not den[add]:
+                g = gcd(top, bot)
+                num[add], den[add] = top // g, bot // g
+                have |= 1 << add
+            elif num[add] * bot != top * den[add]:
+                return (
+                    f"inconsistent re-derivation of {subset[add]}: "
+                    f"{Fraction(num[add], den[add])} vs {Fraction(top, bot)}"
+                )
+            checked[rel & -2] = checked[rel | 1] = 1
+            return None
         if not known[rm]:
             return f"division by zero at {subset[rm]}"
         value = (known[r_is] * known[r_jt] + known[r_it] * known[r_sj]) / known[rm]
@@ -173,9 +205,7 @@ def propagate(
             have |= 1 << add
         elif not close(known[add], value):
             return f"inconsistent re-derivation of {subset[add]}: {known[add]} vs {value}"
-        if exact:
-            checked[rel & -2] = checked[rel | 1] = 1
-        elif close(value, value):
+        if close(value, value):
             checked[rel] = 1
         return None
 
@@ -188,8 +218,8 @@ def propagate(
                 if witness:
                     return Propagation(False, values(), witness)
                 grown = True
-    if len(known) < table.size:
-        missing = next(r for r in range(table.size) if r not in known)
+    if have.bit_count() < table.size:
+        missing = next(r for r in range(table.size) if not have >> r & 1)
         raise AssertionError(f"no exchange relation derived a value for {subset[missing]}")
     for rel in range(0, len(checked), 2 if exact else 1):
         if not checked[rel]:

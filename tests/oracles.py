@@ -174,7 +174,7 @@ def propagate_every_edge(c, vals, mode="exact", rel_tol=1e-9) -> Propagation:
         v = vals[s]
         if not v > 0:
             raise ValueError(f"value for {s} is not positive")
-        known[m] = float(v) if mode == "float" else v
+        known[m] = float(v) if mode == "float" else Fraction(v)
 
     def close(a, b) -> bool:
         if mode == "exact":

@@ -149,6 +149,7 @@ def assert_agrees_with_every_edge(c, vals, mode="exact", rel_tol=1e-9):
     want = propagate_every_edge(c, vals, mode=mode, rel_tol=rel_tol)
     if mode == "exact":
         assert (res.ok, res.witness, res.values) == (want.ok, want.witness, want.values)
+        assert all(type(v) is Fraction for v in [*res.values.values(), *want.values.values()])
         return res
     assert res.ok == want.ok
     if res.ok:
@@ -216,6 +217,13 @@ class TestEveryStart:
             vals = {K: Fraction(rng.randint(1, 40), rng.randint(1, 7)) for K in c.sets}
             assert assert_agrees_with_every_edge(c, vals).ok
 
+    def test_exact_int_values(self):
+        # int / int is a float; both sides read each int as its rational
+        rng = random.Random(83)
+        for c in [*sorted(component_of_base(3, 7))[::60], base_collection(4, 8)]:
+            vals = {K: rng.randint(1, 40) for K in c.sets}
+            assert assert_agrees_with_every_edge(c, vals).ok
+
     def test_float(self):
         rng = random.Random(71)
         for c in self.starts():
@@ -242,6 +250,31 @@ class TestAnyK:
             v = positivity_test(c, restricted(pv, c))
             assert v.verdict == POSITIVE
             assert len(v.values) == 252 and v.values == pv
+
+    def test_large_rationals_5_10(self):
+        # beyond the every-edge oracle's reach; short_plucker_violations
+        # checks every relation again with Fraction arithmetic
+        rng = random.Random(79)
+        for c in [base_collection(5, 10), random_greedy_maximal(5, 10, rng)]:
+            vals = {K: Fraction(rng.randint(1, 2**64), rng.randint(1, 2**64)) for K in c.sets}
+            v = positivity_test(c, vals)
+            assert v.verdict == POSITIVE, v.witness
+            assert len(v.values) == 252 and restricted(v.values, c) == vals
+            for x in v.values.values():
+                assert type(x) is Fraction and math.gcd(x.numerator, x.denominator) == 1
+            assert short_plucker_violations(v.values, 5, 10) == []
+
+    def test_inconsistent_witness_text(self, monkeypatch):
+        # swapping the ranks of (1, 2) and (2, 3) in the first relation of
+        # (2, 6) makes it disagree with the others
+        c = base_collection(2, 6)
+        quads = list(c.table.quads)
+        r_is, r_sj, *rest = quads[0][5]
+        quads[0] = (*quads[0][:5], (r_sj, r_is, *rest))
+        monkeypatch.setattr(c.table, "quads", tuple(quads))
+        res = propagate(c, {K: Fraction(i + 2, i + 1) for i, K in enumerate(c.sets)})
+        assert not res.ok
+        assert res.witness == "inconsistent re-derivation of (2, 5): 67/16 vs 4121/1008"
 
     def test_underived_subset_is_internal_error(self, monkeypatch):
         # with no exchange relations nothing reaches (2, 4), the one
