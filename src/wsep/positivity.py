@@ -247,11 +247,15 @@ def positivity_test(
     rel_tol: float = 1e-9,
 ) -> Verdict:
     """POSITIVE when propagation succeeds and every derived coordinate is
-    positive; otherwise NOT-DETERMINED with a witness."""
+    positive; otherwise NOT-DETERMINED with a witness.  An exact value's
+    sign is its numerator's: a `Fraction` keeps its denominator positive."""
     result = propagate(c, vals, mode=mode, rel_tol=rel_tol)
     if not result.ok:
         return Verdict(NOT_DETERMINED, result.values, result.witness)
-    bad = [K for K, v in result.values.items() if not v > 0]
+    if mode == "exact":
+        bad = [K for K, v in result.values.items() if v.numerator <= 0]
+    else:
+        bad = [K for K, v in result.values.items() if not v > 0]
     if bad:
         return Verdict(NOT_DETERMINED, result.values, f"non-positive value at {min(bad)}")
     return Verdict(POSITIVE, result.values, None)

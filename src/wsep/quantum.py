@@ -12,15 +12,30 @@ commutation relations of the algebra:
 Each step decreases the word lexicographically at its leading position, so
 rewriting terminates.  One kernel, `_rewrite`, does all of it: it always
 rewrites the leftmost inversion and keeps every pending coefficient as two
-ints, q^e (q - q^-1)^b, so Laurent polynomials are built only for the
-finished monomials.  Confluence is checked by tests against an independent
-reference rewriter that picks inversions at random.
+ints, q^e (q - q^-1)^b.  Confluence is checked by tests against an
+independent reference rewriter that picks inversions at random.
 
-Words are checked once, where they enter: `normalize_word` checks that
-they lie in the k-by-m algebra (integer indices in range), and the
-`NCPoly(...)` constructor also that they are in normal form and that every
-coefficient is a `Laurent`.  Internal results are built with
-`NCPoly._trusted`.
+Inside the module a letter x[i,j] is the int i << B | j, with B =
+m.bit_length() for the algebra and M = (1 << B) - 1, so int order is
+(row, col) order and a word is a tuple of ints.  For letters x > y, same
+row is (x ^ y) <= M, same column is not (x ^ y) & M, and the cross letters
+of a diagonal pair are y ^ d and x ^ d with d = (x ^ y) & M.  Words are
+encoded once, where they enter (the `NCPoly(...)` constructor, `generator`,
+`from_word`, `normalize_word`), and decoded back to (i, j) pairs only where
+they leave (`terms()`, `at_one()`, `str()` and the result of
+`normalize_word`).
+
+One product helper, `_product`, rewrites every concatenation of two
+normal-form term maps into raw {word: {exponent: int}} accumulators,
+starting each scan at the join, the only place an inversion can be.
+`NCPoly.__mul__` builds one `Laurent` per finished monomial from them;
+`quasi_commutation_exponent` compares the raw maps of p*r and r*p by one
+exponent shift and builds none.
+
+Input is checked once, at that ingress: k and m must be ints, a letter a
+pair of int indices in range (a bool is not an int), a coefficient a
+`Laurent`, and a word given to the constructor in normal form.  Internal
+results are built with `NCPoly._trusted`.
 
 The generator images of the k-by-m embedding, and whether they satisfy the
 defining relations, are cached for the most recent `_EMBEDDINGS_CACHED` (28)
@@ -36,18 +51,42 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .laurent import Laurent, ONE, Q, Q_MINUS_Q_INV, ZERO
-from .subsets import MinorIndex, as_subset, check_in_range, stieffel_subset
+from .subsets import (
+    MinorIndex,
+    _is_int,
+    _require_dims,
+    as_subset,
+    check_in_range,
+    stieffel_subset,
+)
 
 Gen = tuple[int, int]
 Word = tuple[Gen, ...]
+Code = tuple[int, ...]  # a word of letter codes
 
 
-def _check_word(word: Iterable[Gen], k: int, m: int) -> Word:
-    w = tuple(word)
-    for (i, j) in w:
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= k and 1 <= j <= m):
+def _mask(m: int) -> int:
+    """M, the column bits of a letter code in the k-by-m algebra."""
+    return (1 << m.bit_length()) - 1
+
+
+def _encode(word: Iterable[Gen], k: int, m: int) -> Code:
+    """The letter codes of a word; a letter that is not a pair of int
+    indices within the k-by-m algebra is a ValueError."""
+    b = m.bit_length()
+    out = []
+    for i, j in word:
+        if not (_is_int(i) and _is_int(j) and 1 <= i <= k and 1 <= j <= m):
             raise ValueError(f"generator x[{i},{j}] outside the {k}x{m} algebra")
-    return w
+        out.append(i << b | j)
+    return tuple(out)
+
+
+def _decode(w: Code, m: int) -> Word:
+    """The (i, j) letters of a word of codes in a k-by-m algebra."""
+    b = m.bit_length()
+    mask = (1 << b) - 1
+    return tuple((x >> b, x & mask) for x in w)
 
 
 # (q - q^-1)^b as ((exponent, coefficient), ...), index b; extended on demand.
@@ -62,18 +101,23 @@ def _qmq_power(b: int) -> tuple[tuple[int, int], ...]:
 
 
 def _rewrite(
-    word: list[Gen], coeff: Sequence[tuple[int, int]], out: dict[Word, dict[int, int]]
+    word: list[int],
+    coeff: Sequence[tuple[int, int]],
+    out: dict[Code, dict[int, int]],
+    mask: int,
+    p: int = 0,
 ) -> None:
     """Add coeff * word, in normal form, into out (monomial -> {exponent:
-    integer coefficient}); coeff is a sequence of (exponent, int) pairs and
-    word a list of checked generators, which this consumes.
+    integer coefficient}); coeff is a sequence of (exponent, int) pairs, word
+    a list of letter codes with column bits `mask`, which this consumes, and
+    the letters before position p are in order.
 
     A pending word carries q^e (q - q^-1)^b and the position where the scan
     for its leftmost inversion resumes: after a swap at p the letters before
     p are still in order, so the scan resumes at p - 1.  A swap is made in
     place; the cross term of a diagonal pair is pushed as a new word."""
     powers = _QMQ_POWERS
-    stack = [(word, 0, 0, 0)]
+    stack = [(word, 0, 0, p)]
     pop, push = stack.pop, stack.append
     while stack:
         w, e, b, p = pop()
@@ -84,14 +128,14 @@ def _rewrite(
             if x <= y:
                 p += 1
                 continue
-            s, t = x
-            i, j = y
-            if s == i or t == j:
+            d = x ^ y
+            if d <= mask or not d & mask:
                 e += 1
-            elif t > j:
+            elif x & mask > y & mask:
+                d &= mask
                 cross = w[:]
-                cross[p] = (i, t)
-                cross[p + 1] = (s, j)
+                cross[p] = y ^ d
+                cross[p + 1] = x ^ d
                 push((cross, e, b + 1, p - 1 if p else 0))
             w[p] = y
             w[p + 1] = x
@@ -108,7 +152,24 @@ def _rewrite(
                 acc[x] = acc.get(x, 0) + u * v
 
 
-def _laurents(out: dict[Word, dict[int, int]]) -> dict[Word, Laurent]:
+def _product(
+    a: dict[Code, Laurent], b: dict[Code, Laurent], mask: int
+) -> dict[Code, dict[int, int]]:
+    """The raw terms of the product of two normal-form term maps: every
+    concatenation goes through `_rewrite` into one accumulator, its scan
+    started at the join.  Zero coefficients are kept."""
+    out: dict[Code, dict[int, int]] = {}
+    right = [(w2, c2.items()) for w2, c2 in b.items()]
+    for w1, c1 in a.items():
+        c1 = c1.items()
+        join = len(w1) - 1 if w1 else 0
+        for w2, c2 in right:
+            coeff = [(x1 + x2, v1 * v2) for x1, v1 in c1 for x2, v2 in c2]
+            _rewrite(list(w1 + w2), coeff, out, mask, join)
+    return out
+
+
+def _laurents(out: dict[Code, dict[int, int]]) -> dict[Code, Laurent]:
     """One Laurent per monomial of a `_rewrite` result; zeros dropped."""
     t = {}
     for w, acc in out.items():
@@ -118,40 +179,56 @@ def _laurents(out: dict[Word, dict[int, int]]) -> dict[Word, Laurent]:
     return t
 
 
+def _normal_form(k: int, m: int, word: Iterable[Gen], coeff: Laurent) -> dict[Code, Laurent]:
+    """coeff * word in normal form, checked at ingress, keyed by codes."""
+    _require_dims(k, m)
+    w = _encode(word, k, m)
+    if not isinstance(coeff, Laurent):
+        raise ValueError(
+            f"coefficient {coeff!r} of word {_decode(w, m)} is not a Laurent polynomial"
+        )
+    out: dict[Code, dict[int, int]] = {}
+    _rewrite(list(w), tuple(coeff.items()), out, _mask(m))
+    return _laurents(out)
+
+
 def normalize_word(
     k: int, m: int, word: Iterable[Gen], coeff: Laurent = ONE
 ) -> dict[Word, Laurent]:
     """Rewrite coeff * word into normal form, returning monomial -> Laurent."""
-    out: dict[Word, dict[int, int]] = {}
-    _rewrite(list(_check_word(word, k, m)), tuple(coeff.items()), out)
-    return _laurents(out)
+    return {_decode(w, m): c for w, c in _normal_form(k, m, word, coeff).items()}
 
 
 class NCPoly:
-    """Noncommutative polynomial over Z[q,q^-1] in normal form."""
+    """Noncommutative polynomial over Z[q,q^-1] in normal form; its terms
+    map words of letter codes to nonzero `Laurent` coefficients."""
 
     __slots__ = ("k", "m", "_t")
 
     def __init__(self, k: int, m: int, terms: dict[Word, Laurent] | None = None):
-        """Terms map words to `Laurent` coefficients; a word outside the
-        k-by-m algebra or not in normal form, or a coefficient of another
-        type, is a ValueError, and zero coefficients are dropped."""
+        """Terms map words to `Laurent` coefficients; k or m not an int, a
+        word outside the k-by-m algebra or not in normal form, or a
+        coefficient of another type, is a ValueError, and zero coefficients
+        are dropped."""
+        _require_dims(k, m)
         self.k = k
         self.m = m
         self._t = {}
-        for w, c in (terms or {}).items():
-            w = _check_word(w, k, m)
+        for word, c in (terms or {}).items():
+            w = _encode(word, k, m)
             if any(w[p] > w[p + 1] for p in range(len(w) - 1)):
-                raise ValueError(f"word {w} is not in normal form")
+                raise ValueError(f"word {tuple(word)} is not in normal form")
             if not isinstance(c, Laurent):
-                raise ValueError(f"coefficient {c!r} of word {w} is not a Laurent polynomial")
+                raise ValueError(
+                    f"coefficient {c!r} of word {tuple(word)} is not a Laurent polynomial"
+                )
             if c:
                 self._t[w] = c
 
     @classmethod
-    def _trusted(cls, k: int, m: int, t: dict[Word, Laurent]) -> "NCPoly":
-        """A polynomial from terms already known to be checked words with
-        nonzero coefficients; t is taken, not copied."""
+    def _trusted(cls, k: int, m: int, t: dict[Code, Laurent]) -> "NCPoly":
+        """A polynomial from terms already known to be checked code words
+        with nonzero coefficients; t is taken, not copied."""
         p = cls.__new__(cls)
         p.k = k
         p.m = m
@@ -176,10 +253,10 @@ class NCPoly:
 
     @staticmethod
     def from_word(k: int, m: int, word: Iterable[Gen], coeff: Laurent = ONE) -> "NCPoly":
-        return NCPoly._trusted(k, m, normalize_word(k, m, word, coeff))
+        return NCPoly._trusted(k, m, _normal_form(k, m, word, coeff))
 
     def terms(self) -> dict[Word, Laurent]:
-        return dict(self._t)
+        return {_decode(w, self.m): c for w, c in self._t.items()}
 
     def is_zero(self) -> bool:
         return not self._t
@@ -206,15 +283,10 @@ class NCPoly:
         return self + (-other)
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
-        """All |self|*|other| concatenations go through `_rewrite` into one
-        accumulator; both sides' words are already checked."""
+        """The product by `_product`, one Laurent per monomial; both sides'
+        words are already checked."""
         self._check_dims(other)
-        out: dict[Word, dict[int, int]] = {}
-        for w1, c1 in self._t.items():
-            c1 = c1.items()
-            for w2, c2 in other._t.items():
-                coeff = [(x1 + x2, v1 * v2) for x1, v1 in c1 for x2, v2 in c2.items()]
-                _rewrite(list(w1 + w2), coeff, out)
+        out = _product(self._t, other._t, _mask(self.m))
         return NCPoly._trusted(self.k, self.m, _laurents(out))
 
     def scale(self, c: Laurent) -> "NCPoly":
@@ -235,7 +307,7 @@ class NCPoly:
 
     def at_one(self) -> dict[Word, int]:
         """Specialize q -> 1 (the underlying commutative values per monomial)."""
-        return {w: c.at_one() for w, c in self._t.items() if c.at_one()}
+        return {_decode(w, self.m): v for w, c in self._t.items() if (v := c.at_one())}
 
     def __eq__(self, other) -> bool:
         return (
@@ -255,7 +327,7 @@ class NCPoly:
             c = str(self._t[w])
             if (" + " in c) or (" - " in c):
                 c = f"({c})"
-            mono = " ".join(f"x[{i},{j}]" for i, j in w)
+            mono = " ".join(f"x[{i},{j}]" for i, j in _decode(w, self.m))
             chunks.append(f"{c} * {mono}" if mono else c)
         text = chunks[0]
         for chunk in chunks[1:]:
@@ -269,41 +341,64 @@ class NCPoly:
         return f"NCPoly({self.k}x{self.m}: {self})"
 
 
-def quantum_minor(mi: MinorIndex) -> NCPoly:
-    """Sum over column permutations of (-q)^(-inversions) times the row-sorted
-    word; row-sorted words are already in normal form."""
-    l = mi.size
-    terms: dict[Word, Laurent] = {}
+@lru_cache(maxsize=None)
+def _signed_permutations(l: int) -> tuple[tuple[tuple[int, ...], Laurent], ...]:
+    """Each permutation sigma of range(l) with its coefficient
+    (-q)^(-inversions of sigma)."""
+    out = []
     for sigma in permutations(range(l)):
         inv = sum(1 for a in range(l) for b in range(a + 1, l) if sigma[a] > sigma[b])
-        word = tuple((mi.rows[r], mi.cols[sigma[r]]) for r in range(l))
-        terms[word] = Laurent.term((-1) ** inv, -inv)
-    return NCPoly(mi.k, mi.m, terms)
+        out.append((sigma, Laurent.term((-1) ** inv, -inv)))
+    return tuple(out)
+
+
+def quantum_minor(mi: MinorIndex) -> NCPoly:
+    """Sum over column permutations of (-q)^(-inversions) times the row-sorted
+    word; row-sorted words are already in normal form, and `MinorIndex` has
+    checked the rows and columns."""
+    b = mi.m.bit_length()
+    rows = [r << b for r in mi.rows]
+    cols = mi.cols
+    terms = {
+        tuple([row | cols[s] for row, s in zip(rows, sigma)]): coeff
+        for sigma, coeff in _signed_permutations(mi.size)
+    }
+    return NCPoly._trusted(mi.k, mi.m, terms)
 
 
 def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
-    """c with r*p == q^c * (p*r), detected coefficient-wise; None otherwise."""
+    """c with r*p == q^c * (p*r), detected coefficient-wise on the raw
+    products, zeros dropped; None otherwise."""
     if p.is_zero() or r.is_zero():
         raise ValueError("quasi-commutation is undefined for zero inputs")
-    pr = (p * r)._t
-    rp = (r * p)._t
-    if pr.keys() != rp.keys():
-        return None
+    p._check_dims(r)
+    mask = _mask(p.m)
+    pr = _product(p._t, r._t, mask)
+    rp = _product(r._t, p._t, mask)
     c = None
-    for w, a in pr.items():
-        d = rp[w].shift_ratio(a)
-        if d is None:
+    words = 0
+    for w, acc in pr.items():
+        a = {e: v for e, v in acc.items() if v}
+        if not a:
+            continue
+        b = {e: v for e, v in rp.get(w, {}).items() if v}
+        if len(a) != len(b):
             return None
         if c is None:
-            c = d
-        elif c != d:
-            return None
+            c = min(b) - min(a)
+        for e, v in a.items():
+            if b.get(e + c) != v:
+                return None
+        words += 1
+    if words != sum(1 for acc in rp.values() if any(acc.values())):
+        return None
     return c
 
 
 def plucker_realize(K: Iterable[int], k: int, n: int) -> NCPoly:
     """The coordinate labelled by the k-subset K of [1..n], realized as the
     maximal quantum minor on rows [1..k] and columns K."""
+    _require_dims(k, n)
     K = check_in_range(K, n)
     if len(K) != k:
         raise ValueError(f"need a {k}-subset, got {K}")

@@ -49,6 +49,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _require_dims(k, m) -> None:
+    """The dimensions of a k-by-m algebra are ints (a bool is not)."""
+    if not (_is_int(k) and _is_int(m)):
+        raise ValueError(f"k and m must be integers, got {k!r} and {m!r}")
+
+
 def _to_mask(K: Iterable[int]) -> int:
     """The bitmask of a subset: bit x is set for each element x."""
     m = 0
@@ -161,6 +167,7 @@ class MinorIndex:
     m: int
 
     def __post_init__(self):
+        _require_dims(self.k, self.m)
         object.__setattr__(self, "rows", as_subset(self.rows))
         object.__setattr__(self, "cols", as_subset(self.cols))
         if not self.rows or len(self.rows) != len(self.cols):

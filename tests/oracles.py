@@ -5,10 +5,12 @@ decided by exhaustive partition search, diameters by scanning every cyclic
 interval, the Stieffel subset by a classical staircase-matrix determinant
 identity, q->1 specialization against plain commutative multiplication,
 normal forms by a rewriter over Laurent objects with a caller-chosen
-rewriting order, value propagation by evaluating the exchange relation
-on every edge of the move-graph walk, the move-graph closure by scanning
-every state with `find_moves`, and the maximal weakly separated collections
-by a clique search of the weak-separation graph that makes no moves.
+rewriting order, quasi-commutation by comparing the products of that
+rewriter monomial by monomial, value propagation by evaluating the exchange
+relation on every edge of the move-graph walk, the move-graph closure by
+scanning every state with `find_moves`, and the maximal weakly separated
+collections by a clique search of the weak-separation graph that makes no
+moves.
 
 `component_of_base` is not an oracle: it caches the move-graph closure of
 the base collection for the tests that share one.
@@ -24,7 +26,7 @@ from typing import Callable, Iterable
 
 from wsep.laurent import Laurent, ONE, Q, Q_MINUS_Q_INV, ZERO
 from wsep.positivity import Propagation, _det
-from wsep.quantum import Gen, Word, _check_word
+from wsep.quantum import Gen, Word, _encode
 from wsep.subsets import _from_mask
 from wsep.wscoll import apply_move, base_collection, boundary_sets, enumerate_component, find_moves
 
@@ -120,7 +122,8 @@ def normalize_word_bf(
     inversion positions); the default takes the leftmost.  Any strategy must
     produce the same normal form.
     """
-    word = _check_word(word, k, m)
+    word = tuple(word)
+    _encode(word, k, m)  # the ingress check of `normalize_word`
     out: dict[Word, Laurent] = {}
     stack: list[tuple[Word, Laurent]] = [(word, coeff)]
     while stack:
@@ -159,6 +162,18 @@ def product_bf(p, r) -> dict[Word, Laurent]:
                 elif w in out:
                     del out[w]
     return out
+
+
+def quasi_commutation_bf(p, r) -> int | None:
+    """c with r*p == q^c * (p*r): the `product_bf` terms of both orders
+    compared monomial by monomial with `Laurent.shift_ratio`; None when the
+    monomials differ or the shifts do not all agree."""
+    pr = product_bf(p, r)
+    rp = product_bf(r, p)
+    if pr.keys() != rp.keys():
+        return None
+    shifts = {rp[w].shift_ratio(c) for w, c in pr.items()}
+    return shifts.pop() if len(shifts) == 1 and None not in shifts else None
 
 
 def propagate_every_edge(c, vals, mode="exact", rel_tol=1e-9) -> Propagation:

@@ -11,6 +11,7 @@ from wsep.positivity import (
     NOT_DETERMINED,
     POSITIVE,
     GrassmannPoint,
+    Propagation,
     positivity_test,
     propagate,
     short_plucker_violations,
@@ -346,6 +347,19 @@ class TestVerdicts:
                 hits += 1
                 assert "inconsistent" in v.witness
         assert hits > 0
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_non_positive_value_is_witnessed(self, monkeypatch, mode):
+        # propagation keeps positive values positive, so a sign check can
+        # only fire on a value patched in after it: zero and a negative
+        res = propagate(SQUARE, {K: Fraction(1) for K in SQUARE.sets}, mode=mode)
+        for bad in (Fraction(0), Fraction(-1, 3)):
+            values = dict(res.values)
+            values[(2, 4)] = bad if mode == "exact" else float(bad)
+            patched = Propagation(True, values, None)
+            monkeypatch.setattr("wsep.positivity.propagate", lambda *a, **kw: patched)
+            v = positivity_test(SQUARE, {}, mode=mode)
+            assert v.verdict == NOT_DETERMINED and v.witness == "non-positive value at (2, 4)"
 
     def test_non_maximal_collection_rejected(self):
         # the boundary of Gr(2,5) alone reaches 5 of the 10 coordinates

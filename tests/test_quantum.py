@@ -8,6 +8,8 @@ from wsep.laurent import Laurent, ONE, Q, Q_INV
 from wsep.subsets import MinorIndex, stieffel_subset
 from wsep.quantum import (
     NCPoly,
+    _mask,
+    _product,
     _qmq_power,
     embedding_images,
     embedding_respects_relations,
@@ -19,7 +21,11 @@ from wsep.quantum import (
     verify_embedding,
 )
 
-from oracles import commutative_image, normalize_word_bf, product_bf
+from oracles import commutative_image, normalize_word_bf, product_bf, quasi_commutation_bf
+
+
+# column counts on both sides of each change of the letter code's width
+WIDTHS = (1, 2, 3, 4, 7, 8, 16)
 
 
 def gen(k, m, i, j):
@@ -81,6 +87,27 @@ class TestNormalize:
             NCPoly(2, 2, {((1, 1),): 3})
         with pytest.raises(ValueError, match="not a Laurent polynomial"):
             NCPoly.scalar(2, 2, 1)
+        # a bool is not the int it equals
+        with pytest.raises(ValueError, match=r"x\[True,1\] outside the 2x2 algebra"):
+            normalize_word(2, 2, [(True, 1)])
+        with pytest.raises(ValueError, match=r"x\[1,True\] outside the 2x2 algebra"):
+            NCPoly(2, 2, {((1, True),): ONE})
+        with pytest.raises(ValueError, match="outside"):
+            NCPoly.generator(2, 2, 1, False)
+        for make in (
+            lambda: NCPoly(2, 2.0),
+            lambda: NCPoly.generator(True, 2, 1, 1),
+            lambda: normalize_word(2.0, 2, [(1, 1)]),
+            lambda: MinorIndex((1,), (1,), 1.5, 2),
+            lambda: plucker_realize((1, 2), 2.0, 4),
+            lambda: plucker_realize((1, 2), 2, 4.0),
+        ):
+            with pytest.raises(ValueError, match="k and m must be integers"):
+                make()
+        with pytest.raises(ValueError, match="not a Laurent polynomial"):
+            normalize_word(2, 2, [(1, 1)], 3)
+        with pytest.raises(ValueError, match="not a Laurent polynomial"):
+            NCPoly.from_word(2, 2, [(1, 1)], coeff=3)
 
     def test_deep_cross_terms_match_reference(self):
         # nine cross terms on one rewriting path: (q - q^-1)^9
@@ -97,7 +124,7 @@ class TestNormalize:
     @given(st.data())
     def test_confluence_under_random_strategies(self, data):
         k = data.draw(st.integers(1, 3))
-        m = data.draw(st.integers(1, 3))
+        m = data.draw(st.sampled_from(WIDTHS))
         word = data.draw(words(k, m, 9))
         seed = data.draw(st.integers(0, 2**16))
         rng = random.Random(seed)
@@ -109,7 +136,7 @@ class TestNormalize:
     def test_products_match_reference(self, data):
         # concatenations reach 9 letters, so cross terms stack up
         k = data.draw(st.integers(1, 3))
-        m = data.draw(st.integers(1, 3))
+        m = data.draw(st.sampled_from(WIDTHS))
         coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), min_size=1, max_size=2)
 
         def poly(max_letters):
@@ -211,6 +238,59 @@ class TestQuasiCommutation:
     def test_zero_input_rejected(self):
         with pytest.raises(ValueError):
             quasi_commutation_exponent(NCPoly.zero(2, 2), gen(2, 2, 1, 1))
+
+    def test_scalar_multiples(self):
+        p = NCPoly.from_word(2, 3, [(2, 3), (1, 1)], Laurent({-1: 2, 2: -3}))
+        for c in (Laurent.term(-5, 3), Laurent({0: 1, 1: 4})):
+            assert quasi_commutation_exponent(p, p.scale(c)) == 0
+            assert quasi_commutation_exponent(NCPoly.scalar(2, 3, c), p) == 0
+
+    def test_cancelled_terms_are_not_monomials(self):
+        # the raw products of x[2,2] and the central 2x2 determinant hold
+        # coefficients that cancel to zero; they must not count as monomials
+        p = gen(2, 2, 2, 2)
+        r = quantum_minor(MinorIndex((1, 2), (1, 2), 2, 2))
+        raw = _product(p._t, r._t, _mask(2))
+        assert any(0 in acc.values() for acc in raw.values())
+        assert quasi_commutation_exponent(p, r) == quasi_commutation_bf(p, r) == 0
+        assert quasi_commutation_exponent(r, p) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        k = data.draw(st.integers(1, 3))
+        m = data.draw(st.sampled_from(WIDTHS))
+        coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), min_size=1, max_size=3)
+        coeff = coeffs.map(Laurent).filter(bool)
+
+        def poly():
+            acc = NCPoly.zero(k, m)
+            while acc.is_zero():
+                for _ in range(data.draw(st.integers(1, 3))):
+                    word = data.draw(words(k, m, 3))
+                    acc = acc + NCPoly.from_word(k, m, word, data.draw(coeff))
+            return acc
+
+        p = poly()
+        kind = data.draw(st.sampled_from(["random", "self", "scaled", "row", "power"]))
+        if kind == "random":
+            r = poly()
+        elif kind == "self":
+            r = p
+        elif kind == "scaled":
+            r = p.scale(data.draw(coeff))
+        elif kind == "power":
+            r = p * p
+        else:
+            i = data.draw(st.integers(1, k))
+            j, t = sorted(data.draw(st.lists(st.integers(1, m), min_size=2, max_size=2)))
+            p, r = gen(k, m, i, j).scale(data.draw(coeff)), gen(k, m, i, t)
+        c = quasi_commutation_exponent(p, r)
+        assert c == quasi_commutation_bf(p, r)
+        if kind in ("self", "scaled", "power"):
+            assert c == 0
+        elif kind == "row":
+            assert c == (j < t)
 
 
 class TestRealizedCoordinates:
