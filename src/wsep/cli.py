@@ -230,6 +230,9 @@ def cmd_gen_w3(args) -> int:
 def cmd_positivity(args) -> int:
     c = _load_collection(args.collection)
     vals = _load_values(args.values, c.n)
+    for K in vals:
+        if K not in c:
+            raise ValueError(f"value key {list(K)} is not a member of the collection")
     if args.mode == "float":
         for K, v in vals.items():
             try:

@@ -7,6 +7,8 @@ a power of q is an exact exponent shift.
 
 from __future__ import annotations
 
+from .subsets import _is_int
+
 
 class Laurent:
     """Sparse map exponent -> integer coefficient; zero coefficients dropped."""
@@ -14,20 +16,38 @@ class Laurent:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
+        """coeffs maps exponents to coefficients, as a mapping or as
+        (exponent, coefficient) pairs, whose coefficients add up where an
+        exponent repeats.  Both must be ints; anything else, a bool or a
+        float included, is a ValueError."""
+        if coeffs is None:
+            coeffs = {}
+        try:
+            pairs = [(e, v) for e, v in (coeffs.items() if hasattr(coeffs, "items") else coeffs)]
+        except (TypeError, ValueError):
+            raise ValueError(f"{coeffs!r} is not a map of exponents to coefficients") from None
         c = {}
-        if coeffs:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for e, v in items:
-                v = c.get(e, 0) + v
-                if v:
-                    c[e] = v
-                elif e in c:
-                    del c[e]
+        for e, v in pairs:
+            if not (_is_int(e) and _is_int(v)):
+                raise ValueError(f"Laurent coefficients and exponents must be ints, got {v!r} at q^{e!r}")
+            v = c.get(e, 0) + v
+            if v:
+                c[e] = v
+            elif e in c:
+                del c[e]
         self._c = c
 
     @staticmethod
+    def _trusted(c: dict) -> "Laurent":
+        """The Laurent polynomial of c, a dict from int exponents to nonzero
+        int coefficients, which it takes as it is."""
+        out = Laurent.__new__(Laurent)
+        out._c = c
+        return out
+
+    @staticmethod
     def term(coeff: int, exp: int = 0) -> "Laurent":
-        return Laurent({exp: coeff} if coeff else None)
+        return Laurent({exp: coeff})
 
     def items(self):
         return self._c.items()
@@ -46,14 +66,10 @@ class Laurent:
                 c[e] = w
             elif e in c:
                 del c[e]
-        out = Laurent.__new__(Laurent)
-        out._c = c
-        return out
+        return Laurent._trusted(c)
 
     def __neg__(self) -> "Laurent":
-        out = Laurent.__new__(Laurent)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
+        return Laurent._trusted({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
@@ -68,15 +84,11 @@ class Laurent:
                     c[e] = w
                 elif e in c:
                     del c[e]
-        out = Laurent.__new__(Laurent)
-        out._c = c
-        return out
+        return Laurent._trusted(c)
 
     def shift(self, d: int) -> "Laurent":
         """Multiply by q^d."""
-        out = Laurent.__new__(Laurent)
-        out._c = {e + d: v for e, v in self._c.items()}
-        return out
+        return Laurent._trusted({e + d: v for e, v in self._c.items()})
 
     def shift_ratio(self, other: "Laurent") -> int | None:
         """d such that self == q^d * other, or None."""

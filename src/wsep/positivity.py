@@ -28,7 +28,7 @@ returned values and in witness texts.
 
 A relation is named by its id 2*q + d: q is its quad index in the rank
 table, and d is 0 when it derives anchor+{s,t} from anchor+{i,j} and 1 the
-other way round; the ranks of its six sets are in `quads[q]`.  Nothing
+other way round; the ranks of its six sets are `quads[q][3]`.  Nothing
 about positivity is kept between calls.
 """
 
@@ -176,7 +176,7 @@ def propagate(
         compare it with the known one.  A witness when it fails."""
         nonlocal have
         # as for d = 0, deriving anchor+{s,t} from anchor+{i,j}; swapped for d = 1
-        r_is, r_sj, r_jt, r_it, rm, add = quads[rel >> 1][5]
+        r_is, r_sj, r_jt, r_it, rm, add = quads[rel >> 1][3]
         if rel & 1:
             rm, add = add, rm
         if exact:
@@ -212,7 +212,7 @@ def propagate(
     grown = True
     while grown:
         grown = False
-        for q, (sides, ij, st, *_) in enumerate(quads):
+        for q, (sides, ij, st, _) in enumerate(quads):
             if have & sides == sides and (have & ij == 0) != (have & st == 0):
                 witness = evaluate(2 * q + (have & ij == 0))
                 if witness:
@@ -272,7 +272,7 @@ def short_plucker_violations(
     table = _table(k, n)
     subset = table.subset
     out = []
-    for _, _, _, mv, _, ranks in table.quads:
+    for q, (*_, ranks) in enumerate(table.quads):
         sets = [subset[r] for r in ranks]
         if any(K not in values for K in sets):
             continue
@@ -285,5 +285,5 @@ def short_plucker_violations(
             scale = max(abs(lhs), abs(rhs))
             bad = scale != 0 and abs(lhs - rhs) > rel_tol * scale
         if bad:
-            out.append((mv.anchor, mv.i, mv.s, mv.j, mv.t))
-    return out
+            out.append(table.quad_move(q, True))
+    return [(mv.anchor, mv.i, mv.s, mv.j, mv.t) for mv in out]

@@ -173,9 +173,9 @@ def _laurents(out: dict[Code, dict[int, int]]) -> dict[Code, Laurent]:
     """One Laurent per monomial of a `_rewrite` result; zeros dropped."""
     t = {}
     for w, acc in out.items():
-        c = Laurent(acc)
+        c = {e: v for e, v in acc.items() if v}
         if c:
-            t[w] = c
+            t[w] = Laurent._trusted(c)
     return t
 
 
@@ -421,7 +421,7 @@ def qplucker_relation_holds(I: Iterable[int], J: Iterable[int], k: int, n: int) 
         e = inv_i - inv_j
         left = plucker_realize(tuple(x for x in I if x != i), k, n)
         right = plucker_realize(as_subset(J + (i,)), k, n)
-        acc = acc + (left * right).scale(Laurent.term((-1) ** e, e))
+        acc = acc + (left * right).scale(Laurent.term(-1 if e % 2 else 1, e))
     return acc.is_zero()
 
 

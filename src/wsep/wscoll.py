@@ -5,7 +5,7 @@ height, and the constructive reduction to the base collection for k in {2,3}.
 A collection is one int over the lexicographic ranks of its member
 k-subsets, and an exchange move is a presence check plus an XOR on it;
 member sets are sorted tuples only at the boundary (`WSCollection.of`,
-`.sets`, JSON, `Move` fields).
+`.sets`, JSON, and the fields of a `Move`, built from its quad's ranks).
 
 `find_moves` scans every quad of the (k, n) table for one collection.  The
 closure walk (`enumerate_component`) scans only its seed: it carries each
@@ -87,11 +87,11 @@ class _Table:
     rank is in use).
 
     The table is the one holder of what is built per (k, n): besides the
-    ranks and rows, the exchange quads (`quads`, with the ranks of their six
-    sets, which are also the exchange relations `propagate` evaluates) and
-    the base collection (`base`).  All of it goes with the table, once
-    `_table` (the 32 most recently used) has evicted it and no collection
-    refers to it.
+    ranks and rows, the exchange quads (`quads`, six ranks each, which are
+    also the exchange relations `propagate` evaluates; `quad_move` builds a
+    quad's `Move` where one is returned) and the base collection (`base`).
+    All of it goes with the table, once `_table` (the 32 most recently used)
+    has evicted it and no collection refers to it.
     """
 
     def __init__(self, k: int, n: int):
@@ -138,31 +138,33 @@ class _Table:
     def quads(self) -> tuple:
         """One entry per anchor and quadruple i < s < j < t, in the scan
         order of `find_moves`: (side bits, bit of anchor+{i,j}, bit of
-        anchor+{s,t}, the move removing anchor+{i,j}, its inverse, the ranks
-        of anchor+{i,s}, anchor+{s,j}, anchor+{j,t}, anchor+{i,t},
-        anchor+{i,j} and anchor+{s,t}).  The ranks are those of the exchange
-        relation D[I+ij] D[I+st] = D[I+is] D[I+jt] + D[I+it] D[I+sj].  For
-        k < 2 there are none."""
+        anchor+{s,t}, ranks of anchor+{i,s}, +{s,j}, +{j,t}, +{i,t}, +{i,j}
+        and +{s,t}), the six sets of the exchange relation D[I+ij] D[I+st] =
+        D[I+is] D[I+jt] + D[I+it] D[I+sj].  For k < 2 there are none."""
         rank = self.rank
-        universe = range(1, self.n + 1)
+        points = [1 << x for x in range(1, self.n + 1)]
         out = []
-        for anchor in combinations(universe, self.k - 2) if self.k >= 2 else ():
-            rest = [x for x in universe if x not in anchor]
-            for i, s, j, t in combinations(rest, 4):
-                fwd = Move._trusted(
-                    anchor, i, s, j, t,
-                    tuple(sorted(anchor + (i, j))),
-                    tuple(sorted(anchor + (s, t))),
-                )
-                ranks = tuple(rank[m] for m in (*fwd.side_masks, fwd.removes_mask, fwd.adds_mask))
+        for a in map(sum, combinations(points, self.k - 2)) if self.k >= 2 else ():
+            for i, s, j, t in combinations([x for x in points if not a & x], 4):
+                ranks = tuple(rank[a | p] for p in (i | s, s | j, j | t, i | t, i | j, s | t))
                 sides = sum(1 << r for r in ranks[:4])
-                out.append((sides, 1 << ranks[4], 1 << ranks[5], fwd, fwd.inverse(), ranks))
+                out.append((sides, 1 << ranks[4], 1 << ranks[5], ranks))
         return tuple(out)
+
+    def quad_move(self, q: int, forward: bool) -> "Move":
+        """The move of quad q removing anchor+{i,j} if forward, else anchor+{s,t}."""
+        r_ij, r_st = self.quads[q][3][4:]
+        ij, st = self.mask[r_ij], self.mask[r_st]
+        i, s, j, t = _from_mask(ij ^ st)
+        removes, adds = self.subset[r_ij], self.subset[r_st]
+        if not forward:
+            removes, adds = adds, removes
+        return Move._trusted(_from_mask(ij & st), i, s, j, t, removes, adds)
 
     @cached_property
     def quad_tests(self) -> tuple:
         """(side bits, diagonal bits, 1 << q) for each quad index q."""
-        return tuple((sides, ij | st, 1 << q) for q, (sides, ij, st, *_) in enumerate(self.quads))
+        return tuple((sides, ij | st, 1 << q) for q, (sides, ij, st, _) in enumerate(self.quads))
 
     @cached_property
     def steps(self) -> tuple:
@@ -177,7 +179,7 @@ class _Table:
         # the bit of a rank -> (int over the quad indices through it, their tests)
         through = {bit: (sum(t[2] for t in tests), tuple(tests)) for bit, tests in through.items()}
         out = []
-        for _, ij, st, *_ in self.quads:
+        for _, ij, st, _ in self.quads:
             (touch_ij, via_ij), (touch_st, via_st) = through[ij], through[st]
             out.append((ij | st, ij, ~(touch_ij | touch_st), via_st, via_ij))
         return tuple(out)
@@ -192,8 +194,8 @@ class _Table:
             if bits & sides == sides:
                 d = bits & diags
                 if d == diags:
-                    fwd = self.quads[qbit.bit_length() - 1][3]
-                    raise ValueError(f"move target {fwd.adds} already present")
+                    st = self.quads[qbit.bit_length() - 1][3][5]
+                    raise ValueError(f"move target {self.subset[st]} already present")
                 if d:
                     out |= qbit
         return out
@@ -599,14 +601,11 @@ def find_moves(c: WSCollection) -> list[Move]:
     """All exchange moves available in c (which should be maximal): for each
     anchor and quadruple with all four sides present, exactly one diagonal is
     present in a maximal collection, and the move swaps it for the other."""
-    bits = c.bits
+    bits, table = c.bits, c.table
     moves = []
-    for sides, diag_ij, diag_st, fwd, back, _ in c.table.quads:
-        if bits & sides == sides:
-            if bits & diag_ij:
-                moves.append(fwd)
-            elif bits & diag_st:
-                moves.append(back)
+    for q, (sides, diag_ij, diag_st, _) in enumerate(table.quads):
+        if bits & sides == sides and bits & (diag_ij | diag_st):
+            moves.append(table.quad_move(q, bits & diag_ij))
     return moves
 
 

@@ -7,7 +7,8 @@ identity, q->1 specialization against plain commutative multiplication,
 normal forms by a rewriter over Laurent objects with a caller-chosen
 rewriting order, quasi-commutation by comparing the products of that
 rewriter monomial by monomial, value propagation by evaluating the exchange
-relation on every edge of the move-graph walk, the move-graph closure by
+relation on every edge of the move-graph walk, the exchange quads of the
+rank table by listing sorted tuples, the move-graph closure by
 scanning every state with `find_moves`, and the maximal weakly separated
 collections by a clique search of the weak-separation graph that makes no
 moves.
@@ -225,6 +226,20 @@ def propagate_every_edge(c, vals, mode="exact", rel_tol=1e-9) -> Propagation:
                 seen.add(nxt)
                 queue.append(nxt)
     return Propagation(True, values(), None)
+
+
+def quads_bf(k: int, n: int) -> list[tuple]:
+    """Every exchange quad of (k, n) in scan order (anchors, then
+    i < s < j < t, lexicographically), as tuples only: (anchor, i, s, j, t,
+    the sorted sets anchor+{i,s}, +{s,j}, +{j,t}, +{i,t}, +{i,j}, +{s,t}).
+    For k < 2 there are none."""
+    out = []
+    for anchor in combinations(range(1, n + 1), k - 2) if k >= 2 else ():
+        rest = [x for x in range(1, n + 1) if x not in anchor]
+        for i, s, j, t in combinations(rest, 4):
+            pairs = ((i, s), (s, j), (j, t), (i, t), (i, j), (s, t))
+            out.append((anchor, i, s, j, t, tuple(tuple(sorted(anchor + p)) for p in pairs)))
+    return out
 
 
 def closure_by_moves(seed) -> set:

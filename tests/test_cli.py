@@ -276,6 +276,22 @@ class TestPositivity:
         assert captured.err.startswith("error: the collection is not maximal")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["[2,4,5]", "[5,4,2]", "[1,2]", "[1,2,3,4]"])
+    def test_non_member_value_key_usage_error(self, capsys, tmp_path, key):
+        # [2,4,5] is derived as 2 from these values; a key of the wrong size
+        # names no member either
+        c = base_collection(3, 5)
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(c.to_json_dict()))
+        vf = tmp_path / "v.json"
+        vals = {json.dumps(list(K)): "1" for K in c.sets}
+        vf.write_text(json.dumps({**vals, key: "-7"}))
+        code = main(["positivity", "--collection", str(cf), "--values", str(vf)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        name = sorted(json.loads(key))
+        assert captured.err == f"error: value key {name} is not a member of the collection\n"
+
     def write_square(self, tmp_path, vals):
         cf = tmp_path / "c.json"
         cf.write_text(json.dumps(base_collection(2, 4).to_json_dict()))

@@ -8,6 +8,7 @@ from oracles import (
     closure_by_moves,
     component_of_base,
     maximal_weakly_separated_bf,
+    quads_bf,
     weakly_separated_bf,
 )
 from wsep import wscoll
@@ -279,14 +280,33 @@ class TestEnumeration:
         assert frozenset(other) == cs
 
 
+class TestQuads:
+    """The rank table's quads, ints only, and the moves built from them
+    against a listing of sorted tuples."""
+
+    @pytest.mark.parametrize("k, n", [(2, 6), (3, 7), (4, 8), (5, 10), (0, 4), (1, 5), (1, 1)])
+    def test_quads_match_listing(self, k, n):
+        table = _table(k, n)
+        expected = quads_bf(k, n)
+        assert len(table.quads) == len(expected)
+        for q, (entry, (anchor, i, s, j, t, sets)) in enumerate(zip(table.quads, expected)):
+            sides, ij, st, ranks = entry
+            assert all(type(x) is int for x in (sides, ij, st, *ranks))
+            assert tuple(table.subset[r] for r in ranks) == sets
+            assert sides == sum(1 << r for r in ranks[:4])
+            assert (ij, st) == (1 << ranks[4], 1 << ranks[5])
+            for forward, removes, adds in ((True, sets[4], sets[5]), (False, sets[5], sets[4])):
+                mv, checked = table.quad_move(q, forward), Move(anchor, i, s, j, t, removes, adds)
+                assert mv == checked and vars(mv) == vars(checked)
+
+
 class TestIncrementalWalk:
     """The walk's live-move sets and crossing rows against the one-state
     scan `find_moves`, `apply_move` and the pair loop of `validate`."""
 
     @staticmethod
     def live_moves(table, bits, live):
-        quads = table.quads
-        return [quads[q][3] if bits & quads[q][1] else quads[q][4] for q in _from_mask(live)]
+        return [table.quad_move(q, bits & table.quads[q][1]) for q in _from_mask(live)]
 
     @pytest.mark.parametrize("k, n", [(3, 8), (4, 8)])
     def test_live_moves_match_find_moves_on_every_state(self, k, n):
