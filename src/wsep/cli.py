@@ -60,6 +60,13 @@ def _emit_lines(records) -> None:
         print(json.dumps(rec, sort_keys=True))
 
 
+def _emit_texts(lines) -> None:
+    """Print lines of JSON text already written as `_emit` would write them."""
+    write = sys.stdout.write
+    for line in lines:
+        write(line + "\n")
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -142,7 +149,7 @@ def cmd_enumerate(args) -> int:
         _emit({"count": sum(1 for _ in _walk(seed))})
         return OK
     found = sorted(enumerate_component(seed), key=WSCollection.sort_key)
-    _emit_lines(c.to_json_dict() for c in found)
+    _emit_texts(c.json_text() for c in found)
     summary = {
         "count": len(found),
         "orbit_count": len(dihedral_orbits(found)),
@@ -155,8 +162,8 @@ def cmd_enumerate(args) -> int:
 def cmd_orbits(args) -> int:
     found = enumerate_component(base_collection(args.k, args.n))
     orbits = dihedral_orbits(found)
-    _emit_lines(
-        {"representative": o[0].to_json_dict(), "size": len(o)} for o in orbits
+    _emit_texts(
+        '{"representative": %s, "size": %d}' % (o[0].json_text(), len(o)) for o in orbits
     )
     _emit({"count": len(found), "orbit_count": len(orbits)})
     return OK
@@ -222,7 +229,7 @@ def cmd_gen_w3(args) -> int:
     if args.count_only:
         _emit({"count": len(found)})
         return OK
-    _emit_lines(c.to_json_dict() for c in sorted(found, key=WSCollection.sort_key))
+    _emit_texts(c.json_text() for c in sorted(found, key=WSCollection.sort_key))
     _emit({"count": len(found)})
     return OK
 

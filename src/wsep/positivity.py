@@ -22,9 +22,10 @@ from it.  Exact mode converts each member value with `Fraction` at ingress,
 so an int or float input is read as the rational it stands for.  It then
 runs on ints: each value is a reduced numerator and positive denominator,
 in two lists indexed by subset rank.  A derivation combines the ints of
-its relation and reduces the result by one gcd; a re-derivation is checked
-by one integer cross-multiplication.  `Fraction` comes back only in the
-returned values and in witness texts.
+its relation and reduces the result once, by building its `Fraction`; a
+re-derivation is checked by one integer cross-multiplication.  Each value's
+`Fraction` is built once, at ingress or at derivation, and kept in a third
+list for the returned values and witness texts.
 
 A relation is named by its id 2*q + d: q is its quad index in the rank
 table, and d is 0 when it derives anchor+{s,t} from anchor+{i,j} and 1 the
@@ -37,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Iterable, Mapping
 
 from .wscoll import WSCollection, _require_ints, _table, require_maximal
@@ -132,17 +132,18 @@ def propagate(
     checked: one direction per quad in exact mode, both in float mode.
 
     Exact mode runs on reduced int numerator/denominator pairs: a derived
-    value is reduced by one gcd, and a re-derivation agrees when the two
-    cross-multiplied products are equal."""
+    value is reduced once, by its `Fraction`, and a re-derivation agrees
+    when the two cross-multiplied products are equal."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     require_maximal(c)
     exact = mode == "exact"
     table = c.table
     subset, quads = table.subset, table.quads
-    # exact: the value of rank r is num[r] / den[r], reduced; den[r] is 0
-    # while it is unknown.  float: known[r].
-    num, den = [0] * table.size, [0] * table.size
+    # exact: the value of rank r is num[r] / den[r], reduced, and frac[r]
+    # the same value as a Fraction; den[r] is 0 while it is unknown.
+    # float: known[r].
+    num, den, frac = [0] * table.size, [0] * table.size, [None] * table.size
     known = {}
     for s, r in zip(c.sets, c.ranks()):
         if s not in vals:
@@ -157,6 +158,7 @@ def propagate(
             v = Fraction(v)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"value for {s} is not a rational number") from None
+        frac[r] = v
         num[r], den[r] = v.numerator, v.denominator
 
     def close(a, b) -> bool:
@@ -168,7 +170,7 @@ def propagate(
 
     def values() -> dict:
         if exact:
-            return {subset[r]: Fraction(num[r], den[r]) for r in range(table.size) if den[r]}
+            return {subset[r]: frac[r] for r in range(table.size) if den[r]}
         return {subset[r]: v for r, v in known.items()}
 
     def evaluate(rel: int) -> str | None:
@@ -187,13 +189,13 @@ def propagate(
             top = (num[r_is] * num[r_jt] * d_it_sj + num[r_it] * num[r_sj] * d_is_jt) * den[rm]
             bot = d_is_jt * d_it_sj * num[rm]
             if not den[add]:
-                g = gcd(top, bot)
-                num[add], den[add] = top // g, bot // g
+                v = frac[add] = Fraction(top, bot)
+                num[add], den[add] = v.numerator, v.denominator
                 have |= 1 << add
             elif num[add] * bot != top * den[add]:
                 return (
                     f"inconsistent re-derivation of {subset[add]}: "
-                    f"{Fraction(num[add], den[add])} vs {Fraction(top, bot)}"
+                    f"{frac[add]} vs {Fraction(top, bot)}"
                 )
             checked[rel & -2] = checked[rel | 1] = 1
             return None

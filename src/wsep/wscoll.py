@@ -5,7 +5,8 @@ height, and the constructive reduction to the base collection for k in {2,3}.
 A collection is one int over the lexicographic ranks of its member
 k-subsets, and an exchange move is a presence check plus an XOR on it;
 member sets are sorted tuples only at the boundary (`WSCollection.of`,
-`.sets`, JSON, and the fields of a `Move`, built from its quad's ranks).
+`.sets`, JSON, and the fields of a `Move`, built from its quad's ranks); a
+listing line is joined from per-rank JSON fragments (`json_text`).
 
 `find_moves` scans every quad of the (k, n) table for one collection.  The
 closure walk (`enumerate_component`) scans only its seed: it carries each
@@ -40,8 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, total_ordering
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 from .subsets import (
@@ -80,7 +82,9 @@ class _Table:
 
     `rank[m]` is the rank of bitmask m, or -1 if m is not a k-subset of
     [1..n]; `subset[r]` and `mask[r]` give rank r back as a sorted tuple and
-    as a bitmask; `image[rot, refl][r]` is the rank of the image of rank r
+    as a bitmask, and `fragment[r]` as its JSON text, "[1, 2, 3]" as
+    `json.dumps` writes it, from which `WSCollection.json_text` builds a
+    listing line; `image[rot, refl][r]` is the rank of the image of rank r
     under the dihedral element `Dihedral(n, rot, refl)`; `crossing[r]` is
     the int of the ranks whose subsets are not weakly separated from that
     of rank r (C(n, k) pair tests per row, so only for tables whose every
@@ -100,6 +104,7 @@ class _Table:
         self.rank = _Lazy(self._rank_of)
         self.subset = _Lazy(self._subset_of)
         self.mask = _Lazy(lambda r: _to_mask(self.subset[r]))
+        self.fragment = _Lazy(lambda r: "[%s]" % ", ".join(map(str, self.subset[r])))
         self.image = _Lazy(lambda key: _Lazy(partial(self._image_of, Dihedral(n, *key))))
         self.crossing = _Lazy(self._crossing_of)
 
@@ -364,6 +369,12 @@ class WSCollection:
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "n": self.n, "sets": [list(s) for s in self.sets]}
+
+    def json_text(self) -> str:
+        """`json.dumps(self.to_json_dict(), sort_keys=True)`, joined from
+        the per-rank fragments of the table."""
+        sets = ", ".join(map(self.table.fragment.__getitem__, self.ranks()))
+        return '{"k": %d, "n": %d, "sets": [%s]}' % (self.k, self.n, sets)
 
     @staticmethod
     def from_json_dict(d: dict) -> "WSCollection":
@@ -679,22 +690,32 @@ def dihedral_orbits(cs: Iterable[WSCollection]) -> list[tuple[WSCollection, ...]
     """Partition collections into orbits of the polygon-symmetry action.
     Orbits are listed and internally sorted canonically.
 
-    The collections are sorted once and taken in order, each one not yet
-    placed starting the orbit it is the least member of, so the orbits
-    come out sorted.  They are sorted with `<`, which reads `bits` only:
-    `sort_key` would decode the ranks of every collection, and most are
-    never decoded otherwise (orbits of W(3,9): 0.31 s against 0.37 s)."""
-    pool = set(cs)
-    if not pool:
-        return []
-    group = tuple(Dihedral.group(next(iter(pool)).n))
-    placed = set()
+    Within one (k, n) the distinct collections are taken in the caller's
+    order, each one not yet placed gathering its orbit: its ranks are mapped
+    through each `image[rot, refl]` of its table to the int `bits` of a
+    translate, which is looked up among the collections not yet placed.  No
+    collection is built: the orbits hold the given ones.  Each orbit is then
+    sorted with `<`, its members taken in the caller's order, and the orbits
+    by their least members, so a sorted list needs one comparison per
+    collection and an unsorted one sorts only within orbits and leaders."""
+    kn = attrgetter("k", "n")
     orbits = []
-    for c in sorted(pool):
-        if c not in placed:
-            orbit = {translate(c, g) for g in group} & pool
-            placed |= orbit
-            orbits.append(tuple(sorted(orbit)))
+    for _, block in groupby(sorted(dict.fromkeys(cs), key=kn), key=kn):
+        block = list(block)
+        unplaced = {c.bits: x for x, c in enumerate(block)}
+        table = block[0].table
+        images = [table.image[g.rot, g.refl] for g in Dihedral.group(table.n)]
+        found = []
+        for c in block:
+            if c.bits in unplaced:
+                ranks = c.ranks()
+                xs = [
+                    unplaced.pop(sum(map((1).__lshift__, map(image.__getitem__, ranks))), -1)
+                    for image in images
+                ]
+                found.append(tuple(sorted(block[x] for x in sorted(xs) if x >= 0)))
+        found.sort(key=itemgetter(0))
+        orbits += found
     return orbits
 
 

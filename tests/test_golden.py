@@ -38,6 +38,18 @@ def sha256(text: str) -> str:
             "enumerate --k 2 --n 8",
             "0eff735fa363de1e2759cce852e31565ff449a76c311f6d8fd7bec711057a989",
         ),
+        (
+            "enumerate --k 3 --n 8",
+            "3f0f47789ad376816620e87e1978686206132232ea6368dd8800c62c060204f3",
+        ),
+        (
+            "orbits --k 4 --n 8",
+            "36f81dc8051710f382d84f2d3ea7381a58f6870285d2b2eef27eb7a1e4340834",
+        ),
+        (
+            "gen-w3 --n 8",
+            "f26d7e4490ef409f0f8a16bb6ec1d353c7d6f5283e184dceec64f2746737a9ab",
+        ),
     ],
 )
 def test_cli_stdout(capsys, argv, digest):

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 from math import comb
@@ -534,6 +535,25 @@ class TestOrbits:
                 expected.append(tuple(sorted(orbit)))
             assert dihedral_orbits(pool) == sorted(expected)
 
+    def test_mixed_k_pool_lists_each_k_in_turn(self):
+        # two collections of different k may share their bits int
+        k2, k3 = component_of_base(2, 6), component_of_base(3, 6)
+        assert dihedral_orbits(k2 | k3) == dihedral_orbits(k2) + dihedral_orbits(k3)
+
+    def test_mixed_n_pool_acts_on_each_polygon(self):
+        n6, n7 = component_of_base(3, 6), component_of_base(3, 7)
+        assert dihedral_orbits(n7 | n6) == dihedral_orbits(n6) + dihedral_orbits(n7)
+
+    def test_repeated_collections_count_once(self):
+        cs = sorted(component_of_base(3, 7))
+        assert dihedral_orbits(cs + cs[::3] + cs[:5]) == dihedral_orbits(set(cs))
+
+    def test_sorted_and_shuffled_lists_agree(self):
+        cs = sorted(component_of_base(3, 7))
+        shuffled = list(cs)
+        random.Random(5).shuffle(shuffled)
+        assert dihedral_orbits(shuffled) == dihedral_orbits(cs)
+
     def test_w36_has_five_orbits(self):
         orbits = dihedral_orbits(component_of_base(3, 6))
         assert len(orbits) == 5
@@ -670,6 +690,18 @@ class TestJson:
     def test_round_trip(self):
         c = base_collection(3, 6)
         assert WSCollection.from_json_dict(c.to_json_dict()) == c
+
+    def test_json_text_is_sorted_json_dumps(self):
+        rng = random.Random(8)
+        cases = [
+            WSCollection.of(0, 3, [()]),
+            WSCollection.of(2, 4, []),
+            base_collection(1, 5),
+            base_collection(4, 12),
+            *rng.sample(sorted(component_of_base(3, 7)), 5),
+        ]
+        for c in cases:
+            assert c.json_text() == json.dumps(c.to_json_dict(), sort_keys=True)
 
     def test_move_json(self):
         mv = find_moves(base_collection(3, 6))[0]
