@@ -35,7 +35,7 @@ from .wscoll import (
     sizes_histogram,
     validate,
 )
-from .reduction import generate_w3, lift, pinch_point, project
+from .reduction import _w3_bits, generate_w3, lift, pinch_point, project
 from .wiring import (
     chambers,
     format_word,
@@ -225,10 +225,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_gen_w3(args) -> int:
-    found = generate_w3(args.n)
     if args.count_only:
-        _emit({"count": len(found)})
+        _emit({"count": len(_w3_bits(args.n))})
         return OK
+    found = generate_w3(args.n)
     _emit_texts(c.json_text() for c in sorted(found, key=WSCollection.sort_key))
     _emit({"count": len(found)})
     return OK

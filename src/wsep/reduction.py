@@ -5,20 +5,41 @@ index set, the inverse lift, and the full recursive generator.
 `project`, `pinch_point`, `f_set` and `lift` take a collection from outside
 and require it to be maximal (`require_maximal`); a lift is certified by
 `wscoll._separated`, crossing rows or the pair loop by its cost rule.
-`generate_w3` only lifts collections it has itself certified, through the
-trusted `_f_set` and `_lift`, and certifies each lift with the crossing
-rows of its rank table whatever its size, since it checks many lifts on one
-table: member r is weakly separated from every other member exactly when
-`bits & crossing[r]` is 0, so this is the predicate of `validate`, one int
-AND per member.
+
+`generate_w3` works on rank ints, with no collection built until it
+returns.  Each level is a set of `bits` ints of the (3, m) table, starting
+from the one collection of (3, 4).  The b-lift from (3, m-1) to (3, m) is
+one list per admissible b (`_lift_maps`), sending each rank of the lower
+table to the rank of its lifted member; a lift maps the ranks of a member
+of the level through it and adds the ranks of the three adjoined sets.  A
+level is closed under the polygon symmetries by mapping the ranks of each
+new lift through every `image[rot, refl]` of its table to the int of a
+translate, as `dihedral_orbits` does.  It only lifts collections it has
+itself certified, so it takes the admissible indices from the trusted
+`_f_set`, on masks, and `_lift` checks every lift as `lift` does: its size
+is |c| + 3, it holds the near-boundary marker {1, m-2, m-1}, and it is
+certified with the crossing rows of its rank table whatever its size, since
+many lifts are checked on one table: member r is weakly separated from
+every other member exactly when `bits & crossing[r]` is 0, so this is the
+predicate of `validate`, one int AND per member.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
-from .subsets import Dihedral, _precedes_masks, _to_mask
-from .wscoll import WSCollection, _separated, pinch_index, require_maximal, translate
+from .subsets import Dihedral, _from_mask, _precedes_masks, _to_mask
+from .wscoll import (
+    WSCollection,
+    _require_ints,
+    _separated,
+    _table,
+    _Table,
+    pinch_index,
+    require_maximal,
+)
 
 
 def _require_maximal_k3(c: WSCollection):
@@ -60,16 +81,19 @@ def f_set(b_coll: WSCollection) -> set[int]:
     {1,b,top} present such that {1,b}-{s,t} wholly precedes {s,t}-{1,b} for
     every member {s,t,top} with 1 < s < t."""
     _require_maximal_k3(b_coll)
-    return _f_set(b_coll)
+    return _f_set(b_coll.table, b_coll.bits, b_coll.ranks())
 
 
-def _f_set(b_coll: WSCollection) -> set[int]:
-    top = 1 << b_coll.n
-    inner_pairs = [m ^ top for m in b_coll.masks() if m & top and not m & 2]
+def _f_set(table: _Table, bits: int, ranks) -> set[int]:
+    """`f_set` of the collection `bits` of the (3, top) table, whose
+    member ranks are `ranks`, tested on masks and not certified."""
+    top = 1 << table.n
+    rank = table.rank
+    inner_pairs = [m ^ top for m in map(table.mask.__getitem__, ranks) if m & top and not m & 2]
     out = set()
-    for b in range(2, b_coll.n):
+    for b in range(2, table.n):
         lb = 2 | 1 << b
-        if not b_coll.has_mask(lb | top):
+        if not bits >> rank[lb | top] & 1:
             continue
         if all(_precedes_masks(lb & ~p, p & ~lb) for p in inner_pairs):
             out.add(b)
@@ -88,27 +112,63 @@ def lift(b_coll: WSCollection, b: int) -> WSCollection:
     return out
 
 
-def _lift(b_coll: WSCollection, b: int) -> WSCollection:
-    """`lift` of a certified maximal collection and an index of its
-    `_f_set`, certified by crossing rows."""
-    out = _lifted(b_coll, b)
-    bits, crossing = out.bits, out.table.crossing
-    if any(bits & crossing[r] for r in out.ranks()):
-        raise AssertionError("lift produced a non-separated collection")
+def _relabelled(m: int, lb: int, old: int) -> int:
+    """Member mask m of a collection on [1..n-1] as its lift at b relabels
+    it, where lb is the mask of {1,b} and old that of n-1: n-1 is traded
+    for n when m holds n-1 and m-{1,b,n-1} wholly precedes {1,b}-m."""
+    if m & old and _precedes_masks(m & ~(lb | old), lb & ~m):
+        return m ^ old ^ old << 1
+    return m
+
+
+def _adjoined(b: int, n: int) -> list[int]:
+    """Masks of the three sets {1,b,n-1}, {1,n-1,n}, {n-2,n-1,n} that the
+    lift at b to [1..n] adjoins."""
+    return [_to_mask((1, b, n - 1)), _to_mask((1, n - 1, n)), _to_mask((n - 2, n - 1, n))]
+
+
+def _lift_maps(table: _Table) -> dict[int, tuple[list[int], list[int]]]:
+    """Per index b in [2..m-2], the b-lift from the (3, m-1) table to the
+    (3, m) table `table` on ranks: the list sending each rank of the lower
+    table to the rank of its `_relabelled` mask, and the ranks of the three
+    `_adjoined` sets.  `lift` relabels and adjoins the same masks."""
+    m, rank = table.n, table.rank
+    below = _table(3, m - 1)
+    masks = [below.mask[r] for r in range(below.size)]
+    old = 1 << (m - 1)
+    out = {}
+    for b in range(2, m - 1):
+        lb = 2 | 1 << b
+        out[b] = (
+            [rank[_relabelled(x, lb, old)] for x in masks],
+            [rank[x] for x in _adjoined(b, m)],
+        )
     return out
+
+
+def _lift(table: _Table, ranks, lift_map) -> tuple[int, list[int]]:
+    """The `bits` of the (3, m) table and the member ranks of the lift of
+    the collection with member ranks `ranks` through `lift_map`, an entry
+    of `_lift_maps(table)`, checked as `_lifted` checks a lift and
+    certified by crossing rows."""
+    relabel, added = lift_map
+    lifted = [*map(relabel.__getitem__, ranks), *added]
+    bits = reduce(or_, map((1).__lshift__, lifted))
+    if bits.bit_count() != len(lifted):
+        raise AssertionError("lift changed the size by an unexpected amount")
+    m = table.n
+    if not bits >> table.rank[_to_mask((1, m - 2, m - 1))] & 1:
+        raise AssertionError("lift lost the near-boundary marker")
+    if any(map(bits.__and__, map(table.crossing.__getitem__, lifted))):
+        raise AssertionError("lift produced a non-separated collection")
+    return bits, lifted
 
 
 def _lifted(b_coll: WSCollection, b: int) -> WSCollection:
     """The members of the lift, not yet certified to be weakly separated."""
     n = b_coll.n + 1
-    lb = 2 | 1 << b
-    old, new = 1 << (n - 1), 1 << n
-    lifted = []
-    for m in b_coll.masks():
-        if m & old and _precedes_masks(m & ~(lb | old), lb & ~m):
-            m ^= old | new
-        lifted.append(m)
-    lifted += [_to_mask((1, b, n - 1)), _to_mask((1, n - 1, n)), _to_mask((n - 2, n - 1, n))]
+    lb, old = 2 | 1 << b, 1 << (n - 1)
+    lifted = [_relabelled(m, lb, old) for m in b_coll.masks()] + _adjoined(b, n)
     out = WSCollection.of_masks(3, n, lifted)
     if len(out) != len(b_coll) + 3:
         raise AssertionError("lift changed the size by an unexpected amount")
@@ -125,16 +185,34 @@ def w3_floor() -> WSCollection:
 def generate_w3(n: int) -> set[WSCollection]:
     """All maximal k=3 collections on [1..n], built recursively: lift every
     (collection, admissible index) pair one level up, then close under the
-    polygon symmetries."""
+    polygon symmetries.  The levels are sets of `bits` ints (`_w3_bits`);
+    a collection is built only for the ones returned."""
+    level = _w3_bits(n)
+    table = _table(3, n)
+    return {WSCollection(table, bits) for bits in level}
+
+
+def _w3_bits(n: int) -> set[int]:
+    """The `bits` ints of the (3, n) table of `generate_w3(n)`.  Each level
+    member is decoded once; each lift goes through the rank map of its
+    index, and a lift not yet in the closed set brings in its 2m translates."""
+    _require_ints(3, n)
     if n < 4:
         raise ValueError("need n >= 4")
-    current = {w3_floor()}
-    for _ in range(5, n + 1):
-        lifted = {_lift(b_coll, b) for b_coll in current for b in _f_set(b_coll)}
-        group = tuple(Dihedral.group(next(iter(lifted)).n))
+    level = {w3_floor().bits}
+    below = _table(3, 4)
+    for m in range(5, n + 1):
+        table = _table(3, m)
+        maps = _lift_maps(table)
+        images = [table.image[g.rot, g.refl] for g in Dihedral.group(m)]
         closed = set()
-        for c in lifted:
-            if c not in closed:  # else its whole orbit is in already
-                closed.update(translate(c, g) for g in group)
-        current = closed
-    return current
+        for c in level:
+            ranks = _from_mask(c)
+            for b in _f_set(below, c, ranks):
+                bits, lifted = _lift(table, ranks, maps[b])
+                if bits not in closed:  # else its whole orbit is in already
+                    closed.update(
+                        sum(map((1).__lshift__, map(image.__getitem__, lifted))) for image in images
+                    )
+        level, below = closed, table
+    return level

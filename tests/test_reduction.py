@@ -1,10 +1,23 @@
 import pytest
 
 from oracles import component_of_base
-from wsep.reduction import _f_set, _lift, f_set, generate_w3, lift, pinch_point, project, w3_floor
+from wsep.reduction import (
+    _f_set,
+    _lift,
+    _lift_maps,
+    _w3_bits,
+    f_set,
+    generate_w3,
+    lift,
+    pinch_point,
+    project,
+    w3_floor,
+)
 from wsep.wscoll import (
     WSCollection,
+    _table,
     base_collection,
+    enumerate_component,
     is_maximal,
     validate,
 )
@@ -138,16 +151,24 @@ class TestIngress:
             call(short_base6())
 
     def test_trusted_path_matches_public(self):
+        # the generator's lift goes through rank maps, the public one
+        # through masks
+        table = _table(3, 8)
+        maps = _lift_maps(table)
         for c in component_of_base(3, 7):
-            assert _f_set(c) == f_set(c)
-            for b in _f_set(c):
-                assert _lift(c, b) == lift(c, b)
+            assert _f_set(c.table, c.bits, c.ranks()) == f_set(c)
+            for b in f_set(c):
+                bits, lifted = _lift(table, c.ranks(), maps[b])
+                public = lift(c, b)
+                assert WSCollection(table, bits) == public
+                assert sorted(lifted) == list(public.ranks())
 
     def test_trusted_lift_certifies_its_output(self):
         # the trusted path does not certify its input; its crossing rows
         # still catch a crossing lift, as the pair loop does
+        c, table = crossing_base6(), _table(3, 7)
         with pytest.raises(AssertionError, match="non-separated"):
-            _lift(crossing_base6(), 2)
+            _lift(table, c.ranks(), _lift_maps(table)[2])
 
 
 class TestGenerate:
@@ -173,3 +194,14 @@ class TestGenerate:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             generate_w3(3)
+
+    @pytest.mark.parametrize("n", [7.0, "7", None])
+    def test_rejects_non_int_n(self, n):
+        with pytest.raises(ValueError, match="must be integers"):
+            generate_w3(n)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_int_levels_match_move_graph(self, n):
+        walked = {c.bits for c in enumerate_component(base_collection(3, n))}
+        assert _w3_bits(n) == walked
+        assert {(c.k, c.n, c.bits) for c in generate_w3(n)} == {(3, n, b) for b in walked}

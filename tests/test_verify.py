@@ -1,4 +1,6 @@
-from wsep.verify import _plucker_pairs_agree, run_suite
+import pytest
+
+from wsep.verify import _minor_pairs_agree, _plucker_pairs_agree, run_suite
 
 
 def test_small_suite_all_green():
@@ -18,3 +20,11 @@ def test_plucker_3_6_pairs_agree():
     result = _plucker_pairs_agree(3, 6)
     assert result.ok, result.detail
     assert result.detail == "400 ordered pairs agree"
+
+
+@pytest.mark.parametrize("k, m, pairs", [(3, 4, 1156), (4, 4, 4761)])
+def test_minor_pairs_agree_beyond_the_full_suite(k, m, pairs):
+    # the paper's pair criterion on every ordered minor pair of Mat_{k x m}
+    result = _minor_pairs_agree(k, m)
+    assert result.ok, result.detail
+    assert result.detail == f"{pairs} ordered pairs agree"
