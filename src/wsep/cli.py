@@ -31,11 +31,12 @@ from .wscoll import (
     base_collection,
     dihedral_orbits,
     enumerate_component,
+    pinch_index,
     reduce_to_base,
     sizes_histogram,
     validate,
 )
-from .reduction import _w3_bits, generate_w3, lift, pinch_point, project
+from .reduction import _w3_bits, generate_w3, lift, project
 from .wiring import (
     chambers,
     format_word,
@@ -219,8 +220,8 @@ def cmd_lift(args) -> int:
 
 def cmd_reduce(args) -> int:
     c = _load_collection(args.file)
-    projected = project(c)
-    _emit({"projection": projected.to_json_dict(), "pinch_point": pinch_point(c)})
+    projected = project(c)  # checks c, so the pinch index needs no second check
+    _emit({"projection": projected.to_json_dict(), "pinch_point": pinch_index(c)})
     return OK
 
 

@@ -7,7 +7,7 @@ and require it to be maximal (`require_maximal`); a lift is certified by
 `wscoll._separated`, crossing rows or the pair loop by its cost rule.
 
 `generate_w3` works on rank ints, with no collection built until it
-returns.  Each level is a set of `bits` ints of the (3, m) table, starting
+returns.  Each level holds `bits` ints of the (3, m) table, starting
 from the one collection of (3, 4).  The b-lift from (3, m-1) to (3, m) is
 one list per admissible b (`_lift_maps`), sending each rank of the lower
 table to the rank of its lifted member; a lift maps the ranks of a member
@@ -30,7 +30,7 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
-from .subsets import Dihedral, _from_mask, _precedes_masks, _to_mask
+from .subsets import Dihedral, _precedes_masks, _to_mask
 from .wscoll import (
     WSCollection,
     _require_ints,
@@ -185,34 +185,40 @@ def w3_floor() -> WSCollection:
 def generate_w3(n: int) -> set[WSCollection]:
     """All maximal k=3 collections on [1..n], built recursively: lift every
     (collection, admissible index) pair one level up, then close under the
-    polygon symmetries.  The levels are sets of `bits` ints (`_w3_bits`);
-    a collection is built only for the ones returned."""
+    polygon symmetries.  The levels hold `bits` ints (`_w3_bits`); a
+    collection is built only for the ones returned."""
     level = _w3_bits(n)
     table = _table(3, n)
     return {WSCollection(table, bits) for bits in level}
 
 
 def _w3_bits(n: int) -> set[int]:
-    """The `bits` ints of the (3, n) table of `generate_w3(n)`.  Each level
-    member is decoded once; each lift goes through the rank map of its
-    index, and a lift not yet in the closed set brings in its 2m translates."""
+    """The `bits` ints of the (3, n) table of `generate_w3(n)`.  Each lift
+    goes through the rank map of its index, and a lift not yet in the closed
+    set brings in its 2m translates.  A level below n maps each member to
+    its ranks, the image list that made it, so no member is decoded; level n
+    is a set, since nothing reads its ranks."""
     _require_ints(3, n)
     if n < 4:
         raise ValueError("need n >= 4")
-    level = {w3_floor().bits}
-    below = _table(3, 4)
+    floor = w3_floor()
+    if n == 4:
+        return {floor.bits}
+    level, below = {floor.bits: floor.ranks()}, floor.table
     for m in range(5, n + 1):
         table = _table(3, m)
         maps = _lift_maps(table)
         images = [table.image[g.rot, g.refl] for g in Dihedral.group(m)]
-        closed = set()
-        for c in level:
-            ranks = _from_mask(c)
+        closed = set() if m == n else {}
+        for c, ranks in level.items():
             for b in _f_set(below, c, ranks):
                 bits, lifted = _lift(table, ranks, maps[b])
-                if bits not in closed:  # else its whole orbit is in already
-                    closed.update(
-                        sum(map((1).__lshift__, map(image.__getitem__, lifted))) for image in images
-                    )
+                if bits in closed:  # its whole orbit is in already
+                    continue
+                moved = (map(image.__getitem__, lifted) for image in images)
+                if m == n:
+                    closed.update(sum(map((1).__lshift__, r)) for r in moved)
+                else:
+                    closed.update((sum(map((1).__lshift__, r)), r) for r in map(list, moved))
         level, below = closed, table
     return level

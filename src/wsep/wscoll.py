@@ -825,72 +825,62 @@ def _relabel(f, anchor, removes, adds) -> Move:
     return Move._trusted(anchor, i, s, j, t, removes, adds)
 
 
-def _compose(p: tuple[int, ...], g: Dihedral) -> tuple[int, ...]:
-    """The index map x -> p[g(x)] on [1..g.n], as a tuple indexed by x."""
-    return (0, *(p[g.apply(x)] for x in range(1, g.n + 1)))
+def _undo_moves(k: int, g: Dihedral, m: int, p: tuple[int, ...]) -> list[Move]:
+    """Moves reducing g . base(k,m) to base(k,m), index x written p[x].
+
+    With g = rho^rot sigma^refl: the descent of sigma (if g reflects) written
+    through p . rho^rot, then for i = rot-1, ..., 0 the descent of rho
+    written through p . rho^i.  A descent takes a generator's translate of
+    base(k, top) to base(k, top) for top = m, ..., k+2, with one move per top
+    (two for a rotation at k=3)."""
+    moves = []
+    steps = [(g.rot, True)] if g.refl else []
+    for i, refl in steps + [(i, False) for i in range(g.rot - 1, -1, -1)]:
+        f = (0, *p[i + 1 : m + 1], *p[1 : i + 1]).__getitem__  # x -> p[rho^i(x)]
+        for top in range(m, k + 1, -1):
+            if k == 2:  # either generator sends the fan at 1 to the fan at 2
+                moves.append(_relabel(f, (), (2, top), (1, top - 1)))
+                continue
+            if not refl:
+                moves.append(_relabel(f, (2,), (2, 3, top), (1, 2, top - 1)))
+            moves.append(_relabel(f, (top - 1,), (2, top - 1, top), (1, top - 2, top - 1)))
+    return moves
 
 
-def _generator_base_moves(k: int, gen: Dihedral, m: int, p: tuple[int, ...]) -> list[Move]:
-    """Moves reducing gen . base(k,m) to base(k,m) for gen a basic rotation
-    or reflection, following the inductive two-step (rotation) / one-step
-    (reflection) descent to the (m-1)-gon; index x is written p[x]."""
-    if m <= k + 1:
-        return []
-    f = p.__getitem__
-    if k == 2:
-        # either generator sends the fan at 1 to the fan at 2
-        mvs = [_relabel(f, (), (2, m), (1, m - 1))]
-    elif gen.refl:
-        mvs = [_relabel(f, (m - 1,), (2, m - 1, m), (1, m - 2, m - 1))]
-    else:
-        mvs = [
-            _relabel(f, (2,), (2, 3, m), (1, 2, m - 1)),
-            _relabel(f, (m - 1,), (2, m - 1, m), (1, m - 2, m - 1)),
-        ]
-    return mvs + _generator_base_moves(k, Dihedral(m - 1, gen.rot, gen.refl), m - 1, p)
-
-
-def _base_translate_moves(k: int, g: Dihedral, m: int, p: tuple[int, ...]) -> list[Move]:
-    """Moves reducing g . base(k,m) to base(k,m), peeling one generator at a
-    time: g = gen . g2, reduce g2 . base under gen's translation, then finish
-    with the generator reduction; index x is written p[x]."""
-    if m <= k + 1 or g.is_identity():
-        return []
-    if g.rot > 0:
-        gen = Dihedral.rotation(m)
-        g2 = Dihedral(m, g.rot - 1, g.refl)
-    else:
-        gen = Dihedral.reflection(m)
-        g2 = Dihedral.identity(m)
-    return _base_translate_moves(k, g2, m, _compose(p, gen)) + _generator_base_moves(k, gen, m, p)
-
-
-def _moves_to_base(c: WSCollection, p: tuple[int, ...]) -> list[Move]:
-    """Moves reducing c to the base collection, each built once with index
-    x written p[x]: p sends c's indices to those of the collection being
-    reduced, and the recursion passes it down composed with each level's
-    symmetry."""
-    k, m = c.k, c.n
-    if m <= k + 1:
-        if len(c) != c.table.size:
-            raise ValueError("unexpected non-maximal collection at recursion floor")
-        return []
-    g = dihedral_witness(c) if k == 3 else Dihedral.identity(m)
-    d = translate(c, g)
-    ginv = g.inverse()
-    q = _compose(p, ginv)
-    f = q.__getitem__
-    pinch_moves = []
-    while height(d) > 0:
-        mv = _pinch_move(d, m)
-        d = apply_move(d, mv)
-        pinch_moves.append(_relabel(f, mv.anchor, mv.removes, mv.adds))
-    stripped = WSCollection.of_masks(k, m - 1, (s for s in d.masks() if not s >> m & 1))
-    return pinch_moves + _moves_to_base(stripped, q) + _base_translate_moves(k, ginv, m, p)
+def _moves_to_base(c: WSCollection) -> list[Move]:
+    """Moves reducing c to the base collection, one level m = n, ..., k+2 at
+    a time.  At level m, c is a maximal (k, m) collection whose index x is
+    the input's p[x].  The witness g (the identity for k=2) puts the
+    near-boundary marker in g . c, pinch moves written through q = p . g^-1
+    bring its height at m to 0, and stripping m leaves the next level's c,
+    with p = q.  That leaves g^-1 . base(k, m) at each level, so the undo
+    moves follow the loop, innermost level first."""
+    k, p = c.k, tuple(range(c.n + 1))
+    moves, undo = [], []
+    for m in range(c.n, k + 1, -1):
+        g = dihedral_witness(c) if k == 3 else Dihedral.identity(m)
+        d = translate(c, g)
+        ginv = g.inverse()
+        q = (0, *(p[ginv.apply(x)] for x in range(1, m + 1)))
+        while height(d) > 0:
+            mv = _pinch_move(d, m)
+            d = apply_move(d, mv)
+            moves.append(_relabel(q.__getitem__, mv.anchor, mv.removes, mv.adds))
+        undo.append((ginv, m, p))
+        c, p = WSCollection.of_masks(k, m - 1, (s for s in d.masks() if not s >> m & 1)), q
+    if len(c) != c.table.size:
+        raise ValueError("unexpected non-maximal collection at the floor")
+    for ginv, m, p in reversed(undo):
+        moves += _undo_moves(k, ginv, m, p)
+    return moves
 
 
 def reduce_to_base(c: WSCollection) -> Reduction:
     """A certified sequence of exchange moves from c to the base collection.
+
+    The moves follow the paper's construction (`_moves_to_base`): at each
+    level a dihedral witness and pinch moves down to the top index, then
+    the moves that undo each level's symmetry (`_undo_moves`).
 
     c is checked by `require_maximal`, and every move is replayed: each
     member it adds is checked against the whole new collection
@@ -901,7 +891,7 @@ def reduce_to_base(c: WSCollection) -> Reduction:
     if c.k not in (2, 3):
         raise ValueError("reduction implemented for k in {2,3} only")
     require_maximal(c)
-    moves = _moves_to_base(c, tuple(range(c.n + 1)))
+    moves = _moves_to_base(c)
     cur = c
     for mv in moves:
         prev, cur = cur, apply_move(cur, mv)

@@ -10,7 +10,9 @@ import pytest
 
 import wsep
 from wsep.cli import main
-from wsep.wscoll import base_collection
+from wsep.reduction import pinch_point, project
+from wsep.subsets import Dihedral
+from wsep.wscoll import base_collection, translate
 
 
 def run(capsys, *argv):
@@ -178,6 +180,23 @@ class TestReductionVerbs:
         code, out = run(capsys, "lift", "--file", str(g), "--b", "2")
         assert code == 0
         assert json.loads(out) == c.to_json_dict()
+
+    def test_reduce_checks_its_input_once(self, capsys, tmp_path, monkeypatch):
+        real, calls = wsep.reduction.require_maximal, []
+
+        def counted(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(wsep.reduction, "require_maximal", counted)
+        monkeypatch.setattr(wsep.wscoll, "require_maximal", counted)
+        c = translate(base_collection(3, 8), Dihedral(8, 5))  # pinch point 6
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(c.to_json_dict()))
+        code, out = run(capsys, "reduce", "--file", str(f))
+        assert (code, len(calls)) == (0, 1)
+        expected = {"projection": project(c).to_json_dict(), "pinch_point": pinch_point(c)}
+        assert json.loads(out) == expected
 
     @staticmethod
     def usage_error(capsys, argv, message):

@@ -8,7 +8,8 @@ import pytest
 
 from oracles import component_of_base
 from wsep.cli import main
-from wsep.wscoll import reduce_to_base
+from wsep.subsets import Dihedral
+from wsep.wscoll import base_collection, reduce_to_base, translate
 
 
 def sha256(text: str) -> str:
@@ -57,9 +58,35 @@ def test_cli_stdout(capsys, argv, digest):
     assert sha256(capsys.readouterr().out) == digest
 
 
+def path_digest(cs) -> str:
+    paths = (json.dumps(reduce_to_base(c).to_json_dict(), sort_keys=True) + "\n" for c in cs)
+    return sha256("".join(paths))
+
+
 def test_reduction_paths():
-    text = "".join(
-        json.dumps(reduce_to_base(c).to_json_dict(), sort_keys=True) + "\n"
-        for c in sorted(component_of_base(3, 7))[:20]
-    )
-    assert sha256(text) == "64be0794946aecc08df706a3bbd3de1794065070990141131370b3955407c857"
+    digest = path_digest(sorted(component_of_base(3, 7))[:20])
+    assert digest == "64be0794946aecc08df706a3bbd3de1794065070990141131370b3955407c857"
+
+
+@pytest.mark.parametrize(
+    "k, n, digest",
+    [
+        (2, 8, "71e5516437f1af3e4b2996839c7efb01c2b29231bdd0b9cead076ed11f091c57"),
+        (3, 7, "49d3728eb8722c7e8b6858c97fce7b1dcdbb1b76e7c31ad3f96083adb257010a"),
+    ],
+)
+def test_every_reduction_path(k, n, digest):
+    assert path_digest(sorted(component_of_base(k, n))) == digest
+
+
+@pytest.mark.parametrize(
+    "k, digest",
+    [
+        (2, "7767ac09a673db531cf78fb0b7d16f974c7d5fe58bcadccce37e1c04d827b558"),
+        (3, "2ebdf578aee2cd104e97649525fd47779a0ad6728f3aa3d1c58ea183a9cbf2ff"),
+    ],
+)
+def test_reduction_paths_from_every_translate_of_base(k, digest):
+    # every rotation and reflection of the base, undone by the symmetry moves
+    base = base_collection(k, 12)
+    assert path_digest(translate(base, g) for g in Dihedral.group(12)) == digest
