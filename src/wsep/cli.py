@@ -172,8 +172,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_reduce_base(args) -> int:
     c = _load_collection(args.file)
-    red = reduce_to_base(c)
-    _emit(red.to_json_dict())
+    _emit_texts((reduce_to_base(c).json_text(),))
     return OK
 
 

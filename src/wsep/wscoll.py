@@ -5,8 +5,15 @@ height, and the constructive reduction to the base collection for k in {2,3}.
 A collection is one int over the lexicographic ranks of its member
 k-subsets, and an exchange move is a presence check plus an XOR on it;
 member sets are sorted tuples only at the boundary (`WSCollection.of`,
-`.sets`, JSON, and the fields of a `Move`, built from its quad's ranks); a
-listing line is joined from per-rank JSON fragments (`json_text`).
+`.sets`, JSON, and the fields of a `Move`, built from its quad's ranks or
+its diagonals' masks where one is returned); a listing line is joined from
+per-rank JSON fragments (`json_text`).
+
+`reduce_to_base` works on ints from its ingress check to its output: the
+path is built as (removes_mask, adds_mask) pairs, the level collections of
+the construction are `bits` of the (k, m) tables, the path is replayed and
+certified on `bits`, and `Reduction.json_text` prints it from per-rank
+fragments; a `Move` is built only when a caller reads `Reduction.moves`.
 
 `find_moves` scans every quad of the (k, n) table for one collection.  The
 closure walk (`enumerate_component`) scans only its seed: it carries each
@@ -24,10 +31,11 @@ of k(n-k)+1 members, and that is what `is_maximal` tests and
 call the latter first.  `complete_to_maximal` is a greedy pair loop that no
 certifying path uses.
 
-A check of separation (`is_maximal` and `require_maximal`, `reduce_to_base`
-after every move, and the public `lift`) asks `_separated`, which takes the
-rows when the table has at most `ROWS_PER_MEMBER` (4) subsets per member of
-the collection, `table.size <= 4 * len(c)`, and the pair loop otherwise.  A
+A check of separation (`is_maximal` and `require_maximal`, and the public
+`lift`) asks `_separated`, and the replay of `reduce_to_base` (which checks
+one rank per move) asks `_uses_rows`: either takes the rows when the table
+has at most `ROWS_PER_MEMBER` (4) subsets per member of the collection,
+`table.size <= 4 * len(c)`, and the pair loop otherwise.  A
 row costs C(n, k) pair tests once and one AND per use after, so the rows
 pay off on a small table checked repeatedly, such as (3, 7), (3, 8) and k=2
 up to n=15; a one-off check at a large (k, n) keeps the pair loop and fills
@@ -93,7 +101,8 @@ class _Table:
     The table is the one holder of what is built per (k, n): besides the
     ranks and rows, the exchange quads (`quads`, six ranks each, which are
     also the exchange relations `propagate` evaluates; `quad_move` builds a
-    quad's `Move` where one is returned) and the base collection (`base`).
+    quad's `Move` where one is returned), the base collection (`base`) and
+    the int of the ranks that count towards `height` (`top_inner`).
     All of it goes with the table, once `_table` (the 32 most recently used)
     has evicted it and no collection refers to it.
     """
@@ -222,12 +231,13 @@ class _Table:
         return out
 
     @cached_property
-    def top_boundary(self) -> frozenset:
-        """Masks of the boundary subsets that contain n."""
-        k, n = self.k, self.n
-        return frozenset(
-            _to_mask((n - j + x - 1) % n + 1 for x in range(k)) for j in range(k)
-        )
+    def top_inner(self) -> int:
+        """The int of the ranks of the non-boundary subsets that contain n:
+        a collection's height is the bit count of its `bits` & this."""
+        k, n, top = self.k, self.n, 1 << self.n
+        boundary = {_to_mask((n - j + x - 1) % n + 1 for x in range(k)) for j in range(k)}
+        tops = (top | _to_mask(t) for t in combinations(range(1, n), k - 1)) if k else ()
+        return sum(1 << self.rank[m] for m in tops if m not in boundary)
 
 
 @lru_cache(maxsize=32)
@@ -316,11 +326,6 @@ class WSCollection:
         """Member bitmasks in the order of `sets`."""
         mask = self.table.mask
         return [mask[r] for r in self.ranks()]
-
-    def has_mask(self, m: int) -> bool:
-        """Whether the subset with bitmask m is a member."""
-        r = self.table.rank[m]
-        return r >= 0 and bool(self.bits >> r & 1)
 
     def __contains__(self, s) -> bool:
         t = tuple(s)
@@ -468,6 +473,16 @@ class Move:
         )
         return mv
 
+    @classmethod
+    def _of_masks(cls, removes: int, adds: int) -> "Move":
+        """The move whose diagonals have bitmasks removes and adds, which
+        must form a move: the anchor is their intersection, the quad their
+        symmetric difference."""
+        i, s, j, t = _from_mask(removes ^ adds)
+        return cls._trusted(
+            _from_mask(removes & adds), i, s, j, t, _from_mask(removes), _from_mask(adds)
+        )
+
     @property
     def sides(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_from_mask(m) for m in self.side_masks)
@@ -487,7 +502,8 @@ class Move:
         return Move._trusted(self.anchor, self.i, self.s, self.j, self.t, self.adds, self.removes)
 
     def translate(self, g: Dihedral) -> "Move":
-        return _relabel(g.apply, self.anchor, self.removes, self.adds)
+        removes, adds = (_to_mask(map(g.apply, d)) for d in (self.removes, self.adds))
+        return Move._of_masks(removes, adds)
 
     def to_json_dict(self) -> dict:
         return {
@@ -529,25 +545,32 @@ def _uses_rows(c: WSCollection) -> bool:
     return c.table.size <= ROWS_PER_MEMBER * len(c)
 
 
-def _separated(c: WSCollection, ranks: Iterable[int] | None = None) -> bool:
-    """Whether every member rank in `ranks` (default: every member) is
-    weakly separated from every member of c: one AND per rank with crossing
-    rows, else pair tests, as `_uses_rows` decides, stopping at the first
-    crossing.  With the default this is `validate(c).ok`."""
+def _separated(c: WSCollection) -> bool:
+    """Whether c is weakly separated, `validate(c).ok`: one AND per member
+    with crossing rows, else pair tests over its pairs, as `_uses_rows`
+    decides, stopping at the first crossing."""
     if _uses_rows(c):
         bits, crossing = c.bits, c.table.crossing
-        for r in c.ranks() if ranks is None else ranks:
+        for r in c.ranks():
             if bits & crossing[r]:
                 return False
         return True
     members = c.masks()
-    if ranks is None:
-        for x, a in enumerate(members):
-            if not all(map(partial(_weakly_separated_masks, a), members[x + 1:])):
-                return False
-        return True
-    mask = c.table.mask
-    return all(_weakly_separated_masks(mask[r], b) for r in ranks for b in members)
+    for x, a in enumerate(members):
+        if not all(map(partial(_weakly_separated_masks, a), members[x + 1:])):
+            return False
+    return True
+
+
+def _separated_from(table: _Table, bits: int, r: int, rows: bool) -> bool:
+    """Whether rank r is weakly separated from every member of the
+    collection `bits` of the table: one AND with its crossing row if
+    `rows`, else pair tests."""
+    if rows:
+        return not bits & table.crossing[r]
+    mask = table.mask
+    a = mask[r]
+    return all(_weakly_separated_masks(a, mask[s]) for s in _from_mask(bits))
 
 
 def complete_to_maximal(c: WSCollection) -> WSCollection:
@@ -725,39 +748,82 @@ def dihedral_orbits(cs: Iterable[WSCollection]) -> list[tuple[WSCollection, ...]
 
 def height(c: WSCollection) -> int:
     """Number of non-boundary member sets containing the top index n."""
-    top, boundary = 1 << c.n, c.table.top_boundary
-    return sum(1 for m in c.masks() if m & top and m not in boundary)
+    return (c.bits & c.table.top_inner).bit_count()
 
 
 @dataclass(frozen=True)
 class Reduction:
-    """A certified move path: applying `moves` in order to the reduced
-    collection produces `end`, the base collection."""
+    """A certified move path: applying its moves in order to the reduced
+    collection produces `end`, the base collection.
 
-    moves: tuple[Move, ...]
+    `path` holds each move as the pair (removes_mask, adds_mask) of its two
+    diagonals as bitmasks; the anchor is their intersection and the quad
+    their symmetric difference.  `moves` is the same path as a tuple of
+    `Move`, built on first read, and `json_text` writes the path without
+    building one."""
+
+    path: tuple[tuple[int, int], ...]
     end: WSCollection
+
+    @cached_property
+    def moves(self) -> tuple[Move, ...]:
+        return tuple(Move._of_masks(removes, adds) for removes, adds in self.path)
 
     def to_json_dict(self) -> dict:
         return {
             "moves": [m.to_json_dict() for m in self.moves],
-            "length": len(self.moves),
+            "length": len(self.path),
             "end": self.end.to_json_dict(),
         }
+
+    def json_text(self) -> str:
+        """`json.dumps(self.to_json_dict(), sort_keys=True)`, each move's
+        line joined from the per-rank fragments of the (k, n) table for its
+        diagonals, of the (k - 2, n) table for its anchor and of the (4, n)
+        table for its quad."""
+        end = self.end
+        lines = []
+        if self.path:
+            rank, fragment = end.table.rank, end.table.fragment
+            anchors, quads = _table(end.k - 2, end.n), _table(4, end.n)
+            for removes, adds in self.path:
+                lines.append(
+                    '{"adds": %s, "anchor": %s, "quad": %s, "removes": %s}'
+                    % (
+                        fragment[rank[adds]],
+                        anchors.fragment[anchors.rank[removes & adds]],
+                        quads.fragment[quads.rank[removes ^ adds]],
+                        fragment[rank[removes]],
+                    )
+                )
+        return '{"end": %s, "length": %d, "moves": [%s]}' % (
+            end.json_text(), len(lines), ", ".join(lines)
+        )
 
 
 def _marker(n: int) -> tuple[int, ...]:
     return (1, n - 2, n - 1)
 
 
+def _witness(table: _Table, bits: int) -> tuple[int, bool]:
+    """(rot, refl) of the first g of `Dihedral.group` with the marker in
+    g . c, for c the collection `bits` of the table: the marker is in g . c
+    exactly when the image of its rank under g^-1 is in c."""
+    n = table.n
+    r = table.rank[_to_mask(_marker(n))]
+    if r >= 0:
+        image = table.image
+        for refl in (False, True):
+            for rot in range(n):
+                if bits >> image[(rot, True) if refl else (-rot % n, False)][r] & 1:
+                    return rot, refl
+    raise ValueError("no dihedral translate contains the near-boundary marker")
+
+
 def dihedral_witness(c: WSCollection) -> Dihedral:
     """Some polygon symmetry g with the near-boundary marker {1,n-2,n-1} in
     g.c; exists for every maximal k=3 collection."""
-    marker = _marker(c.n)
-    for g in Dihedral.group(c.n):
-        # marker in g.c exactly when its preimage is in c
-        if c.has_mask(_to_mask(g.inverse().apply_subset(marker))):
-            return g
-    raise ValueError("no dihedral translate contains the near-boundary marker")
+    return Dihedral(c.n, *_witness(c.table, c.bits))
 
 
 def _prefix(k: int) -> tuple[int, ...]:
@@ -773,60 +839,59 @@ def pinch_index(c: WSCollection, top: int | None = None) -> int:
     """
     if c.k not in (2, 3):
         raise ValueError("pinch index defined for k in {2,3} only")
-    top = c.n if top is None else top
-    pre = _to_mask(_prefix(c.k))
-    if c.k == 3 and not c.has_mask(_to_mask((1, top - 2, top - 1))):
+    return _pinch_index(c.table, c.bits, c.n if top is None else top)
+
+
+def _pinch_index(table: _Table, bits: int, top: int) -> int:
+    """`pinch_index` of the collection `bits` of the table."""
+    k, rank = table.k, table.rank
+
+    def has(m: int) -> bool:
+        r = rank[m]
+        return r >= 0 and bool(bits >> r & 1)
+
+    pre = _to_mask(_prefix(k))
+    if k == 3 and not has(_to_mask((1, top - 2, top - 1))):
         raise ValueError(f"collection lacks {{1,{top-2},{top-1}}}")
-    lo = 2 if c.k == 3 else 1
+    lo = 2 if k == 3 else 1
     for b in range(top - 2, lo - 1, -1):
-        if c.has_mask(pre | 1 << b | 1 << top):
+        if has(pre | 1 << b | 1 << top):
             partner = pre | 1 << b | 1 << (top - 1)
-            if not c.has_mask(partner):
+            if not has(partner):
                 raise ValueError(f"pinch candidate {b} lacks partner {_from_mask(partner)}")
             return b
     raise ValueError("no pinch index found")
 
 
-def _pinch_move(c: WSCollection, top: int) -> Move:
-    """The height-decreasing move at the current top index: swap
-    prefix+{b,top} for prefix+{a,top-1} where b is the pinch index and a is
-    the largest smaller index with prefix+{a,top} present."""
-    pre = _prefix(c.k)
-    pm = _to_mask(pre)
-    b = pinch_index(c, top)
-    lo = 2 if c.k == 3 else 1
-    a = None
-    for x in range(b - 1, lo - 1, -1):
-        if c.has_mask(pm | 1 << x | 1 << top):
-            a = x
-            break
-    if a is None:
-        raise ValueError("no companion index below the pinch index")
-    if not c.has_mask(pm | 1 << a | 1 << b):
-        raise ValueError(f"expected {_from_mask(pm | 1 << a | 1 << b)} to be present")
-    return Move._trusted(
-        pre,
-        a,
-        b,
-        top - 1,
-        top,
-        tuple(sorted(pre + (b, top))),
-        tuple(sorted(pre + (a, top - 1))),
-    )
+def _pinch_down(table: _Table, bits: int, q: tuple[int, ...], moves: list) -> int:
+    """Apply height-decreasing moves at the top index n of the table to the
+    collection `bits` until its height is 0, and return the result.  Each
+    move swaps prefix+{b,n} for prefix+{a,n-1}, where b is the pinch index
+    and a the largest smaller index with prefix+{a,n} present; it is
+    appended to `moves` as (removes_mask, adds_mask) with index x written
+    q[x]."""
+    k, top, rank = table.k, table.n, table.rank
+    qbit = [1 << x for x in q]
+    pre, qpre = (2, qbit[1]) if k == 3 else (0, 0)
+    lo = 2 if k == 3 else 1
+    t0, t1 = 1 << top, 1 << (top - 1)
+    inner = table.top_inner
+    while bits & inner:
+        b = _pinch_index(table, bits, top)
+        a = next((x for x in range(b - 1, lo - 1, -1) if bits >> rank[pre | 1 << x | t0] & 1), None)
+        if a is None:
+            raise ValueError("no companion index below the pinch index")
+        if not bits >> rank[pre | 1 << a | 1 << b] & 1:
+            raise ValueError(f"expected {_from_mask(pre | 1 << a | 1 << b)} to be present")
+        # the replay checks the sides, that removes is present and that adds is absent
+        bits ^= 1 << rank[pre | 1 << b | t0] | 1 << rank[pre | 1 << a | t1]
+        moves.append((qpre | qbit[b] | qbit[top], qpre | qbit[a] | qbit[top - 1]))
+    return bits
 
 
-def _relabel(f, anchor, removes, adds) -> Move:
-    """The move anchor: removes -> adds with every index x replaced by f(x),
-    for f injective."""
-    anchor = tuple(sorted(map(f, anchor)))
-    removes = tuple(sorted(map(f, removes)))
-    adds = tuple(sorted(map(f, adds)))
-    i, s, j, t = sorted({*removes, *adds}.difference(anchor))
-    return Move._trusted(anchor, i, s, j, t, removes, adds)
-
-
-def _undo_moves(k: int, g: Dihedral, m: int, p: tuple[int, ...]) -> list[Move]:
-    """Moves reducing g . base(k,m) to base(k,m), index x written p[x].
+def _undo_moves(k: int, g: Dihedral, m: int, p: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Moves reducing g . base(k,m) to base(k,m), index x written p[x], as
+    (removes_mask, adds_mask) pairs.
 
     With g = rho^rot sigma^refl: the descent of sigma (if g reflects) written
     through p . rho^rot, then for i = rot-1, ..., 0 the descent of rho
@@ -836,70 +901,124 @@ def _undo_moves(k: int, g: Dihedral, m: int, p: tuple[int, ...]) -> list[Move]:
     moves = []
     steps = [(g.rot, True)] if g.refl else []
     for i, refl in steps + [(i, False) for i in range(g.rot - 1, -1, -1)]:
-        f = (0, *p[i + 1 : m + 1], *p[1 : i + 1]).__getitem__  # x -> p[rho^i(x)]
+        # index x -> the bit of p[rho^i(x)]
+        f = (0, *(1 << x for x in p[i + 1 : m + 1]), *(1 << x for x in p[1 : i + 1]))
         for top in range(m, k + 1, -1):
             if k == 2:  # either generator sends the fan at 1 to the fan at 2
-                moves.append(_relabel(f, (), (2, top), (1, top - 1)))
+                moves.append((f[2] | f[top], f[1] | f[top - 1]))
                 continue
             if not refl:
-                moves.append(_relabel(f, (2,), (2, 3, top), (1, 2, top - 1)))
-            moves.append(_relabel(f, (top - 1,), (2, top - 1, top), (1, top - 2, top - 1)))
+                moves.append((f[2] | f[3] | f[top], f[1] | f[2] | f[top - 1]))
+            moves.append((f[2] | f[top - 1] | f[top], f[1] | f[top - 2] | f[top - 1]))
     return moves
 
 
-def _moves_to_base(c: WSCollection) -> list[Move]:
-    """Moves reducing c to the base collection, one level m = n, ..., k+2 at
-    a time.  At level m, c is a maximal (k, m) collection whose index x is
-    the input's p[x].  The witness g (the identity for k=2) puts the
-    near-boundary marker in g . c, pinch moves written through q = p . g^-1
-    bring its height at m to 0, and stripping m leaves the next level's c,
-    with p = q.  That leaves g^-1 . base(k, m) at each level, so the undo
-    moves follow the loop, innermost level first."""
-    k, p = c.k, tuple(range(c.n + 1))
+def _moves_to_base(c: WSCollection) -> list[tuple[int, int]]:
+    """Moves reducing c to the base collection, as (removes_mask, adds_mask)
+    pairs in the indexing of c, one level m = n, ..., k+2 at a time.  At
+    level m, `bits` is a maximal collection of the (k, m) table whose index
+    x is the input's p[x].  The witness g (the identity for k=2) puts the
+    near-boundary marker in g . c, pinch moves written through
+    q = p . g^-1 bring its height at m to 0, and stripping m leaves the
+    next level's collection, with p = q.  That leaves g^-1 . base(k, m) at
+    each level, so the undo moves follow the loop, innermost level first."""
+    k, table, bits = c.k, c.table, c.bits
+    p = tuple(range(c.n + 1))
     moves, undo = [], []
     for m in range(c.n, k + 1, -1):
-        g = dihedral_witness(c) if k == 3 else Dihedral.identity(m)
-        d = translate(c, g)
-        ginv = g.inverse()
+        rot, refl = _witness(table, bits) if k == 3 else (0, False)
+        image = table.image[rot, refl]
+        bits = sum(1 << image[r] for r in _from_mask(bits))
+        ginv = Dihedral(m, rot, refl).inverse()
         q = (0, *(p[ginv.apply(x)] for x in range(1, m + 1)))
-        while height(d) > 0:
-            mv = _pinch_move(d, m)
-            d = apply_move(d, mv)
-            moves.append(_relabel(q.__getitem__, mv.anchor, mv.removes, mv.adds))
+        bits = _pinch_down(table, bits, q, moves)
         undo.append((ginv, m, p))
-        c, p = WSCollection.of_masks(k, m - 1, (s for s in d.masks() if not s >> m & 1)), q
-    if len(c) != c.table.size:
+        mask, table = table.mask, _table(k, m - 1)
+        rank, top = table.rank, 1 << m
+        bits = sum(1 << rank[s] for s in map(mask.__getitem__, _from_mask(bits)) if not s & top)
+        p = q
+    if bits.bit_count() != table.size:
         raise ValueError("unexpected non-maximal collection at the floor")
     for ginv, m, p in reversed(undo):
         moves += _undo_moves(k, ginv, m, p)
     return moves
 
 
+def _replay(c: WSCollection, path: list[tuple[int, int]]) -> None:
+    """Certify the path from the certified collection c to the base
+    collection on `bits`.  A move's anchor is removes & adds; the two
+    indices left in removes and the two in adds must interleave, i < s <
+    j < t with removes anchor+{i,j} or anchor+{s,t}, and each pairing of
+    one with one is a side.  The four sides and removes must be present and
+    adds absent; the two rank bits are flipped, and the rank flipped in is
+    certified against the whole new collection: one AND with its crossing
+    row when `_uses_rows(c)`, else pair tests, so that with c certified
+    every collection on the path is.  The last must be the base.  A failure
+    is an AssertionError naming the move: only the construction can cause
+    it."""
+    table = c.table
+    rank, rows = table.rank, _uses_rows(c)
+    bits = c.bits
+    for x, (removes, adds) in enumerate(path):
+        anchor = removes & adds
+        r2, a2 = removes ^ anchor, adds ^ anchor
+        r_lo, a_lo = r2 & -r2, a2 & -a2
+        r_hi, a_hi = r2 ^ r_lo, a2 ^ a_lo
+        if not (
+            r2.bit_count() == a2.bit_count() == 2
+            and (r_lo < a_lo < r_hi < a_hi or a_lo < r_lo < a_hi < r_hi)
+        ):
+            raise _replay_error(x, path, "not an exchange of two diagonals")
+        for side in (
+            anchor | r_lo | a_lo, anchor | a_lo | r_hi, anchor | r_hi | a_hi, anchor | r_lo | a_hi
+        ):
+            r = rank[side]
+            if r < 0 or not bits >> r & 1:
+                raise _replay_error(x, path, f"side {_from_mask(side)} absent from the collection")
+        # with the sides present, both diagonals are k-subsets of [1..n] too
+        r_out, r_in = rank[removes], rank[adds]
+        if not bits >> r_out & 1:
+            raise _replay_error(x, path, "the removed diagonal is absent from the collection")
+        if bits >> r_in & 1:
+            raise _replay_error(x, path, "the added diagonal is already present")
+        bits ^= 1 << r_out | 1 << r_in
+        if not _separated_from(table, bits, r_in, rows):
+            raise _replay_error(x, path, "the reduction produced a non-separated collection")
+    if bits != table.base.bits:
+        raise AssertionError("reduction did not land on the base collection")
+
+
+def _replay_error(x: int, path: list[tuple[int, int]], why: str) -> AssertionError:
+    removes, adds = path[x]
+    return AssertionError(
+        f"reduction move {x + 1} of {len(path)}, {_from_mask(removes)} -> {_from_mask(adds)}: {why}"
+    )
+
+
 def reduce_to_base(c: WSCollection) -> Reduction:
     """A certified sequence of exchange moves from c to the base collection.
 
     The moves follow the paper's construction (`_moves_to_base`): at each
-    level a dihedral witness and pinch moves down to the top index, then
-    the moves that undo each level's symmetry (`_undo_moves`).
+    level a dihedral witness and pinch moves down to the top index, found
+    and applied on the level's `bits`, then the moves that undo each
+    level's symmetry (`_undo_moves`); each is kept as the pair of its
+    diagonals' bitmasks in the indexing of c.
 
-    c is checked by `require_maximal`, and every move is replayed: each
-    member it adds is checked against the whole new collection
-    (`_separated`), which with the previous collection certified is a full
-    validation.  Raises if the path breaks (which would falsify the
-    construction, not the input).
+    c must have k in {2, 3} and k < n, and is checked by `require_maximal`;
+    then every move is replayed on `bits` (`_replay`), which with c
+    certified is a full validation of every collection on the path.  A
+    path that breaks would falsify the construction, not the input, and
+    raises AssertionError.  The result's `moves` are built only when read;
+    `Reduction.json_text` prints the path without them.
     """
     if c.k not in (2, 3):
         raise ValueError("reduction implemented for k in {2,3} only")
+    if c.k >= c.n:
+        raise ValueError(f"reduction needs k < n, got k={c.k} and n={c.n}")
     require_maximal(c)
-    moves = _moves_to_base(c)
-    cur = c
-    for mv in moves:
-        prev, cur = cur, apply_move(cur, mv)
-        if not _separated(cur, _from_mask(cur.bits & ~prev.bits)):
-            raise AssertionError("reduction produced a non-separated collection")
-    if cur != base_collection(c.k, c.n):
-        raise AssertionError("reduction did not land on the base collection")
-    return Reduction(moves=tuple(moves), end=cur)
+    path = _moves_to_base(c)
+    _replay(c, path)
+    return Reduction(path=tuple(path), end=c.table.base)
 
 
 def sizes_histogram(cs: Iterable[WSCollection]) -> dict[int, int]:

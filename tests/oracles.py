@@ -14,7 +14,10 @@ collections by a clique search of the weak-separation graph that makes no
 moves.
 
 `component_of_base` is not an oracle: it caches the move-graph closure of
-the base collection for the tests that share one.
+the base collection for the tests that share one.  Nor is `_edges`: it
+keeps the edges `propagate_every_edge` has taken from `find_moves` and
+`apply_move`, so that a walk from every start of one component makes each
+move once.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from wsep.laurent import Laurent, ONE, Q, Q_MINUS_Q_INV, ZERO
 from wsep.positivity import Propagation, _det
 from wsep.quantum import Gen, Word, _encode
 from wsep.subsets import _from_mask
-from wsep.wscoll import apply_move, base_collection, boundary_sets, enumerate_component, find_moves
+from wsep.wscoll import (
+    WSCollection,
+    apply_move,
+    base_collection,
+    boundary_sets,
+    enumerate_component,
+    find_moves,
+)
 
 
 @lru_cache(maxsize=None)
@@ -177,10 +187,21 @@ def quasi_commutation_bf(p, r) -> int | None:
     return shifts.pop() if len(shifts) == 1 and None not in shifts else None
 
 
+@lru_cache(maxsize=1)
+def _edges(k: int, n: int) -> dict:
+    """The move graph of the (k, n) collections visited so far, filled as
+    `propagate_every_edge` visits them: the `bits` of a collection -> one
+    tuple per move of `find_moves`, in its order, of the four side masks,
+    removes_mask, adds_mask and the `bits` after `apply_move`.  Only the
+    (k, n) in use is kept."""
+    return {}
+
+
 def propagate_every_edge(c, vals, mode="exact", rel_tol=1e-9) -> Propagation:
     """What `propagate` computes, by a plain breadth-first walk over the move
     graph that evaluates the exchange relation on every edge it visits and
-    compares every re-derivation."""
+    compares every re-derivation.  The edges of each collection come from
+    `find_moves` and `apply_move` the first time it is visited (`_edges`)."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     known = {}  # keyed by subset bitmask
@@ -201,27 +222,33 @@ def propagate_every_edge(c, vals, mode="exact", rel_tol=1e-9) -> Propagation:
     def values() -> dict:
         return {_from_mask(m): v for m, v in known.items()}
 
-    seen = {c}
-    queue = deque([c])
+    graph = _edges(c.k, c.n)
+    seen = {c.bits}
+    queue = deque([c.bits])
     while queue:
-        cur = queue.popleft()
-        for mv in find_moves(cur):
-            nxt = apply_move(cur, mv)
-            m_is, m_sj, m_jt, m_it = mv.side_masks
+        bits = queue.popleft()
+        edges = graph.get(bits)
+        if edges is None:
+            cur = WSCollection(c.table, bits)
+            edges = graph[bits] = tuple(
+                (*mv.side_masks, mv.removes_mask, mv.adds_mask, apply_move(cur, mv).bits)
+                for mv in find_moves(cur)
+            )
+        for m_is, m_sj, m_jt, m_it, removes, adds, nxt in edges:
             numerator = known[m_is] * known[m_jt] + known[m_it] * known[m_sj]
-            if known[mv.removes_mask] == 0:
-                return Propagation(False, values(), f"division by zero at {mv.removes}")
-            value = numerator / known[mv.removes_mask]
-            if mv.adds_mask in known:
-                if not close(known[mv.adds_mask], value):
+            if known[removes] == 0:
+                return Propagation(False, values(), f"division by zero at {_from_mask(removes)}")
+            value = numerator / known[removes]
+            if adds in known:
+                if not close(known[adds], value):
                     return Propagation(
                         False,
                         values(),
-                        f"inconsistent re-derivation of {mv.adds}: "
-                        f"{known[mv.adds_mask]} vs {value}",
+                        f"inconsistent re-derivation of {_from_mask(adds)}: "
+                        f"{known[adds]} vs {value}",
                     )
             else:
-                known[mv.adds_mask] = value
+                known[adds] = value
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

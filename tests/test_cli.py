@@ -112,6 +112,36 @@ class TestReduceBase:
         assert payload["end"] == base_collection(3, 6).to_json_dict()
         assert payload["length"] == len(payload["moves"])
 
+    def test_prints_the_path_without_building_a_move(self, capsys, tmp_path, monkeypatch):
+        import wsep.wscoll as wscoll
+
+        real, calls = wscoll.Move._trusted.__func__, []
+
+        def counted(cls, *args):
+            calls.append(args)
+            return real(cls, *args)
+
+        c = translate(base_collection(3, 8), Dihedral(8, 3, True))
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(c.to_json_dict()))
+        monkeypatch.setattr(wscoll.Move, "_trusted", classmethod(counted))
+        code, out = run(capsys, "reduce-base", "--file", str(f))
+        assert (code, calls) == (0, [])
+        red = wscoll.reduce_to_base(c)
+        assert calls == []
+        assert out == json.dumps(red.to_json_dict(), sort_keys=True) + "\n"
+        assert len(calls) == red.to_json_dict()["length"] > 0
+
+    @pytest.mark.parametrize("k, n", [(3, 3), (2, 2)])
+    def test_k_not_below_n_usage_error(self, capsys, tmp_path, k, n):
+        # maximal by size, so only the check of k < n can reject it
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"k": k, "n": n, "sets": [list(range(1, n + 1))]}))
+        code = main(["reduce-base", "--file", str(f)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: reduction needs k < n, got k={k} and n={n}\n"
+
 
 class TestWiring:
     def test_chambers_and_collection(self, capsys):

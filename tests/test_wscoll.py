@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from itertools import combinations
 from math import comb
 
@@ -473,12 +474,14 @@ class TestCrossingRule:
             for _ in range(150):
                 c = WSCollection.of(k, n, rng.sample(pool, rng.randint(1, 2 * n)))
                 ranks = rng.sample(c.ranks(), rng.randint(0, len(c)))
-                expected = all(
-                    weakly_separated_bf(table.subset[r], s) for r in ranks for s in c.sets
-                )
+                expected = [
+                    all(weakly_separated_bf(table.subset[r], s) for s in c.sets) for r in ranks
+                ]
                 for mode in (self.pair_loop, self.rows):
                     mode(monkeypatch)
-                    assert wscoll._separated(c, ranks) == expected
+                    rows = wscoll._uses_rows(c)
+                    got = [wscoll._separated_from(table, c.bits, r, rows) for r in ranks]
+                    assert got == expected
                     assert wscoll._separated(c) == validate(c).ok
 
     @pytest.mark.parametrize("mode", ["rows", "pair_loop"])
@@ -649,39 +652,52 @@ class TestHeightAndReduction:
         with pytest.raises(ValueError):
             reduce_to_base(base_collection(4, 8))
 
+    @pytest.mark.parametrize(
+        "k, n, g",
+        [(2, 7, Dihedral(7, 3)), (3, 7, None), (3, 7, Dihedral(7)), (3, 40, Dihedral(40, 7, True))],
+        ids=["k2-empty-anchors", "k3", "empty-path", "k3-pair-loop"],
+    )
+    def test_json_text_is_json_dumps(self, k, n, g):
+        # g None: the greatest collection of W(3,7); (3, 40) is above the crossing-row rule
+        c = max(component_of_base(k, n)) if g is None else translate(base_collection(k, n), g)
+        red = reduce_to_base(c)
+        assert red.json_text() == json.dumps(red.to_json_dict(), sort_keys=True)
+        assert (red.path == ()) == (c == base_collection(k, n))
+
     def test_replay_checks_every_added_member(self, monkeypatch):
-        # Break apply_move during the replay only: the last move also adds a
-        # set X that is separated from the move's own target but crosses
-        # another member.  Checking mv.adds alone would miss it.
+        # Break the rank lookup during the replay only, so that the last
+        # move flips in a set X in place of its target A: X is separated
+        # from A but crosses another member.  Certifying the path's `adds`
+        # alone would miss it.  A is met nowhere on the path of c before the
+        # last move, so the break touches that move alone.
         base = base_collection(3, 6)
-        c = max(component_of_base(3, 6))
-        real_moves_to_base, real_apply_move = wscoll._moves_to_base, wscoll.apply_move
+
+        def target_met_once(c):
+            path = wscoll._moves_to_base(c)
+            adds = path[-1][1] if path else None
+            return path and _from_mask(adds) not in c and all(adds not in mv for mv in path[:-1])
+
+        c = next(c for c in sorted(component_of_base(3, 6)) if target_met_once(c))
+        path = wscoll._moves_to_base(c)
+        removes, adds = (_from_mask(m) for m in path[-1])
+        X = next(
+            X for X in combinations(range(1, 7), 3)
+            if X not in base
+            and X not in (removes, adds)
+            and weakly_separated(X, adds)
+        )
+        assert any(not weakly_separated(X, Y) for Y in base.sets)
+        real_moves_to_base = wscoll._moves_to_base
 
         def moves_then_break(*args):
-            # _moves_to_base applies the pinch moves itself; break only the replay
-            moves = real_moves_to_base(*args)
-            last = moves[-1]
-            X = next(
-                X for X in combinations(range(1, 7), 3)
-                if X not in base
-                and X not in (last.removes, last.adds)
-                and weakly_separated(X, last.adds)
-            )
-            assert any(not weakly_separated(X, Y) for Y in base.sets)
-            applied = []
-
-            def broken_apply_move(cur, mv):
-                out = real_apply_move(cur, mv)
-                applied.append(mv)
-                if len(applied) == len(moves):
-                    out = WSCollection.of(3, 6, out.sets + (X,))
-                return out
-
-            monkeypatch.setattr(wscoll, "apply_move", broken_apply_move)
-            return moves
+            # _moves_to_base ranks level collections itself; break only the replay
+            out = real_moves_to_base(*args)
+            monkeypatch.setitem(c.table.rank, _to_mask(adds), c.table.rank[_to_mask(X)])
+            return out
 
         monkeypatch.setattr(wscoll, "_moves_to_base", moves_then_break)
-        with pytest.raises(AssertionError, match="non-separated"):
+        last = f"move {len(path)} of {len(path)}, {removes} -> {adds}"
+        with pytest.raises(AssertionError, match=f"{re.escape(last)}: .*non-separated"):
             reduce_to_base(c)
 
 
