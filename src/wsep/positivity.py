@@ -10,34 +10,42 @@ with a connected move graph (Oh-Postnikov-Speyer, arXiv:1109.4434;
 Danilov-Karzanov-Koshevoy 2010), and every Pluecker coordinate is a
 subtraction-free Laurent polynomial in the values on any one of them.  So
 positive values on a maximal collection extend to one set of values,
-whatever order the relations derive them in.  Each exchange relation is
-evaluated once per call, in float mode once per direction.  Default
-arithmetic is exact rational; float mode exists for sweeps and is checked
-against a relative tolerance.
+whatever order the relations derive them in.  Propagation is one closure
+over the exchange quads: a list of the quads not yet handled, walked in
+index order pass after pass, from which each quad leaves once it has
+derived a value or been checked.  So each relation is evaluated once per
+call, in float mode once per direction.  Default arithmetic is exact
+rational; float mode exists for sweeps and is checked against a relative
+tolerance.
 
 Propagation starts from a maximal collection: one of k(n-k)+1 pairwise
 weakly separated members, which by purity is the same as maximal.  Anything
 else is a ValueError, because the relations need not reach every k-subset
-from it.  Exact mode converts each member value with `Fraction` at ingress,
-so an int or float input is read as the rational it stands for.  It then
-runs on ints: each value is a reduced numerator and positive denominator,
-in two lists indexed by subset rank.  A derivation combines the ints of
-its relation and reduces the result once, by building its `Fraction`; a
-re-derivation is checked by one integer cross-multiplication.  Each value's
-`Fraction` is built once, at ingress or at derivation, and kept in a third
-list for the returned values and witness texts.
+from it.  So is a member value that is not a real number (a str is not
+parsed, and a bool is not a number) or not positive.  Exact mode converts
+each member value with `Fraction` at ingress, so an int or float input is
+read as the rational it stands for.  It then runs on ints: each value is a
+reduced numerator and positive denominator, in two lists indexed by subset
+rank.  A derivation combines the ints of its relation and reduces the
+result once, by building its `Fraction`; a check is one integer
+cross-multiplication.  Each value's `Fraction` is built once, at ingress or
+at derivation, and kept in a third list for the returned values and
+witness texts.
 
 A relation is named by its id 2*q + d: q is its quad index in the rank
 table, and d is 0 when it derives anchor+{s,t} from anchor+{i,j} and 1 the
-other way round; the ranks of its six sets are `quads[q][3]`.  Nothing
-about positivity is kept between calls.
+other way round; the ranks of its six sets are `quads[q][3]`.  A failed
+check names the least failing id.  Nothing about positivity is kept between
+calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from numbers import Real
 from typing import Iterable, Mapping
 
 from .wscoll import WSCollection, _require_ints, _table, require_maximal
@@ -117,23 +125,29 @@ def propagate(
     rel_tol: float = 1e-9,
 ) -> Propagation:
     """Extend positive values given on the members of the maximal collection
-    c to every k-subset through the exchange relations, for any k, then
+    c to every k-subset through the exchange relations, for any k, and
     check every relation on the result.  Re-derivations of an already-known
     value must agree (exactly, or within rel_tol in float mode).  A
-    collection that is not maximal is a ValueError.
+    collection that is not maximal, or a member value that is not a
+    positive real number, is a ValueError.
 
-    Passes over the quads in index order derive values until a pass derives
-    nothing: a quad whose four sides and one diagonal are known gives the
-    other diagonal.  Each derivation checks its relation.  In exact mode
-    that holds in the other direction as well, since all values are
-    positive rationals.  In float mode it checks the one direction, and a
-    value that does not agree with itself (an inf or nan) leaves it
-    unchecked.  One loop over the quads then checks every relation not yet
-    checked: one direction per quad in exact mode, both in float mode.
+    One list holds the quads not yet handled, in index order, and each
+    pass walks it.  A quad whose four sides and one diagonal are known
+    derives the other diagonal; a quad whose six values are all known is
+    checked.  Either way it leaves the list.  Passes repeat until one
+    derives nothing.  A derivation checks its relation in both directions
+    in exact mode, since all values are positive rationals; in float mode
+    it checks the one direction, unless the value does not agree with
+    itself (an inf or nan), and the other direction is checked at once.
+    A check never changes what is known, so the values are derived in the
+    same order whatever the checks find.  A failed check is recorded and
+    the closure runs on: the result carries the witness of the least
+    failing relation id and every value.  A division by zero in a
+    derivation returns at once.
 
     Exact mode runs on reduced int numerator/denominator pairs: a derived
-    value is reduced once, by its `Fraction`, and a re-derivation agrees
-    when the two cross-multiplied products are equal."""
+    value is reduced once, by its `Fraction`, and a check is one integer
+    cross-multiplication."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     require_maximal(c)
@@ -149,6 +163,8 @@ def propagate(
         if s not in vals:
             raise ValueError(f"no value supplied for member {s}")
         v = vals[s]
+        if isinstance(v, bool) or not isinstance(v, (Real, Decimal)):
+            raise ValueError(f"value for {s} is not a rational number")
         if not v > 0:
             raise ValueError(f"value for {s} is not positive")
         if not exact:
@@ -165,70 +181,79 @@ def propagate(
         scale = max(abs(a), abs(b))
         return scale == 0 or abs(a - b) <= rel_tol * scale
 
-    have = c.bits  # the int over the ranks with a known value
-    checked = bytearray(2 * len(quads))  # per relation id 2*q + d
-
     def values() -> dict:
         if exact:
             return {subset[r]: frac[r] for r in range(table.size) if den[r]}
         return {subset[r]: v for r, v in known.items()}
 
-    def evaluate(rel: int) -> str | None:
-        """Evaluate relation `rel`: record the value of the set it adds, or
-        compare it with the known one.  A witness when it fails."""
-        nonlocal have
-        # as for d = 0, deriving anchor+{s,t} from anchor+{i,j}; swapped for d = 1
+    def check(rel: int) -> str | None:
+        """Float mode: check relation `rel`, its six values known; a
+        witness when it fails."""
         r_is, r_sj, r_jt, r_it, rm, add = quads[rel >> 1][3]
         if rel & 1:
             rm, add = add, rm
-        if exact:
-            if not num[rm]:
-                return f"division by zero at {subset[rm]}"
-            # top / bot = (is*jt + it*sj) / rm, each value read as num / den
-            d_is_jt, d_it_sj = den[r_is] * den[r_jt], den[r_it] * den[r_sj]
-            top = (num[r_is] * num[r_jt] * d_it_sj + num[r_it] * num[r_sj] * d_is_jt) * den[rm]
-            bot = d_is_jt * d_it_sj * num[rm]
-            if not den[add]:
-                v = frac[add] = Fraction(top, bot)
-                num[add], den[add] = v.numerator, v.denominator
-                have |= 1 << add
-            elif num[add] * bot != top * den[add]:
-                return (
-                    f"inconsistent re-derivation of {subset[add]}: "
-                    f"{frac[add]} vs {Fraction(top, bot)}"
-                )
-            checked[rel & -2] = checked[rel | 1] = 1
-            return None
         if not known[rm]:
             return f"division by zero at {subset[rm]}"
         value = (known[r_is] * known[r_jt] + known[r_it] * known[r_sj]) / known[rm]
-        if add not in known:
-            known[add] = value
-            have |= 1 << add
-        elif not close(known[add], value):
+        if not close(known[add], value):
             return f"inconsistent re-derivation of {subset[add]}: {known[add]} vs {value}"
-        if close(value, value):
-            checked[rel] = 1
         return None
 
+    have = c.bits  # the int over the ranks with a known value
+    failed, why = 2 * len(quads), None  # the least failing relation id, its witness
+    pending = range(len(quads))  # the quads not yet handled, in index order
     grown = True
     while grown:
-        grown = False
-        for q, (sides, ij, st, _) in enumerate(quads):
-            if have & sides == sides and (have & ij == 0) != (have & st == 0):
-                witness = evaluate(2 * q + (have & ij == 0))
-                if witness:
-                    return Propagation(False, values(), witness)
-                grown = True
+        grown, left = False, []
+        for q in pending:
+            sides, ij, st, ranks = quads[q]
+            if have & sides != sides or not have & (ij | st):
+                left.append(q)
+                continue
+            known_both = have & ij and have & st
+            # derives (or checks) the other diagonal: anchor+{s,t} for d = 0
+            rel = 2 * q + (not have & ij)
+            r_is, r_sj, r_jt, r_it, rm, add = ranks
+            if rel & 1:
+                rm, add = add, rm
+            if exact:
+                # top / bot = (is*jt + it*sj) / rm, each value read as num / den
+                d_is_jt, d_it_sj = den[r_is] * den[r_jt], den[r_it] * den[r_sj]
+                top = (num[r_is] * num[r_jt] * d_it_sj + num[r_it] * num[r_sj] * d_is_jt) * den[rm]
+                bot = d_is_jt * d_it_sj * num[rm]
+                if known_both:
+                    if num[add] * bot != top * den[add] and rel < failed:
+                        failed = rel
+                        why = (
+                            f"inconsistent re-derivation of {subset[add]}: "
+                            f"{frac[add]} vs {Fraction(top, bot)}"
+                        )
+                    continue
+                v = frac[add] = Fraction(top, bot)
+                num[add], den[add] = v.numerator, v.denominator
+            else:
+                done = None  # the direction a derivation checked
+                if not known_both:
+                    if not known[rm]:
+                        return Propagation(False, values(), f"division by zero at {subset[rm]}")
+                    value = (known[r_is] * known[r_jt] + known[r_it] * known[r_sj]) / known[rm]
+                    known[add] = value
+                    if close(value, value):
+                        done = rel
+                for x in (2 * q, 2 * q + 1):
+                    text = x != done and x < failed and check(x)
+                    if text:
+                        failed, why = x, text
+                        break
+                if known_both:
+                    continue
+            have |= 1 << add
+            grown = True
+        pending = left
     if have.bit_count() < table.size:
         missing = next(r for r in range(table.size) if not have >> r & 1)
         raise AssertionError(f"no exchange relation derived a value for {subset[missing]}")
-    for rel in range(0, len(checked), 2 if exact else 1):
-        if not checked[rel]:
-            witness = evaluate(rel)
-            if witness:
-                return Propagation(False, values(), witness)
-    return Propagation(True, values(), None)
+    return Propagation(why is None, values(), why)
 
 
 POSITIVE = "POSITIVE"

@@ -562,15 +562,14 @@ def _separated(c: WSCollection) -> bool:
     return True
 
 
-def _separated_from(table: _Table, bits: int, r: int, rows: bool) -> bool:
+def _separated_from(table: _Table, bits: int, r: int, members: Iterable[int] | None) -> bool:
     """Whether rank r is weakly separated from every member of the
-    collection `bits` of the table: one AND with its crossing row if
-    `rows`, else pair tests."""
-    if rows:
+    collection `bits` of the table: one AND with its crossing row when
+    `members` is None, else pair tests against `members`, the bitmasks of
+    the same collection."""
+    if members is None:
         return not bits & table.crossing[r]
-    mask = table.mask
-    a = mask[r]
-    return all(_weakly_separated_masks(a, mask[s]) for s in _from_mask(bits))
+    return all(map(partial(_weakly_separated_masks, table.mask[r]), members))
 
 
 def complete_to_maximal(c: WSCollection) -> WSCollection:
@@ -952,13 +951,15 @@ def _replay(c: WSCollection, path: list[tuple[int, int]]) -> None:
     one with one is a side.  The four sides and removes must be present and
     adds absent; the two rank bits are flipped, and the rank flipped in is
     certified against the whole new collection: one AND with its crossing
-    row when `_uses_rows(c)`, else pair tests, so that with c certified
-    every collection on the path is.  The last must be the base.  A failure
+    row when `_uses_rows(c)`, else pair tests against the set of member
+    masks, kept up to date move by move, so that with c certified every
+    collection on the path is.  The last must be the base.  A failure
     is an AssertionError naming the move: only the construction can cause
     it."""
     table = c.table
-    rank, rows = table.rank, _uses_rows(c)
+    rank = table.rank
     bits = c.bits
+    members = None if _uses_rows(c) else set(c.masks())
     for x, (removes, adds) in enumerate(path):
         anchor = removes & adds
         r2, a2 = removes ^ anchor, adds ^ anchor
@@ -982,7 +983,10 @@ def _replay(c: WSCollection, path: list[tuple[int, int]]) -> None:
         if bits >> r_in & 1:
             raise _replay_error(x, path, "the added diagonal is already present")
         bits ^= 1 << r_out | 1 << r_in
-        if not _separated_from(table, bits, r_in, rows):
+        if members is not None:
+            members.remove(removes)
+            members.add(adds)
+        if not _separated_from(table, bits, r_in, members):
             raise _replay_error(x, path, "the reduction produced a non-separated collection")
     if bits != table.base.bits:
         raise AssertionError("reduction did not land on the base collection")

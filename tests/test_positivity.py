@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -192,7 +193,8 @@ class TestEveryEdgeOracle:
 
     def test_overflow_witnesses(self):
         # inf does not agree with itself, so a derivation that overflows
-        # leaves its relation to the check loop, which reports it
+        # leaves its relation unchecked, and the check made right after the
+        # derivation reports it
         rng = random.Random(53)
         for c in [base_collection(3, 8), random_greedy_maximal(3, 8, rng)]:
             vals = {K: 1e200 if x % 3 == 0 else rng.uniform(1, 10) for x, K in enumerate(c.sets)}
@@ -285,6 +287,99 @@ class TestAnyK:
             propagate(SQUARE, {K: 1 for K in SQUARE.sets})
 
 
+def float_digest(values) -> str:
+    """sha256 over one line per value, `K repr(v)`, in subset order."""
+    text = "".join(f"{K} {v!r}\n" for K, v in sorted(values.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def ratio_values(c):
+    """(r+2)/(r+1) on the r-th member of c, as floats."""
+    return {K: float(Fraction(r + 2, r + 1)) for r, K in enumerate(c.sets)}
+
+
+class TestOrder:
+    """Float values depend on the order the relations derive them in, and a
+    failure's witness on the order the checks are made in: both pinned."""
+
+    @pytest.mark.parametrize(
+        "k, n, digest",
+        [
+            (4, 9, "9094f02b760183690e37ad1e337fff45e06c79b6a4d70306682278a3cd346cf1"),
+            (5, 10, "c1cb277a20c370467d01202aba9060a019957c347cc501dfd512ba873de29e05"),
+            (6, 12, "7e6ad088615185720b919a707292c203cadece4043de293f2ee6691f4595faed"),
+        ],
+    )
+    def test_float_values_of_the_base(self, k, n, digest):
+        c = base_collection(k, n)
+        res = propagate(c, ratio_values(c), mode="float")
+        assert res.ok and len(res.values) == math.comb(n, k)
+        assert float_digest(res.values) == digest
+
+    def test_float_values_of_a_random_collection(self):
+        rng = random.Random(89)
+        c = random_greedy_maximal(3, 8, rng)
+        res = propagate(c, {K: rng.uniform(1, 10) for K in c.sets}, mode="float")
+        assert res.ok and len(res.values) == 56
+        assert float_digest(res.values) == (
+            "b8f82a60973a7d782432b99f29984c540fd6bdfea235776b108f1ff6e47ae1f7"
+        )
+
+    def test_zero_tolerance_witness(self):
+        rng = random.Random(97)
+        c = random_greedy_maximal(3, 8, rng)
+        res = propagate(c, {K: 10 ** rng.uniform(0, 10) for K in c.sets}, mode="float", rel_tol=0.0)
+        assert not res.ok and len(res.values) == 56
+        assert res.witness == (
+            "inconsistent re-derivation of (1, 3, 6): 341.61319648930595 vs 341.61319648930606"
+        )
+
+    @pytest.mark.parametrize(
+        "k, n, witness",
+        [
+            (2, 6, "(1, 4): 1.3333333333333333 vs 1.333333333333333"),
+            (3, 8, "(1, 3, 8): 7.286237373737374 vs 7.286237373737375"),
+        ],
+    )
+    def test_zero_tolerance_witness_of_the_base(self, k, n, witness):
+        # at (2, 6) the least failing relation, 13, is the reverse of the
+        # one that derived (3, 5), and is checked right after that derivation
+        c = base_collection(k, n)
+        res = propagate(c, ratio_values(c), mode="float", rel_tol=0.0)
+        assert not res.ok and res.witness == f"inconsistent re-derivation of {witness}"
+
+    def test_overflow_witness_of_the_base(self):
+        c = base_collection(2, 6)
+        vals = {K: 1e200 if r % 3 == 0 else v for r, (K, v) in enumerate(ratio_values(c).items())}
+        res = propagate(c, vals, mode="float")
+        assert not res.ok and len(res.values) == 15
+        assert res.witness == "inconsistent re-derivation of (2, 4): inf vs inf"
+
+    @pytest.mark.parametrize(
+        "mode, witness",
+        [
+            ("exact", "inconsistent re-derivation of (2, 5): 4121/1008 vs 223/64"),
+            ("float", "inconsistent re-derivation of (2, 5): 4.088293650793651 vs 3.484375"),
+        ],
+    )
+    def test_least_failing_relation_is_the_witness(self, monkeypatch, mode, witness):
+        # Swap two side ranks in quads 1 and 10 of (2, 6).  From the base
+        # neither derives a value, so their checks alone fail; quad 10 is
+        # checked in an earlier pass than quad 1.  The witness is quad 1's,
+        # the lower relation id, and the closure runs to its end.
+        c = base_collection(2, 6)
+        vals = {K: Fraction(r + 2, r + 1) for r, K in enumerate(c.sets)}
+        clean = propagate(c, vals, mode=mode)
+        quads = list(c.table.quads)
+        for q in (1, 10):
+            r_is, r_sj, *rest = quads[q][3]
+            quads[q] = (*quads[q][:3], (r_sj, r_is, *rest))
+        monkeypatch.setattr(c.table, "quads", tuple(quads))
+        res = propagate(c, vals, mode=mode)
+        assert not res.ok and res.witness == witness
+        assert len(res.values) == 15 and res.values == clean.values
+
+
 class TestExactIngress:
     def test_int_values_are_read_as_rationals(self):
         # int / int is a float, whose rounding made a re-derivation of
@@ -308,6 +403,17 @@ class TestExactIngress:
         vals[(1, 3)] = float("inf")
         with pytest.raises(ValueError, match=r"value for \(1, 3\) is not a rational number"):
             propagate(SQUARE, vals)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("bad", ["2", None, 1 + 0j, True], ids=repr)
+    def test_non_number_rejected_before_the_sign_test(self, mode, bad):
+        # a str is not parsed, and a bool is not a number
+        vals = {K: Fraction(1) for K in SQUARE.sets}
+        vals[(1, 3)] = bad
+        with pytest.raises(ValueError, match=r"value for \(1, 3\) is not a rational number"):
+            propagate(SQUARE, vals, mode=mode)
+        with pytest.raises(ValueError, match=r"value for \(1, 3\) is not a rational number"):
+            positivity_test(SQUARE, vals, mode=mode)
 
 
 class TestVerdicts:

@@ -479,8 +479,8 @@ class TestCrossingRule:
                 ]
                 for mode in (self.pair_loop, self.rows):
                     mode(monkeypatch)
-                    rows = wscoll._uses_rows(c)
-                    got = [wscoll._separated_from(table, c.bits, r, rows) for r in ranks]
+                    members = None if wscoll._uses_rows(c) else c.masks()
+                    got = [wscoll._separated_from(table, c.bits, r, members) for r in ranks]
                     assert got == expected
                     assert wscoll._separated(c) == validate(c).ok
 
