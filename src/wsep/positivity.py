@@ -21,16 +21,17 @@ tolerance.
 Propagation starts from a maximal collection: one of k(n-k)+1 pairwise
 weakly separated members, which by purity is the same as maximal.  Anything
 else is a ValueError, because the relations need not reach every k-subset
-from it.  So is a member value that is not a real number (a str is not
-parsed, and a bool is not a number) or not positive.  Exact mode converts
-each member value with `Fraction` at ingress, so an int or float input is
-read as the rational it stands for.  It then runs on ints: each value is a
-reduced numerator and positive denominator, in two lists indexed by subset
-rank.  A derivation combines the ints of its relation and reduces the
-result once, by building its `Fraction`; a check is one integer
-cross-multiplication.  Each value's `Fraction` is built once, at ingress or
-at derivation, and kept in a third list for the returned values and
-witness texts.
+from it.  So is a member value that is not a finite real number (a str is
+not parsed, a bool is not a number, and an inf or a NaN, float or
+`Decimal`, is turned away before the sign test) or not positive.  Exact
+mode converts each member value with `Fraction` at ingress, so an int or
+float input is read as the rational it stands for.  It then runs on ints:
+each value is a reduced numerator and positive denominator, in two lists
+indexed by subset rank.  A derivation combines the ints of its relation
+and reduces the result once, by building its `Fraction`; a check is one
+integer cross-multiplication.  Each value's `Fraction` is built once, at
+ingress or at derivation, and kept in a third list for the returned values
+and witness texts.
 
 A relation is named by its id 2*q + d: q is its quad index in the rank
 table, and d is 0 when it derives anchor+{s,t} from anchor+{i,j} and 1 the
@@ -45,7 +46,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
-from numbers import Real
+from math import isfinite
+from numbers import Rational, Real
 from typing import Iterable, Mapping
 
 from .wscoll import WSCollection, _require_ints, _table, require_maximal
@@ -118,6 +120,16 @@ class Propagation:
     witness: str | None = None
 
 
+def _finite(v: Real | Decimal) -> bool:
+    """v is neither infinite nor a NaN; asked of a Decimal without a
+    comparison, which signals on a NaN."""
+    if isinstance(v, Rational):
+        return True
+    if isinstance(v, Decimal):
+        return v.is_finite()
+    return isfinite(v)
+
+
 def propagate(
     c: WSCollection,
     vals: Mapping[tuple[int, ...], object],
@@ -129,7 +141,7 @@ def propagate(
     check every relation on the result.  Re-derivations of an already-known
     value must agree (exactly, or within rel_tol in float mode).  A
     collection that is not maximal, or a member value that is not a
-    positive real number, is a ValueError.
+    finite positive real number, is a ValueError.
 
     One list holds the quads not yet handled, in index order, and each
     pass walks it.  A quad whose four sides and one diagonal are known
@@ -163,7 +175,7 @@ def propagate(
         if s not in vals:
             raise ValueError(f"no value supplied for member {s}")
         v = vals[s]
-        if isinstance(v, bool) or not isinstance(v, (Real, Decimal)):
+        if isinstance(v, bool) or not isinstance(v, (Real, Decimal)) or not _finite(v):
             raise ValueError(f"value for {s} is not a rational number")
         if not v > 0:
             raise ValueError(f"value for {s} is not positive")

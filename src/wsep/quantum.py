@@ -11,8 +11,9 @@ commutation relations of the algebra:
 
 Each step decreases the word lexicographically at its leading position, so
 rewriting terminates.  One kernel, `_rewrite`, does all of it: it always
-rewrites the leftmost inversion and keeps every pending coefficient as two
-ints, q^e (q - q^-1)^b.  Confluence is checked by tests against an
+rewrites the leftmost inversion, keeps every pending coefficient as two
+ints, q^e (q - q^-1)^b, and returns the leaves, each normal-form word it
+reaches with its e and b.  Confluence is checked by tests against an
 independent reference rewriter that picks inversions at random.
 
 Inside the module a letter x[i,j] is the int i << B | j, with B =
@@ -25,17 +26,33 @@ encoded once, where they enter (the `NCPoly(...)` constructor, `generator`,
 they leave (`terms()`, `at_one()`, `str()` and the result of
 `normalize_word`).
 
-One product helper, `_product`, rewrites every concatenation of two
-normal-form term maps into raw {word: {exponent: int}} accumulators,
-starting each scan at the join, the only place an inversion can be.
-`NCPoly.__mul__` builds one `Laurent` per finished monomial from them;
-`quasi_commutation_exponent` compares the raw maps of p*r and r*p by one
-exponent shift and builds none.
+One accumulator, `_accumulate`, adds a coefficient times such leaves into
+a raw {word: {exponent: int}} map; `normalize_word` rewrites its word
+directly.
+
+Products go through `_product`, which works on an order-preserving
+relabelling of the rows and columns its two factors use (`_Pattern`).  The
+relations compare rows with rows and columns with columns only, so the
+normal form of a relabelled word is the relabelled normal form, and many
+concatenations share one relabelled word: over all ordered Gr(3,7) pairs,
+88,200 concatenations come to 2,268 relabelled words.  A relabelled word is
+packed into one int below a leading 1 bit, and each concatenation's leaves
+are looked up in one module table, `_PATTERNS`, keyed by that int and the
+packing width; an entry is one flat tuple of ints, (packed word, e, b) per
+leaf.  A miss computes the leaves with `_rewrite`, its scan started at the
+join, the only place an inversion can be.  The table holds at most
+`_PATTERNS_CACHED` (8,192) entries and is emptied when full.
+`NCPoly.__mul__` decodes the words of its result once, and builds one
+`Laurent` per monomial; `quasi_commutation_exponent` relabels p and r once
+for both products and compares their raw maps by one exponent shift, with
+nothing decoded and no `Laurent` built.
 
 Input is checked once, at that ingress: k and m must be ints, a letter a
-pair of int indices in range (a bool is not an int), a coefficient a
-`Laurent`, and a word given to the constructor in normal form.  Internal
-results are built with `NCPoly._trusted`.
+pair of int indices in range (a bool is not an int), a coefficient or a
+scale factor a `Laurent`, a power an int >= 0, the arguments of
+`quasi_commutation_exponent` `NCPoly`s, and a word given to the
+constructor in normal form.  Internal results are built with
+`NCPoly._trusted`.
 
 The generator images of the k-by-m embedding, and whether they satisfy the
 defining relations, are cached for the most recent `_EMBEDDINGS_CACHED` (28)
@@ -100,23 +117,18 @@ def _qmq_power(b: int) -> tuple[tuple[int, int], ...]:
     return _QMQ_POWERS[b]
 
 
-def _rewrite(
-    word: list[int],
-    coeff: Sequence[tuple[int, int]],
-    out: dict[Code, dict[int, int]],
-    mask: int,
-    p: int = 0,
-) -> None:
-    """Add coeff * word, in normal form, into out (monomial -> {exponent:
-    integer coefficient}); coeff is a sequence of (exponent, int) pairs, word
-    a list of letter codes with column bits `mask`, which this consumes, and
-    the letters before position p are in order.
+def _rewrite(word: list[int], mask: int, p: int = 0) -> list:
+    """The leaves of rewriting `word`, a list of letter codes with column
+    bits `mask`, which this consumes, into normal form; the letters before
+    position p are in order.  The leaves are flat: a normal-form word (a
+    tuple of codes), then e and b, per leaf, where the word stands for
+    q^e (q - q^-1)^b times that word, and the word is the sum of its leaves.
 
-    A pending word carries q^e (q - q^-1)^b and the position where the scan
-    for its leftmost inversion resumes: after a swap at p the letters before
-    p are still in order, so the scan resumes at p - 1.  A swap is made in
+    A pending word carries its e, its b and the position where the scan for
+    its leftmost inversion resumes: after a swap at p the letters before p
+    are still in order, so the scan resumes at p - 1.  A swap is made in
     place; the cross term of a diagonal pair is pushed as a new word."""
-    powers = _QMQ_POWERS
+    leaves = []
     stack = [(word, 0, 0, p)]
     pop, push = stack.pop, stack.append
     while stack:
@@ -141,41 +153,143 @@ def _rewrite(
             w[p + 1] = x
             if p:
                 p -= 1
-        key = tuple(w)
+        leaves += (tuple(w), e, b)
+        if b >= len(_QMQ_POWERS):
+            _qmq_power(b)
+    return leaves
+
+
+def _accumulate(
+    out: dict, leaves: Sequence, coeff: Sequence[tuple[int, int]]
+) -> None:
+    """Add coeff times the flat leaves (word, e, b, ...) into out, word ->
+    {exponent: integer coefficient}; coeff is a sequence of (exponent, int)
+    pairs.  Zero coefficients are kept."""
+    powers = _QMQ_POWERS
+    it = iter(leaves)
+    for key, e, b in zip(it, it, it):
         acc = out.get(key)
         if acc is None:
             acc = out[key] = {}
-        for d, u in powers[b] if b < len(powers) else _qmq_power(b):
+        for d, u in powers[b]:
             d += e
             for x, v in coeff:
                 x += d
                 acc[x] = acc.get(x, 0) + u * v
 
 
+# The flat `_rewrite` leaves of relabelled concatenations, keyed by packed
+# word and width (see `_Pattern`); at most `_PATTERNS_CACHED` entries, and
+# emptied when full.
+_PATTERNS: dict[int, tuple[int, ...]] = {}
+
+
+class _Pattern:
+    """The order-preserving relabelling of the rows and columns used by the
+    terms of some polynomials onto rows 1..R and columns 1..C.
+
+    The defining relations compare rows with rows and columns with columns
+    only, so the normal form of a relabelled word is the relabelled normal
+    form.  A relabelled letter is i << h | j with h = max(R, C).bit_length(),
+    and a word is packed into one int of `width` = 2h bits per letter below a
+    leading 1, which keeps its length and the empty word (1).  A table key
+    is the packed word shifted left by `_KEY_BITS` with the width in those
+    bits, so equal words packed at different widths do not collide."""
+
+    __slots__ = ("width", "mask", "code", "rows", "cols")
+
+    def __init__(self, b: int, *terms: dict[Code, Laurent]):
+        """b is the letter code width of the algebra, m.bit_length()."""
+        letters = {x for t in terms for w in t for x in w}
+        col = (1 << b) - 1
+        rows = sorted({x >> b for x in letters})
+        cols = sorted({x & col for x in letters})
+        h = max(len(rows), len(cols)).bit_length()
+        self.width = 2 * h
+        self.mask = (1 << h) - 1
+        row_of = {r: i << h for i, r in enumerate(rows, 1)}
+        col_of = {c: j for j, c in enumerate(cols, 1)}
+        self.code = {x: row_of[x >> b] | col_of[x & col] for x in letters}
+        # back to the algebra's codes: relabelled row i is self.rows[i], and
+        # column j self.cols[j]
+        self.rows = [0, *(r << b for r in rows)]
+        self.cols = [0, *cols]
+
+    def pack(self, w: Iterable[int]) -> int:
+        """The packed word of relabelled letters w."""
+        width = self.width
+        out = 1
+        for x in w:
+            out = out << width | x
+        return out
+
+    def packed(self, t: dict[Code, Laurent]) -> list[tuple[int, int, Laurent]]:
+        """Each term of t as (packed relabelled word, length, coefficient)."""
+        code = self.code
+        return [(self.pack(code[x] for x in w), len(w), c) for w, c in t.items()]
+
+    def unpack(self, key: int) -> list[int]:
+        """The relabelled letters of a packed word."""
+        width = self.width
+        low = (1 << width) - 1
+        out = []
+        while key > 1:
+            out.append(key & low)
+            key >>= width
+        out.reverse()
+        return out
+
+    def decode(self, key: int) -> Code:
+        """The algebra's letter codes of a packed relabelled word."""
+        rows, cols, h, mask = self.rows, self.cols, self.width >> 1, self.mask
+        return tuple(rows[x >> h] | cols[x & mask] for x in self.unpack(key))
+
+
+_KEY_BITS = 8  # a width is 2h < 256: h > 127 would need 2^127 rows or columns
+
+
 def _product(
-    a: dict[Code, Laurent], b: dict[Code, Laurent], mask: int
-) -> dict[Code, dict[int, int]]:
-    """The raw terms of the product of two normal-form term maps: every
-    concatenation goes through `_rewrite` into one accumulator, its scan
-    started at the join.  Zero coefficients are kept."""
-    out: dict[Code, dict[int, int]] = {}
-    right = [(w2, c2.items()) for w2, c2 in b.items()]
-    for w1, c1 in a.items():
+    a: list[tuple[int, int, Laurent]],
+    b: list[tuple[int, int, Laurent]],
+    pattern: _Pattern,
+) -> dict[int, dict[int, int]]:
+    """The raw terms of the product of two normal-form term maps, both given
+    by `pattern.packed`, keyed by packed relabelled word.  Each
+    concatenation's leaves come from `_PATTERNS`; on a miss, `_rewrite`
+    computes them with its scan started at the join, the only place an
+    inversion can be.  Zero coefficients are kept."""
+    table = _PATTERNS
+    width = pattern.width
+    out: dict[int, dict[int, int]] = {}
+    right = [
+        (width * n2 + _KEY_BITS, (w2 ^ 1 << width * n2) << _KEY_BITS | width, c2.items())
+        for w2, n2, c2 in b
+    ]
+    for w1, n1, c1 in a:
         c1 = c1.items()
-        join = len(w1) - 1 if w1 else 0
-        for w2, c2 in right:
-            coeff = [(x1 + x2, v1 * v2) for x1, v1 in c1 for x2, v2 in c2]
-            _rewrite(list(w1 + w2), coeff, out, mask, join)
+        for shift, low, c2 in right:
+            key = w1 << shift | low
+            leaves = table.get(key)
+            if leaves is None:
+                word = pattern.unpack(key >> _KEY_BITS)
+                leaves = _rewrite(word, pattern.mask, max(n1 - 1, 0))
+                leaves[::3] = map(pattern.pack, leaves[::3])
+                leaves = tuple(leaves)
+                if len(table) >= _PATTERNS_CACHED:
+                    table.clear()
+                table[key] = leaves
+            _accumulate(out, leaves, [(x1 + x2, v1 * v2) for x1, v1 in c1 for x2, v2 in c2])
     return out
 
 
-def _laurents(out: dict[Code, dict[int, int]]) -> dict[Code, Laurent]:
-    """One Laurent per monomial of a `_rewrite` result; zeros dropped."""
+def _laurents(out: dict, decode=None) -> dict[Code, Laurent]:
+    """One Laurent per monomial of raw terms, each word passed through
+    decode when given; zeros dropped."""
     t = {}
     for w, acc in out.items():
         c = {e: v for e, v in acc.items() if v}
         if c:
-            t[w] = Laurent._trusted(c)
+            t[decode(w) if decode else w] = Laurent._trusted(c)
     return t
 
 
@@ -188,7 +302,7 @@ def _normal_form(k: int, m: int, word: Iterable[Gen], coeff: Laurent) -> dict[Co
             f"coefficient {coeff!r} of word {_decode(w, m)} is not a Laurent polynomial"
         )
     out: dict[Code, dict[int, int]] = {}
-    _rewrite(list(w), tuple(coeff.items()), out, _mask(m))
+    _accumulate(out, _rewrite(list(w), _mask(m)), tuple(coeff.items()))
     return _laurents(out)
 
 
@@ -286,10 +400,14 @@ class NCPoly:
         """The product by `_product`, one Laurent per monomial; both sides'
         words are already checked."""
         self._check_dims(other)
-        out = _product(self._t, other._t, _mask(self.m))
-        return NCPoly._trusted(self.k, self.m, _laurents(out))
+        pattern = _Pattern(self.m.bit_length(), self._t, other._t)
+        out = _product(pattern.packed(self._t), pattern.packed(other._t), pattern)
+        return NCPoly._trusted(self.k, self.m, _laurents(out, pattern.decode))
 
     def scale(self, c: Laurent) -> "NCPoly":
+        """c times self; c must be a `Laurent`."""
+        if not isinstance(c, Laurent):
+            raise ValueError(f"scale factor {c!r} is not a Laurent polynomial")
         t = {}
         for w, v in self._t.items():
             v = v * c
@@ -298,8 +416,9 @@ class NCPoly:
         return NCPoly._trusted(self.k, self.m, t)
 
     def pow(self, e: int) -> "NCPoly":
-        if e < 0:
-            raise ValueError("negative powers unsupported")
+        """self to the power e, an int >= 0 (a bool is not an int)."""
+        if not _is_int(e) or e < 0:
+            raise ValueError(f"power {e!r} is not a non-negative integer")
         acc = NCPoly.one(self.k, self.m)
         for _ in range(e):
             acc = acc * self
@@ -368,13 +487,18 @@ def quantum_minor(mi: MinorIndex) -> NCPoly:
 
 def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
     """c with r*p == q^c * (p*r), detected coefficient-wise on the raw
-    products, zeros dropped; None otherwise."""
+    products, zeros dropped; None otherwise.  Both must be nonzero
+    `NCPoly`s of one algebra."""
+    for name, x in (("p", p), ("r", r)):
+        if not isinstance(x, NCPoly):
+            raise ValueError(f"quasi-commutation argument {name} = {x!r} is not an NCPoly")
     if p.is_zero() or r.is_zero():
         raise ValueError("quasi-commutation is undefined for zero inputs")
     p._check_dims(r)
-    mask = _mask(p.m)
-    pr = _product(p._t, r._t, mask)
-    rp = _product(r._t, p._t, mask)
+    pattern = _Pattern(p.m.bit_length(), p._t, r._t)
+    a, b = pattern.packed(p._t), pattern.packed(r._t)
+    pr = _product(a, b, pattern)
+    rp = _product(b, a, pattern)
     c = None
     words = 0
     for w, acc in pr.items():
@@ -427,6 +551,7 @@ def qplucker_relation_holds(I: Iterable[int], J: Iterable[int], k: int, n: int) 
 
 _EMBEDDING_MAX_TOTAL = 8
 _EMBEDDINGS_CACHED = _EMBEDDING_MAX_TOTAL * (_EMBEDDING_MAX_TOTAL - 1) // 2
+_PATTERNS_CACHED = 8192
 
 
 @lru_cache(maxsize=_EMBEDDINGS_CACHED)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -414,6 +415,37 @@ class TestExactIngress:
             propagate(SQUARE, vals, mode=mode)
         with pytest.raises(ValueError, match=r"value for \(1, 3\) is not a rational number"):
             positivity_test(SQUARE, vals, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            Decimal("NaN"),
+            Decimal("sNaN"),
+            Decimal("Infinity"),
+            Decimal("-Infinity"),
+        ],
+        ids=repr,
+    )
+    def test_non_finite_rejected_before_the_sign_test(self, mode, bad):
+        # a Decimal NaN signals on comparison, and an inf would reach the
+        # closure in float mode
+        vals = {K: Fraction(1) for K in SQUARE.sets}
+        vals[(1, 3)] = bad
+        with pytest.raises(ValueError, match=r"value for \(1, 3\) is not a rational number"):
+            propagate(SQUARE, vals, mode=mode)
+        with pytest.raises(ValueError, match=r"value for \(1, 3\) is not a rational number"):
+            positivity_test(SQUARE, vals, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_finite_decimal_and_huge_int_accepted(self, mode):
+        vals = {K: Fraction(1) for K in SQUARE.sets}
+        vals[(1, 3)] = Decimal("0.5")
+        vals[(1, 2)] = 10**400 if mode == "exact" else 10**300
+        assert propagate(SQUARE, vals, mode=mode).ok
 
 
 class TestVerdicts:

@@ -6,11 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from wsep.laurent import Laurent, ONE, Q, Q_INV
 from wsep.subsets import MinorIndex, stieffel_subset
+from wsep import quantum
 from wsep.quantum import (
     NCPoly,
+    _Pattern,
+    _accumulate,
+    _laurents,
     _mask,
     _product,
     _qmq_power,
+    _rewrite,
     embedding_images,
     embedding_respects_relations,
     normalize_word,
@@ -198,6 +203,22 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             gen(2, 2, 1, 1) * gen(2, 3, 1, 1)
 
+    @pytest.mark.parametrize("bad", [2, 1.0, None, "q"], ids=repr)
+    def test_scale_factor_must_be_laurent(self, bad):
+        with pytest.raises(ValueError, match=r"scale factor .* is not a Laurent polynomial"):
+            gen(2, 2, 1, 1).scale(bad)
+
+    @pytest.mark.parametrize("bad", [True, False, -1, 2.0, "2", None], ids=repr)
+    def test_power_must_be_a_non_negative_int(self, bad):
+        with pytest.raises(ValueError, match=r"power .* is not a non-negative integer"):
+            gen(2, 2, 1, 1).pow(bad)
+
+    def test_powers(self):
+        x = gen(2, 2, 2, 2) + gen(2, 2, 1, 1)
+        assert x.pow(0) == NCPoly.one(2, 2)
+        assert x.pow(1) == x
+        assert x.pow(3) == x * x * x
+
 
 class TestQuantumMinor:
     def test_singleton(self):
@@ -239,6 +260,14 @@ class TestQuasiCommutation:
         with pytest.raises(ValueError):
             quasi_commutation_exponent(NCPoly.zero(2, 2), gen(2, 2, 1, 1))
 
+    @pytest.mark.parametrize("bad", [None, 3, ONE, {((1, 1),): ONE}], ids=repr)
+    def test_non_polynomial_rejected(self, bad):
+        x = gen(2, 2, 1, 1)
+        with pytest.raises(ValueError, match=r"argument p = .* is not an NCPoly"):
+            quasi_commutation_exponent(bad, x)
+        with pytest.raises(ValueError, match=r"argument r = .* is not an NCPoly"):
+            quasi_commutation_exponent(x, bad)
+
     def test_scalar_multiples(self):
         p = NCPoly.from_word(2, 3, [(2, 3), (1, 1)], Laurent({-1: 2, 2: -3}))
         for c in (Laurent.term(-5, 3), Laurent({0: 1, 1: 4})):
@@ -250,7 +279,8 @@ class TestQuasiCommutation:
         # coefficients that cancel to zero; they must not count as monomials
         p = gen(2, 2, 2, 2)
         r = quantum_minor(MinorIndex((1, 2), (1, 2), 2, 2))
-        raw = _product(p._t, r._t, _mask(2))
+        pattern = _Pattern(2 .bit_length(), p._t, r._t)
+        raw = _product(pattern.packed(p._t), pattern.packed(r._t), pattern)
         assert any(0 in acc.values() for acc in raw.values())
         assert quasi_commutation_exponent(p, r) == quasi_commutation_bf(p, r) == 0
         assert quasi_commutation_exponent(r, p) == 0
@@ -371,3 +401,139 @@ def test_str_is_deterministic_lex():
     assert str(d) == "1 * x[1,1] x[2,2] - q^-1 * x[1,2] x[2,1]"
     p = NCPoly.from_word(2, 2, [(2, 2), (1, 1)])
     assert str(p) == "1 * x[1,1] x[2,2] + (q - q^-1) * x[1,2] x[2,1]"
+
+
+def product_by_rewrite(p, r):
+    """p * r with no table: each concatenation of original letter codes
+    rewritten by `_rewrite` from its first letter, in the order the product
+    meets them, so the terms come in the order of the table-free product."""
+    out = {}
+    mask = _mask(p.m)
+    for w1, c1 in p._t.items():
+        for w2, c2 in r._t.items():
+            coeff = [(x1 + x2, v1 * v2) for x1, v1 in c1.items() for x2, v2 in c2.items()]
+            _accumulate(out, _rewrite(list(w1 + w2), mask), coeff)
+    return _laurents(out)
+
+
+def random_poly(rng, k, m, max_letters=4, max_terms=3):
+    """A sum of up to max_terms normalized random words, of mixed lengths
+    from 0 to max_letters, with random Laurent coefficients."""
+    acc = NCPoly.zero(k, m)
+    for _ in range(rng.randint(1, max_terms)):
+        word = [(rng.randint(1, k), rng.randint(1, m)) for _ in range(rng.randint(0, max_letters))]
+        coeff = Laurent({rng.randint(-2, 2): rng.choice([-3, -1, 1, 2]) for _ in range(2)})
+        acc = acc + NCPoly.from_word(k, m, word, coeff)
+    return acc
+
+
+class TestPatternTable:
+    """`_product` looks each relabelled concatenation up in `_PATTERNS`;
+    its results must not depend on what the table holds."""
+
+    @staticmethod
+    def ordered(p):
+        return list(p._t.items())
+
+    def test_scalars_and_the_empty_word(self):
+        quantum._PATTERNS.clear()
+        a, b = Laurent({-1: 2, 3: 1}), Laurent.term(-5, 2)
+        s, t = NCPoly.scalar(2, 3, a), NCPoly.scalar(2, 3, b)
+        for _ in range(2):  # cold, then warm
+            assert (s * t).terms() == {(): a * b}
+            assert (NCPoly.one(2, 3) * NCPoly.one(2, 3)).terms() == {(): ONE}
+            assert quasi_commutation_exponent(s, t) == 0
+        # the empty word with no letters at all packs at width 0
+        assert _Pattern(2, s._t, t._t).width == 0
+        x = NCPoly.from_word(2, 3, [(2, 3), (1, 1)])
+        assert (s * x).terms() == x.scale(a).terms()
+        assert (x * s).terms() == x.scale(a).terms()
+
+    def test_mixed_lengths(self):
+        # one polynomial holding words of lengths 0 to 3
+        k, m = 2, 3
+        p = (
+            NCPoly.one(k, m)
+            + gen(k, m, 2, 2)
+            + NCPoly.from_word(k, m, [(2, 1), (1, 3)], Q)
+            + NCPoly.from_word(k, m, [(2, 3), (1, 2), (1, 1)], Q_INV)
+        )
+        assert {len(w) for w in p.terms()} == {0, 1, 2, 3}
+        quantum._PATTERNS.clear()
+        for _ in range(2):
+            for a, b in ((p, p), (p, gen(k, m, 1, 1)), (gen(k, m, 2, 3), p)):
+                assert self.ordered(a * b) == list(product_by_rewrite(a, b).items())
+                assert (a * b).terms() == product_bf(a, b)
+            assert quasi_commutation_exponent(p, p) == 0
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_letter_width_changes(self, m):
+        # B = m.bit_length() is 3 at m = 7 and 4 at m = 8, and decoding
+        # must map the relabelled letters back to either
+        quantum._PATTERNS.clear()
+        rng = random.Random(m)
+        for _ in range(30):
+            p, r = random_poly(rng, 3, m), random_poly(rng, 3, m)
+            assert self.ordered(p * r) == list(product_by_rewrite(p, r).items())
+            assert (p * r).terms() == product_bf(p, r)
+        cols = (2, 5, m)
+        a = quantum_minor(MinorIndex((1, 3), cols[:2], 3, m))
+        b = quantum_minor(MinorIndex((2, 3), cols[1:], 3, m))
+        assert quasi_commutation_exponent(a, b) == quasi_commutation_bf(a, b)
+        assert (a * b).terms() == product_bf(a, b)
+
+    def test_keys_carry_the_width(self):
+        # x[1,2] x[1,1] relabelled at h = 2 and the one letter x[6,5] of a
+        # pattern with 8 columns, at h = 4, pack to the same int, 0x165
+        quantum._PATTERNS.clear()
+        assert (gen(2, 2, 1, 2) * gen(2, 2, 1, 1)).terms() == {((1, 1), (1, 2)): Q}
+        diagonal = [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (6, 7), (6, 8)]
+        p = NCPoly.one(6, 8) + NCPoly.from_word(6, 8, diagonal)
+        r = gen(6, 8, 6, 5)
+        pattern = _Pattern(8 .bit_length(), p._t, r._t)
+        assert pattern.width == 8 and pattern.pack([pattern.code[6 << 4 | 5]]) == 0x165
+        assert (p * r).terms() == product_bf(p, r)
+
+    def test_cold_and_warm_agree_on_gr36(self):
+        subsets = list(combinations(range(1, 7), 3))
+        polys = {K: plucker_realize(K, 3, 6) for K in subsets}
+        cold = {}
+        for I in subsets:
+            for J in subsets:
+                quantum._PATTERNS.clear()
+                product = self.ordered(polys[I] * polys[J])
+                quantum._PATTERNS.clear()
+                cold[I, J] = product, quasi_commutation_exponent(polys[I], polys[J])
+        for (I, J), (product, exponent) in cold.items():
+            assert self.ordered(polys[I] * polys[J]) == product
+            assert quasi_commutation_exponent(polys[I], polys[J]) == exponent
+        for x, y in [(0, 7), (3, 19), (12, 12)]:
+            I, J = subsets[x], subsets[y]
+            assert cold[I, J][0] == list(product_by_rewrite(polys[I], polys[J]).items())
+
+    def test_cold_and_warm_agree_on_random_products(self):
+        rng = random.Random(11)
+        cases = []
+        for _ in range(120):
+            k, m = rng.randint(1, 3), rng.choice(WIDTHS)
+            cases.append((random_poly(rng, k, m), random_poly(rng, k, m)))
+        cold = []
+        for p, r in cases:
+            quantum._PATTERNS.clear()
+            cold.append(self.ordered(p * r))
+        for (p, r), product in zip(cases, cold):
+            assert self.ordered(p * r) == product == list(product_by_rewrite(p, r).items())
+
+    def test_bound_holds_and_eviction_keeps_results(self, monkeypatch):
+        subsets = list(combinations(range(1, 7), 3))
+        polys = {K: plucker_realize(K, 3, 6) for K in subsets}
+        expected = {(I, J): self.ordered(polys[I] * polys[J]) for I in subsets[:8] for J in subsets}
+        monkeypatch.setattr(quantum, "_PATTERNS_CACHED", 50)
+        quantum._PATTERNS.clear()
+        sizes = []
+        for (I, J), product in expected.items():
+            assert self.ordered(polys[I] * polys[J]) == product
+            sizes.append(len(quantum._PATTERNS))
+            assert sizes[-1] <= 50
+        # the table filled up and was emptied along the way
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
