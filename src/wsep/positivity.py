@@ -30,14 +30,14 @@ each value is a reduced numerator and positive denominator, in two lists
 indexed by subset rank.  A derivation combines the ints of its relation
 and reduces the result once, by building its `Fraction`; a check is one
 integer cross-multiplication.  Each value's `Fraction` is built once, at
-ingress or at derivation, and kept in a third list for the returned values
-and witness texts.
+ingress or at derivation, and kept for the returned values and witness
+texts in the list that holds the floats in float mode.
 
 A relation is named by its id 2*q + d: q is its quad index in the rank
 table, and d is 0 when it derives anchor+{s,t} from anchor+{i,j} and 1 the
-other way round; the ranks of its six sets are `quads[q][3]`.  A failed
-check names the least failing id.  Nothing about positivity is kept between
-calls.
+other way round; `quads[q]` is the tuple of the ranks of its six sets.  A
+failed check names the least failing id.  Nothing about positivity is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from math import isfinite
 from numbers import Rational, Real
 from typing import Iterable, Mapping
 
-from .wscoll import WSCollection, _require_ints, _table, require_maximal
+from .wscoll import WSCollection, require_maximal
 
 
 @dataclass(frozen=True)
@@ -144,18 +144,18 @@ def propagate(
     finite positive real number, is a ValueError.
 
     One list holds the quads not yet handled, in index order, and each
-    pass walks it.  A quad whose four sides and one diagonal are known
-    derives the other diagonal; a quad whose six values are all known is
-    checked.  Either way it leaves the list.  Passes repeat until one
-    derives nothing.  A derivation checks its relation in both directions
-    in exact mode, since all values are positive rationals; in float mode
-    it checks the one direction, unless the value does not agree with
-    itself (an inf or nan), and the other direction is checked at once.
-    A check never changes what is known, so the values are derived in the
-    same order whatever the checks find.  A failed check is recorded and
-    the closure runs on: the result carries the witness of the least
-    failing relation id and every value.  A division by zero in a
-    derivation returns at once.
+    pass walks it.  A quad whose four sides and one diagonal are known (a
+    flag per rank: a float that underflows to 0.0 is known) derives the
+    other diagonal; a quad whose six values are all known is checked.
+    Either way it leaves the list.  Passes repeat until one derives
+    nothing.  A derivation checks its relation in both directions in exact
+    mode, since all values are positive rationals; in float mode it checks
+    the one direction, unless the value does not agree with itself (an inf
+    or nan), and the other direction is checked at once.  A check never
+    changes what is known, so the values are derived in the same order
+    whatever the checks find.  A failed check is recorded and the closure
+    runs on: the result carries the witness of the least failing relation
+    id and every value.  A division by zero in a derivation returns at once.
 
     Exact mode runs on reduced int numerator/denominator pairs: a derived
     value is reduced once, by its `Fraction`, and a check is one integer
@@ -165,12 +165,10 @@ def propagate(
     require_maximal(c)
     exact = mode == "exact"
     table = c.table
-    subset, quads = table.subset, table.quads
-    # exact: the value of rank r is num[r] / den[r], reduced, and frac[r]
-    # the same value as a Fraction; den[r] is 0 while it is unknown.
-    # float: known[r].
-    num, den, frac = [0] * table.size, [0] * table.size, [None] * table.size
-    known = {}
+    subset, quads, size = table.subset, table.quads, table.size
+    # has[r] is 1 once rank r has a value, value[r]: a Fraction in exact
+    # mode, which is also num[r] / den[r], reduced; a float in float mode.
+    has, value, num, den = bytearray(size), [None] * size, [0] * size, [0] * size
     for s, r in zip(c.sets, c.ranks()):
         if s not in vals:
             raise ValueError(f"no value supplied for member {s}")
@@ -179,53 +177,49 @@ def propagate(
             raise ValueError(f"value for {s} is not a rational number")
         if not v > 0:
             raise ValueError(f"value for {s} is not positive")
-        if not exact:
-            known[r] = float(v)
-            continue
-        try:
-            v = Fraction(v)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"value for {s} is not a rational number") from None
-        frac[r] = v
-        num[r], den[r] = v.numerator, v.denominator
+        if exact:
+            try:
+                v = Fraction(v)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"value for {s} is not a rational number") from None
+            num[r], den[r] = v.numerator, v.denominator
+        else:
+            v = float(v)
+        value[r], has[r] = v, 1
 
     def close(a, b) -> bool:
         scale = max(abs(a), abs(b))
         return scale == 0 or abs(a - b) <= rel_tol * scale
 
     def values() -> dict:
-        if exact:
-            return {subset[r]: frac[r] for r in range(table.size) if den[r]}
-        return {subset[r]: v for r, v in known.items()}
+        return {subset[r]: value[r] for r in range(size) if has[r]}
 
     def check(rel: int) -> str | None:
         """Float mode: check relation `rel`, its six values known; a
         witness when it fails."""
-        r_is, r_sj, r_jt, r_it, rm, add = quads[rel >> 1][3]
+        r_is, r_sj, r_jt, r_it, rm, add = quads[rel >> 1]
         if rel & 1:
             rm, add = add, rm
-        if not known[rm]:
+        if not value[rm]:
             return f"division by zero at {subset[rm]}"
-        value = (known[r_is] * known[r_jt] + known[r_it] * known[r_sj]) / known[rm]
-        if not close(known[add], value):
-            return f"inconsistent re-derivation of {subset[add]}: {known[add]} vs {value}"
+        v = (value[r_is] * value[r_jt] + value[r_it] * value[r_sj]) / value[rm]
+        if not close(value[add], v):
+            return f"inconsistent re-derivation of {subset[add]}: {value[add]} vs {v}"
         return None
 
-    have = c.bits  # the int over the ranks with a known value
     failed, why = 2 * len(quads), None  # the least failing relation id, its witness
     pending = range(len(quads))  # the quads not yet handled, in index order
     grown = True
     while grown:
         grown, left = False, []
         for q in pending:
-            sides, ij, st, ranks = quads[q]
-            if have & sides != sides or not have & (ij | st):
+            r_is, r_sj, r_jt, r_it, rm, add = quads[q]
+            if not (has[r_is] and has[r_sj] and has[r_jt] and has[r_it] and (has[rm] or has[add])):
                 left.append(q)
                 continue
-            known_both = have & ij and have & st
+            known_both = has[rm] and has[add]
             # derives (or checks) the other diagonal: anchor+{s,t} for d = 0
-            rel = 2 * q + (not have & ij)
-            r_is, r_sj, r_jt, r_it, rm, add = ranks
+            rel = 2 * q + (not has[rm])
             if rel & 1:
                 rm, add = add, rm
             if exact:
@@ -238,19 +232,19 @@ def propagate(
                         failed = rel
                         why = (
                             f"inconsistent re-derivation of {subset[add]}: "
-                            f"{frac[add]} vs {Fraction(top, bot)}"
+                            f"{value[add]} vs {Fraction(top, bot)}"
                         )
                     continue
-                v = frac[add] = Fraction(top, bot)
+                v = value[add] = Fraction(top, bot)
                 num[add], den[add] = v.numerator, v.denominator
             else:
                 done = None  # the direction a derivation checked
                 if not known_both:
-                    if not known[rm]:
+                    if not value[rm]:
                         return Propagation(False, values(), f"division by zero at {subset[rm]}")
-                    value = (known[r_is] * known[r_jt] + known[r_it] * known[r_sj]) / known[rm]
-                    known[add] = value
-                    if close(value, value):
+                    v = (value[r_is] * value[r_jt] + value[r_it] * value[r_sj]) / value[rm]
+                    value[add] = v
+                    if close(v, v):
                         done = rel
                 for x in (2 * q, 2 * q + 1):
                     text = x != done and x < failed and check(x)
@@ -259,11 +253,11 @@ def propagate(
                         break
                 if known_both:
                     continue
-            have |= 1 << add
+            has[add] = 1
             grown = True
         pending = left
-    if have.bit_count() < table.size:
-        missing = next(r for r in range(table.size) if not have >> r & 1)
+    missing = has.find(0)
+    if missing >= 0:
         raise AssertionError(f"no exchange relation derived a value for {subset[missing]}")
     return Propagation(why is None, values(), why)
 
@@ -298,31 +292,3 @@ def positivity_test(
     if bad:
         return Verdict(NOT_DETERMINED, result.values, f"non-positive value at {min(bad)}")
     return Verdict(POSITIVE, result.values, None)
-
-
-def short_plucker_violations(
-    values: Mapping[tuple[int, ...], object], k: int, n: int, rel_tol: float = 0.0
-) -> list[tuple]:
-    """Quadruples (anchor, i, s, j, t) whose six-term exchange relation fails
-    on the given (possibly partial) value assignment, in the order of the
-    (k, n) table's `quads`.  k and n must be ints: `_table` would hand a
-    float the int table."""
-    _require_ints(k, n)
-    table = _table(k, n)
-    subset = table.subset
-    out = []
-    for q, (*_, ranks) in enumerate(table.quads):
-        sets = [subset[r] for r in ranks]
-        if any(K not in values for K in sets):
-            continue
-        v_is, v_sj, v_jt, v_it, v_ij, v_st = map(values.__getitem__, sets)
-        lhs = v_ij * v_st
-        rhs = v_is * v_jt + v_it * v_sj
-        if rel_tol == 0.0:
-            bad = lhs != rhs
-        else:
-            scale = max(abs(lhs), abs(rhs))
-            bad = scale != 0 and abs(lhs - rhs) > rel_tol * scale
-        if bad:
-            out.append(table.quad_move(q, True))
-    return [(mv.anchor, mv.i, mv.s, mv.j, mv.t) for mv in out]

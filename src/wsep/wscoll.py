@@ -100,9 +100,9 @@ class _Table:
 
     The table is the one holder of what is built per (k, n): besides the
     ranks and rows, the exchange quads (`quads`, six ranks each, which are
-    also the exchange relations `propagate` evaluates; `quad_move` builds a
-    quad's `Move` where one is returned), the base collection (`base`) and
-    the int of the ranks that count towards `height` (`top_inner`).
+    the exchange relations `propagate` evaluates and from which the walk's
+    bit forms `quad_tests` and `steps` are built), the base collection
+    (`base`) and the int of the ranks that count towards `height` (`top_inner`).
     All of it goes with the table, once `_table` (the 32 most recently used)
     has evicted it and no collection refers to it.
     """
@@ -151,23 +151,21 @@ class _Table:
     @cached_property
     def quads(self) -> tuple:
         """One entry per anchor and quadruple i < s < j < t, in the scan
-        order of `find_moves`: (side bits, bit of anchor+{i,j}, bit of
-        anchor+{s,t}, ranks of anchor+{i,s}, +{s,j}, +{j,t}, +{i,t}, +{i,j}
-        and +{s,t}), the six sets of the exchange relation D[I+ij] D[I+st] =
-        D[I+is] D[I+jt] + D[I+it] D[I+sj].  For k < 2 there are none."""
+        order of `find_moves`: the ranks (r_is, r_sj, r_jt, r_it, r_ij,
+        r_st) of anchor+{i,s}, +{s,j}, +{j,t}, +{i,t}, +{i,j} and +{s,t},
+        the six sets of the exchange relation D[I+ij] D[I+st] = D[I+is]
+        D[I+jt] + D[I+it] D[I+sj].  For k < 2 there are none."""
         rank = self.rank
         points = [1 << x for x in range(1, self.n + 1)]
         out = []
         for a in map(sum, combinations(points, self.k - 2)) if self.k >= 2 else ():
             for i, s, j, t in combinations([x for x in points if not a & x], 4):
-                ranks = tuple(rank[a | p] for p in (i | s, s | j, j | t, i | t, i | j, s | t))
-                sides = sum(1 << r for r in ranks[:4])
-                out.append((sides, 1 << ranks[4], 1 << ranks[5], ranks))
+                out.append(tuple(rank[a | p] for p in (i | s, s | j, j | t, i | t, i | j, s | t)))
         return tuple(out)
 
     def quad_move(self, q: int, forward: bool) -> "Move":
         """The move of quad q removing anchor+{i,j} if forward, else anchor+{s,t}."""
-        r_ij, r_st = self.quads[q][3][4:]
+        r_ij, r_st = self.quads[q][4:]
         ij, st = self.mask[r_ij], self.mask[r_st]
         i, s, j, t = _from_mask(ij ^ st)
         removes, adds = self.subset[r_ij], self.subset[r_st]
@@ -177,25 +175,28 @@ class _Table:
 
     @cached_property
     def quad_tests(self) -> tuple:
-        """(side bits, diagonal bits, 1 << q) for each quad index q."""
-        return tuple((sides, ij | st, 1 << q) for q, (sides, ij, st, _) in enumerate(self.quads))
+        """(side bits, diagonal bits, 1 << q) for each quad index q, from its ranks."""
+        return tuple(
+            (1 << r_is | 1 << r_sj | 1 << r_jt | 1 << r_it, 1 << r_ij | 1 << r_st, 1 << q)
+            for q, (r_is, r_sj, r_jt, r_it, r_ij, r_st) in enumerate(self.quads)
+        )
 
     @cached_property
     def steps(self) -> tuple:
-        """Per quad index q, what the walk needs to apply its move: (the
-        diagonal bits, the bit of anchor+{i,j}, the int of the quad indices
-        whose six sets avoid both diagonals, the `quad_tests` of the quads
-        through anchor+{s,t}, and of those through anchor+{i,j})."""
-        through = {}  # bit of a rank -> quad_tests of the quads whose six sets hold it
-        for test in self.quad_tests:
-            for r in _from_mask(test[0] | test[1]):
-                through.setdefault(1 << r, []).append(test)
-        # the bit of a rank -> (int over the quad indices through it, their tests)
-        through = {bit: (sum(t[2] for t in tests), tuple(tests)) for bit, tests in through.items()}
+        """Per quad index q, the bits the walk needs to apply its move, from
+        its ranks: (the diagonal bits, the bit of anchor+{i,j}, the int of
+        the quad indices whose six sets avoid both diagonals, the `quad_tests`
+        of the quads through anchor+{s,t}, and of those through anchor+{i,j})."""
+        through = {}  # rank -> quad_tests of the quads whose six sets hold it
+        for ranks, test in zip(self.quads, self.quad_tests):
+            for r in ranks:
+                through.setdefault(r, []).append(test)
+        # rank -> (int over the quad indices through it, their tests)
+        through = {r: (sum(t[2] for t in tests), tuple(tests)) for r, tests in through.items()}
         out = []
-        for _, ij, st, _ in self.quads:
-            (touch_ij, via_ij), (touch_st, via_st) = through[ij], through[st]
-            out.append((ij | st, ij, ~(touch_ij | touch_st), via_st, via_ij))
+        for (*_, r_ij, r_st), (_, diags, _) in zip(self.quads, self.quad_tests):
+            (touch_ij, via_ij), (touch_st, via_st) = through[r_ij], through[r_st]
+            out.append((diags, 1 << r_ij, ~(touch_ij | touch_st), via_st, via_ij))
         return tuple(out)
 
     def live(self, bits: int, tests) -> int:
@@ -208,7 +209,7 @@ class _Table:
             if bits & sides == sides:
                 d = bits & diags
                 if d == diags:
-                    st = self.quads[qbit.bit_length() - 1][3][5]
+                    st = self.quads[qbit.bit_length() - 1][5]
                     raise ValueError(f"move target {self.subset[st]} already present")
                 if d:
                     out |= qbit
@@ -635,14 +636,18 @@ def translate(c: WSCollection, g: Dihedral) -> WSCollection:
 
 
 def find_moves(c: WSCollection) -> list[Move]:
-    """All exchange moves available in c (which should be maximal): for each
-    anchor and quadruple with all four sides present, exactly one diagonal is
-    present in a maximal collection, and the move swaps it for the other."""
-    bits, table = c.bits, c.table
+    """All exchange moves available in c (which should be maximal), read
+    from one byte per rank, so that a large table builds no bit form of its
+    quads: for each anchor and quadruple with all four sides present, exactly
+    one diagonal is present in a maximal collection, and the move swaps it."""
+    table = c.table
+    has = bytearray(table.size)
+    for r in c.ranks():
+        has[r] = 1
     moves = []
-    for q, (sides, diag_ij, diag_st, _) in enumerate(table.quads):
-        if bits & sides == sides and bits & (diag_ij | diag_st):
-            moves.append(table.quad_move(q, bits & diag_ij))
+    for q, (r_is, r_sj, r_jt, r_it, r_ij, r_st) in enumerate(table.quads):
+        if has[r_is] and has[r_sj] and has[r_jt] and has[r_it] and (has[r_ij] or has[r_st]):
+            moves.append(table.quad_move(q, has[r_ij]))
     return moves
 
 

@@ -8,7 +8,8 @@ normal forms by a rewriter over Laurent objects with a caller-chosen
 rewriting order, quasi-commutation by comparing the products of that
 rewriter monomial by monomial, value propagation by evaluating the exchange
 relation on every edge of the move-graph walk, the exchange quads of the
-rank table by listing sorted tuples, the move-graph closure by
+rank table by listing sorted tuples, the exchange relations on a value
+assignment by evaluating them on that listing, the move-graph closure by
 scanning every state with `find_moves`, and the maximal weakly separated
 collections by a clique search of the weak-separation graph that makes no
 moves.
@@ -26,12 +27,12 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from wsep.laurent import Laurent, ONE, Q, Q_MINUS_Q_INV, ZERO
 from wsep.positivity import Propagation, _det
 from wsep.quantum import Gen, Word, _encode
-from wsep.subsets import _from_mask
+from wsep.subsets import _from_mask, _is_int
 from wsep.wscoll import (
     WSCollection,
     apply_move,
@@ -266,6 +267,32 @@ def quads_bf(k: int, n: int) -> list[tuple]:
         for i, s, j, t in combinations(rest, 4):
             pairs = ((i, s), (s, j), (j, t), (i, t), (i, j), (s, t))
             out.append((anchor, i, s, j, t, tuple(tuple(sorted(anchor + p)) for p in pairs)))
+    return out
+
+
+def short_plucker_violations(
+    values: Mapping[tuple[int, ...], object], k: int, n: int, rel_tol: float = 0.0
+) -> list[tuple]:
+    """Quadruples (anchor, i, s, j, t) whose exchange relation D[I+ij]
+    D[I+st] = D[I+is] D[I+jt] + D[I+it] D[I+sj] fails on the given (possibly
+    partial) value assignment, in the order of `quads_bf`.  A relation with
+    a missing value is skipped.  k and n must be ints."""
+    if not (_is_int(k) and _is_int(n)):
+        raise ValueError(f"k and n must be integers, got {k!r} and {n!r}")
+    out = []
+    for anchor, i, s, j, t, sets in quads_bf(k, n):
+        if any(K not in values for K in sets):
+            continue
+        v_is, v_sj, v_jt, v_it, v_ij, v_st = map(values.__getitem__, sets)
+        lhs = v_ij * v_st
+        rhs = v_is * v_jt + v_it * v_sj
+        if rel_tol == 0.0:
+            bad = lhs != rhs
+        else:
+            scale = max(abs(lhs), abs(rhs))
+            bad = scale != 0 and abs(lhs - rhs) > rel_tol * scale
+        if bad:
+            out.append((anchor, i, s, j, t))
     return out
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import component_of_base, propagate_every_edge
+from oracles import component_of_base, propagate_every_edge, short_plucker_violations
 from test_wscoll import random_greedy_maximal
 from wsep.positivity import (
     NOT_DETERMINED,
@@ -16,7 +16,6 @@ from wsep.positivity import (
     Propagation,
     positivity_test,
     propagate,
-    short_plucker_violations,
     vandermonde_point,
 )
 from wsep.wscoll import WSCollection, base_collection, boundary_sets
@@ -137,7 +136,7 @@ class TestShortPluckerViolations:
             assert short_plucker_violations(float_vals, 3, 7, rel_tol=1e-3) == []
 
     def test_non_int_rejected(self):
-        # the (3, 7) table is cached, and the table cache is untyped
+        # a float k is turned away by name, not by a TypeError from range()
         assert short_plucker_violations({}, 3, 7) == []
         with pytest.raises(ValueError, match="k and n must be integers"):
             short_plucker_violations({}, 3.0, 7)
@@ -273,8 +272,8 @@ class TestAnyK:
         # (2, 6) makes it disagree with the others
         c = base_collection(2, 6)
         quads = list(c.table.quads)
-        r_is, r_sj, *rest = quads[0][3]
-        quads[0] = (*quads[0][:3], (r_sj, r_is, *rest))
+        r_is, r_sj, *rest = quads[0]
+        quads[0] = (r_sj, r_is, *rest)
         monkeypatch.setattr(c.table, "quads", tuple(quads))
         res = propagate(c, {K: Fraction(i + 2, i + 1) for i, K in enumerate(c.sets)})
         assert not res.ok
@@ -356,6 +355,16 @@ class TestOrder:
         assert not res.ok and len(res.values) == 15
         assert res.witness == "inconsistent re-derivation of (2, 4): inf vs inf"
 
+    def test_underflow_to_zero_is_a_known_value(self):
+        # products of 1e-200 underflow to 0.0: those values are known, and
+        # dividing by one of them is the witness
+        c = base_collection(3, 6)
+        vals = {K: 1e-200 if r % 2 else 1.0 for r, K in enumerate(c.sets)}
+        res = propagate(c, vals, mode="float")
+        assert not res.ok and res.witness == "division by zero at (2, 3, 6)"
+        assert len(res.values) == 20
+        assert sorted(K for K, v in res.values.items() if v == 0.0) == [(2, 3, 6), (2, 4, 6)]
+
     @pytest.mark.parametrize(
         "mode, witness",
         [
@@ -373,8 +382,8 @@ class TestOrder:
         clean = propagate(c, vals, mode=mode)
         quads = list(c.table.quads)
         for q in (1, 10):
-            r_is, r_sj, *rest = quads[q][3]
-            quads[q] = (*quads[q][:3], (r_sj, r_is, *rest))
+            r_is, r_sj, *rest = quads[q]
+            quads[q] = (r_sj, r_is, *rest)
         monkeypatch.setattr(c.table, "quads", tuple(quads))
         res = propagate(c, vals, mode=mode)
         assert not res.ok and res.witness == witness

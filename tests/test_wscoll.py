@@ -290,16 +290,24 @@ class TestQuads:
     def test_quads_match_listing(self, k, n):
         table = _table(k, n)
         expected = quads_bf(k, n)
-        assert len(table.quads) == len(expected)
-        for q, (entry, (anchor, i, s, j, t, sets)) in enumerate(zip(table.quads, expected)):
-            sides, ij, st, ranks = entry
-            assert all(type(x) is int for x in (sides, ij, st, *ranks))
+        assert len(table.quads) == len(table.quad_tests) == len(expected)
+        for q, (ranks, (anchor, i, s, j, t, sets)) in enumerate(zip(table.quads, expected)):
+            assert type(ranks) is tuple and len(ranks) == 6
+            assert all(type(r) is int for r in ranks)
             assert tuple(table.subset[r] for r in ranks) == sets
+            sides, diags, qbit = table.quad_tests[q]
             assert sides == sum(1 << r for r in ranks[:4])
-            assert (ij, st) == (1 << ranks[4], 1 << ranks[5])
+            assert diags == 1 << ranks[4] | 1 << ranks[5] and qbit == 1 << q
             for forward, removes, adds in ((True, sets[4], sets[5]), (False, sets[5], sets[4])):
                 mv, checked = table.quad_move(q, forward), Move(anchor, i, s, j, t, removes, adds)
                 assert mv == checked and vars(mv) == vars(checked)
+
+    def test_find_moves_builds_no_bit_form(self):
+        # the walk's quad_tests hold a q-bit int per quad: 4 GB at (7, 14)
+        base = base_collection(5, 10)
+        table = wscoll._Table(5, 10)
+        assert find_moves(WSCollection(table, base.bits)) == find_moves(base)
+        assert "quad_tests" not in vars(table) and "steps" not in vars(table)
 
 
 class TestIncrementalWalk:
@@ -308,7 +316,7 @@ class TestIncrementalWalk:
 
     @staticmethod
     def live_moves(table, bits, live):
-        return [table.quad_move(q, bits & table.quads[q][1]) for q in _from_mask(live)]
+        return [table.quad_move(q, bits >> table.quads[q][4] & 1) for q in _from_mask(live)]
 
     @pytest.mark.parametrize("k, n", [(3, 8), (4, 8)])
     def test_live_moves_match_find_moves_on_every_state(self, k, n):
