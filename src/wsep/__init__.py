@@ -14,7 +14,6 @@ from .subsets import (
     precedes,
     stieffel_subset,
     weakly_separated,
-    weakly_separated_by_crossings,
 )
 from .quantum import (
     NCPoly,
@@ -31,7 +30,6 @@ from .wscoll import (
     WSCollection,
     apply_move,
     base_collection,
-    complete_to_maximal,
     dihedral_orbits,
     enumerate_component,
     find_moves,

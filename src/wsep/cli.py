@@ -27,11 +27,11 @@ from .subsets import (
 )
 from .wscoll import (
     WSCollection,
+    _pinch_index,
     _walk,
     base_collection,
     dihedral_orbits,
     enumerate_component,
-    pinch_index,
     reduce_to_base,
     sizes_histogram,
     validate,
@@ -220,7 +220,8 @@ def cmd_lift(args) -> int:
 def cmd_reduce(args) -> int:
     c = _load_collection(args.file)
     projected = project(c)  # checks c, so the pinch index needs no second check
-    _emit({"projection": projected.to_json_dict(), "pinch_point": pinch_index(c)})
+    b = _pinch_index(c.table, c.bits, c.n)
+    _emit({"projection": projected.to_json_dict(), "pinch_point": b})
     return OK
 
 

@@ -90,20 +90,6 @@ class Laurent:
         """Multiply by q^d."""
         return Laurent._trusted({e + d: v for e, v in self._c.items()})
 
-    def shift_ratio(self, other: "Laurent") -> int | None:
-        """d such that self == q^d * other, or None."""
-        if len(self._c) != len(other._c):
-            return None
-        if not self._c:
-            return 0
-        a = sorted(self._c.items())
-        b = sorted(other._c.items())
-        d = a[0][0] - b[0][0]
-        for (ea, va), (eb, vb) in zip(a, b):
-            if ea - eb != d or va != vb:
-                return None
-        return d
-
     def at_one(self) -> int:
         """Specialize q -> 1."""
         return sum(self._c.values())

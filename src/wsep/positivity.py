@@ -83,9 +83,6 @@ class GrassmannPoint:
             K: self.minor(K) for K in combinations(range(1, self.n + 1), self.k)
         }
 
-    def as_floats(self) -> "GrassmannPoint":
-        return GrassmannPoint(tuple(tuple(float(x) for x in r) for r in self.rows))
-
 
 def _det(mat):
     if len(mat) == 1:

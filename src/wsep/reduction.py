@@ -3,25 +3,29 @@
 index set, the inverse lift, and the full recursive generator.
 
 `project`, `pinch_point`, `f_set` and `lift` take a collection from outside
-and require it to be maximal (`require_maximal`); a lift is certified by
-`wscoll._separated`, crossing rows or the pair loop by its cost rule.
+and require it to be maximal (`require_maximal`).
+
+A lift maps the member ranks of the (3, m-1) table to ranks of the (3, m)
+table, each member through its `_relabelled` mask, and adds the ranks of
+the three adjoined sets (`_adjoined_ranks`); `_lift` builds it from such a
+map and checks that its size is |c| + 3 and that it holds the
+near-boundary marker {1, m-2, m-1}.  The public `lift` maps only the
+members of its collection, through a dict, and certifies the result with
+`wscoll._separated`, so a one-off lift at a large n keeps the pair loop and
+fills no crossing row.
 
 `generate_w3` works on rank ints, with no collection built until it
 returns.  Each level holds `bits` ints of the (3, m) table, starting
-from the one collection of (3, 4).  The b-lift from (3, m-1) to (3, m) is
-one list per admissible b (`_lift_maps`), sending each rank of the lower
-table to the rank of its lifted member; a lift maps the ranks of a member
-of the level through it and adds the ranks of the three adjoined sets.  A
-level is closed under the polygon symmetries by mapping the ranks of each
-new lift through every `image[rot, refl]` of its table to the int of a
-translate, as `dihedral_orbits` does.  It only lifts collections it has
-itself certified, so it takes the admissible indices from the trusted
-`_f_set`, on masks, and `_lift` checks every lift as `lift` does: its size
-is |c| + 3, it holds the near-boundary marker {1, m-2, m-1}, and it is
-certified with the crossing rows of its rank table whatever its size, since
-many lifts are checked on one table: member r is weakly separated from
-every other member exactly when `bits & crossing[r]` is 0, so this is the
-predicate of `validate`, one int AND per member.
+from the one collection of (3, 4).  Its map for index b is one list over
+every rank of the lower table (`_lift_maps`).  A level is closed under the
+polygon symmetries by mapping the ranks of each new lift through every
+`image[rot, refl]` of its table to the int of a translate, as
+`dihedral_orbits` does.  It only lifts collections it has itself
+certified, so it takes the admissible indices from the trusted `_f_set`,
+on masks, and certifies each lift with the crossing rows of its table
+whatever its size, since many lifts are checked on one table: member r is
+weakly separated from every other member exactly when `bits & crossing[r]`
+is 0, so this is the predicate of `validate`, one int AND per member.
 """
 
 from __future__ import annotations
@@ -33,11 +37,11 @@ from operator import or_
 from .subsets import Dihedral, _precedes_masks, _to_mask
 from .wscoll import (
     WSCollection,
+    _pinch_index,
     _require_ints,
     _separated,
     _table,
     _Table,
-    pinch_index,
     require_maximal,
 )
 
@@ -73,7 +77,7 @@ def project(c: WSCollection) -> WSCollection:
 def pinch_point(c: WSCollection) -> int:
     """The unique b with {1,b,n-1} and {1,b,n} both present (k=3)."""
     _require_maximal_k3(c)
-    return pinch_index(c)
+    return _pinch_index(c.table, c.bits, c.n)
 
 
 def f_set(b_coll: WSCollection) -> set[int]:
@@ -106,7 +110,13 @@ def lift(b_coll: WSCollection, b: int) -> WSCollection:
     {n-2,n-1,n}.  Requires b in the admissible index set."""
     if b not in f_set(b_coll):
         raise ValueError(f"index {b} is not an admissible lift index")
-    out = _lifted(b_coll, b)
+    n = b_coll.n + 1
+    table = _table(3, n)
+    lb, old, mask = 2 | 1 << b, 1 << (n - 1), b_coll.table.mask
+    ranks = b_coll.ranks()
+    relabel = {r: table.rank[_relabelled(mask[r], lb, old)] for r in ranks}
+    bits, _ = _lift(table, ranks, (relabel, _adjoined_ranks(table, b)))
+    out = WSCollection(table, bits)
     if not _separated(out):
         raise AssertionError("lift produced a non-separated collection")
     return out
@@ -121,17 +131,17 @@ def _relabelled(m: int, lb: int, old: int) -> int:
     return m
 
 
-def _adjoined(b: int, n: int) -> list[int]:
-    """Masks of the three sets {1,b,n-1}, {1,n-1,n}, {n-2,n-1,n} that the
-    lift at b to [1..n] adjoins."""
-    return [_to_mask((1, b, n - 1)), _to_mask((1, n - 1, n)), _to_mask((n - 2, n - 1, n))]
+def _adjoined_ranks(table: _Table, b: int) -> list[int]:
+    """Ranks in the (3, n) table of the three sets {1,b,n-1}, {1,n-1,n},
+    {n-2,n-1,n} that the lift at b to [1..n] adjoins."""
+    n = table.n
+    return [table.rank[_to_mask(t)] for t in ((1, b, n - 1), (1, n - 1, n), (n - 2, n - 1, n))]
 
 
 def _lift_maps(table: _Table) -> dict[int, tuple[list[int], list[int]]]:
     """Per index b in [2..m-2], the b-lift from the (3, m-1) table to the
     (3, m) table `table` on ranks: the list sending each rank of the lower
-    table to the rank of its `_relabelled` mask, and the ranks of the three
-    `_adjoined` sets.  `lift` relabels and adjoins the same masks."""
+    table to the rank of its `_relabelled` mask, and `_adjoined_ranks`."""
     m, rank = table.n, table.rank
     below = _table(3, m - 1)
     masks = [below.mask[r] for r in range(below.size)]
@@ -139,18 +149,16 @@ def _lift_maps(table: _Table) -> dict[int, tuple[list[int], list[int]]]:
     out = {}
     for b in range(2, m - 1):
         lb = 2 | 1 << b
-        out[b] = (
-            [rank[_relabelled(x, lb, old)] for x in masks],
-            [rank[x] for x in _adjoined(b, m)],
-        )
+        out[b] = ([rank[_relabelled(x, lb, old)] for x in masks], _adjoined_ranks(table, b))
     return out
 
 
 def _lift(table: _Table, ranks, lift_map) -> tuple[int, list[int]]:
     """The `bits` of the (3, m) table and the member ranks of the lift of
-    the collection with member ranks `ranks` through `lift_map`, an entry
-    of `_lift_maps(table)`, checked as `_lifted` checks a lift and
-    certified by crossing rows."""
+    the collection with member ranks `ranks` through `lift_map`, a pair
+    (relabel, added) such as an entry of `_lift_maps(table)`: relabel maps
+    each of `ranks` to its lifted rank, and added holds the adjoined ranks.
+    Checked for its size and its marker, not certified."""
     relabel, added = lift_map
     lifted = [*map(relabel.__getitem__, ranks), *added]
     bits = reduce(or_, map((1).__lshift__, lifted))
@@ -159,22 +167,7 @@ def _lift(table: _Table, ranks, lift_map) -> tuple[int, list[int]]:
     m = table.n
     if not bits >> table.rank[_to_mask((1, m - 2, m - 1))] & 1:
         raise AssertionError("lift lost the near-boundary marker")
-    if any(map(bits.__and__, map(table.crossing.__getitem__, lifted))):
-        raise AssertionError("lift produced a non-separated collection")
     return bits, lifted
-
-
-def _lifted(b_coll: WSCollection, b: int) -> WSCollection:
-    """The members of the lift, not yet certified to be weakly separated."""
-    n = b_coll.n + 1
-    lb, old = 2 | 1 << b, 1 << (n - 1)
-    lifted = [_relabelled(m, lb, old) for m in b_coll.masks()] + _adjoined(b, n)
-    out = WSCollection.of_masks(3, n, lifted)
-    if len(out) != len(b_coll) + 3:
-        raise AssertionError("lift changed the size by an unexpected amount")
-    if (1, n - 2, n - 1) not in out:
-        raise AssertionError("lift lost the near-boundary marker")
-    return out
 
 
 def w3_floor() -> WSCollection:
@@ -207,12 +200,14 @@ def _w3_bits(n: int) -> set[int]:
     level, below = {floor.bits: floor.ranks()}, floor.table
     for m in range(5, n + 1):
         table = _table(3, m)
-        maps = _lift_maps(table)
+        maps, crossing = _lift_maps(table), table.crossing
         images = [table.image[g.rot, g.refl] for g in Dihedral.group(m)]
         closed = set() if m == n else {}
         for c, ranks in level.items():
             for b in _f_set(below, c, ranks):
                 bits, lifted = _lift(table, ranks, maps[b])
+                if any(map(bits.__and__, map(crossing.__getitem__, lifted))):
+                    raise AssertionError("lift produced a non-separated collection")
                 if bits in closed:  # its whole orbit is in already
                     continue
                 moved = (map(image.__getitem__, lifted) for image in images)

@@ -37,11 +37,16 @@ def check_in_range(K: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def parse_subset(text: str) -> tuple[int, ...]:
-    """Comma-separated ascending integers, e.g. "1,3,5"; "" is the empty set."""
+    """Comma-separated integers in any order, e.g. "5,1,3", as the sorted
+    subset (1, 3, 5); "" is the empty set."""
     text = text.strip()
     if not text:
         return ()
-    return as_subset(int(tok) for tok in text.split(","))
+    try:
+        xs = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f'subset "{text}" is not a comma-separated list of integers') from None
+    return as_subset(xs)
 
 
 def _is_int(x) -> bool:
@@ -60,6 +65,22 @@ def _to_mask(K: Iterable[int]) -> int:
     m = 0
     for x in K:
         m |= 1 << x
+    return m
+
+
+def _subset_mask(xs: Iterable[int]) -> int:
+    """`_to_mask(as_subset(xs))` in one pass over xs: an element that is not
+    a plain int >= 1, or a mask with fewer bits than xs has elements, hands
+    xs to `as_subset`, which raises its error for any xs it rejects (an int
+    subclass that is not a bool passes)."""
+    t = tuple(xs)
+    m = 0
+    for x in t:
+        if type(x) is not int or x < 1:
+            as_subset(t)
+        m |= 1 << x
+    if m.bit_count() != len(t):
+        as_subset(t)
     return m
 
 
@@ -122,39 +143,9 @@ def _weakly_separated_masks(I: int, J: int) -> bool:
 
 
 def weakly_separated(I: Iterable[int], J: Iterable[int]) -> bool:
-    """Weak separation of two subsets of the same ground set [1..n].
-
-    Evaluated on bitmasks; `weakly_separated_by_crossings` is an independent
-    second path and the two must agree.
-    """
-    return _weakly_separated_masks(_to_mask(I), _to_mask(J))
-
-
-def weakly_separated_by_crossings(I: Iterable[int], J: Iterable[int]) -> bool:
-    """Weak separation via forbidden crossing patterns.
-
-    For |I| < |J|: no element of I-J sits strictly between two elements of
-    J-I.  For |I| = |J|: the merged difference sets must not alternate
-    I,J,I,J (equivalently at most 3 blocks), i.e. no crossing chords on the
-    n-gon.
-    """
-    sI, sJ = frozenset(I), frozenset(J)
-    if len(sI) > len(sJ):
-        sI, sJ = sJ, sI
-    dI = sorted(sI - sJ)
-    dJ = sorted(sJ - sI)
-    if len(sI) < len(sJ):
-        if not dJ:
-            return True
-        return not any(dJ[0] < b < dJ[-1] for b in dI)
-    tagged = sorted([(x, 0) for x in dI] + [(x, 1) for x in dJ])
-    blocks = 0
-    prev = None
-    for _, tag in tagged:
-        if tag != prev:
-            blocks += 1
-            prev = tag
-    return blocks <= 3
+    """Weak separation of two subsets of the same ground set [1..n], decided
+    on their bitmasks; a subset that `as_subset` rejects is a ValueError."""
+    return _weakly_separated_masks(_subset_mask(I), _subset_mask(J))
 
 
 @dataclass(frozen=True)
@@ -200,8 +191,9 @@ def stieffel_subset(mi: MinorIndex) -> tuple[int, ...]:
 def plucker_exponent(I: Iterable[int], J: Iterable[int]) -> int | None:
     """Commutation exponent of two equal-size Pluecker index sets: |high| -
     |low| of the canonical split when I takes the large role, the negated
-    swap otherwise; None when the pair is not weakly separated."""
-    mI, mJ = _to_mask(I), _to_mask(J)
+    swap otherwise; None when the pair is not weakly separated.  A subset
+    that `as_subset` rejects is a ValueError."""
+    mI, mJ = _subset_mask(I), _subset_mask(J)
     if mI.bit_count() != mJ.bit_count():
         raise ValueError("plucker_exponent needs equal-size subsets")
     split = _split_sizes(mI, mJ)
@@ -243,18 +235,6 @@ class Dihedral:
         object.__setattr__(self, "rot", self.rot % self.n)
 
     @staticmethod
-    def identity(n: int) -> "Dihedral":
-        return Dihedral(n)
-
-    @staticmethod
-    def rotation(n: int, steps: int = 1) -> "Dihedral":
-        return Dihedral(n, steps, False)
-
-    @staticmethod
-    def reflection(n: int) -> "Dihedral":
-        return Dihedral(n, 0, True)
-
-    @staticmethod
     def group(n: int):
         for refl in (False, True):
             for rot in range(n):
@@ -286,9 +266,6 @@ class Dihedral:
         if self.refl:
             return Dihedral(self.n, self.rot, True)
         return Dihedral(self.n, -self.rot % self.n, False)
-
-    def is_identity(self) -> bool:
-        return self.rot == 0 and not self.refl
 
 
 def diameter(K: Iterable[int], n: int) -> int:

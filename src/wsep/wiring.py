@@ -18,9 +18,8 @@ wires in slots 1..h.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .subsets import MinorIndex, is_boundary, stieffel_subset
 from .wscoll import WSCollection
@@ -153,54 +152,6 @@ def word_collection(word: Word, k: int, m: int) -> WSCollection:
     if len(out) != k * m + 1:
         raise AssertionError("chamber labels did not produce k*m distinct minors")
     return out
-
-
-def reduced_words_of_longest(size: int) -> list[tuple[int, ...]]:
-    """All reduced words for the order-reversing permutation of [1..size]."""
-    out = []
-
-    def rec(perm: tuple[int, ...], suffix: tuple[int, ...]):
-        if all(perm[i] == i + 1 for i in range(size)):
-            out.append(suffix)
-            return
-        for i in range(1, size):
-            if perm[i - 1] > perm[i]:
-                nxt = list(perm)
-                nxt[i - 1], nxt[i] = nxt[i], nxt[i - 1]
-                rec(tuple(nxt), (i,) + suffix)
-
-    rec(tuple(range(size, 0, -1)), ())
-    return out
-
-
-def shuffles(black: Sequence[int], red: Sequence[int]) -> Iterable[Word]:
-    """All interleavings keeping the relative order of each part."""
-    total = len(black) + len(red)
-    for positions in combinations(range(total), len(red)):
-        pos = set(positions)
-        word = []
-        bi = ri = 0
-        for p in range(total):
-            if p in pos:
-                word.append(-red[ri])
-                ri += 1
-            else:
-                word.append(black[bi])
-                bi += 1
-        yield tuple(word)
-
-
-def all_optimal_words(k: int, m: int) -> Iterator[Word]:
-    """Every optimal word for k and m.  k and m are checked by
-    `_require_ranks` when it is called, not when it is first iterated."""
-    _require_ranks(k, m)
-    optimal_blacks = [
-        w
-        for w in reduced_words_of_longest(m)
-        if sum(1 for x in w if k + 1 <= x <= m - 1) == comb(m - k, 2)
-    ]
-    reds = reduced_words_of_longest(k)
-    return (w for bw in optimal_blacks for rw in reds for w in shuffles(bw, rw))
 
 
 def is_wiring_parametrizable(c: WSCollection) -> bool:

@@ -1,6 +1,6 @@
-"""Maximal weakly separated collections: validation, greedy completion, the
-base collection, exchange moves, flip-graph enumeration, dihedral orbits,
-height, and the constructive reduction to the base collection for k in {2,3}.
+"""Maximal weakly separated collections: validation, the base collection,
+exchange moves, flip-graph enumeration, dihedral orbits, height, and the
+constructive reduction to the base collection for k in {2,3}.
 
 A collection is one int over the lexicographic ranks of its member
 k-subsets, and an exchange move is a presence check plus an XOR on it;
@@ -28,8 +28,7 @@ crosses some member.  By purity (Oh-Postnikov-Speyer, arXiv:1109.4434;
 Danilov-Karzanov-Koshevoy, 2010) that is the same as a separated collection
 of k(n-k)+1 members, and that is what `is_maximal` tests and
 `require_maximal` demands; `propagate`, `reduce_to_base` and the k=3 verbs
-call the latter first.  `complete_to_maximal` is a greedy pair loop that no
-certifying path uses.
+call the latter first.
 
 A check of separation (`is_maximal` and `require_maximal`, and the public
 `lift`) asks `_separated`, and the replay of `reduce_to_base` (which checks
@@ -367,9 +366,6 @@ class WSCollection:
     def __repr__(self) -> str:
         return f"WSCollection(k={self.k}, n={self.n}, sets={self.sets!r})"
 
-    def member_set(self) -> frozenset:
-        return frozenset(self.sets)
-
     def non_boundary(self) -> tuple[tuple[int, ...], ...]:
         return tuple(s for s in self.sets if not is_boundary(s, self.n))
 
@@ -439,8 +435,8 @@ class Move:
     present.  `side_masks`, `removes_mask` and `adds_mask` hold the same
     sets as bitmasks, set when the move is built.
 
-    The constructor and `between` check their arguments; moves built inside
-    the package from indices already checked use `_trusted`."""
+    The constructor checks its arguments; moves built inside the package
+    from indices already checked use `_trusted`."""
 
     anchor: tuple[int, ...]
     i: int
@@ -488,17 +484,6 @@ class Move:
     def sides(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_from_mask(m) for m in self.side_masks)
 
-    @staticmethod
-    def between(anchor: Iterable[int], removes: Iterable[int], adds: Iterable[int]) -> "Move":
-        """Build a move from its anchor and the two diagonals."""
-        anchor = as_subset(anchor)
-        removes = as_subset(removes)
-        adds = as_subset(adds)
-        pair_r = sorted(set(removes) - set(anchor))
-        pair_a = sorted(set(adds) - set(anchor))
-        i, s, j, t = sorted(pair_r + pair_a)
-        return Move(anchor, i, s, j, t, removes, adds)
-
     def inverse(self) -> "Move":
         return Move._trusted(self.anchor, self.i, self.s, self.j, self.t, self.adds, self.removes)
 
@@ -519,7 +504,6 @@ class Move:
 class ValidationReport:
     ok: bool
     issues: tuple[str, ...] = ()
-    crossing_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
 
 
 def validate(c: WSCollection) -> ValidationReport:
@@ -527,14 +511,11 @@ def validate(c: WSCollection) -> ValidationReport:
     k-subsets of [1..n] by construction."""
     masks = c.masks()
     issues = []
-    crossings = []
     for x, a in enumerate(masks):
         for b in masks[x + 1:]:
             if not _weakly_separated_masks(a, b):
-                pair = (_from_mask(a), _from_mask(b))
-                crossings.append(pair)
-                issues.append(f"{pair[0]} and {pair[1]} are not weakly separated")
-    return ValidationReport(not issues, tuple(issues), tuple(crossings))
+                issues.append(f"{_from_mask(a)} and {_from_mask(b)} are not weakly separated")
+    return ValidationReport(not issues, tuple(issues))
 
 
 ROWS_PER_MEMBER = 4
@@ -571,25 +552,6 @@ def _separated_from(table: _Table, bits: int, r: int, members: Iterable[int] | N
     if members is None:
         return not bits & table.crossing[r]
     return all(map(partial(_weakly_separated_masks, table.mask[r]), members))
-
-
-def complete_to_maximal(c: WSCollection) -> WSCollection:
-    """Greedy completion in lexicographic order: each non-member separated
-    from every member taken so far joins; deterministic, maximal by
-    inclusion.  An invalid c is a ValueError naming its first crossing."""
-    issues = validate(c).issues
-    if issues:
-        raise ValueError(f"cannot complete an invalid collection: {issues[0]}")
-    chosen = c.masks()
-    bits, members = c.bits, set(c.ranks())
-    for r, cand in enumerate(combinations(range(1, c.n + 1), c.k)):
-        if r in members:
-            continue
-        cand = _to_mask(cand)
-        if all(_weakly_separated_masks(cand, m) for m in chosen):
-            chosen.append(cand)
-            bits |= 1 << r
-    return WSCollection(c.table, bits)
 
 
 def is_maximal(c: WSCollection) -> bool:
@@ -824,30 +786,16 @@ def _witness(table: _Table, bits: int) -> tuple[int, bool]:
     raise ValueError("no dihedral translate contains the near-boundary marker")
 
 
-def dihedral_witness(c: WSCollection) -> Dihedral:
-    """Some polygon symmetry g with the near-boundary marker {1,n-2,n-1} in
-    g.c; exists for every maximal k=3 collection."""
-    return Dihedral(c.n, *_witness(c.table, c.bits))
-
-
 def _prefix(k: int) -> tuple[int, ...]:
     # anchor shared by every pinch move: {1} for triples, empty for pairs
     return (1,) if k == 3 else ()
 
 
-def pinch_index(c: WSCollection, top: int | None = None) -> int:
-    """The unique b with both prefix+{b,top-1} and prefix+{b,top} present.
-
-    For k=3 the collection must contain {1,top-2,top-1}.  Found as the
-    largest b in [2..top-2] whose prefix+{b,top} is present.
-    """
-    if c.k not in (2, 3):
-        raise ValueError("pinch index defined for k in {2,3} only")
-    return _pinch_index(c.table, c.bits, c.n if top is None else top)
-
-
 def _pinch_index(table: _Table, bits: int, top: int) -> int:
-    """`pinch_index` of the collection `bits` of the table."""
+    """The unique b with both prefix+{b,top-1} and prefix+{b,top} in the
+    collection `bits` of the table, k in {2, 3}: the largest b in
+    [2..top-2] (k=3) or [1..top-2] (k=2) whose prefix+{b,top} is present.
+    For k=3 the collection must contain {1,top-2,top-1}."""
     k, rank = table.k, table.rank
 
     def has(m: int) -> bool:

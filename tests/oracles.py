@@ -1,7 +1,9 @@
-"""Independent brute-force oracles used to derive expected test values.
+"""Independent brute-force oracles used to derive expected test values, and
+generators of test inputs.
 
 These deliberately avoid the code paths they check: weak separation is
-decided by exhaustive partition search, diameters by scanning every cyclic
+decided by exhaustive partition search and, as a second reference, by
+forbidden crossing patterns, diameters by scanning every cyclic
 interval, the Stieffel subset by a classical staircase-matrix determinant
 identity, q->1 specialization against plain commutative multiplication,
 normal forms by a rewriter over Laurent objects with a caller-chosen
@@ -18,7 +20,9 @@ moves.
 the base collection for the tests that share one.  Nor is `_edges`: it
 keeps the edges `propagate_every_edge` has taken from `find_moves` and
 `apply_move`, so that a walk from every start of one component makes each
-move once.
+move once.  Nor are the generators of test inputs: `complete_to_maximal`,
+a greedy completion in lexicographic order, and the wiring words of
+`reduced_words_of_longest`, `shuffles` and `all_optimal_words`.
 """
 
 from __future__ import annotations
@@ -27,12 +31,13 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from math import comb
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from wsep.laurent import Laurent, ONE, Q, Q_MINUS_Q_INV, ZERO
 from wsep.positivity import Propagation, _det
 from wsep.quantum import Gen, Word, _encode
-from wsep.subsets import _from_mask, _is_int
+from wsep.subsets import _from_mask, _is_int, weakly_separated
 from wsep.wscoll import (
     WSCollection,
     apply_move,
@@ -70,6 +75,44 @@ def weakly_separated_bf(I, J) -> bool:
         return False
 
     return case(I, J) or case(J, I)
+
+
+def weakly_separated_by_crossings(I, J) -> bool:
+    """Weak separation via forbidden crossing patterns.
+
+    For |I| < |J|: no element of I-J sits strictly between two elements of
+    J-I.  For |I| = |J|: the merged difference sets must not alternate
+    I,J,I,J (equivalently at most 3 blocks), i.e. no crossing chords on the
+    n-gon.
+    """
+    sI, sJ = frozenset(I), frozenset(J)
+    if len(sI) > len(sJ):
+        sI, sJ = sJ, sI
+    dI = sorted(sI - sJ)
+    dJ = sorted(sJ - sI)
+    if len(sI) < len(sJ):
+        if not dJ:
+            return True
+        return not any(dJ[0] < b < dJ[-1] for b in dI)
+    tagged = sorted([(x, 0) for x in dI] + [(x, 1) for x in dJ])
+    blocks = 0
+    prev = None
+    for _, tag in tagged:
+        if tag != prev:
+            blocks += 1
+            prev = tag
+    return blocks <= 3
+
+
+def complete_to_maximal(c: WSCollection) -> WSCollection:
+    """Greedy completion of a weakly separated c in lexicographic order:
+    each k-subset weakly separated from every member taken so far joins,
+    so the result is maximal by inclusion."""
+    chosen = list(c.sets)
+    for cand in combinations(range(1, c.n + 1), c.k):
+        if cand not in c and all(weakly_separated(cand, s) for s in chosen):
+            chosen.append(cand)
+    return WSCollection.of(c.k, c.n, chosen)
 
 
 def diameter_bf(K, n) -> int:
@@ -178,14 +221,21 @@ def product_bf(p, r) -> dict[Word, Laurent]:
 
 def quasi_commutation_bf(p, r) -> int | None:
     """c with r*p == q^c * (p*r): the `product_bf` terms of both orders
-    compared monomial by monomial with `Laurent.shift_ratio`; None when the
-    monomials differ or the shifts do not all agree."""
+    compared monomial by monomial, each coefficient of r*p being q^d times
+    that of p*r for one d; None when the monomials differ or the shifts do
+    not all agree."""
     pr = product_bf(p, r)
     rp = product_bf(r, p)
     if pr.keys() != rp.keys():
         return None
-    shifts = {rp[w].shift_ratio(c) for w, c in pr.items()}
-    return shifts.pop() if len(shifts) == 1 and None not in shifts else None
+    shifts = set()
+    for w, c in pr.items():
+        a, b = sorted(rp[w].items()), sorted(c.items())
+        d = a[0][0] - b[0][0]
+        if len(a) != len(b) or any(ea - eb != d or va != vb for (ea, va), (eb, vb) in zip(a, b)):
+            return None
+        shifts.add(d)
+    return shifts.pop() if len(shifts) == 1 else None
 
 
 @lru_cache(maxsize=1)
@@ -344,3 +394,51 @@ def maximal_weakly_separated_bf(k: int, n: int) -> set[tuple[tuple[int, ...], ..
         rest &= nbrs[x]
     expand(seed, rest, 0)
     return out
+
+
+def reduced_words_of_longest(size: int) -> list[tuple[int, ...]]:
+    """All reduced words for the order-reversing permutation of [1..size]."""
+    out = []
+
+    def rec(perm: tuple[int, ...], suffix: tuple[int, ...]):
+        if all(perm[i] == i + 1 for i in range(size)):
+            out.append(suffix)
+            return
+        for i in range(1, size):
+            if perm[i - 1] > perm[i]:
+                nxt = list(perm)
+                nxt[i - 1], nxt[i] = nxt[i], nxt[i - 1]
+                rec(tuple(nxt), (i,) + suffix)
+
+    rec(tuple(range(size, 0, -1)), ())
+    return out
+
+
+def shuffles(black: Sequence[int], red: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All interleavings of a black and a red word keeping the relative order
+    of each part, red letters negated as in `wsep.wiring`."""
+    total = len(black) + len(red)
+    for positions in combinations(range(total), len(red)):
+        pos = set(positions)
+        word = []
+        bi = ri = 0
+        for p in range(total):
+            if p in pos:
+                word.append(-red[ri])
+                ri += 1
+            else:
+                word.append(black[bi])
+                bi += 1
+        yield tuple(word)
+
+
+def all_optimal_words(k: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Every optimal word for 0 <= k <= m: the shuffles of a black word that
+    spends (m-k choose 2) letters on levels above k with any red word."""
+    optimal_blacks = [
+        w
+        for w in reduced_words_of_longest(m)
+        if sum(1 for x in w if k + 1 <= x <= m - 1) == comb(m - k, 2)
+    ]
+    reds = reduced_words_of_longest(k)
+    return (w for bw in optimal_blacks for rw in reds for w in shuffles(bw, rw))

@@ -31,10 +31,10 @@ from wsep.wscoll import (
     translate,
 )
 from wsep.reduction import f_set, generate_w3, lift, pinch_point, project
-from wsep.wiring import all_optimal_words, chambers, parse_word, word_collection
-from wsep.positivity import propagate, vandermonde_point
+from wsep.wiring import chambers, parse_word, word_collection
+from wsep.positivity import GrassmannPoint, propagate, vandermonde_point
 
-from oracles import component_of_base, weakly_separated_bf
+from oracles import all_optimal_words, component_of_base, weakly_separated_bf
 from test_wscoll import random_greedy_maximal
 
 
@@ -286,8 +286,7 @@ def test_criterion_10_positivity():
                 nodes.append(nodes[-1] + 1)
             exact = vandermonde_point(nodes, k)
             pv = exact.plucker_vector()
-            fl = exact.as_floats()
-            pvf = fl.plucker_vector()
+            pvf = GrassmannPoint(tuple(tuple(map(float, r)) for r in exact.rows)).plucker_vector()
             points += 1
             for c in collections:
                 res = propagate(c, {K: pv[K] for K in c.sets})

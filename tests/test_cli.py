@@ -36,6 +36,13 @@ class TestWsCheck:
         assert json.loads(out) == {"weakly_separated": True}
         assert code == 0
 
+    @pytest.mark.parametrize("text", ["1,,3", "1,a", "1.5", "1,"])
+    def test_unreadable_subset_named(self, capsys, text):
+        code = main(["ws-check", "--i", text, "--j", "2,4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f'error: subset "{text}" is not a comma-separated list of integers\n'
+
 
 class TestExponent:
     def test_minor_mode(self, capsys):
@@ -103,7 +110,7 @@ class TestReduceBase:
         import wsep.wscoll as wscoll
         from wsep.subsets import Dihedral
 
-        c = wscoll.translate(base_collection(3, 6), Dihedral.rotation(6, 2))
+        c = wscoll.translate(base_collection(3, 6), Dihedral(6, 2))
         f = tmp_path / "c.json"
         f.write_text(json.dumps(c.to_json_dict()))
         code, out = run(capsys, "reduce-base", "--file", str(f))

@@ -73,18 +73,6 @@ def test_shift_is_multiplication_by_power(a, d):
     assert a.shift(d).shift(-d) == a
 
 
-@given(laurents, st.integers(-5, 5))
-def test_shift_ratio_recovers_shift(a, d):
-    if a:
-        assert a.shift(d).shift_ratio(a) == d
-
-
-def test_shift_ratio_none_cases():
-    assert Laurent({0: 1, 1: 1}).shift_ratio(Laurent({0: 1})) is None
-    assert Laurent({0: 2}).shift_ratio(Laurent({0: 1})) is None
-    assert Laurent({0: 1, 3: 1}).shift_ratio(Laurent({0: 1, 2: 1})) is None
-
-
 @given(laurents, laurents)
 def test_at_one_is_ring_morphism(a, b):
     assert (a * b).at_one() == a.at_one() * b.at_one()

@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import component_of_base
+from wsep import reduction
 from wsep.reduction import (
     _f_set,
     _lift,
@@ -151,8 +152,8 @@ class TestIngress:
             call(short_base6())
 
     def test_trusted_path_matches_public(self):
-        # the generator's lift goes through rank maps, the public one
-        # through masks
+        # the generator's lift maps every rank of the lower table through a
+        # list per index, the public one only the members, through a dict
         table = _table(3, 8)
         maps = _lift_maps(table)
         for c in component_of_base(3, 7):
@@ -163,12 +164,20 @@ class TestIngress:
                 assert WSCollection(table, bits) == public
                 assert sorted(lifted) == list(public.ranks())
 
-    def test_trusted_lift_certifies_its_output(self):
-        # the trusted path does not certify its input; its crossing rows
-        # still catch a crossing lift, as the pair loop does
-        c, table = crossing_base6(), _table(3, 7)
-        with pytest.raises(AssertionError, match="non-separated"):
-            _lift(table, c.ranks(), _lift_maps(table)[2])
+    def test_trusted_lift_certifies_its_output(self, monkeypatch):
+        # the generator takes its indices from the trusted `_f_set`; with
+        # every index admitted, its crossing rows catch the crossing lifts
+        monkeypatch.setattr(reduction, "_f_set", lambda table, bits, ranks: set(range(2, table.n)))
+        with pytest.raises(AssertionError, match="lift produced a non-separated collection"):
+            _w3_bits(6)
+
+    def test_large_lift_fills_no_row(self):
+        # a one-off lift at a large n is certified by the pair loop
+        table = _table(3, 31)
+        table.crossing.clear()
+        c = lift(base_collection(3, 30), 2)
+        assert len(c) == 85 and c == base_collection(3, 31)
+        assert len(table.crossing) == 0
 
 
 class TestGenerate:

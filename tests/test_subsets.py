@@ -20,7 +20,6 @@ from wsep.subsets import (
     stieffel_subset,
     _to_mask,
     weakly_separated,
-    weakly_separated_by_crossings,
     _weakly_separated_masks,
 )
 from wsep.quantum import quantum_minor, quasi_commutation_exponent
@@ -31,6 +30,7 @@ from oracles import (
     staircase_matrix,
     submatrix_minor,
     weakly_separated_bf,
+    weakly_separated_by_crossings,
 )
 
 
@@ -231,13 +231,13 @@ class TestMinorExponent:
 
 class TestDihedral:
     def test_rotation_example(self):
-        assert Dihedral.rotation(6).apply_subset((1, 2, 4)) == (2, 3, 5)
+        assert Dihedral(6, 1).apply_subset((1, 2, 4)) == (2, 3, 5)
 
     def test_reflection_example(self):
-        assert Dihedral.reflection(6).apply_subset((1, 3, 4)) == (2, 5, 6)
+        assert Dihedral(6, 0, True).apply_subset((1, 3, 4)) == (2, 5, 6)
 
     def test_identity(self):
-        g = Dihedral.identity(7)
+        g = Dihedral(7)
         assert g.apply_subset((1, 4, 6)) == (1, 4, 6)
 
     def test_group_laws(self):
@@ -247,8 +247,8 @@ class TestDihedral:
             assert len(set(elems)) == 2 * n
             for g in elems:
                 gi = g.inverse()
-                assert (g * gi).is_identity()
-                assert (gi * g).is_identity()
+                assert g * gi == Dihedral(n)
+                assert gi * g == Dihedral(n)
             rng = random.Random(n)
             for _ in range(30):
                 g, h = rng.choice(elems), rng.choice(elems)
@@ -257,9 +257,9 @@ class TestDihedral:
 
     def test_generators_have_dihedral_relation(self):
         n = 7
-        rho = Dihedral.rotation(n)
-        sigma = Dihedral.reflection(n)
-        assert (sigma * sigma).is_identity()
+        rho = Dihedral(n, 1)
+        sigma = Dihedral(n, 0, True)
+        assert sigma * sigma == Dihedral(n)
         lhs = sigma * rho
         rhs = rho.inverse() * sigma
         assert lhs == rhs
@@ -291,7 +291,26 @@ class TestDiameter:
 class TestParsing:
     def test_round_trip(self):
         assert parse_subset("1,3,5") == (1, 3, 5)
+        assert parse_subset(" 5, 1,3 ") == (1, 3, 5)
         assert parse_subset("") == ()
+
+    def test_unreadable_text_named(self):
+        with pytest.raises(ValueError) as exc:
+            parse_subset("1,,3")
+        assert str(exc.value) == 'subset "1,,3" is not a comma-separated list of integers'
+        with pytest.raises(ValueError, match=r"duplicate elements in subset \(1, 1\)"):
+            parse_subset("1,1")
+
+    @pytest.mark.parametrize("f", [weakly_separated, plucker_exponent])
+    @pytest.mark.parametrize("bad", [(1, 1, 4), (0, 2), (True, 4), (1.5,), (2, "3")])
+    def test_pair_functions_reject_what_as_subset_rejects(self, f, bad):
+        # the repeated 1 of (1, 1, 4) used to be counted once
+        with pytest.raises(ValueError) as expected:
+            as_subset(bad)
+        for args in [(bad, (2, 3)), ((2, 3), bad), (iter(bad), (2, 3))]:
+            with pytest.raises(ValueError) as exc:
+                f(*args)
+            assert str(exc.value) == str(expected.value)
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
