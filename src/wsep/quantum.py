@@ -295,7 +295,7 @@ def _laurents(out: dict, decode=None) -> dict[Code, Laurent]:
 
 def _normal_form(k: int, m: int, word: Iterable[Gen], coeff: Laurent) -> dict[Code, Laurent]:
     """coeff * word in normal form, checked at ingress, keyed by codes."""
-    _require_dims(k, m)
+    _require_dims(k, m, "k and m")
     w = _encode(word, k, m)
     if not isinstance(coeff, Laurent):
         raise ValueError(
@@ -324,7 +324,7 @@ class NCPoly:
         word outside the k-by-m algebra or not in normal form, or a
         coefficient of another type, is a ValueError, and zero coefficients
         are dropped."""
-        _require_dims(k, m)
+        _require_dims(k, m, "k and m")
         self.k = k
         self.m = m
         self._t = {}
@@ -522,7 +522,7 @@ def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
 def plucker_realize(K: Iterable[int], k: int, n: int) -> NCPoly:
     """The coordinate labelled by the k-subset K of [1..n], realized as the
     maximal quantum minor on rows [1..k] and columns K."""
-    _require_dims(k, n)
+    _require_dims(k, n, "k and m")
     K = check_in_range(K, n)
     if len(K) != k:
         raise ValueError(f"need a {k}-subset, got {K}")

@@ -34,11 +34,10 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
-from .subsets import Dihedral, _precedes_masks, _to_mask
+from .subsets import Dihedral, _precedes_masks, _require_dims, _to_mask
 from .wscoll import (
     WSCollection,
     _pinch_index,
-    _require_ints,
     _separated,
     _table,
     _Table,
@@ -191,7 +190,7 @@ def _w3_bits(n: int) -> set[int]:
     set brings in its 2m translates.  A level below n maps each member to
     its ranks, the image list that made it, so no member is decoded; level n
     is a set, since nothing reads its ranks."""
-    _require_ints(3, n)
+    _require_dims(3, n, "k and n")
     if n < 4:
         raise ValueError("need n >= 4")
     floor = w3_floor()

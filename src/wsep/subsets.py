@@ -54,10 +54,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _require_dims(k, m) -> None:
-    """The dimensions of a k-by-m algebra are ints (a bool is not)."""
-    if not (_is_int(k) and _is_int(m)):
-        raise ValueError(f"k and m must be integers, got {k!r} and {m!r}")
+def _require_dims(a, b, names: str) -> None:
+    """Two dimensions are ints (a bool is not); `names` names them in the
+    message, as "k and n"."""
+    if not (_is_int(a) and _is_int(b)):
+        raise ValueError(f"{names} must be integers, got {a!r} and {b!r}")
 
 
 def _to_mask(K: Iterable[int]) -> int:
@@ -158,7 +159,7 @@ class MinorIndex:
     m: int
 
     def __post_init__(self):
-        _require_dims(self.k, self.m)
+        _require_dims(self.k, self.m, "k and m")
         object.__setattr__(self, "rows", as_subset(self.rows))
         object.__setattr__(self, "cols", as_subset(self.cols))
         if not self.rows or len(self.rows) != len(self.cols):
@@ -223,6 +224,9 @@ class Dihedral:
     An element acts as rot steps of the basic rotation after an optional
     basic reflection: g = rho^rot * sigma^refl, where rho sends x to x+1
     (mod n) and sigma swaps 1,2 and sends x >= 3 to n+3-x.
+
+    n must be an int >= 1, rot an int and refl a bool; a bool is not an int
+    here.  rot is stored reduced mod n.
     """
 
     n: int
@@ -230,8 +234,12 @@ class Dihedral:
     refl: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        if not _is_int(self.n) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if not _is_int(self.rot):
+            raise ValueError(f"rot must be an integer, got {self.rot!r}")
+        if not isinstance(self.refl, bool):
+            raise ValueError(f"refl must be a bool, got {self.refl!r}")
         object.__setattr__(self, "rot", self.rot % self.n)
 
     @staticmethod

@@ -21,19 +21,25 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .subsets import MinorIndex, is_boundary, stieffel_subset
+from .subsets import MinorIndex, _require_dims, is_boundary, stieffel_subset
 from .wscoll import WSCollection
 
 Word = tuple[int, ...]
 
 
 def parse_word(text: str) -> Word:
+    """Whitespace-separated letters, each an int with an optional "r" for
+    red; a token that is not one is a ValueError quoting it and the word."""
     letters = []
     for tok in text.split():
-        if tok.endswith("r"):
-            letters.append(-int(tok[:-1]))
-        else:
-            letters.append(int(tok))
+        red = tok.endswith("r")
+        try:
+            x = int(tok[:-1] if red else tok)
+        except ValueError:
+            raise ValueError(
+                f'letter "{tok}" of word "{text.strip()}" is not an integer with an optional "r"'
+            ) from None
+        letters.append(-x if red else x)
     if any(x == 0 for x in letters):
         raise ValueError("letter indices are 1-based")
     return tuple(letters)
@@ -65,7 +71,8 @@ def _is_reduced_for_longest(letters: Sequence[int], size: int) -> bool:
 
 
 def _require_ranks(k: int, m: int) -> None:
-    """Word collections need 0 <= k <= m; other k and m are a ValueError."""
+    """Word collections need ints 0 <= k <= m; other k and m are a ValueError."""
+    _require_dims(k, m, "k and m")
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got k={k} and m={m}")
 

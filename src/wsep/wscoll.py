@@ -5,9 +5,14 @@ constructive reduction to the base collection for k in {2,3}.
 A collection is one int over the lexicographic ranks of its member
 k-subsets, and an exchange move is a presence check plus an XOR on it;
 member sets are sorted tuples only at the boundary (`WSCollection.of`,
-`.sets`, JSON, and the fields of a `Move`, built from its quad's ranks or
-its diagonals' masks where one is returned); a listing line is joined from
-per-rank JSON fragments (`json_text`).
+`.sets`, JSON, and the properties of a `Move`); a listing line is joined
+from per-rank JSON fragments (`json_text`).
+
+A move is the pair (removes_mask, adds_mask) of its two diagonals as
+bitmasks, which alone fix it: the anchor is their intersection and the
+quad their symmetric difference.  `_sides` derives the four sides from
+the pair, or rejects a pair that is not an exchange; `Move.of`,
+`apply_move` and the replay of `reduce_to_base` all ask it.
 
 `reduce_to_base` works on ints from its ingress check to its output: the
 path is built as (removes_mask, adds_mask) pairs, the level collections of
@@ -57,9 +62,10 @@ from .subsets import (
     Dihedral,
     _from_mask,
     _is_int,
+    _require_dims,
+    _subset_mask,
     _to_mask,
     _weakly_separated_masks,
-    as_subset,
     check_in_range,
     is_boundary,
 )
@@ -166,11 +172,7 @@ class _Table:
         """The move of quad q removing anchor+{i,j} if forward, else anchor+{s,t}."""
         r_ij, r_st = self.quads[q][4:]
         ij, st = self.mask[r_ij], self.mask[r_st]
-        i, s, j, t = _from_mask(ij ^ st)
-        removes, adds = self.subset[r_ij], self.subset[r_st]
-        if not forward:
-            removes, adds = adds, removes
-        return Move._trusted(_from_mask(ij & st), i, s, j, t, removes, adds)
+        return Move(ij, st) if forward else Move(st, ij)
 
     @cached_property
     def quad_tests(self) -> tuple:
@@ -245,11 +247,6 @@ def _table(k: int, n: int) -> _Table:
     return _Table(k, n)
 
 
-def _require_ints(k, n) -> None:
-    if not (_is_int(k) and _is_int(n)):
-        raise ValueError(f"k and n must be integers, got {k!r} and {n!r}")
-
-
 @total_ordering
 class WSCollection:
     """A collection of k-subsets of [1..n]: one int `bits` over the subset
@@ -275,7 +272,7 @@ class WSCollection:
     def of(k: int, n: int, sets: Iterable[Iterable[int]]) -> "WSCollection":
         """Check and canonicalise members given as iterables of ints; a
         repeated member is an error."""
-        _require_ints(k, n)
+        _require_dims(k, n, "k and n")
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k} and n={n}")
         table = _table(k, n)
@@ -414,87 +411,81 @@ class _Unbuilt(WSCollection):
         raise AttributeError(name)
 
 
-def _move_masks(anchor, i, s, j, t, removes) -> dict:
-    """`side_masks`, `removes_mask` and `adds_mask` of the move with these
-    fields; removes is the diagonal anchor+{i,j} exactly when it holds i."""
-    a = _to_mask(anchor)
-    bi, bs, bj, bt = 1 << i, 1 << s, 1 << j, 1 << t
-    ij, st = a | bi | bj, a | bs | bt
-    return {
-        "side_masks": (a | bi | bs, a | bs | bj, a | bj | bt, a | bi | bt),
-        "removes_mask": ij if i in removes else st,
-        "adds_mask": st if i in removes else ij,
-    }
+def _sides(removes: int, adds: int) -> tuple[int, int, int, int] | None:
+    """The side masks anchor+{i,s}, +{s,j}, +{j,t} and +{i,t} of the
+    exchange that swaps the diagonal bitmasks removes and adds, or None
+    unless they are anchor+{i,j} and anchor+{s,t}, in either role, for
+    some i < s < j < t outside the anchor removes & adds."""
+    anchor = removes & adds
+    ij, st = removes ^ anchor, adds ^ anchor
+    if ij.bit_count() != 2 or st.bit_count() != 2:
+        return None
+    i, s = ij & -ij, st & -st
+    if s < i:
+        i, s, ij, st = s, i, st, ij
+    j, t = ij ^ i, st ^ s
+    if not s < j < t:
+        return None
+    return anchor | i | s, anchor | s | j, anchor | j | t, anchor | i | t
 
 
 @dataclass(frozen=True)
 class Move:
-    """Exchange move inside a maximal collection: swaps the two diagonals
-    anchor+{i,j} and anchor+{s,t} of the quadruple i < s < j < t whose four
-    side sets anchor+{i,s}, anchor+{s,j}, anchor+{j,t}, anchor+{i,t} are all
-    present.  `side_masks`, `removes_mask` and `adds_mask` hold the same
-    sets as bitmasks, set when the move is built.
+    """Exchange move inside a maximal collection, held as the bitmasks of
+    its two diagonals: it removes `removes_mask` and adds `adds_mask`, which
+    are anchor+{i,j} and anchor+{s,t}, in either role, for a quadruple
+    i < s < j < t whose four sides anchor+{i,s}, anchor+{s,j}, anchor+{j,t}
+    and anchor+{i,t} are all present.  The anchor is the intersection of
+    the diagonals and the quad their symmetric difference; `anchor`,
+    `quad`, `removes`, `adds` and `sides` decode them on each read.
 
-    The constructor checks its arguments; moves built inside the package
-    from indices already checked use `_trusted`."""
+    Build moves from outside with `of`, which checks the two diagonals; the
+    constructor trusts its arguments."""
 
-    anchor: tuple[int, ...]
-    i: int
-    s: int
-    j: int
-    t: int
-    removes: tuple[int, ...]
-    adds: tuple[int, ...]
+    removes_mask: int
+    adds_mask: int
 
-    def __post_init__(self):
-        if not self.i < self.s < self.j < self.t:
-            raise ValueError("move quadruple must be strictly increasing")
-        diag_ij = as_subset(self.anchor + (self.i, self.j))
-        diag_st = as_subset(self.anchor + (self.s, self.t))
-        if {self.removes, self.adds} != {diag_ij, diag_st}:
-            raise ValueError("removes/adds must be the two diagonals of the quadruple")
-        if self.removes == self.adds:
-            raise ValueError("degenerate move")
-        self.__dict__.update(
-            _move_masks(self.anchor, self.i, self.s, self.j, self.t, self.removes)
-        )
-
-    @classmethod
-    def _trusted(cls, anchor, i, s, j, t, removes, adds) -> "Move":
-        """The move with these fields, which must already form a move:
-        sorted tuples, i < s < j < t, and removes and adds the two diagonals."""
-        mv = object.__new__(cls)
-        mv.__dict__.update(
-            anchor=anchor, i=i, s=s, j=j, t=t, removes=removes, adds=adds,
-            **_move_masks(anchor, i, s, j, t, removes),
-        )
+    @staticmethod
+    def of(removes: Iterable[int], adds: Iterable[int]) -> "Move":
+        """The move swapping the diagonal removes for adds, each an iterable
+        of ints; any pair that is not an exchange is a ValueError."""
+        mv = Move(_subset_mask(removes), _subset_mask(adds))
+        if _sides(mv.removes_mask, mv.adds_mask) is None:
+            raise ValueError(f"{mv.removes} -> {mv.adds} is not an exchange of two diagonals")
         return mv
 
-    @classmethod
-    def _of_masks(cls, removes: int, adds: int) -> "Move":
-        """The move whose diagonals have bitmasks removes and adds, which
-        must form a move: the anchor is their intersection, the quad their
-        symmetric difference."""
-        i, s, j, t = _from_mask(removes ^ adds)
-        return cls._trusted(
-            _from_mask(removes & adds), i, s, j, t, _from_mask(removes), _from_mask(adds)
-        )
+    @property
+    def anchor(self) -> tuple[int, ...]:
+        return _from_mask(self.removes_mask & self.adds_mask)
+
+    @property
+    def quad(self) -> tuple[int, ...]:
+        """(i, s, j, t)."""
+        return _from_mask(self.removes_mask ^ self.adds_mask)
+
+    @property
+    def removes(self) -> tuple[int, ...]:
+        return _from_mask(self.removes_mask)
+
+    @property
+    def adds(self) -> tuple[int, ...]:
+        return _from_mask(self.adds_mask)
 
     @property
     def sides(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_from_mask(m) for m in self.side_masks)
+        """anchor+{i,s}, anchor+{s,j}, anchor+{j,t}, anchor+{i,t}."""
+        return tuple(map(_from_mask, _sides(self.removes_mask, self.adds_mask)))
 
     def inverse(self) -> "Move":
-        return Move._trusted(self.anchor, self.i, self.s, self.j, self.t, self.adds, self.removes)
+        return Move(self.adds_mask, self.removes_mask)
 
     def translate(self, g: Dihedral) -> "Move":
-        removes, adds = (_to_mask(map(g.apply, d)) for d in (self.removes, self.adds))
-        return Move._of_masks(removes, adds)
+        return Move(*(_to_mask(map(g.apply, d)) for d in (self.removes, self.adds)))
 
     def to_json_dict(self) -> dict:
         return {
             "anchor": list(self.anchor),
-            "quad": [self.i, self.s, self.j, self.t],
+            "quad": list(self.quad),
             "removes": list(self.removes),
             "adds": list(self.adds),
         }
@@ -584,7 +575,7 @@ def base_collection(k: int, n: int) -> WSCollection:
     kept by the (k, n) rank table (`_Table.base`).  Every caller of a
     (k, n) shares one object, so it must not be changed.  k and n must be
     ints: `_table` would hand a float or a bool the int table."""
-    _require_ints(k, n)
+    _require_dims(k, n, "k and n")
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     return _table(k, n).base
@@ -616,10 +607,13 @@ def find_moves(c: WSCollection) -> list[Move]:
 def apply_move(c: WSCollection, mv: Move) -> WSCollection:
     rank = c.table.rank
     bits = c.bits
-    for x, m in enumerate(mv.side_masks):
+    sides = _sides(mv.removes_mask, mv.adds_mask)
+    if sides is None:
+        raise ValueError(f"{mv.removes} -> {mv.adds} is not an exchange of two diagonals")
+    for m in sides:
         r = rank[m]
         if r < 0 or not bits >> r & 1:
-            raise ValueError(f"move side {mv.sides[x]} absent from collection")
+            raise ValueError(f"move side {_from_mask(m)} absent from collection")
     # with the sides present, both diagonals are k-subsets of [1..n] too
     removes = 1 << rank[mv.removes_mask]
     adds = 1 << rank[mv.adds_mask]
@@ -723,17 +717,16 @@ class Reduction:
     collection produces `end`, the base collection.
 
     `path` holds each move as the pair (removes_mask, adds_mask) of its two
-    diagonals as bitmasks; the anchor is their intersection and the quad
-    their symmetric difference.  `moves` is the same path as a tuple of
-    `Move`, built on first read, and `json_text` writes the path without
-    building one."""
+    diagonals as bitmasks, the two fields of a `Move`.  `moves` is the same
+    path as a tuple of `Move`, built on first read, and `json_text` writes
+    the path without building one."""
 
     path: tuple[tuple[int, int], ...]
     end: WSCollection
 
     @cached_property
     def moves(self) -> tuple[Move, ...]:
-        return tuple(Move._of_masks(removes, adds) for removes, adds in self.path)
+        return tuple(Move(removes, adds) for removes, adds in self.path)
 
     def to_json_dict(self) -> dict:
         return {
@@ -898,11 +891,9 @@ def _moves_to_base(c: WSCollection) -> list[tuple[int, int]]:
 
 def _replay(c: WSCollection, path: list[tuple[int, int]]) -> None:
     """Certify the path from the certified collection c to the base
-    collection on `bits`.  A move's anchor is removes & adds; the two
-    indices left in removes and the two in adds must interleave, i < s <
-    j < t with removes anchor+{i,j} or anchor+{s,t}, and each pairing of
-    one with one is a side.  The four sides and removes must be present and
-    adds absent; the two rank bits are flipped, and the rank flipped in is
+    collection on `bits`.  Each (removes, adds) pair must be an exchange
+    of two diagonals, with the four sides of `_sides`.  The four sides and
+    removes must be present and adds absent; the two rank bits are flipped, and the rank flipped in is
     certified against the whole new collection: one AND with its crossing
     row when `_uses_rows(c)`, else pair tests against the set of member
     masks, kept up to date move by move, so that with c certified every
@@ -914,18 +905,10 @@ def _replay(c: WSCollection, path: list[tuple[int, int]]) -> None:
     bits = c.bits
     members = None if _uses_rows(c) else set(c.masks())
     for x, (removes, adds) in enumerate(path):
-        anchor = removes & adds
-        r2, a2 = removes ^ anchor, adds ^ anchor
-        r_lo, a_lo = r2 & -r2, a2 & -a2
-        r_hi, a_hi = r2 ^ r_lo, a2 ^ a_lo
-        if not (
-            r2.bit_count() == a2.bit_count() == 2
-            and (r_lo < a_lo < r_hi < a_hi or a_lo < r_lo < a_hi < r_hi)
-        ):
+        sides = _sides(removes, adds)
+        if sides is None:
             raise _replay_error(x, path, "not an exchange of two diagonals")
-        for side in (
-            anchor | r_lo | a_lo, anchor | a_lo | r_hi, anchor | r_hi | a_hi, anchor | r_lo | a_hi
-        ):
+        for side in sides:
             r = rank[side]
             if r < 0 or not bits >> r & 1:
                 raise _replay_error(x, path, f"side {_from_mask(side)} absent from the collection")

@@ -40,6 +40,7 @@ from wsep.quantum import Gen, Word, _encode
 from wsep.subsets import _from_mask, _is_int, weakly_separated
 from wsep.wscoll import (
     WSCollection,
+    _sides,
     apply_move,
     base_collection,
     boundary_sets,
@@ -282,7 +283,8 @@ def propagate_every_edge(c, vals, mode="exact", rel_tol=1e-9) -> Propagation:
         if edges is None:
             cur = WSCollection(c.table, bits)
             edges = graph[bits] = tuple(
-                (*mv.side_masks, mv.removes_mask, mv.adds_mask, apply_move(cur, mv).bits)
+                (*_sides(mv.removes_mask, mv.adds_mask), mv.removes_mask, mv.adds_mask,
+                 apply_move(cur, mv).bits)
                 for mv in find_moves(cur)
             )
         for m_is, m_sj, m_jt, m_it, removes, adds, nxt in edges:

@@ -122,16 +122,16 @@ class TestReduceBase:
     def test_prints_the_path_without_building_a_move(self, capsys, tmp_path, monkeypatch):
         import wsep.wscoll as wscoll
 
-        real, calls = wscoll.Move._trusted.__func__, []
+        real, calls = wscoll.Move.__init__, []
 
-        def counted(cls, *args):
+        def counted(mv, *args):
             calls.append(args)
-            return real(cls, *args)
+            real(mv, *args)
 
         c = translate(base_collection(3, 8), Dihedral(8, 3, True))
         f = tmp_path / "c.json"
         f.write_text(json.dumps(c.to_json_dict()))
-        monkeypatch.setattr(wscoll.Move, "_trusted", classmethod(counted))
+        monkeypatch.setattr(wscoll.Move, "__init__", counted)
         code, out = run(capsys, "reduce-base", "--file", str(f))
         assert (code, calls) == (0, [])
         red = wscoll.reduce_to_base(c)
@@ -194,6 +194,17 @@ class TestWiring:
         assert capsys.readouterr() == ("", want)
         f = tmp_path / "words.txt"
         f.write_text(word + "\n")
+        assert main(["wiring", "--word-file", str(f), *argv]) == 2
+        assert capsys.readouterr() == ("", want)
+
+    @pytest.mark.parametrize("word, token", [("2 x 1", "x"), ("2 1.5r 1", "1.5r"), ("1 r", "r")])
+    def test_letter_not_an_int_names_it_and_the_word(self, capsys, tmp_path, word, token):
+        want = f'error: letter "{token}" of word "{word}" is not an integer with an optional "r"\n'
+        argv = ["--k", "2", "--m", "3"]
+        assert main(["wiring", "--word", word, *argv]) == 2
+        assert capsys.readouterr() == ("", want)
+        f = tmp_path / "words.txt"
+        f.write_text("1 2 1r 1\n" + word + "\n")
         assert main(["wiring", "--word-file", str(f), *argv]) == 2
         assert capsys.readouterr() == ("", want)
 

@@ -255,6 +255,25 @@ class TestDihedral:
                 x = rng.randint(1, n)
                 assert (g * h).apply(x) == g.apply(h.apply(x))
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0,), "n must be a positive integer, got 0"),
+            ((6.0,), "n must be a positive integer, got 6.0"),
+            (("6",), "n must be a positive integer, got '6'"),
+            ((True,), "n must be a positive integer, got True"),
+            ((6, 1.5), "rot must be an integer, got 1.5"),
+            ((6, 1.0), "rot must be an integer, got 1.0"),
+            ((6, True), "rot must be an integer, got True"),
+            ((6, 1, 1), "refl must be a bool, got 1"),
+            ((6, 0, None), "refl must be a bool, got None"),
+        ],
+    )
+    def test_ingress(self, args, message):
+        with pytest.raises(ValueError) as caught:
+            Dihedral(*args)
+        assert str(caught.value) == message
+
     def test_generators_have_dihedral_relation(self):
         n = 7
         rho = Dihedral(n, 1)

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 from math import comb
 
@@ -84,6 +85,20 @@ class TestWords:
         for f in (validate_word, is_optimal, chambers, word_collection):
             with pytest.raises(ValueError, match=message):
                 f(parse_word("1r"), k, m)
+
+    @pytest.mark.parametrize("k, m", [(1.5, 3), (2, 3.0), (True, 3), (2, False), ("2", 3)])
+    def test_k_and_m_must_be_ints(self, k, m):
+        message = re.escape(f"k and m must be integers, got {k!r} and {m!r}")
+        for f in (validate_word, is_optimal, chambers, word_collection):
+            with pytest.raises(ValueError, match=message):
+                f(parse_word("1 2 1"), k, m)
+
+    @pytest.mark.parametrize("text, token", [("2 x 1", "x"), (" 2 1.5r 1 ", "1.5r"), ("r", "r")])
+    def test_letter_not_an_int(self, text, token):
+        message = f'letter "{token}" of word "{text.strip()}" is not an integer with an optional "r"'
+        with pytest.raises(ValueError) as caught:
+            parse_word(text)
+        assert str(caught.value) == message
 
     def test_equal_ranks_every_shuffle_optimal(self):
         for bw in reduced_words_of_longest(3):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -160,34 +161,81 @@ class TestMoves:
             assert apply_move(d, mv.inverse()) == c
 
     def test_public_constructors_check_moves(self):
-        for args in [
-            ((1,), 3, 2, 4, 5, (1, 3, 4), (1, 2, 5)),  # quadruple out of order
-            ((1,), 2, 3, 4, 5, (1, 2, 3), (1, 4, 5)),  # sides, not diagonals
-            ((1,), 2, 3, 4, 5, (1, 2, 4), (1, 2, 4)),  # degenerate
-            ((1,), 2, 3, 4, 5, (1, 4, 2), (1, 3, 5)),  # unsorted diagonal
-            ((1,), 2, 3, 4, 5, (1, 2, 4), (1, 2, 5)),  # only three indices off the anchor
-            ((1,), 2, 3, 4, 5, (1, 2, 2), (1, 3, 5)),  # repeated element
-            ((2,), 2, 3, 4, 5, (2, 2, 4), (2, 3, 5)),  # anchor repeats an index
-            ((0,), 2, 3, 4, 5, (0, 2, 4), (0, 3, 5)),  # element below 1
+        not_an_exchange = "is not an exchange of two diagonals"
+        for removes, adds, message in [
+            ((1, 2, 3), (1, 4, 5), not_an_exchange),  # sides, not diagonals
+            ((1, 2, 5), (1, 3, 4), not_an_exchange),  # nested, not interleaved
+            ((1, 2, 4), (1, 2, 4), not_an_exchange),  # equal diagonals
+            ((1, 2, 4), (1, 2, 5), not_an_exchange),  # only three indices off the anchor
+            ((1, 2, 4), (1, 3, 5, 6), not_an_exchange),  # different sizes
+            ((1, 2, 4, 6), (1, 3, 5, 7), not_an_exchange),  # four indices each
+            ((1, 2, 2), (1, 3, 5), "duplicate elements"),  # repeated element
+            ((0, 2, 4), (0, 3, 5), "must be >= 1"),  # element below 1
+            ((-1, 2, 4), (-1, 3, 5), "must be >= 1"),
+            ((True, 3), (2, 4), "subset element True is not an integer"),
+            ((1, 3.0), (2, 4), "subset element 3.0 is not an integer"),
         ]:
-            with pytest.raises(ValueError):
-                Move(*args)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Move.of(removes, adds)
+        with pytest.raises(ValueError, match=re.escape("(1, 2, 3) -> (1, 4, 5) is not an")):
+            Move.of([3, 2, 1], (1, 4, 5))
+
+    def test_of_takes_any_iterable_of_ints(self):
+        mv = Move(_to_mask((1, 2, 4)), _to_mask((1, 3, 5)))
+        assert Move.of((1, 2, 4), (1, 3, 5)) == mv
+        assert Move.of([1, 2, 4], [1, 3, 5]) == mv
+        assert Move.of([4, 1, 2], iter((5, 3, 1))) == mv
+        assert Move.of({1, 2, 4}, (x for x in (1, 3, 5))) == mv
+        assert Move.of((1, 3, 5), [1, 2, 4]) == mv.inverse()
+
+    def test_a_move_is_its_two_diagonal_masks(self):
+        assert [(f.name, f.type) for f in dataclasses.fields(Move)] == [
+            ("removes_mask", "int"), ("adds_mask", "int")
+        ]
+        removes, adds = (1, 2, 5, 7), (2, 3, 7, 8)
+        mv = Move.of((2, 7, 1, 5), adds)
+        assert vars(mv) == {"removes_mask": _to_mask(removes), "adds_mask": _to_mask(adds)}
+        assert (mv.anchor, mv.quad, mv.removes, mv.adds) == ((2, 7), (1, 3, 5, 8), removes, adds)
+        assert mv.sides == ((1, 2, 3, 7), (2, 3, 5, 7), (2, 5, 7, 8), (1, 2, 7, 8))
+        assert mv.inverse().sides == mv.sides
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mv.removes_mask = 0
+
+    def test_apply_move_messages(self):
+        c = base_collection(2, 5)
+        mv = Move.of((1, 3), (2, 4))
+        assert mv in find_moves(c)
+        stripped = WSCollection.of(2, 5, [s for s in c.sets if s != (2, 3)])
+        crossing = WSCollection.of(2, 5, c.sets + ((2, 4),))
+        trusted = Move(_to_mask((1, 2)), _to_mask((1, 3)))  # the constructor checks nothing
+        for d, move, message in [
+            (stripped, mv, "move side (2, 3) absent from collection"),
+            (c, mv.inverse(), "move diagonal (2, 4) absent from collection"),
+            (crossing, mv, "move target (2, 4) already present"),
+            (c, trusted, "(1, 2) -> (1, 3) is not an exchange of two diagonals"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                apply_move(d, move)
+            assert str(caught.value) == message
 
     def test_masks_are_built_with_the_move(self):
         def masks_match(mv):
-            # set before any read
-            assert {"side_masks", "removes_mask", "adds_mask"} <= vars(mv).keys()
-            a = mv.anchor
-            sides = [a + p for p in ((mv.i, mv.s), (mv.s, mv.j), (mv.j, mv.t), (mv.i, mv.t))]
-            assert mv.side_masks == tuple(map(_to_mask, sides))
+            # the two fields are the move; everything else is decoded from them
+            assert vars(mv).keys() == {"removes_mask", "adds_mask"}
+            a, (i, s, j, t) = mv.anchor, mv.quad
+            assert i < s < j < t and not set(a) & {i, s, j, t}
+            assert {mv.removes, mv.adds} == {tuple(sorted(a + (i, j))), tuple(sorted(a + (s, t)))}
+            sides = [tuple(sorted(a + p)) for p in ((i, s), (s, j), (j, t), (i, t))]
+            assert mv.sides == tuple(sides)
+            assert wscoll._sides(mv.removes_mask, mv.adds_mask) == tuple(map(_to_mask, sides))
             assert mv.removes_mask == _to_mask(mv.removes)
             assert mv.adds_mask == _to_mask(mv.adds)
 
         moves = [
-            Move((1,), 2, 3, 4, 5, (1, 2, 4), (1, 3, 5)),
-            Move((1,), 2, 3, 4, 5, (1, 3, 5), (1, 2, 4)),
-            Move((2, 7), 1, 3, 5, 8, (1, 2, 5, 7), (2, 3, 7, 8)),
-            Move._trusted((), 1, 2, 3, 4, (2, 4), (1, 3)),
+            Move.of((1, 2, 4), (1, 3, 5)),
+            Move.of((1, 3, 5), (1, 2, 4)),
+            Move.of((1, 2, 5, 7), (2, 3, 7, 8)),
+            Move(_to_mask((2, 4)), _to_mask((1, 3))),
         ]
         moves += [mv.inverse() for mv in moves]
         moves += [mv.translate(g) for mv in moves[:2] for g in Dihedral.group(6)]
@@ -206,7 +254,7 @@ class TestMoves:
             moves += [mv.inverse() for mv in moves]
             moves += [mv.translate(Dihedral(n, 2, True)) for mv in moves]
             for mv in moves:
-                assert Move(mv.anchor, mv.i, mv.s, mv.j, mv.t, mv.removes, mv.adds) == mv
+                assert Move.of(mv.removes, mv.adds) == mv
 
     def test_absent_side_rejected(self):
         c = base_collection(2, 5)
@@ -288,8 +336,9 @@ class TestQuads:
             assert sides == sum(1 << r for r in ranks[:4])
             assert diags == 1 << ranks[4] | 1 << ranks[5] and qbit == 1 << q
             for forward, removes, adds in ((True, sets[4], sets[5]), (False, sets[5], sets[4])):
-                mv, checked = table.quad_move(q, forward), Move(anchor, i, s, j, t, removes, adds)
+                mv, checked = table.quad_move(q, forward), Move.of(removes, adds)
                 assert mv == checked and vars(mv) == vars(checked)
+                assert (mv.anchor, mv.quad, mv.sides) == (anchor, (i, s, j, t), sets[:4])
 
     def test_find_moves_builds_no_bit_form(self):
         # the walk's quad_tests hold a q-bit int per quad: 4 GB at (7, 14)
@@ -340,7 +389,7 @@ class TestIncrementalWalk:
         # 1 < 3 < 4 < 5 has its four sides and both diagonals
         seed = WSCollection.of(2, 6, base_collection(2, 6).sets + ((3, 5),))
         with pytest.raises(ValueError) as expected:
-            apply_move(seed, Move((), 1, 3, 4, 5, (1, 4), (3, 5)))
+            apply_move(seed, Move.of((1, 4), (3, 5)))
         assert str(expected.value) == "move target (3, 5) already present"
         with pytest.raises(ValueError, match=r"^move target \(3, 5\) already present$"):
             enumerate_component(seed)
@@ -717,7 +766,8 @@ class TestJson:
     def test_move_json(self):
         mv = find_moves(base_collection(3, 6))[0]
         d = mv.to_json_dict()
-        assert d["quad"] == [mv.i, mv.s, mv.j, mv.t]
+        assert d == {"anchor": [1], "quad": [2, 3, 4, 5], "removes": [1, 2, 4], "adds": [1, 3, 5]}
+        assert d["quad"] == list(mv.quad)
 
 
 class TestLibraryIngress:
@@ -736,7 +786,7 @@ class TestLibraryIngress:
         with pytest.raises(ValueError, match="subset element 2.0 is not an integer"):
             WSCollection.of(2, 4, [(1, 2.0)])
         with pytest.raises(ValueError, match="subset element True is not an integer"):
-            Move((), True, 2, 3, 4, (True, 3), (2, 4))
+            Move.of((True, 3), (2, 4))
 
 
 class TestBitmaskKernel:
