@@ -22,8 +22,8 @@ m.bit_length() for the algebra and M = (1 << B) - 1, so int order is
 row is (x ^ y) <= M, same column is not (x ^ y) & M, and the cross letters
 of a diagonal pair are y ^ d and x ^ d with d = (x ^ y) & M.  Words are
 encoded once, where they enter (the `NCPoly(...)` constructor, `generator`,
-`from_word`, `normalize_word`), and decoded back to (i, j) pairs only where
-they leave (`terms()`, `at_one()`, `str()` and the result of
+`normalize_word`), and decoded back to (i, j) pairs only where they
+leave (`terms()`, `at_one()`, `str()` and the result of
 `normalize_word`).
 
 One accumulator, `_accumulate`, adds a coefficient times such leaves into
@@ -35,17 +35,20 @@ relabelling of the rows and columns its two factors use (`_Pattern`).  The
 relations compare rows with rows and columns with columns only, so the
 normal form of a relabelled word is the relabelled normal form, and many
 concatenations share one relabelled word: over all ordered Gr(3,7) pairs,
-88,200 concatenations come to 2,268 relabelled words.  A relabelled word is
-packed into one int below a leading 1 bit, and each concatenation's leaves
-are looked up in one module table, `_PATTERNS`, keyed by that int and the
-packing width; an entry is one flat tuple of ints, (packed word, e, b) per
-leaf.  A miss computes the leaves with `_rewrite`, its scan started at the
-join, the only place an inversion can be.  The table holds at most
-`_PATTERNS_CACHED` (8,192) entries and is emptied when full.
-`NCPoly.__mul__` decodes the words of its result once, and builds one
-`Laurent` per monomial; `quasi_commutation_exponent` relabels p and r once
-for both products and compares their raw maps by one exponent shift, with
-nothing decoded and no `Laurent` built.
+88,200 concatenations come to 2,268 relabelled words.  A relabelled letter
+is i << h | j, h the bit length of the larger of the relabelled row and
+column counts, and a relabelled word is a tuple of such codes.  Each
+concatenation's leaves are looked up in one module table, `_PATTERNS`,
+keyed by h followed by the concatenated codes, since one code tuple reads
+as different letters at two values of h; an entry is the flat list of
+leaves (word, e, b, ...) as `_rewrite` returns it.  A miss computes the
+leaves with `_rewrite`, its scan started at the join, the only place an
+inversion can be.  The table holds at most `_PATTERNS_CACHED` (8,192)
+entries and is emptied when full.  `NCPoly.__mul__` decodes the words of
+its result once, and builds one `Laurent` per monomial;
+`quasi_commutation_exponent` relabels p and r once for both products and
+compares their raw maps by one exponent shift, with nothing decoded and no
+`Laurent` built.
 
 Input is checked once, at that ingress: k and m must be ints, a letter a
 pair of int indices in range (a bool is not an int), a coefficient or a
@@ -178,10 +181,10 @@ def _accumulate(
                 acc[x] = acc.get(x, 0) + u * v
 
 
-# The flat `_rewrite` leaves of relabelled concatenations, keyed by packed
-# word and width (see `_Pattern`); at most `_PATTERNS_CACHED` entries, and
-# emptied when full.
-_PATTERNS: dict[int, tuple[int, ...]] = {}
+# The flat `_rewrite` leaves of relabelled concatenations, keyed by h and
+# the concatenated codes (see `_product`); at most `_PATTERNS_CACHED`
+# entries, and emptied when full.
+_PATTERNS: dict[Code, list] = {}
 
 
 class _Pattern:
@@ -190,22 +193,20 @@ class _Pattern:
 
     The defining relations compare rows with rows and columns with columns
     only, so the normal form of a relabelled word is the relabelled normal
-    form.  A relabelled letter is i << h | j with h = max(R, C).bit_length(),
-    and a word is packed into one int of `width` = 2h bits per letter below a
-    leading 1, which keeps its length and the empty word (1).  A table key
-    is the packed word shifted left by `_KEY_BITS` with the width in those
-    bits, so equal words packed at different widths do not collide."""
+    form.  A relabelled letter is i << h | j with h = max(R, C).bit_length()
+    (0 when no term has a letter), and a relabelled word is a tuple of such
+    codes."""
 
-    __slots__ = ("width", "mask", "code", "rows", "cols")
+    __slots__ = ("h", "mask", "code", "rows", "cols")
 
     def __init__(self, b: int, *terms: dict[Code, Laurent]):
-        """b is the letter code width of the algebra, m.bit_length()."""
+        """b is the number of column bits of a letter code in the algebra,
+        m.bit_length()."""
         letters = {x for t in terms for w in t for x in w}
         col = (1 << b) - 1
         rows = sorted({x >> b for x in letters})
         cols = sorted({x & col for x in letters})
-        h = max(len(rows), len(cols)).bit_length()
-        self.width = 2 * h
+        h = self.h = max(len(rows), len(cols)).bit_length()
         self.mask = (1 << h) - 1
         row_of = {r: i << h for i, r in enumerate(rows, 1)}
         col_of = {c: j for j, c in enumerate(cols, 1)}
@@ -215,66 +216,41 @@ class _Pattern:
         self.rows = [0, *(r << b for r in rows)]
         self.cols = [0, *cols]
 
-    def pack(self, w: Iterable[int]) -> int:
-        """The packed word of relabelled letters w."""
-        width = self.width
-        out = 1
-        for x in w:
-            out = out << width | x
-        return out
-
-    def packed(self, t: dict[Code, Laurent]) -> list[tuple[int, int, Laurent]]:
-        """Each term of t as (packed relabelled word, length, coefficient)."""
+    def relabel(self, t: dict[Code, Laurent]) -> list[tuple[Code, Laurent]]:
+        """Each term of t as (relabelled word, coefficient)."""
         code = self.code
-        return [(self.pack(code[x] for x in w), len(w), c) for w, c in t.items()]
+        return [(tuple([code[x] for x in w]), c) for w, c in t.items()]
 
-    def unpack(self, key: int) -> list[int]:
-        """The relabelled letters of a packed word."""
-        width = self.width
-        low = (1 << width) - 1
-        out = []
-        while key > 1:
-            out.append(key & low)
-            key >>= width
-        out.reverse()
-        return out
-
-    def decode(self, key: int) -> Code:
-        """The algebra's letter codes of a packed relabelled word."""
-        rows, cols, h, mask = self.rows, self.cols, self.width >> 1, self.mask
-        return tuple(rows[x >> h] | cols[x & mask] for x in self.unpack(key))
-
-
-_KEY_BITS = 8  # a width is 2h < 256: h > 127 would need 2^127 rows or columns
+    def decode(self, w: Code) -> Code:
+        """The algebra's letter codes of a relabelled word."""
+        rows, cols, h, mask = self.rows, self.cols, self.h, self.mask
+        return tuple([rows[x >> h] | cols[x & mask] for x in w])
 
 
 def _product(
-    a: list[tuple[int, int, Laurent]],
-    b: list[tuple[int, int, Laurent]],
+    a: list[tuple[Code, Laurent]],
+    b: list[tuple[Code, Laurent]],
     pattern: _Pattern,
-) -> dict[int, dict[int, int]]:
+) -> dict[Code, dict[int, int]]:
     """The raw terms of the product of two normal-form term maps, both given
-    by `pattern.packed`, keyed by packed relabelled word.  Each
-    concatenation's leaves come from `_PATTERNS`; on a miss, `_rewrite`
-    computes them with its scan started at the join, the only place an
-    inversion can be.  Zero coefficients are kept."""
+    by `pattern.relabel`, keyed by relabelled word.  Each concatenation's
+    leaves come from `_PATTERNS`, keyed by h followed by the concatenated
+    codes: h keeps a code tuple read at two values of h apart.  On a miss,
+    `_rewrite` computes the leaves with its scan started at the join, the
+    only place an inversion can be.  Zero coefficients are kept."""
     table = _PATTERNS
-    width = pattern.width
-    out: dict[int, dict[int, int]] = {}
-    right = [
-        (width * n2 + _KEY_BITS, (w2 ^ 1 << width * n2) << _KEY_BITS | width, c2.items())
-        for w2, n2, c2 in b
-    ]
-    for w1, n1, c1 in a:
+    h, mask = pattern.h, pattern.mask
+    out: dict[Code, dict[int, int]] = {}
+    right = [(w2, c2.items()) for w2, c2 in b]
+    for w1, c1 in a:
+        left = (h, *w1)
+        join = max(len(w1) - 1, 0)
         c1 = c1.items()
-        for shift, low, c2 in right:
-            key = w1 << shift | low
+        for w2, c2 in right:
+            key = left + w2
             leaves = table.get(key)
             if leaves is None:
-                word = pattern.unpack(key >> _KEY_BITS)
-                leaves = _rewrite(word, pattern.mask, max(n1 - 1, 0))
-                leaves[::3] = map(pattern.pack, leaves[::3])
-                leaves = tuple(leaves)
+                leaves = _rewrite([*w1, *w2], mask, join)
                 if len(table) >= _PATTERNS_CACHED:
                     table.clear()
                 table[key] = leaves
@@ -293,8 +269,11 @@ def _laurents(out: dict, decode=None) -> dict[Code, Laurent]:
     return t
 
 
-def _normal_form(k: int, m: int, word: Iterable[Gen], coeff: Laurent) -> dict[Code, Laurent]:
-    """coeff * word in normal form, checked at ingress, keyed by codes."""
+def normalize_word(
+    k: int, m: int, word: Iterable[Gen], coeff: Laurent = ONE
+) -> dict[Word, Laurent]:
+    """Rewrite coeff * word into normal form, returning monomial -> Laurent;
+    checked at ingress."""
     _require_dims(k, m, "k and m")
     w = _encode(word, k, m)
     if not isinstance(coeff, Laurent):
@@ -303,14 +282,7 @@ def _normal_form(k: int, m: int, word: Iterable[Gen], coeff: Laurent) -> dict[Co
         )
     out: dict[Code, dict[int, int]] = {}
     _accumulate(out, _rewrite(list(w), _mask(m)), tuple(coeff.items()))
-    return _laurents(out)
-
-
-def normalize_word(
-    k: int, m: int, word: Iterable[Gen], coeff: Laurent = ONE
-) -> dict[Word, Laurent]:
-    """Rewrite coeff * word into normal form, returning monomial -> Laurent."""
-    return {_decode(w, m): c for w, c in _normal_form(k, m, word, coeff).items()}
+    return _laurents(out, lambda w: _decode(w, m))
 
 
 class NCPoly:
@@ -365,10 +337,6 @@ class NCPoly:
     def generator(k: int, m: int, i: int, j: int) -> "NCPoly":
         return NCPoly(k, m, {((i, j),): ONE})
 
-    @staticmethod
-    def from_word(k: int, m: int, word: Iterable[Gen], coeff: Laurent = ONE) -> "NCPoly":
-        return NCPoly._trusted(k, m, _normal_form(k, m, word, coeff))
-
     def terms(self) -> dict[Word, Laurent]:
         return {_decode(w, self.m): c for w, c in self._t.items()}
 
@@ -401,7 +369,7 @@ class NCPoly:
         words are already checked."""
         self._check_dims(other)
         pattern = _Pattern(self.m.bit_length(), self._t, other._t)
-        out = _product(pattern.packed(self._t), pattern.packed(other._t), pattern)
+        out = _product(pattern.relabel(self._t), pattern.relabel(other._t), pattern)
         return NCPoly._trusted(self.k, self.m, _laurents(out, pattern.decode))
 
     def scale(self, c: Laurent) -> "NCPoly":
@@ -496,7 +464,7 @@ def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
         raise ValueError("quasi-commutation is undefined for zero inputs")
     p._check_dims(r)
     pattern = _Pattern(p.m.bit_length(), p._t, r._t)
-    a, b = pattern.packed(p._t), pattern.packed(r._t)
+    a, b = pattern.relabel(p._t), pattern.relabel(r._t)
     pr = _product(a, b, pattern)
     rp = _product(b, a, pattern)
     c = None
@@ -522,7 +490,7 @@ def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
 def plucker_realize(K: Iterable[int], k: int, n: int) -> NCPoly:
     """The coordinate labelled by the k-subset K of [1..n], realized as the
     maximal quantum minor on rows [1..k] and columns K."""
-    _require_dims(k, n, "k and m")
+    _require_dims(k, n, "k and n")
     K = check_in_range(K, n)
     if len(K) != k:
         raise ValueError(f"need a {k}-subset, got {K}")

@@ -173,13 +173,6 @@ class MinorIndex:
     def size(self) -> int:
         return len(self.rows)
 
-    def to_json_dict(self) -> dict:
-        return {"A": list(self.rows), "B": list(self.cols), "k": self.k, "m": self.m}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "MinorIndex":
-        return MinorIndex(tuple(d["A"]), tuple(d["B"]), d["k"], d["m"])
-
 
 def stieffel_subset(mi: MinorIndex) -> tuple[int, ...]:
     """The k-subset of [1..k+m] attached to a minor index: shift the column

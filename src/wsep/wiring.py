@@ -28,17 +28,18 @@ Word = tuple[int, ...]
 
 
 def parse_word(text: str) -> Word:
-    """Whitespace-separated letters, each an int with an optional "r" for
-    red; a token that is not one is a ValueError quoting it and the word."""
+    """Whitespace-separated letters, each decimal digits with an optional
+    "r" for red.  A token that is not one, a sign or an underscore included,
+    is a ValueError quoting it and the word; a letter 0 is a ValueError."""
     letters = []
     for tok in text.split():
         red = tok.endswith("r")
-        try:
-            x = int(tok[:-1] if red else tok)
-        except ValueError:
+        digits = tok[:-1] if red else tok
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError(
                 f'letter "{tok}" of word "{text.strip()}" is not an integer with an optional "r"'
-            ) from None
+            )
+        x = int(digits)
         letters.append(-x if red else x)
     if any(x == 0 for x in letters):
         raise ValueError("letter indices are 1-based")

@@ -22,7 +22,8 @@ keeps the edges `propagate_every_edge` has taken from `find_moves` and
 `apply_move`, so that a walk from every start of one component makes each
 move once.  Nor are the generators of test inputs: `complete_to_maximal`,
 a greedy completion in lexicographic order, and the wiring words of
-`reduced_words_of_longest`, `shuffles` and `all_optimal_words`.
+`reduced_words_of_longest`, `shuffles` and `all_optimal_words`, and
+`word_poly`, one rewritten word as a polynomial.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from wsep.laurent import Laurent, ONE, Q, Q_MINUS_Q_INV, ZERO
 from wsep.positivity import Propagation, _det
-from wsep.quantum import Gen, Word, _encode
+from wsep.quantum import Gen, NCPoly, Word, _encode, normalize_word
 from wsep.subsets import _from_mask, _is_int, weakly_separated
 from wsep.wscoll import (
     WSCollection,
@@ -203,6 +204,12 @@ def normalize_word_bf(
             stack.append((swapped, c))
             stack.append((w[:p] + ((i, t), (s, j)) + w[p + 2:], c * Q_MINUS_Q_INV))
     return out
+
+
+def word_poly(k: int, m: int, word: Iterable[Gen], coeff: Laurent = ONE) -> NCPoly:
+    """coeff * word as a polynomial in normal form, through the checked
+    `normalize_word`."""
+    return NCPoly(k, m, normalize_word(k, m, word, coeff))
 
 
 def product_bf(p, r) -> dict[Word, Laurent]:

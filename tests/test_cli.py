@@ -197,7 +197,10 @@ class TestWiring:
         assert main(["wiring", "--word-file", str(f), *argv]) == 2
         assert capsys.readouterr() == ("", want)
 
-    @pytest.mark.parametrize("word, token", [("2 x 1", "x"), ("2 1.5r 1", "1.5r"), ("1 r", "r")])
+    @pytest.mark.parametrize(
+        "word, token",
+        [("2 x 1", "x"), ("2 1.5r 1", "1.5r"), ("1 r", "r"), ("-1 2", "-1"), ("2 1_0", "1_0")],
+    )
     def test_letter_not_an_int_names_it_and_the_word(self, capsys, tmp_path, word, token):
         want = f'error: letter "{token}" of word "{word}" is not an integer with an optional "r"\n'
         argv = ["--k", "2", "--m", "3"]

@@ -26,7 +26,13 @@ from wsep.quantum import (
     verify_embedding,
 )
 
-from oracles import commutative_image, normalize_word_bf, product_bf, quasi_commutation_bf
+from oracles import (
+    commutative_image,
+    normalize_word_bf,
+    product_bf,
+    quasi_commutation_bf,
+    word_poly,
+)
 
 
 # column counts on both sides of each change of the letter code's width
@@ -78,7 +84,7 @@ class TestNormalize:
         with pytest.raises(ValueError, match="outside"):
             NCPoly.generator(2, 2, 1, 0)
         with pytest.raises(ValueError, match="outside"):
-            NCPoly.from_word(2, 2, [(1, 1), (2, 3)])
+            normalize_word(2, 2, [(1, 1), (2, 3)])
         # x[1,2] x[1,1] is q x[1,1] x[1,2]; kept as given it would compare unequal
         with pytest.raises(ValueError, match="not in normal form"):
             NCPoly(2, 2, {((1, 2), (1, 1)): ONE})
@@ -104,15 +110,17 @@ class TestNormalize:
             lambda: NCPoly.generator(True, 2, 1, 1),
             lambda: normalize_word(2.0, 2, [(1, 1)]),
             lambda: MinorIndex((1,), (1,), 1.5, 2),
-            lambda: plucker_realize((1, 2), 2.0, 4),
-            lambda: plucker_realize((1, 2), 2, 4.0),
         ):
             with pytest.raises(ValueError, match="k and m must be integers"):
                 make()
+        for make in (
+            lambda: plucker_realize((1, 2), 2.0, 4),
+            lambda: plucker_realize((1, 2), 2, 4.0),
+        ):
+            with pytest.raises(ValueError, match="k and n must be integers"):
+                make()
         with pytest.raises(ValueError, match="not a Laurent polynomial"):
             normalize_word(2, 2, [(1, 1)], 3)
-        with pytest.raises(ValueError, match="not a Laurent polynomial"):
-            NCPoly.from_word(2, 2, [(1, 1)], coeff=3)
 
     def test_deep_cross_terms_match_reference(self):
         # nine cross terms on one rewriting path: (q - q^-1)^9
@@ -148,7 +156,7 @@ class TestNormalize:
             acc = NCPoly.zero(k, m)
             for _ in range(data.draw(st.integers(1, 3))):
                 word = data.draw(words(k, m, max_letters))
-                acc = acc + NCPoly.from_word(k, m, word, Laurent(data.draw(coeffs)))
+                acc = acc + word_poly(k, m, word, Laurent(data.draw(coeffs)))
             return acc
 
         p, r = poly(5), poly(4)
@@ -269,7 +277,7 @@ class TestQuasiCommutation:
             quasi_commutation_exponent(x, bad)
 
     def test_scalar_multiples(self):
-        p = NCPoly.from_word(2, 3, [(2, 3), (1, 1)], Laurent({-1: 2, 2: -3}))
+        p = word_poly(2, 3, [(2, 3), (1, 1)], Laurent({-1: 2, 2: -3}))
         for c in (Laurent.term(-5, 3), Laurent({0: 1, 1: 4})):
             assert quasi_commutation_exponent(p, p.scale(c)) == 0
             assert quasi_commutation_exponent(NCPoly.scalar(2, 3, c), p) == 0
@@ -280,7 +288,7 @@ class TestQuasiCommutation:
         p = gen(2, 2, 2, 2)
         r = quantum_minor(MinorIndex((1, 2), (1, 2), 2, 2))
         pattern = _Pattern(2 .bit_length(), p._t, r._t)
-        raw = _product(pattern.packed(p._t), pattern.packed(r._t), pattern)
+        raw = _product(pattern.relabel(p._t), pattern.relabel(r._t), pattern)
         assert any(0 in acc.values() for acc in raw.values())
         assert quasi_commutation_exponent(p, r) == quasi_commutation_bf(p, r) == 0
         assert quasi_commutation_exponent(r, p) == 0
@@ -298,7 +306,7 @@ class TestQuasiCommutation:
             while acc.is_zero():
                 for _ in range(data.draw(st.integers(1, 3))):
                     word = data.draw(words(k, m, 3))
-                    acc = acc + NCPoly.from_word(k, m, word, data.draw(coeff))
+                    acc = acc + word_poly(k, m, word, data.draw(coeff))
             return acc
 
         p = poly()
@@ -399,7 +407,7 @@ class TestEmbedding:
 def test_str_is_deterministic_lex():
     d = quantum_minor(MinorIndex((1, 2), (1, 2), 2, 2))
     assert str(d) == "1 * x[1,1] x[2,2] - q^-1 * x[1,2] x[2,1]"
-    p = NCPoly.from_word(2, 2, [(2, 2), (1, 1)])
+    p = word_poly(2, 2, [(2, 2), (1, 1)])
     assert str(p) == "1 * x[1,1] x[2,2] + (q - q^-1) * x[1,2] x[2,1]"
 
 
@@ -423,7 +431,7 @@ def random_poly(rng, k, m, max_letters=4, max_terms=3):
     for _ in range(rng.randint(1, max_terms)):
         word = [(rng.randint(1, k), rng.randint(1, m)) for _ in range(rng.randint(0, max_letters))]
         coeff = Laurent({rng.randint(-2, 2): rng.choice([-3, -1, 1, 2]) for _ in range(2)})
-        acc = acc + NCPoly.from_word(k, m, word, coeff)
+        acc = acc + word_poly(k, m, word, coeff)
     return acc
 
 
@@ -443,9 +451,9 @@ class TestPatternTable:
             assert (s * t).terms() == {(): a * b}
             assert (NCPoly.one(2, 3) * NCPoly.one(2, 3)).terms() == {(): ONE}
             assert quasi_commutation_exponent(s, t) == 0
-        # the empty word with no letters at all packs at width 0
-        assert _Pattern(2, s._t, t._t).width == 0
-        x = NCPoly.from_word(2, 3, [(2, 3), (1, 1)])
+        # the empty word with no letters at all is relabelled at h = 0
+        assert _Pattern(2, s._t, t._t).h == 0
+        x = word_poly(2, 3, [(2, 3), (1, 1)])
         assert (s * x).terms() == x.scale(a).terms()
         assert (x * s).terms() == x.scale(a).terms()
 
@@ -455,8 +463,8 @@ class TestPatternTable:
         p = (
             NCPoly.one(k, m)
             + gen(k, m, 2, 2)
-            + NCPoly.from_word(k, m, [(2, 1), (1, 3)], Q)
-            + NCPoly.from_word(k, m, [(2, 3), (1, 2), (1, 1)], Q_INV)
+            + word_poly(k, m, [(2, 1), (1, 3)], Q)
+            + word_poly(k, m, [(2, 3), (1, 2), (1, 1)], Q_INV)
         )
         assert {len(w) for w in p.terms()} == {0, 1, 2, 3}
         quantum._PATTERNS.clear()
@@ -483,16 +491,17 @@ class TestPatternTable:
         assert (a * b).terms() == product_bf(a, b)
 
     def test_keys_carry_the_width(self):
-        # x[1,2] x[1,1] relabelled at h = 2 and the one letter x[6,5] of a
-        # pattern with 8 columns, at h = 4, pack to the same int, 0x165
+        # the relabelled codes (13, 10) are x[3,1] x[2,2] at h = 2, which
+        # commute, and x[1,5] x[1,2] at h = 3, which do not: a key without h
+        # would hand the second product the first one's leaves
         quantum._PATTERNS.clear()
-        assert (gen(2, 2, 1, 2) * gen(2, 2, 1, 1)).terms() == {((1, 1), (1, 2)): Q}
-        diagonal = [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (6, 7), (6, 8)]
-        p = NCPoly.one(6, 8) + NCPoly.from_word(6, 8, diagonal)
-        r = gen(6, 8, 6, 5)
-        pattern = _Pattern(8 .bit_length(), p._t, r._t)
-        assert pattern.width == 8 and pattern.pack([pattern.code[6 << 4 | 5]]) == 0x165
-        assert (p * r).terms() == product_bf(p, r)
+        g = NCPoly.generator
+        p = g(3, 2, 3, 1) + g(3, 2, 1, 1)
+        assert (p * g(3, 2, 2, 2)).terms() == product_bf(p, g(3, 2, 2, 2))
+        r = g(1, 5, 1, 5) + g(1, 5, 1, 1) + g(1, 5, 1, 3) + g(1, 5, 1, 4)
+        assert (r * g(1, 5, 1, 2)).terms()[(1, 2), (1, 5)] == Q
+        assert (r * g(1, 5, 1, 2)).terms() == product_bf(r, g(1, 5, 1, 2))
+        assert {(2, 13, 10), (3, 13, 10)} <= quantum._PATTERNS.keys()
 
     def test_cold_and_warm_agree_on_gr36(self):
         subsets = list(combinations(range(1, 7), 3))

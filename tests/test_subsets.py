@@ -344,11 +344,6 @@ class TestParsing:
         with pytest.raises(ValueError, match="subset element True is not an integer"):
             MinorIndex((True,), (1,), 1, 1)
 
-    def test_minor_index_json_round_trip(self):
-        mi = MinorIndex((1, 2), (1, 3), 2, 3)
-        assert mi.to_json_dict() == {"A": [1, 2], "B": [1, 3], "k": 2, "m": 3}
-        assert MinorIndex.from_json_dict(mi.to_json_dict()) == mi
-
     def test_minor_index_invariants(self):
         with pytest.raises(ValueError):
             MinorIndex((1, 3), (1, 2), 2, 3)  # row set exceeds k

@@ -93,7 +93,20 @@ class TestWords:
             with pytest.raises(ValueError, match=message):
                 f(parse_word("1 2 1"), k, m)
 
-    @pytest.mark.parametrize("text, token", [("2 x 1", "x"), (" 2 1.5r 1 ", "1.5r"), ("r", "r")])
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("2 x 1", "x"),
+            (" 2 1.5r 1 ", "1.5r"),
+            ("r", "r"),
+            # a sign or an underscore, which int() would read
+            ("-1 2", "-1"),
+            ("1 -2r", "-2r"),
+            ("+3", "+3"),
+            ("2 1_0", "1_0"),
+            ("1_0r", "1_0r"),
+        ],
+    )
     def test_letter_not_an_int(self, text, token):
         message = f'letter "{token}" of word "{text.strip()}" is not an integer with an optional "r"'
         with pytest.raises(ValueError) as caught:
