@@ -13,8 +13,10 @@ Each step decreases the word lexicographically at its leading position, so
 rewriting terminates.  One kernel, `_rewrite`, does all of it: it always
 rewrites the leftmost inversion, keeps every pending coefficient as two
 ints, q^e (q - q^-1)^b, and returns the leaves, each normal-form word it
-reaches with its e and b.  Confluence is checked by tests against an
-independent reference rewriter that picks inversions at random.
+reaches with the coefficient q^e (q - q^-1)^b as a tuple of (exponent, int)
+pairs.  That tuple comes from one table keyed by (e, b), `_LEAF_COEFFS`, so
+leaves with equal e and b share one tuple.  Confluence is checked by tests
+against an independent reference rewriter that picks inversions at random.
 
 Inside the module a letter x[i,j] is the int i << B | j, with B =
 m.bit_length() for the algebra and M = (1 << B) - 1, so int order is
@@ -26,9 +28,10 @@ encoded once, where they enter (the `NCPoly(...)` constructor, `generator`,
 leave (`terms()`, `at_one()`, `str()` and the result of
 `normalize_word`).
 
-One accumulator, `_accumulate`, adds a coefficient times such leaves into
-a raw {word: {exponent: int}} map; `normalize_word` rewrites its word
-directly.
+One accumulator, `_accumulate`, adds v q^x times such leaves into a raw
+{word: {exponent: int}} map, for one term v q^x of a coefficient at a time:
+`normalize_word` calls it once per term of its coefficient, and `_product`
+once per pair of terms of its two factors' coefficients.
 
 Products go through `_product`, which works on an order-preserving
 relabelling of the rows and columns its two factors use (`_Pattern`).  The
@@ -41,14 +44,15 @@ column counts, and a relabelled word is a tuple of such codes.  Each
 concatenation's leaves are looked up in one module table, `_PATTERNS`,
 keyed by h followed by the concatenated codes, since one code tuple reads
 as different letters at two values of h; an entry is the flat list of
-leaves (word, e, b, ...) as `_rewrite` returns it.  A miss computes the
-leaves with `_rewrite`, its scan started at the join, the only place an
-inversion can be.  The table holds at most `_PATTERNS_CACHED` (8,192)
-entries and is emptied when full.  `NCPoly.__mul__` decodes the words of
-its result once, and builds one `Laurent` per monomial;
-`quasi_commutation_exponent` relabels p and r once for both products and
-compares their raw maps by one exponent shift, with nothing decoded and no
-`Laurent` built.
+leaves (word, coefficient, ...) as `_rewrite` returns it, with nothing
+expanded or merged when it is stored (most lookups of a Gr(4,8) check
+miss, so a miss must stay cheap).  A miss computes the leaves with
+`_rewrite`, its scan started at the join, the only place an inversion can
+be.  The table holds at most `_PATTERNS_CACHED` (8,192) entries and is
+emptied when full.  `NCPoly.__mul__` decodes the words of its result once,
+and builds one `Laurent` per monomial; `quasi_commutation_exponent`
+relabels p and r once for both products and compares their raw maps by one
+exponent shift, with nothing decoded and no `Laurent` built.
 
 Input is checked once, at that ingress: k and m must be ints, a letter a
 pair of int indices in range (a bool is not an int), a coefficient or a
@@ -109,28 +113,34 @@ def _decode(w: Code, m: int) -> Word:
     return tuple((x >> b, x & mask) for x in w)
 
 
-# (q - q^-1)^b as ((exponent, coefficient), ...), index b; extended on demand.
-_QMQ_POWERS: list[tuple[tuple[int, int], ...]] = []
+# q^e (q - q^-1)^b as ((exponent, int), ...), keyed by (e, b); one tuple per
+# key, shared by every leaf with that e and b.
+_LEAF_COEFFS: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
 
-def _qmq_power(b: int) -> tuple[tuple[int, int], ...]:
-    while len(_QMQ_POWERS) <= b:
-        a = len(_QMQ_POWERS)
-        _QMQ_POWERS.append(tuple((a - 2 * i, (-1) ** i * comb(a, i)) for i in range(a + 1)))
-    return _QMQ_POWERS[b]
+def _leaf_coeff(e: int, b: int) -> tuple[tuple[int, int], ...]:
+    """The `_LEAF_COEFFS` tuple of q^e (q - q^-1)^b, made on first use."""
+    c = _LEAF_COEFFS.get((e, b))
+    if c is None:
+        c = _LEAF_COEFFS[e, b] = tuple(
+            (e + b - 2 * i, (-1) ** i * comb(b, i)) for i in range(b + 1)
+        )
+    return c
 
 
 def _rewrite(word: list[int], mask: int, p: int = 0) -> list:
     """The leaves of rewriting `word`, a list of letter codes with column
     bits `mask`, which this consumes, into normal form; the letters before
     position p are in order.  The leaves are flat: a normal-form word (a
-    tuple of codes), then e and b, per leaf, where the word stands for
-    q^e (q - q^-1)^b times that word, and the word is the sum of its leaves.
+    tuple of codes), then its coefficient, per leaf, and the word is the sum
+    of its leaves.  A coefficient q^e (q - q^-1)^b is the `_leaf_coeff(e, b)`
+    tuple of (exponent, int) pairs, one object per (e, b).
 
     A pending word carries its e, its b and the position where the scan for
     its leftmost inversion resumes: after a swap at p the letters before p
     are still in order, so the scan resumes at p - 1.  A swap is made in
     place; the cross term of a diagonal pair is pushed as a new word."""
+    coeffs = _LEAF_COEFFS
     leaves = []
     stack = [(word, 0, 0, p)]
     pop, push = stack.pop, stack.append
@@ -156,29 +166,21 @@ def _rewrite(word: list[int], mask: int, p: int = 0) -> list:
             w[p + 1] = x
             if p:
                 p -= 1
-        leaves += (tuple(w), e, b)
-        if b >= len(_QMQ_POWERS):
-            _qmq_power(b)
+        leaves += (tuple(w), coeffs.get((e, b)) or _leaf_coeff(e, b))
     return leaves
 
 
-def _accumulate(
-    out: dict, leaves: Sequence, coeff: Sequence[tuple[int, int]]
-) -> None:
-    """Add coeff times the flat leaves (word, e, b, ...) into out, word ->
-    {exponent: integer coefficient}; coeff is a sequence of (exponent, int)
-    pairs.  Zero coefficients are kept."""
-    powers = _QMQ_POWERS
+def _accumulate(out: dict, leaves: Sequence, x: int, v: int) -> None:
+    """Add v q^x times the flat leaves (word, coefficient, ...) into out,
+    word -> {exponent: integer coefficient}.  Zero coefficients are kept."""
     it = iter(leaves)
-    for key, e, b in zip(it, it, it):
+    for key, coeff in zip(it, it):
         acc = out.get(key)
         if acc is None:
             acc = out[key] = {}
-        for d, u in powers[b]:
-            d += e
-            for x, v in coeff:
-                x += d
-                acc[x] = acc.get(x, 0) + u * v
+        for d, u in coeff:
+            d += x
+            acc[d] = acc.get(d, 0) + u * v
 
 
 # The flat `_rewrite` leaves of relabelled concatenations, keyed by h and
@@ -237,15 +239,18 @@ def _product(
     leaves come from `_PATTERNS`, keyed by h followed by the concatenated
     codes: h keeps a code tuple read at two values of h apart.  On a miss,
     `_rewrite` computes the leaves with its scan started at the join, the
-    only place an inversion can be.  Zero coefficients are kept."""
+    only place an inversion can be, and they are stored as they come.  The
+    leaves are then accumulated once per pair of coefficient terms, v1 q^x1
+    of the left word and v2 q^x2 of the right, at v1 v2 q^(x1 + x2).  Zero
+    coefficients are kept."""
     table = _PATTERNS
     h, mask = pattern.h, pattern.mask
     out: dict[Code, dict[int, int]] = {}
-    right = [(w2, c2.items()) for w2, c2 in b]
+    right = [(w2, tuple(c2.items())) for w2, c2 in b]
     for w1, c1 in a:
         left = (h, *w1)
         join = max(len(w1) - 1, 0)
-        c1 = c1.items()
+        c1 = tuple(c1.items())
         for w2, c2 in right:
             key = left + w2
             leaves = table.get(key)
@@ -254,7 +259,9 @@ def _product(
                 if len(table) >= _PATTERNS_CACHED:
                     table.clear()
                 table[key] = leaves
-            _accumulate(out, leaves, [(x1 + x2, v1 * v2) for x1, v1 in c1 for x2, v2 in c2])
+            for x1, v1 in c1:
+                for x2, v2 in c2:
+                    _accumulate(out, leaves, x1 + x2, v1 * v2)
     return out
 
 
@@ -281,7 +288,9 @@ def normalize_word(
             f"coefficient {coeff!r} of word {_decode(w, m)} is not a Laurent polynomial"
         )
     out: dict[Code, dict[int, int]] = {}
-    _accumulate(out, _rewrite(list(w), _mask(m)), tuple(coeff.items()))
+    leaves = _rewrite(list(w), _mask(m))
+    for x, v in coeff.items():
+        _accumulate(out, leaves, x, v)
     return _laurents(out, lambda w: _decode(w, m))
 
 
@@ -439,18 +448,24 @@ def _signed_permutations(l: int) -> tuple[tuple[tuple[int, ...], Laurent], ...]:
     return tuple(out)
 
 
-def quantum_minor(mi: MinorIndex) -> NCPoly:
-    """Sum over column permutations of (-q)^(-inversions) times the row-sorted
-    word; row-sorted words are already in normal form, and `MinorIndex` has
-    checked the rows and columns."""
-    b = mi.m.bit_length()
-    rows = [r << b for r in mi.rows]
-    cols = mi.cols
+def _minor(k: int, m: int, rows: Sequence[int], cols: Sequence[int]) -> NCPoly:
+    """The quantum minor on rows and columns of the k-by-m algebra, both
+    already checked as non-empty subsets of equal size within it: the sum
+    over column permutations of (-q)^(-inversions) times the row-sorted
+    word, which is already in normal form."""
+    b = m.bit_length()
+    rows = [r << b for r in rows]
     terms = {
         tuple([row | cols[s] for row, s in zip(rows, sigma)]): coeff
-        for sigma, coeff in _signed_permutations(mi.size)
+        for sigma, coeff in _signed_permutations(len(rows))
     }
-    return NCPoly._trusted(mi.k, mi.m, terms)
+    return NCPoly._trusted(k, m, terms)
+
+
+def quantum_minor(mi: MinorIndex) -> NCPoly:
+    """The quantum minor of `mi`, whose rows and columns `MinorIndex` has
+    checked."""
+    return _minor(mi.k, mi.m, mi.rows, mi.cols)
 
 
 def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
@@ -489,12 +504,15 @@ def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
 
 def plucker_realize(K: Iterable[int], k: int, n: int) -> NCPoly:
     """The coordinate labelled by the k-subset K of [1..n], realized as the
-    maximal quantum minor on rows [1..k] and columns K."""
+    maximal quantum minor on rows [1..k] and columns K of the k-by-n
+    algebra; K is checked once, here, and k must be at least 1."""
     _require_dims(k, n, "k and n")
     K = check_in_range(K, n)
     if len(K) != k:
         raise ValueError(f"need a {k}-subset, got {K}")
-    return quantum_minor(MinorIndex(tuple(range(1, k + 1)), K, k, n))
+    if not K:
+        raise ValueError("row and column sets must be non-empty of equal size")
+    return _minor(k, n, range(1, k + 1), K)
 
 
 def qplucker_relation_holds(I: Iterable[int], J: Iterable[int], k: int, n: int) -> bool:

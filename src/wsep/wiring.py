@@ -30,7 +30,7 @@ Word = tuple[int, ...]
 def parse_word(text: str) -> Word:
     """Whitespace-separated letters, each decimal digits with an optional
     "r" for red.  A token that is not one, a sign or an underscore included,
-    is a ValueError quoting it and the word; a letter 0 is a ValueError."""
+    or a letter 0, is a ValueError quoting it and the word."""
     letters = []
     for tok in text.split():
         red = tok.endswith("r")
@@ -40,9 +40,11 @@ def parse_word(text: str) -> Word:
                 f'letter "{tok}" of word "{text.strip()}" is not an integer with an optional "r"'
             )
         x = int(digits)
+        if not x:
+            raise ValueError(
+                f'letter "{tok}" of word "{text.strip()}" is 0; letter indices are 1-based'
+            )
         letters.append(-x if red else x)
-    if any(x == 0 for x in letters):
-        raise ValueError("letter indices are 1-based")
     return tuple(letters)
 
 

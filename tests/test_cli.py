@@ -211,6 +211,17 @@ class TestWiring:
         assert main(["wiring", "--word-file", str(f), *argv]) == 2
         assert capsys.readouterr() == ("", want)
 
+    @pytest.mark.parametrize("word, token", [("2 0 1", "0"), ("1 0r", "0r"), ("00", "00")])
+    def test_letter_zero_names_it_and_the_word(self, capsys, tmp_path, word, token):
+        want = f'error: letter "{token}" of word "{word}" is 0; letter indices are 1-based\n'
+        argv = ["--k", "2", "--m", "3"]
+        assert main(["wiring", "--word", word, *argv]) == 2
+        assert capsys.readouterr() == ("", want)
+        f = tmp_path / "words.txt"
+        f.write_text("1 2 1r 1\n" + word + "\n")
+        assert main(["wiring", "--word-file", str(f), *argv]) == 2
+        assert capsys.readouterr() == ("", want)
+
     def test_k_zero(self, capsys):
         code, out = run(capsys, "wiring", "--word", "1 2 1", "--k", "0", "--m", "3", "--collection")
         assert code == 0

@@ -6,15 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from wsep.laurent import Laurent, ONE, Q, Q_INV
 from wsep.subsets import MinorIndex, stieffel_subset
-from wsep import quantum
+from wsep import quantum, subsets
 from wsep.quantum import (
     NCPoly,
     _Pattern,
+    _LEAF_COEFFS,
     _accumulate,
     _laurents,
+    _leaf_coeff,
     _mask,
     _product,
-    _qmq_power,
     _rewrite,
     embedding_images,
     embedding_respects_relations,
@@ -122,16 +123,64 @@ class TestNormalize:
         with pytest.raises(ValueError, match="not a Laurent polynomial"):
             normalize_word(2, 2, [(1, 1)], 3)
 
+    def test_plucker_realize_checks_K_once(self, monkeypatch):
+        cases = [
+            ((), 0, "row and column sets must be non-empty of equal size"),
+            ((1,), 2, "need a 2-subset, got (1,)"),
+            ((1, 5), 2, "subset (1, 5) not contained in [1..4]"),
+            ((True, 2), 2, "subset element True is not an integer"),
+            ((2, 2), 2, "duplicate elements in subset (2, 2)"),
+        ]
+        for K, k, message in cases:
+            with pytest.raises(ValueError) as caught:
+                plucker_realize(K, k, 4)
+            assert str(caught.value) == message
+        for K in combinations(range(1, 7), 3):
+            p, minor = plucker_realize(K, 3, 6), quantum_minor(MinorIndex((1, 2, 3), K, 3, 6))
+            assert p == minor
+            assert list(p.terms()) == list(minor.terms())
+        # K goes through as_subset once, in check_in_range
+        calls = []
+        as_subset = subsets.as_subset
+        monkeypatch.setattr(subsets, "as_subset", lambda xs: calls.append(xs) or as_subset(xs))
+        plucker_realize((5, 2, 4), 3, 6)
+        assert calls == [(5, 2, 4)]
+
+    def test_many_term_coefficient(self):
+        word = [(3, 3), (2, 2), (1, 1), (2, 3)]
+        c = Laurent({-2: 3, 0: -1, 5: 2})
+        plain = normalize_word(3, 3, word)
+        assert len(plain) > 1
+        scaled = normalize_word(3, 3, word, c)
+        assert scaled == {w: v * c for w, v in plain.items()}
+        assert list(scaled) == list(plain)
+
     def test_deep_cross_terms_match_reference(self):
         # nine cross terms on one rewriting path: (q - q^-1)^9
         word = [(3, 3), (2, 2), (1, 1)] * 3
         assert normalize_word(3, 3, word) == normalize_word_bf(3, 3, word)
 
-    def test_qmq_powers(self):
-        power = ONE
-        for b in range(13):
-            assert Laurent(_qmq_power(b)) == power
-            power = power * (Q - Q_INV)
+    def test_leaf_coefficients(self):
+        for e in range(-3, 4):
+            power = Laurent.term(1, e)
+            for b in range(7):
+                assert Laurent(_leaf_coeff(e, b)) == power
+                assert _LEAF_COEFFS[e, b] is _leaf_coeff(e, b)
+                power = power * (Q - Q_INV)
+
+    def test_leaves_share_their_coefficients(self):
+        # leaves with equal e and b, within one rewriting and across two,
+        # hold the one table tuple of q^e (q - q^-1)^b
+        m = 3
+        word = [i << m.bit_length() | i for i in (3, 2, 1, 3, 2, 1)]
+        leaves = _rewrite(word, _mask(m)) + _rewrite(word[::-1], _mask(m))
+        coeffs = leaves[1::2]
+        for c in coeffs:
+            # q^e (q - q^-1)^b has b + 1 terms, the first at q^(e + b)
+            b = len(c) - 1
+            assert c is _LEAF_COEFFS[c[0][0] - b, b]
+        assert len({id(c) for c in coeffs}) < len(coeffs)
+        assert all(c is d for c in coeffs for d in coeffs if c == d)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -419,8 +468,10 @@ def product_by_rewrite(p, r):
     mask = _mask(p.m)
     for w1, c1 in p._t.items():
         for w2, c2 in r._t.items():
-            coeff = [(x1 + x2, v1 * v2) for x1, v1 in c1.items() for x2, v2 in c2.items()]
-            _accumulate(out, _rewrite(list(w1 + w2), mask), coeff)
+            leaves = _rewrite(list(w1 + w2), mask)
+            for x1, v1 in c1.items():
+                for x2, v2 in c2.items():
+                    _accumulate(out, leaves, x1 + x2, v1 * v2)
     return _laurents(out)
 
 

@@ -113,6 +113,15 @@ class TestWords:
             parse_word(text)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "text, token", [("2 0 1", "0"), ("1 0r", "0r"), (" 00 ", "00"), ("0 x", "0")]
+    )
+    def test_letter_zero(self, text, token):
+        message = f'letter "{token}" of word "{text.strip()}" is 0; letter indices are 1-based'
+        with pytest.raises(ValueError) as caught:
+            parse_word(text)
+        assert str(caught.value) == message
+
     def test_equal_ranks_every_shuffle_optimal(self):
         for bw in reduced_words_of_longest(3):
             for rw in reduced_words_of_longest(3):
