@@ -86,10 +86,6 @@ class Laurent:
                     del c[e]
         return Laurent._trusted(c)
 
-    def shift(self, d: int) -> "Laurent":
-        """Multiply by q^d."""
-        return Laurent._trusted({e + d: v for e, v in self._c.items()})
-
     def at_one(self) -> int:
         """Specialize q -> 1."""
         return sum(self._c.values())

@@ -325,9 +325,10 @@ class WSCollection:
         return [mask[r] for r in self.ranks()]
 
     def __contains__(self, s) -> bool:
-        t = tuple(s)
+        # a non-iterable, a bool or another non-int element is no member
         try:
-            r = self.table.rank[_to_mask(t)]
+            t = tuple(s)
+            r = self.table.rank[_subset_mask(t)]
         except (TypeError, ValueError):
             return False
         return r >= 0 and bool(self.bits >> r & 1) and self.table.subset[r] == t

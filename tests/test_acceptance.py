@@ -1,9 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest -s tests/test_acceptance.py` (or scripts/run_acceptance.py)
-to see the per-criterion lines.  All tolerances are pinned here: symbolic and
-rational checks are exact (tolerance 0), float-mode reconstruction must stay
-within relative error 1e-9.
+Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
+All tolerances are pinned here: symbolic and rational checks are exact
+(tolerance 0), float-mode reconstruction must stay within relative error 1e-9.
 """
 
 import random

@@ -66,13 +66,6 @@ def test_ring_laws(a, b, c):
     assert a * ONE == a
 
 
-@given(laurents, st.integers(-5, 5))
-def test_shift_is_multiplication_by_power(a, d):
-    p = Laurent({d: 1})
-    assert a.shift(d) == a * p
-    assert a.shift(d).shift(-d) == a
-
-
 @given(laurents, laurents)
 def test_at_one_is_ring_morphism(a, b):
     assert (a * b).at_one() == a.at_one() * b.at_one()

@@ -118,6 +118,9 @@ class TestBaseCollection:
         for k, n in [(2, 7), (3, 7)]:
             member = frozenset(base_collection(k, n).sets)
             assert set(boundary_sets(k, n)) <= member
+        c = base_collection(3, 6)
+        assert [1, 2, 3] in c
+        assert (True, 2, 3) not in c and 5 not in c
 
     def test_shares_the_table_after_eviction(self):
         # the rank table keeps the base collection, so evicting (2, 7) from
