@@ -106,6 +106,7 @@ PINS = (
     reduce_base(3, 40, 1, False, 2879, "264a774ed7769441dbcbf66dadd5267e75f6e588ab00be6708e85297a1ccddd9"),
     reduce_base(3, 40, 7, True, 4010, "f43228348c7aa0b7f46e95ac627dd5232fdae6c8fb7559f2a24ae53d3f128569"),
     reduce_base(2, 40, 1, False, 37, "4bb56c3357d47270f550d923fb179ae032ebaf5fe2371d67c7ed8510357d59af"),
+    reduce_base(2, 40, 7, True, 51, "53fdc10cb7afbaf6a058f57e7e3bb67fe1960ead26a2ed4f05f4f80ed5f4f337"),
     positivity(4, 9, "ones", "exact", None),
     positivity(5, 10, "ones", "exact", None),
     positivity(5, 10, "ratios", "exact", "d5ddd14e7efc9250cba63af4c3bc803f8a2773ac11c5535d0a31f0e2471951eb"),

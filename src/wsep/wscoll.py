@@ -11,14 +11,18 @@ from per-rank JSON fragments (`json_text`).
 A move is the pair (removes_mask, adds_mask) of its two diagonals as
 bitmasks, which alone fix it: the anchor is their intersection and the
 quad their symmetric difference.  `_sides` derives the four sides from
-the pair, or rejects a pair that is not an exchange; `Move.of`,
-`apply_move` and the replay of `reduce_to_base` all ask it.
+the pair, or rejects a pair that is not an exchange; `Move.of` and
+`_flip` ask it.  `_flip` is the one check of a move on a collection's
+`bits` (an exchange, its four sides and removed diagonal present, its
+added diagonal absent) and flips it: `apply_move` and the replay of
+`reduce_to_base` both call it.
 
 `reduce_to_base` works on ints from its ingress check to its output: the
 path is built as (removes_mask, adds_mask) pairs, the level collections of
 the construction are `bits` of the (k, m) tables, the path is replayed and
-certified on `bits`, and `Reduction.json_text` prints it from per-rank
-fragments; a `Move` is built only when a caller reads `Reduction.moves`.
+certified on `bits` (`_flip` and one separation check per move), and
+`Reduction.json_text` prints it from per-rank fragments; a `Move` is built
+only when a caller reads `Reduction.moves`.
 
 `find_moves` scans every quad of the (k, n) table for one collection.  The
 closure walk (`enumerate_component`) scans only its seed: it carries each
@@ -593,7 +597,9 @@ def find_moves(c: WSCollection) -> list[Move]:
     """All exchange moves available in c (which should be maximal), read
     from one byte per rank, so that a large table builds no bit form of its
     quads: for each anchor and quadruple with all four sides present, exactly
-    one diagonal is present in a maximal collection, and the move swaps it."""
+    one diagonal is present in a maximal collection, and the move swaps it.
+    A quad with its sides and both diagonals present raises the ValueError
+    that `apply_move` raises for it."""
     table = c.table
     has = bytearray(table.size)
     for r in c.ranks():
@@ -601,28 +607,37 @@ def find_moves(c: WSCollection) -> list[Move]:
     moves = []
     for q, (r_is, r_sj, r_jt, r_it, r_ij, r_st) in enumerate(table.quads):
         if has[r_is] and has[r_sj] and has[r_jt] and has[r_it] and (has[r_ij] or has[r_st]):
+            if has[r_ij] and has[r_st]:
+                raise ValueError(f"move target {table.subset[r_st]} already present")
             moves.append(table.quad_move(q, has[r_ij]))
     return moves
 
 
-def apply_move(c: WSCollection, mv: Move) -> WSCollection:
-    rank = c.table.rank
-    bits = c.bits
-    sides = _sides(mv.removes_mask, mv.adds_mask)
+def _flip(table: _Table, bits: int, removes: int, adds: int) -> int:
+    """The collection `bits` of the table after the move that swaps the
+    diagonal bitmasks removes for adds.  A pair that is not an exchange, an
+    absent side, an absent removes or a present adds is a ValueError."""
+    sides = _sides(removes, adds)
     if sides is None:
-        raise ValueError(f"{mv.removes} -> {mv.adds} is not an exchange of two diagonals")
+        raise ValueError(
+            f"{_from_mask(removes)} -> {_from_mask(adds)} is not an exchange of two diagonals"
+        )
+    rank = table.rank
     for m in sides:
         r = rank[m]
         if r < 0 or not bits >> r & 1:
             raise ValueError(f"move side {_from_mask(m)} absent from collection")
     # with the sides present, both diagonals are k-subsets of [1..n] too
-    removes = 1 << rank[mv.removes_mask]
-    adds = 1 << rank[mv.adds_mask]
-    if not bits & removes:
-        raise ValueError(f"move diagonal {mv.removes} absent from collection")
-    if bits & adds:
-        raise ValueError(f"move target {mv.adds} already present")
-    return WSCollection(c.table, bits ^ removes ^ adds)
+    r_out, r_in = rank[removes], rank[adds]
+    if not bits >> r_out & 1:
+        raise ValueError(f"move diagonal {_from_mask(removes)} absent from collection")
+    if bits >> r_in & 1:
+        raise ValueError(f"move target {_from_mask(adds)} already present")
+    return bits ^ (1 << r_out | 1 << r_in)
+
+
+def apply_move(c: WSCollection, mv: Move) -> WSCollection:
+    return WSCollection(c.table, _flip(c.table, c.bits, mv.removes_mask, mv.adds_mask))
 
 
 def _walk(seed: WSCollection) -> Iterator[tuple[int, int]]:
@@ -761,28 +776,18 @@ class Reduction:
         )
 
 
-def _marker(n: int) -> tuple[int, ...]:
-    return (1, n - 2, n - 1)
-
-
 def _witness(table: _Table, bits: int) -> tuple[int, bool]:
-    """(rot, refl) of the first g of `Dihedral.group` with the marker in
-    g . c, for c the collection `bits` of the table: the marker is in g . c
-    exactly when the image of its rank under g^-1 is in c."""
-    n = table.n
-    r = table.rank[_to_mask(_marker(n))]
-    if r >= 0:
-        image = table.image
-        for refl in (False, True):
-            for rot in range(n):
-                if bits >> image[(rot, True) if refl else (-rot % n, False)][r] & 1:
-                    return rot, refl
-    raise ValueError("no dihedral translate contains the near-boundary marker")
-
-
-def _prefix(k: int) -> tuple[int, ...]:
-    # anchor shared by every pinch move: {1} for triples, empty for pairs
-    return (1,) if k == 3 else ()
+    """(rot, refl) of the first g of `Dihedral.group` with the marker
+    {1, n-2, n-1} in g . c, for c the collection `bits` of a (3, n) table,
+    n >= 5: the marker is in g . c exactly when the image of its rank under
+    g^-1 is in c."""
+    n, image = table.n, table.image
+    r = table.rank[_to_mask((1, n - 2, n - 1))]
+    for refl in (False, True):
+        for rot in range(n):
+            if bits >> image[(rot, True) if refl else (-rot % n, False)][r] & 1:
+                return rot, refl
+    raise AssertionError("no dihedral translate contains the near-boundary marker")
 
 
 def _pinch_index(table: _Table, bits: int, top: int) -> int:
@@ -796,7 +801,7 @@ def _pinch_index(table: _Table, bits: int, top: int) -> int:
         r = rank[m]
         return r >= 0 and bool(bits >> r & 1)
 
-    pre = _to_mask(_prefix(k))
+    pre = 2 if k == 3 else 0  # the prefix: {1} for triples, empty for pairs
     if k == 3 and not has(_to_mask((1, top - 2, top - 1))):
         raise ValueError(f"collection lacks {{1,{top-2},{top-1}}}")
     lo = 2 if k == 3 else 1
@@ -826,33 +831,29 @@ def _pinch_down(table: _Table, bits: int, q: tuple[int, ...], moves: list) -> in
         b = _pinch_index(table, bits, top)
         a = next((x for x in range(b - 1, lo - 1, -1) if bits >> rank[pre | 1 << x | t0] & 1), None)
         if a is None:
-            raise ValueError("no companion index below the pinch index")
-        if not bits >> rank[pre | 1 << a | 1 << b] & 1:
-            raise ValueError(f"expected {_from_mask(pre | 1 << a | 1 << b)} to be present")
-        # the replay checks the sides, that removes is present and that adds is absent
+            raise AssertionError("no companion index below the pinch index")
+        # the replay checks the move: its sides, removes present and adds absent
         bits ^= 1 << rank[pre | 1 << b | t0] | 1 << rank[pre | 1 << a | t1]
         moves.append((qpre | qbit[b] | qbit[top], qpre | qbit[a] | qbit[top - 1]))
     return bits
 
 
-def _undo_moves(k: int, g: Dihedral, m: int, p: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Moves reducing g . base(k,m) to base(k,m), index x written p[x], as
-    (removes_mask, adds_mask) pairs.
+def _undo_moves(g: Dihedral, m: int, p: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Moves reducing g . base(3,m) to base(3,m), index x written p[x], as
+    (removes_mask, adds_mask) pairs.  Only k=3 takes a witness, so only k=3
+    has symmetry to undo.
 
     With g = rho^rot sigma^refl: the descent of sigma (if g reflects) written
     through p . rho^rot, then for i = rot-1, ..., 0 the descent of rho
     written through p . rho^i.  A descent takes a generator's translate of
-    base(k, top) to base(k, top) for top = m, ..., k+2, with one move per top
-    (two for a rotation at k=3)."""
+    base(3, top) to base(3, top) for top = m, ..., 5, with one move per top
+    for sigma and two for rho."""
     moves = []
     steps = [(g.rot, True)] if g.refl else []
     for i, refl in steps + [(i, False) for i in range(g.rot - 1, -1, -1)]:
         # index x -> the bit of p[rho^i(x)]
         f = (0, *(1 << x for x in p[i + 1 : m + 1]), *(1 << x for x in p[1 : i + 1]))
-        for top in range(m, k + 1, -1):
-            if k == 2:  # either generator sends the fan at 1 to the fan at 2
-                moves.append((f[2] | f[top], f[1] | f[top - 1]))
-                continue
+        for top in range(m, 4, -1):
             if not refl:
                 moves.append((f[2] | f[3] | f[top], f[1] | f[2] | f[top - 1]))
             moves.append((f[2] | f[top - 1] | f[top], f[1] | f[top - 2] | f[top - 1]))
@@ -863,67 +864,57 @@ def _moves_to_base(c: WSCollection) -> list[tuple[int, int]]:
     """Moves reducing c to the base collection, as (removes_mask, adds_mask)
     pairs in the indexing of c, one level m = n, ..., k+2 at a time.  At
     level m, `bits` is a maximal collection of the (k, m) table whose index
-    x is the input's p[x].  The witness g (the identity for k=2) puts the
-    near-boundary marker in g . c, pinch moves written through
-    q = p . g^-1 bring its height at m to 0, and stripping m leaves the
-    next level's collection, with p = q.  That leaves g^-1 . base(k, m) at
-    each level, so the undo moves follow the loop, innermost level first."""
+    x is the input's p[x].  For k=3 the witness g puts the near-boundary
+    marker in g . c, and the level is translated by it; pinch moves written
+    through q = p . g^-1 (q = p for k=2, which takes no witness) bring its
+    height at m to 0, and stripping m leaves the next level's collection,
+    with p = q.  For k=3 that leaves g^-1 . base(3, m) at each level, so the
+    undo moves follow the loop, innermost level first.  The replay, not
+    this function, checks the moves and that they land on the base."""
     k, table, bits = c.k, c.table, c.bits
-    p = tuple(range(c.n + 1))
+    p = q = tuple(range(c.n + 1))
     moves, undo = [], []
     for m in range(c.n, k + 1, -1):
-        rot, refl = _witness(table, bits) if k == 3 else (0, False)
-        image = table.image[rot, refl]
-        bits = sum(1 << image[r] for r in _from_mask(bits))
-        ginv = Dihedral(m, rot, refl).inverse()
-        q = (0, *(p[ginv.apply(x)] for x in range(1, m + 1)))
+        if k == 3:
+            rot, refl = _witness(table, bits)
+            image = table.image[rot, refl]
+            bits = sum(1 << image[r] for r in _from_mask(bits))
+            ginv = Dihedral(m, rot, refl).inverse()
+            q = (0, *(p[ginv.apply(x)] for x in range(1, m + 1)))
+            undo.append((ginv, m, p))
         bits = _pinch_down(table, bits, q, moves)
-        undo.append((ginv, m, p))
         mask, table = table.mask, _table(k, m - 1)
         rank, top = table.rank, 1 << m
         bits = sum(1 << rank[s] for s in map(mask.__getitem__, _from_mask(bits)) if not s & top)
         p = q
-    if bits.bit_count() != table.size:
-        raise ValueError("unexpected non-maximal collection at the floor")
     for ginv, m, p in reversed(undo):
-        moves += _undo_moves(k, ginv, m, p)
+        moves += _undo_moves(ginv, m, p)
     return moves
 
 
 def _replay(c: WSCollection, path: list[tuple[int, int]]) -> None:
     """Certify the path from the certified collection c to the base
-    collection on `bits`.  Each (removes, adds) pair must be an exchange
-    of two diagonals, with the four sides of `_sides`.  The four sides and
-    removes must be present and adds absent; the two rank bits are flipped, and the rank flipped in is
-    certified against the whole new collection: one AND with its crossing
-    row when `_uses_rows(c)`, else pair tests against the set of member
-    masks, kept up to date move by move, so that with c certified every
-    collection on the path is.  The last must be the base.  A failure
-    is an AssertionError naming the move: only the construction can cause
-    it."""
+    collection on `bits`.  Each (removes, adds) pair is checked and flipped
+    by `_flip`, the one move check that `apply_move` makes too, and the
+    rank flipped in is certified against the whole new collection: one AND
+    with its crossing row when `_uses_rows(c)`, else pair tests against the
+    set of member masks, kept up to date move by move, so that with c
+    certified every collection on the path is.  The last must be the base.
+    A failure is an AssertionError naming the move and, for a move `_flip`
+    rejects, its reason: only the construction can cause it."""
     table = c.table
     rank = table.rank
     bits = c.bits
     members = None if _uses_rows(c) else set(c.masks())
     for x, (removes, adds) in enumerate(path):
-        sides = _sides(removes, adds)
-        if sides is None:
-            raise _replay_error(x, path, "not an exchange of two diagonals")
-        for side in sides:
-            r = rank[side]
-            if r < 0 or not bits >> r & 1:
-                raise _replay_error(x, path, f"side {_from_mask(side)} absent from the collection")
-        # with the sides present, both diagonals are k-subsets of [1..n] too
-        r_out, r_in = rank[removes], rank[adds]
-        if not bits >> r_out & 1:
-            raise _replay_error(x, path, "the removed diagonal is absent from the collection")
-        if bits >> r_in & 1:
-            raise _replay_error(x, path, "the added diagonal is already present")
-        bits ^= 1 << r_out | 1 << r_in
+        try:
+            bits = _flip(table, bits, removes, adds)
+        except ValueError as exc:
+            raise _replay_error(x, path, str(exc)) from None
         if members is not None:
             members.remove(removes)
             members.add(adds)
-        if not _separated_from(table, bits, r_in, members):
+        if not _separated_from(table, bits, rank[adds], members):
             raise _replay_error(x, path, "the reduction produced a non-separated collection")
     if bits != table.base.bits:
         raise AssertionError("reduction did not land on the base collection")
@@ -940,14 +931,15 @@ def reduce_to_base(c: WSCollection) -> Reduction:
     """A certified sequence of exchange moves from c to the base collection.
 
     The moves follow the paper's construction (`_moves_to_base`): at each
-    level a dihedral witness and pinch moves down to the top index, found
-    and applied on the level's `bits`, then the moves that undo each
-    level's symmetry (`_undo_moves`); each is kept as the pair of its
-    diagonals' bitmasks in the indexing of c.
+    level pinch moves down to the top index, found and applied on the
+    level's `bits`; for k=3 a dihedral witness first, and after the last
+    level the moves that undo each level's symmetry (`_undo_moves`).  Each
+    move is kept as the pair of its diagonals' bitmasks in the indexing of c.
 
     c must have k in {2, 3} and k < n, and is checked by `require_maximal`;
-    then every move is replayed on `bits` (`_replay`), which with c
-    certified is a full validation of every collection on the path.  A
+    then every move is replayed on `bits` (`_replay`) with the one move
+    check, `_flip`, and a separation check of the rank it adds, which with
+    c certified is a full validation of every collection on the path.  A
     path that breaks would falsify the construction, not the input, and
     raises AssertionError.  The result's `moves` are built only when read;
     `Reduction.json_text` prints the path without them.

@@ -139,6 +139,41 @@ class TestReduceBase:
         assert out == json.dumps(red.to_json_dict(), sort_keys=True) + "\n"
         assert len(calls) == red.to_json_dict()["length"] > 0
 
+    def test_a_path_failing_its_certification_exits_3(self, capsys, tmp_path, monkeypatch):
+        import wsep.wscoll as wscoll
+
+        real = wscoll._moves_to_base
+
+        def one_move_dropped(c):
+            # a move whose added diagonal is a side of the next move
+            path = real(c)
+            x = next(x for x in range(len(path) - 1) if path[x][1] in wscoll._sides(*path[x + 1]))
+            return path[:x] + path[x + 1:]
+
+        c = translate(base_collection(3, 8), Dihedral(8, 3, True))
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(c.to_json_dict()))
+        monkeypatch.setattr(wscoll, "_moves_to_base", one_move_dropped)
+        code = main(["reduce-base", "--file", str(f)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("internal assertion failed: reduction move ")
+
+    def test_a_construction_fault_exits_3(self, capsys, tmp_path, monkeypatch):
+        import wsep.wscoll as wscoll
+
+        c = translate(base_collection(3, 8), Dihedral(8, 3, True))
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(c.to_json_dict()))
+        # every image of the marker's rank is a rank that no collection holds
+        table = c.table
+        monkeypatch.setattr(table, "image", wscoll._Lazy(lambda key: wscoll._Lazy(lambda r: table.size)))
+        code = main(["reduce-base", "--file", str(f)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        want = "internal assertion failed: no dihedral translate contains the near-boundary marker\n"
+        assert captured.err == want
+
     @pytest.mark.parametrize("k, n", [(3, 3), (2, 2)])
     def test_k_not_below_n_usage_error(self, capsys, tmp_path, k, n):
         # maximal by size, so only the check of k < n can reject it

@@ -367,6 +367,22 @@ class TestOrder:
         assert len(res.values) == 20
         assert sorted(K for K, v in res.values.items() if v == 0.0) == [(2, 3, 6), (2, 4, 6)]
 
+    def test_derivation_by_zero_stops_the_float_closure(self):
+        # the values over and under the float range make (1, 3, 5) a known
+        # 0.0 before a relation has to divide by it to derive its other
+        # diagonal: the closure stops there, with the values it has
+        c = base_collection(3, 7)
+        vals = {
+            (1, 2, 3): 1e-150, (1, 2, 4): 1e150, (1, 2, 5): 1e-250, (1, 2, 6): 1e300,
+            (1, 2, 7): 1e-200, (1, 3, 4): 1e-300, (1, 4, 5): 1e-200, (1, 5, 6): 1e200,
+            (1, 6, 7): 1e-200, (2, 3, 4): 1e-250, (3, 4, 5): 1e-200, (4, 5, 6): 1e250,
+            (5, 6, 7): 1e-300,
+        }
+        assert set(vals) == set(c.sets)
+        res = propagate(c, vals, mode="float")
+        assert not res.ok and res.witness == "division by zero at (1, 3, 5)"
+        assert res.values[(1, 3, 5)] == 0.0 and len(res.values) < 35
+
     @pytest.mark.parametrize(
         "mode, witness",
         [

@@ -221,6 +221,16 @@ class TestMoves:
                 apply_move(d, move)
             assert str(caught.value) == message
 
+    def test_find_moves_raises_what_apply_move_raises(self):
+        # the quad 1 < 3 < 4 < 5 has its four sides and both diagonals: no
+        # move swaps them, so find_moves lists none and raises
+        c = WSCollection.of(2, 6, base_collection(2, 6).sets + ((3, 5),))
+        with pytest.raises(ValueError) as applied:
+            apply_move(c, Move.of((1, 4), (3, 5)))
+        with pytest.raises(ValueError) as found:
+            find_moves(c)
+        assert str(found.value) == str(applied.value) == "move target (3, 5) already present"
+
     def test_masks_are_built_with_the_move(self):
         def masks_match(mv):
             # the two fields are the move; everything else is decoded from them
@@ -747,6 +757,66 @@ class TestHeightAndReduction:
         last = f"move {len(path)} of {len(path)}, {removes} -> {adds}"
         with pytest.raises(AssertionError, match=f"{re.escape(last)}: .*non-separated"):
             reduce_to_base(c)
+
+
+class TestReplayFailures:
+    """Each way `_replay` rejects a path, on the path of the greatest
+    collection of W(3,7) tampered; a move is named with `_flip`'s reason."""
+
+    C = max(component_of_base(3, 7))
+
+    def replay_fails(self, c, path, x, why):
+        removes, adds = (_from_mask(m) for m in path[x])
+        with pytest.raises(AssertionError) as caught:
+            wscoll._replay(c, path)
+        assert str(caught.value) == f"reduction move {x + 1} of {len(path)}, {removes} -> {adds}: {why}"
+
+    def path(self):
+        path = wscoll._moves_to_base(self.C)
+        wscoll._replay(self.C, path)
+        assert len(path) > 4
+        return path
+
+    def test_not_an_exchange(self):
+        # a side of move x in place of its added diagonal
+        path, x = self.path(), 2
+        removes, adds = path[x]
+        side = wscoll._sides(removes, adds)[0]
+        path[x] = (removes, side)
+        why = f"{_from_mask(removes)} -> {_from_mask(side)} is not an exchange of two diagonals"
+        self.replay_fails(self.C, path, x, why)
+
+    def test_side_absent(self):
+        # drop a move whose added diagonal is a side of the next move
+        path = self.path()
+        x = next(x for x in range(len(path) - 1) if path[x][1] in wscoll._sides(*path[x + 1]))
+        added = path.pop(x)[1]
+        self.replay_fails(self.C, path, x, f"move side {_from_mask(added)} absent from collection")
+
+    @pytest.mark.parametrize("tamper", ["swap", "repeat"])
+    def test_removed_diagonal_absent(self, tamper):
+        path, x = self.path(), 3
+        removes, adds = path[x]
+        if tamper == "swap":
+            path[x] = (adds, removes)
+            absent = adds
+        else:
+            path.insert(x + 1, path[x])
+            x, absent = x + 1, removes
+        self.replay_fails(self.C, path, x, f"move diagonal {_from_mask(absent)} absent from collection")
+
+    def test_added_diagonal_present(self):
+        # every collection the replay accepts is separated, and no separated
+        # collection holds a quad's sides and both its diagonals: only a
+        # start that is not separated reaches this check
+        path = self.path()
+        adds = path[0][1]
+        crossing = WSCollection(self.C.table, self.C.bits | 1 << self.C.table.rank[adds])
+        self.replay_fails(crossing, path, 0, f"move target {_from_mask(adds)} already present")
+
+    def test_not_landing_on_the_base(self):
+        with pytest.raises(AssertionError, match="^reduction did not land on the base collection$"):
+            wscoll._replay(self.C, self.path()[:-1])
 
 
 class TestJson:
