@@ -12,11 +12,12 @@ commutation relations of the algebra:
 Each step decreases the word lexicographically at its leading position, so
 rewriting terminates.  One kernel, `_rewrite`, does all of it: it always
 rewrites the leftmost inversion, keeps every pending coefficient as two
-ints, q^e (q - q^-1)^b, and returns the leaves, each normal-form word it
-reaches with the coefficient q^e (q - q^-1)^b as a tuple of (exponent, int)
-pairs.  That tuple comes from one table keyed by (e, b), `_LEAF_COEFFS`, so
-leaves with equal e and b share one tuple.  Confluence is checked by tests
-against an independent reference rewriter that picks inversions at random.
+ints, q^e (q - q^-1)^b, and returns the leaves as (word, coefficient)
+pairs, each normal-form word it reaches with the coefficient q^e (q -
+q^-1)^b as a tuple of (exponent, int) pairs.  That tuple comes from one
+table keyed by (e, b), `_LEAF_COEFFS`, so leaves with equal e and b share
+one tuple.  Confluence is checked by tests against an independent
+reference rewriter that picks inversions at random.
 
 Inside the module a letter x[i,j] is the int i << B | j, with B =
 m.bit_length() for the algebra and M = (1 << B) - 1, so int order is
@@ -28,11 +29,6 @@ encoded once, where they enter (the `NCPoly(...)` constructor, `generator`,
 leave (`terms()`, `at_one()`, `str()` and the result of
 `normalize_word`).
 
-One accumulator, `_accumulate`, adds v q^x times such leaves into a raw
-{word: {exponent: int}} map, for one term v q^x of a coefficient at a time:
-`normalize_word` calls it once per term of its coefficient, and `_product`
-once per pair of terms of its two factors' coefficients.
-
 Products go through `_product`, which works on an order-preserving
 relabelling of the rows and columns its two factors use (`_Pattern`).  The
 relations compare rows with rows and columns with columns only, so the
@@ -40,19 +36,29 @@ normal form of a relabelled word is the relabelled normal form, and many
 concatenations share one relabelled word: over all ordered Gr(3,7) pairs,
 88,200 concatenations come to 2,268 relabelled words.  A relabelled letter
 is i << h | j, h the bit length of the larger of the relabelled row and
-column counts, and a relabelled word is a tuple of such codes.  Each
-concatenation's leaves are looked up in one module table, `_PATTERNS`,
-keyed by h followed by the concatenated codes, since one code tuple reads
-as different letters at two values of h; an entry is the flat list of
-leaves (word, coefficient, ...) as `_rewrite` returns it, with nothing
-expanded or merged when it is stored (most lookups of a Gr(4,8) check
-miss, so a miss must stay cheap).  A miss computes the leaves with
-`_rewrite`, its scan started at the join, the only place an inversion can
-be.  The table holds at most `_PATTERNS_CACHED` (8,192) entries and is
-emptied when full.  `NCPoly.__mul__` decodes the words of its result once,
-and builds one `Laurent` per monomial; `quasi_commutation_exponent`
-relabels p and r once for both products and compares their raw maps by one
-exponent shift, with nothing decoded and no `Laurent` built.
+column counts, and a relabelled word is a tuple of such codes.
+`_Pattern.relabel` gives each term as (relabelled word, tuple of its
+coefficient's (exponent, int) items), read once however many products the
+term joins.  Each concatenation's leaves are looked up in one module
+table, `_PATTERNS`, keyed by h followed by the concatenated codes, since
+one code tuple reads as different letters at two values of h; an entry is
+the list of leaves as `_rewrite` returns it, with nothing expanded or
+merged when it is stored (most lookups of a Gr(4,8) check miss, so a miss
+must stay cheap).  A miss computes the leaves with `_rewrite`, its scan
+started at the join, the only place an inversion can be.  The table holds
+at most `_PATTERNS_CACHED` (8,192) entries and is emptied when full.
+
+`_product` holds the module's one accumulation loop: it adds v q^x times
+the leaves of a concatenation into a raw {word: {exponent: int}} map, for
+each term v q^x of the product of its two factors' coefficients.
+`normalize_word` is the `_product` of its coefficient (the empty word) and
+its word, relabelled by the word's own pattern, so its scan starts at
+position 0 and its table key is the relabelled word, shared with every
+concatenation that relabels to it.  `NCPoly.__mul__` decodes the words of
+its result once, and builds one `Laurent` per monomial;
+`quasi_commutation_exponent` relabels p and r once for both products and
+compares their raw maps in one pass over p*r, with nothing decoded and no
+`Laurent` built.
 
 Input is checked once, at that ingress: k and m must be ints, a letter a
 pair of int indices in range (a bool is not an int), a coefficient or a
@@ -87,11 +93,6 @@ from .subsets import (
 Gen = tuple[int, int]
 Word = tuple[Gen, ...]
 Code = tuple[int, ...]  # a word of letter codes
-
-
-def _mask(m: int) -> int:
-    """M, the column bits of a letter code in the k-by-m algebra."""
-    return (1 << m.bit_length()) - 1
 
 
 def _encode(word: Iterable[Gen], k: int, m: int) -> Code:
@@ -131,10 +132,10 @@ def _leaf_coeff(e: int, b: int) -> tuple[tuple[int, int], ...]:
 def _rewrite(word: list[int], mask: int, p: int = 0) -> list:
     """The leaves of rewriting `word`, a list of letter codes with column
     bits `mask`, which this consumes, into normal form; the letters before
-    position p are in order.  The leaves are flat: a normal-form word (a
-    tuple of codes), then its coefficient, per leaf, and the word is the sum
-    of its leaves.  A coefficient q^e (q - q^-1)^b is the `_leaf_coeff(e, b)`
-    tuple of (exponent, int) pairs, one object per (e, b).
+    position p are in order.  Each leaf is a pair (normal-form word as a
+    tuple of codes, coefficient), and the word is the sum of its leaves.  A
+    coefficient q^e (q - q^-1)^b is the `_leaf_coeff(e, b)` tuple of
+    (exponent, int) pairs, one object per (e, b).
 
     A pending word carries its e, its b and the position where the scan for
     its leftmost inversion resumes: after a swap at p the letters before p
@@ -166,26 +167,13 @@ def _rewrite(word: list[int], mask: int, p: int = 0) -> list:
             w[p + 1] = x
             if p:
                 p -= 1
-        leaves += (tuple(w), coeffs.get((e, b)) or _leaf_coeff(e, b))
+        leaves.append((tuple(w), coeffs.get((e, b)) or _leaf_coeff(e, b)))
     return leaves
 
 
-def _accumulate(out: dict, leaves: Sequence, x: int, v: int) -> None:
-    """Add v q^x times the flat leaves (word, coefficient, ...) into out,
-    word -> {exponent: integer coefficient}.  Zero coefficients are kept."""
-    it = iter(leaves)
-    for key, coeff in zip(it, it):
-        acc = out.get(key)
-        if acc is None:
-            acc = out[key] = {}
-        for d, u in coeff:
-            d += x
-            acc[d] = acc.get(d, 0) + u * v
-
-
-# The flat `_rewrite` leaves of relabelled concatenations, keyed by h and
-# the concatenated codes (see `_product`); at most `_PATTERNS_CACHED`
-# entries, and emptied when full.
+# The `_rewrite` leaves of relabelled concatenations, keyed by h and the
+# concatenated codes (see `_product`); at most `_PATTERNS_CACHED` entries,
+# and emptied when full.
 _PATTERNS: dict[Code, list] = {}
 
 
@@ -218,10 +206,11 @@ class _Pattern:
         self.rows = [0, *(r << b for r in rows)]
         self.cols = [0, *cols]
 
-    def relabel(self, t: dict[Code, Laurent]) -> list[tuple[Code, Laurent]]:
-        """Each term of t as (relabelled word, coefficient)."""
+    def relabel(self, t: dict[Code, Laurent]) -> list[tuple[Code, tuple]]:
+        """Each term of t as (relabelled word, tuple of its coefficient's
+        (exponent, int) items), read once for every product it joins."""
         code = self.code
-        return [(tuple([code[x] for x in w]), c) for w, c in t.items()]
+        return [(tuple([code[x] for x in w]), tuple(c.items())) for w, c in t.items()]
 
     def decode(self, w: Code) -> Code:
         """The algebra's letter codes of a relabelled word."""
@@ -230,28 +219,28 @@ class _Pattern:
 
 
 def _product(
-    a: list[tuple[Code, Laurent]],
-    b: list[tuple[Code, Laurent]],
+    a: list[tuple[Code, tuple]],
+    b: list[tuple[Code, tuple]],
     pattern: _Pattern,
 ) -> dict[Code, dict[int, int]]:
-    """The raw terms of the product of two normal-form term maps, both given
+    """The raw terms of the product of two normal-form term lists, both given
     by `pattern.relabel`, keyed by relabelled word.  Each concatenation's
     leaves come from `_PATTERNS`, keyed by h followed by the concatenated
     codes: h keeps a code tuple read at two values of h apart.  On a miss,
     `_rewrite` computes the leaves with its scan started at the join, the
-    only place an inversion can be, and they are stored as they come.  The
-    leaves are then accumulated once per pair of coefficient terms, v1 q^x1
-    of the left word and v2 q^x2 of the right, at v1 v2 q^(x1 + x2).  Zero
-    coefficients are kept."""
+    only place an inversion can be, and they are stored as they come.  This
+    is the module's one accumulation loop: for each pair of coefficient
+    terms, v1 q^x1 of the left word and v2 q^x2 of the right, every leaf
+    (word, q^e (q - q^-1)^b) adds v1 v2 q^(x1 + x2) times its coefficient
+    into out[word].  Zero coefficients are kept."""
     table = _PATTERNS
     h, mask = pattern.h, pattern.mask
     out: dict[Code, dict[int, int]] = {}
-    right = [(w2, tuple(c2.items())) for w2, c2 in b]
+    get = out.get
     for w1, c1 in a:
         left = (h, *w1)
         join = max(len(w1) - 1, 0)
-        c1 = tuple(c1.items())
-        for w2, c2 in right:
+        for w2, c2 in b:
             key = left + w2
             leaves = table.get(key)
             if leaves is None:
@@ -261,7 +250,15 @@ def _product(
                 table[key] = leaves
             for x1, v1 in c1:
                 for x2, v2 in c2:
-                    _accumulate(out, leaves, x1 + x2, v1 * v2)
+                    x = x1 + x2
+                    v = v1 * v2
+                    for w, coeff in leaves:
+                        acc = get(w)
+                        if acc is None:
+                            acc = out[w] = {}
+                        for d, u in coeff:
+                            d += x
+                            acc[d] = acc.get(d, 0) + u * v
     return out
 
 
@@ -280,18 +277,20 @@ def normalize_word(
     k: int, m: int, word: Iterable[Gen], coeff: Laurent = ONE
 ) -> dict[Word, Laurent]:
     """Rewrite coeff * word into normal form, returning monomial -> Laurent;
-    checked at ingress."""
+    checked at ingress.  This is the `_product` of coeff times the empty
+    word and the word, relabelled by the word's own `_Pattern`: the scan
+    starts at position 0, and the `_PATTERNS` key is the relabelled word,
+    shared with every concatenation that relabels to it."""
     _require_dims(k, m, "k and m")
     w = _encode(word, k, m)
     if not isinstance(coeff, Laurent):
         raise ValueError(
             f"coefficient {coeff!r} of word {_decode(w, m)} is not a Laurent polynomial"
         )
-    out: dict[Code, dict[int, int]] = {}
-    leaves = _rewrite(list(w), _mask(m))
-    for x, v in coeff.items():
-        _accumulate(out, leaves, x, v)
-    return _laurents(out, lambda w: _decode(w, m))
+    t = {w: ONE}
+    pattern = _Pattern(m.bit_length(), t)
+    out = _product([((), tuple(coeff.items()))], pattern.relabel(t), pattern)
+    return _laurents(out, lambda w: _decode(pattern.decode(w), m))
 
 
 class NCPoly:
@@ -469,9 +468,13 @@ def quantum_minor(mi: MinorIndex) -> NCPoly:
 
 
 def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
-    """c with r*p == q^c * (p*r), detected coefficient-wise on the raw
-    products, zeros dropped; None otherwise.  Both must be nonzero
-    `NCPoly`s of one algebra."""
+    """c with r*p == q^c * (p*r), detected in one pass over the raw terms of
+    p*r, zeros skipped; None otherwise.  c is the lowest nonzero exponent of
+    r*p minus that of p*r on the first word of p*r with a nonzero term;
+    every nonzero term of p*r must meet an equal term of r*p at its exponent
+    plus c, and the terms so matched must be all the nonzero terms of r*p.
+    A word of p*r whose r*p coefficient is absent or cancels is None.  Both
+    arguments must be nonzero `NCPoly`s of one algebra."""
     for name, x in (("p", p), ("r", r)):
         if not isinstance(x, NCPoly):
             raise ValueError(f"quasi-commutation argument {name} = {x!r} is not an NCPoly")
@@ -483,21 +486,21 @@ def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
     pr = _product(a, b, pattern)
     rp = _product(b, a, pattern)
     c = None
-    words = 0
+    matched = 0
     for w, acc in pr.items():
-        a = {e: v for e, v in acc.items() if v}
-        if not a:
-            continue
-        b = {e: v for e, v in rp.get(w, {}).items() if v}
-        if len(a) != len(b):
-            return None
-        if c is None:
-            c = min(b) - min(a)
-        for e, v in a.items():
-            if b.get(e + c) != v:
+        other = rp.get(w, {})
+        for e, v in acc.items():
+            if not v:
+                continue
+            if c is None:
+                low = min((f for f, u in other.items() if u), default=None)
+                if low is None:
+                    return None
+                c = low - min(f for f, u in acc.items() if u)
+            if other.get(e + c) != v:
                 return None
-        words += 1
-    if words != sum(1 for acc in rp.values() if any(acc.values())):
+            matched += 1
+    if matched != sum(1 for acc in rp.values() for v in acc.values() if v):
         return None
     return c
 

@@ -820,7 +820,9 @@ def _pinch_down(table: _Table, bits: int, q: tuple[int, ...], moves: list) -> in
     move swaps prefix+{b,n} for prefix+{a,n-1}, where b is the pinch index
     and a the largest smaller index with prefix+{a,n} present; it is
     appended to `moves` as (removes_mask, adds_mask) with index x written
-    q[x]."""
+    q[x].  The level is internal, so a `_pinch_index` ValueError here is a
+    construction fault: it is raised as an AssertionError naming the level
+    and the reason."""
     k, top, rank = table.k, table.n, table.rank
     qbit = [1 << x for x in q]
     pre, qpre = (2, qbit[1]) if k == 3 else (0, 0)
@@ -828,7 +830,10 @@ def _pinch_down(table: _Table, bits: int, q: tuple[int, ...], moves: list) -> in
     t0, t1 = 1 << top, 1 << (top - 1)
     inner = table.top_inner
     while bits & inner:
-        b = _pinch_index(table, bits, top)
+        try:
+            b = _pinch_index(table, bits, top)
+        except ValueError as exc:
+            raise AssertionError(f"pinch at level {top}: {exc}") from None
         a = next((x for x in range(b - 1, lo - 1, -1) if bits >> rank[pre | 1 << x | t0] & 1), None)
         if a is None:
             raise AssertionError("no companion index below the pinch index")

@@ -1,5 +1,4 @@
 import hypothesis
 
 hypothesis.settings.register_profile("default", max_examples=60, deadline=None)
-hypothesis.settings.register_profile("thorough", max_examples=400, deadline=None)
 hypothesis.settings.load_profile("default")

@@ -174,6 +174,20 @@ class TestReduceBase:
         want = "internal assertion failed: no dihedral translate contains the near-boundary marker\n"
         assert captured.err == want
 
+    def test_a_pinch_fault_exits_3(self, capsys, tmp_path, monkeypatch):
+        import wsep.wscoll as wscoll
+
+        c = translate(base_collection(3, 8), Dihedral(8, 3, True))
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(c.to_json_dict()))
+        # the identity witness leaves the level without its marker, which
+        # the pinch step finds; that is a fault of the reduction, not of the input
+        monkeypatch.setattr(wscoll, "_witness", lambda table, bits: (0, False))
+        code = main(["reduce-base", "--file", str(f)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "internal assertion failed: pinch at level 8: collection lacks {1,6,7}\n"
+
     @pytest.mark.parametrize("k, n", [(3, 3), (2, 2)])
     def test_k_not_below_n_usage_error(self, capsys, tmp_path, k, n):
         # maximal by size, so only the check of k < n can reject it

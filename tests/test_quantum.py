@@ -11,10 +11,8 @@ from wsep.quantum import (
     NCPoly,
     _Pattern,
     _LEAF_COEFFS,
-    _accumulate,
     _laurents,
     _leaf_coeff,
-    _mask,
     _product,
     _rewrite,
     embedding_images,
@@ -171,10 +169,11 @@ class TestNormalize:
     def test_leaves_share_their_coefficients(self):
         # leaves with equal e and b, within one rewriting and across two,
         # hold the one table tuple of q^e (q - q^-1)^b
-        m = 3
-        word = [i << m.bit_length() | i for i in (3, 2, 1, 3, 2, 1)]
-        leaves = _rewrite(word, _mask(m)) + _rewrite(word[::-1], _mask(m))
-        coeffs = leaves[1::2]
+        shift = 3 .bit_length()
+        mask = (1 << shift) - 1
+        word = [i << shift | i for i in (3, 2, 1, 3, 2, 1)]
+        leaves = _rewrite(word, mask) + _rewrite(word[::-1], mask)
+        coeffs = [c for _, c in leaves]
         for c in coeffs:
             # q^e (q - q^-1)^b has b + 1 terms, the first at q^(e + b)
             b = len(c) - 1
@@ -336,11 +335,69 @@ class TestQuasiCommutation:
         # coefficients that cancel to zero; they must not count as monomials
         p = gen(2, 2, 2, 2)
         r = quantum_minor(MinorIndex((1, 2), (1, 2), 2, 2))
-        pattern = _Pattern(2 .bit_length(), p._t, r._t)
-        raw = _product(pattern.relabel(p._t), pattern.relabel(r._t), pattern)
+        raw, _ = self.raw_products(p, r)
         assert any(0 in acc.values() for acc in raw.values())
         assert quasi_commutation_exponent(p, r) == quasi_commutation_bf(p, r) == 0
         assert quasi_commutation_exponent(r, p) == 0
+
+    @staticmethod
+    def raw_products(p, r):
+        pattern = _Pattern(p.m.bit_length(), p._t, r._t)
+        a, b = pattern.relabel(p._t), pattern.relabel(r._t)
+        return _product(a, b, pattern), _product(b, a, pattern)
+
+    @staticmethod
+    def assert_none_both_ways(p, r):
+        for x, y in ((p, r), (r, p)):
+            assert quasi_commutation_exponent(x, y) is None
+            assert quasi_commutation_bf(x, y) is None
+
+    def test_first_word_cancels_in_the_other_product(self):
+        # r's x[2,2] comes first, so p*r begins with x[2,1] x[2,2], at
+        # -2q + 2q^3, and r*p holds that word at 2q^2 - 2q^2: there is no
+        # lowest nonzero exponent to take c from
+        p = gen(2, 2, 2, 1).scale(Laurent.term(-1)) + gen(2, 2, 2, 2).scale(Q)
+        r = (
+            gen(2, 2, 2, 2).scale(Laurent.term(2, 1))
+            + gen(2, 2, 2, 1).scale(Laurent.term(2, 1))
+            + word_poly(2, 2, [(1, 1), (2, 2)], Laurent.term(-1))
+            + word_poly(2, 2, [(1, 2), (2, 1)], Q_INV)
+        )
+        pr, rp = self.raw_products(p, r)
+        first = next(w for w, acc in pr.items() if any(acc.values()))
+        assert pr[first] == {1: -2, 3: 2} and rp[first] == {2: 0}
+        self.assert_none_both_ways(p, r)
+
+    def test_word_cancels_on_one_side_only(self):
+        # p*r = -x11^2 + (q^2 - 1) x11 x12 + q x12^2, and in r*p the
+        # x11 x12 coefficient is q - q: both raw products hold three words
+        p = gen(2, 2, 1, 1) - gen(2, 2, 1, 2).scale(Q)
+        r = -(gen(2, 2, 1, 1) + gen(2, 2, 1, 2))
+        pr, rp = self.raw_products(p, r)
+        assert len(pr) == len(rp) == 3
+        assert list(rp.values())[1] == {1: 0}
+        self.assert_none_both_ways(p, r)
+
+    def test_words_shift_by_different_powers(self):
+        # r*p = q x11 x12 + x12^2 against p*r = x11 x12 + x12^2
+        p = gen(2, 2, 1, 1) + gen(2, 2, 1, 2)
+        r = gen(2, 2, 1, 2)
+        pr, rp = self.raw_products(p, r)
+        assert list(pr.values()) == [{0: 1}, {0: 1}]
+        assert list(rp.values()) == [{1: 1}, {0: 1}]
+        self.assert_none_both_ways(p, r)
+
+    def test_other_product_has_more_terms_on_a_word(self):
+        # both products hold the same four words, and every term of p*r
+        # meets r*p unshifted, but r*p holds x12^2 x21 x22 at q^-1 - q - q^3
+        # against -q in p*r: counting matched words, not terms, misses it
+        p = word_poly(2, 2, [(1, 1), (2, 2)]) + word_poly(2, 2, [(1, 2), (2, 1)], Q)
+        r = NCPoly.one(2, 2) - word_poly(2, 2, [(1, 2), (2, 2)])
+        pr, rp = self.raw_products(p, r)
+        assert pr.keys() == rp.keys() and len(pr) == 4
+        assert list(pr.values())[-1] == {1: -1}
+        assert rp[list(pr)[-1]] == {1: -1, -1: 1, 3: -1}
+        self.assert_none_both_ways(p, r)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -465,13 +522,17 @@ def product_by_rewrite(p, r):
     rewritten by `_rewrite` from its first letter, in the order the product
     meets them, so the terms come in the order of the table-free product."""
     out = {}
-    mask = _mask(p.m)
+    mask = (1 << p.m.bit_length()) - 1
     for w1, c1 in p._t.items():
         for w2, c2 in r._t.items():
             leaves = _rewrite(list(w1 + w2), mask)
             for x1, v1 in c1.items():
                 for x2, v2 in c2.items():
-                    _accumulate(out, leaves, x1 + x2, v1 * v2)
+                    for w, coeff in leaves:
+                        acc = out.setdefault(w, {})
+                        for d, u in coeff:
+                            d += x1 + x2
+                            acc[d] = acc.get(d, 0) + u * v1 * v2
     return _laurents(out)
 
 
@@ -572,17 +633,28 @@ class TestPatternTable:
             assert cold[I, J][0] == list(product_by_rewrite(polys[I], polys[J]).items())
 
     def test_cold_and_warm_agree_on_random_products(self):
-        rng = random.Random(11)
+        # normalize_word goes through `_product` too, keyed by its
+        # relabelled word, so its entries are shared with the products'
+        rng, word_rng = random.Random(11), random.Random(12)
         cases = []
         for _ in range(120):
             k, m = rng.randint(1, 3), rng.choice(WIDTHS)
-            cases.append((random_poly(rng, k, m), random_poly(rng, k, m)))
+            word = [
+                (word_rng.randint(1, k), word_rng.randint(1, m))
+                for _ in range(word_rng.randint(0, 6))
+            ]
+            coeff = Laurent({word_rng.randint(-2, 2): word_rng.choice([-2, 1, 3]) for _ in range(2)})
+            cases.append((random_poly(rng, k, m), random_poly(rng, k, m), (k, m, word, coeff)))
         cold = []
-        for p, r in cases:
+        for p, r, args in cases:
             quantum._PATTERNS.clear()
-            cold.append(self.ordered(p * r))
-        for (p, r), product in zip(cases, cold):
+            product = self.ordered(p * r)
+            quantum._PATTERNS.clear()
+            cold.append((product, list(normalize_word(*args).items())))
+        for (p, r, args), (product, normal) in zip(cases, cold):
             assert self.ordered(p * r) == product == list(product_by_rewrite(p, r).items())
+            assert list(normalize_word(*args).items()) == normal
+            assert dict(normal) == normalize_word_bf(*args)
 
     def test_bound_holds_and_eviction_keeps_results(self, monkeypatch):
         subsets = list(combinations(range(1, 7), 3))

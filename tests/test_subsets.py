@@ -229,6 +229,56 @@ class TestMinorExponent:
             )
 
 
+def embedding(data, size, top):
+    """(f, n): a random order-preserving map f of [1..size] into [1..n],
+    size <= n <= top, as the tuple of its images after a 0, so f[x] is the
+    image of x."""
+    n = data.draw(st.integers(size, top))
+    images = data.draw(st.lists(st.integers(1, n), min_size=size, max_size=size, unique=True))
+    return (0, *sorted(images)), n
+
+
+class TestPatternInvariance:
+    """The formula side depends only on how the indices compare: an
+    order-preserving relabelling changes no exponent and no separation."""
+
+    @given(st.data())
+    def test_plucker_pairs(self, data):
+        k = data.draw(st.integers(1, 5))
+        C = data.draw(st.integers(k, 2 * k))
+        I, J = (
+            tuple(sorted(data.draw(st.lists(st.integers(1, C), min_size=k, max_size=k, unique=True))))
+            for _ in range(2)
+        )
+        f, _ = embedding(data, C, 16)
+        fI, fJ = tuple(f[x] for x in I), tuple(f[x] for x in J)
+        assert plucker_exponent(fI, fJ) == plucker_exponent(I, J)
+        assert weakly_separated(fI, fJ) == weakly_separated(I, J)
+
+    @given(st.data())
+    def test_minor_pairs(self, data):
+        # rows and columns that neither minor uses are embedded too
+        R, C = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+
+        def index():
+            l = data.draw(st.integers(1, min(R, C)))
+            rows, cols = (
+                data.draw(st.lists(st.integers(1, top), min_size=l, max_size=l, unique=True))
+                for top in (R, C)
+            )
+            return MinorIndex(rows, cols, R, C)
+
+        p, r = index(), index()
+        (f, k), (g, m) = embedding(data, R, 6), embedding(data, C, 10)
+
+        def image(mi):
+            return MinorIndex([f[x] for x in mi.rows], [g[x] for x in mi.cols], k, m)
+
+        assert minor_exponent(image(p), image(r)) == minor_exponent(p, r)
+        stieffel = weakly_separated(stieffel_subset(p), stieffel_subset(r))
+        assert weakly_separated(stieffel_subset(image(p)), stieffel_subset(image(r))) == stieffel
+
+
 class TestDihedral:
     def test_rotation_example(self):
         assert Dihedral(6, 1).apply_subset((1, 2, 4)) == (2, 3, 5)
