@@ -95,6 +95,29 @@ for I, J in list(product(subsets, subsets))[::97]:
 print(f"{agree} ordered pairs agree")
 """
 
+# the paper's criterion at k = 4 for every n: the exponent of a Pluecker pair depends only on how I
+# and J interleave (tests/test_subsets.py::TestPatternInvariance), and each ordered pattern has one
+# representative with I | J = [1..C], C = 4..8, in Gr(4, C): sum C(C,4) C(4,8-C) = 321 of them
+GR4_PATTERNS = """from itertools import combinations
+from wsep.quantum import plucker_realize, quasi_commutation_exponent
+from wsep.subsets import plucker_exponent, weakly_separated
+agree = total = 0
+for C in range(4, 9):
+    for I in combinations(range(1, C + 1), 4):
+        rest = tuple(x for x in range(1, C + 1) if x not in I)
+        for shared in combinations(I, 8 - C):
+            J = tuple(sorted(rest + shared))
+            c = quasi_commutation_exponent(plucker_realize(I, 4, C), plucker_realize(J, 4, C))
+            agree += c == plucker_exponent(I, J) and (c is not None) == weakly_separated(I, J)
+            total += 1
+print(f"{agree} of {total} interleaving patterns agree")
+"""
+
+# the first 200 states of the walk from base(6,12); the RSS bound guards the walk's per-table state,
+# which is linear in the 34,650 exchange relations
+WALK_START = ("import itertools; from wsep import wscoll; from wsep.wscoll import base_collection; "
+              "print(sum(1 for _ in itertools.islice(wscoll._walk(base_collection(6, 12)), 200)))")
+
 PINS = (
     Pin("readme-blocks", ("-c", README_BLOCKS)),
     Pin("purity-sweep", ("scripts/purity_sweep.py", "200", "0")),
@@ -124,6 +147,8 @@ PINS = (
         60, "True 15625 ordered pairs agree\n", rss_mb=40),
     Pin("enumerate-4-9", (*CLI, "enumerate", "--k", "4", "--n", "9"), 60,
         sha256="6bce9640de2ade27f5d04f49aea7440847a75e844476cbab3f9ed3185cc63051", rss_mb=120),
+    Pin("gr4-patterns", ("-c", GR4_PATTERNS), 60, "321 of 321 interleaving patterns agree\n", rss_mb=60),
+    Pin("walk-6-12-start", ("-c", WALK_START), 30, "200\n", rss_mb=80),
 )
 
 # Runs argv[2:] and writes its peak RSS in KB to the file argv[1].  On Linux an exec'd child's

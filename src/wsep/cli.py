@@ -88,7 +88,10 @@ def _load_values(path: str, n: int) -> dict:
         raise ValueError("a values file must be a JSON object mapping subsets to rationals")
     out = {}
     for key, val in data.items():
-        K = json.loads(key)
+        try:
+            K = json.loads(key)
+        except json.JSONDecodeError:
+            K = None
         if not (isinstance(K, list) and all(map(_is_int, K))):
             raise ValueError(f"value key {key!r} is not a JSON array of integers")
         K = check_in_range(K, n)

@@ -27,10 +27,11 @@ only when a caller reads `Reduction.moves`.
 `find_moves` scans every quad of the (k, n) table for one collection.  The
 closure walk (`enumerate_component`) scans only its seed: it carries each
 collection's moves as its live-move set, one int over the quad indices,
-and after a move re-tests only the quads through the diagonal it added.
-Each rank table also holds crossing rows, `crossing[r]` the int of the
-ranks not weakly separated from rank r, so that "r is separated from every
-member" is one AND.  The k=3 lift generator certifies every lift with them.
+and after a move re-tests only the quads through the diagonal it added,
+read from the per-rank index `through`, so its state is linear in the
+quads.  Each rank table also holds crossing rows, `crossing[r]` the int of
+the ranks not weakly separated from rank r, so that "r is separated from
+every member" is one AND.  The k=3 lift generator certifies every lift.
 
 A maximal collection is one that is separated and whose every non-member
 crosses some member.  By purity (Oh-Postnikov-Speyer, arXiv:1109.4434;
@@ -110,7 +111,7 @@ class _Table:
     The table is the one holder of what is built per (k, n): besides the
     ranks and rows, the exchange quads (`quads`, six ranks each, which are
     the exchange relations `propagate` evaluates and from which the walk's
-    bit forms `quad_tests` and `steps` are built), the base collection
+    bit forms `quad_tests` and `through` are built), the base collection
     (`base`) and the int of the ranks that count towards `height` (`top_inner`).
     All of it goes with the table, once `_table` (the 32 most recently used)
     has evicted it and no collection refers to it.
@@ -180,29 +181,26 @@ class _Table:
 
     @cached_property
     def quad_tests(self) -> tuple:
-        """(side bits, diagonal bits, 1 << q) for each quad index q, from its ranks."""
+        """(side bits, diagonal bits, q) for each quad index q, from its ranks."""
         return tuple(
-            (1 << r_is | 1 << r_sj | 1 << r_jt | 1 << r_it, 1 << r_ij | 1 << r_st, 1 << q)
+            (1 << r_is | 1 << r_sj | 1 << r_jt | 1 << r_it, 1 << r_ij | 1 << r_st, q)
             for q, (r_is, r_sj, r_jt, r_it, r_ij, r_st) in enumerate(self.quads)
         )
 
     @cached_property
-    def steps(self) -> tuple:
-        """Per quad index q, the bits the walk needs to apply its move, from
-        its ranks: (the diagonal bits, the bit of anchor+{i,j}, the int of
-        the quad indices whose six sets avoid both diagonals, the `quad_tests`
-        of the quads through anchor+{s,t}, and of those through anchor+{i,j})."""
-        through = {}  # rank -> quad_tests of the quads whose six sets hold it
+    def through(self) -> list:
+        """Per rank r, the quads whose six sets hold r: (the int over their
+        indices, their `quad_tests` in index order), or None if there are none."""
+        tests = [[] for _ in range(self.size)]
         for ranks, test in zip(self.quads, self.quad_tests):
             for r in ranks:
-                through.setdefault(r, []).append(test)
-        # rank -> (int over the quad indices through it, their tests)
-        through = {r: (sum(t[2] for t in tests), tuple(tests)) for r, tests in through.items()}
-        out = []
-        for (*_, r_ij, r_st), (_, diags, _) in zip(self.quads, self.quad_tests):
-            (touch_ij, via_ij), (touch_st, via_st) = through[r_ij], through[r_st]
-            out.append((diags, 1 << r_ij, ~(touch_ij | touch_st), via_st, via_ij))
-        return tuple(out)
+                tests[r].append(test)
+        for r, ts in enumerate(tests):
+            bits = bytearray(len(self.quads) + 7 >> 3)  # adding up each 1 << q is quadratic
+            for _, _, q in ts:
+                bits[q >> 3] |= 1 << (q & 7)
+            tests[r] = (int.from_bytes(bits, "little"), tuple(ts)) if ts else None
+        return tests
 
     def live(self, bits: int, tests) -> int:
         """The int over the quad indices of `tests` whose four sides and
@@ -210,14 +208,13 @@ class _Table:
         A quad with its sides and both diagonals present raises the
         ValueError that `apply_move` raises for it."""
         out = 0
-        for sides, diags, qbit in tests:
+        for sides, diags, q in tests:
             if bits & sides == sides:
                 d = bits & diags
                 if d == diags:
-                    st = self.quads[qbit.bit_length() - 1][5]
-                    raise ValueError(f"move target {self.subset[st]} already present")
+                    raise ValueError(f"move target {self.subset[self.quads[q][5]]} already present")
                 if d:
-                    out |= qbit
+                    out |= 1 << q
         return out
 
     @cached_property
@@ -658,13 +655,14 @@ def _walk(seed: WSCollection) -> Iterator[tuple[int, int]]:
     neighbour of a collection at distance d from the seed is at distance
     d - 1, d or d + 1, and only those three levels are kept to recognise
     collections already seen.  A queued collection keeps its parent's
-    moves and the quads to re-test, and its own moves are derived when it
-    is taken from the queue.
+    moves, the int of the quads that avoid both diagonals of its move and
+    the quads to re-test, both read from `through` for the two diagonals;
+    its own moves are derived when it is taken from the queue.
     """
     table = seed.table
-    steps, live = table.steps, table.live
+    quads, quad_tests, through, live = table.quads, table.quad_tests, table.through, table.live
     older, current = set(), {seed.bits}
-    level = [(seed.bits, 0, 0, table.quad_tests)]
+    level = [(seed.bits, 0, 0, quad_tests)]
     while level:
         following, queued = set(), []
         for bits, inherited, kept, tests in level:
@@ -674,12 +672,14 @@ def _walk(seed: WSCollection) -> Iterator[tuple[int, int]]:
             while rest:
                 low = rest & -rest
                 rest ^= low
-                diags, ij, keep, via_st, via_ij = steps[low.bit_length() - 1]
-                nxt = bits ^ diags
+                q = low.bit_length() - 1
+                nxt = bits ^ quad_tests[q][1]
                 if nxt in following or nxt in current or nxt in older:
                     continue
                 following.add(nxt)
-                queued.append((nxt, moves, keep, via_ij if nxt & ij else via_st))
+                _, _, _, _, r_ij, r_st = quads[q]
+                (touch_ij, via_ij), (touch_st, via_st) = through[r_ij], through[r_st]
+                queued.append((nxt, moves, ~(touch_ij | touch_st), via_ij if nxt >> r_ij & 1 else via_st))
         older, current, level = current, following, queued
 
 

@@ -593,6 +593,13 @@ class TestBooleanIngress:
         line = self.positivity(capsys, tmp_path, vals)
         assert line == "error: value key '[true, 2, 3]' is not a JSON array of integers"
 
+    @pytest.mark.parametrize("key", ["[1, 2", "abc"])
+    def test_value_key_not_json(self, capsys, tmp_path, key):
+        vals = self.ones()
+        vals[key] = vals.pop("[1, 2, 3]")
+        line = self.positivity(capsys, tmp_path, vals)
+        assert line == f"error: value key {key!r} is not a JSON array of integers"
+
     def test_float_overflow(self, capsys, tmp_path):
         vals = {**self.ones(), "[1, 2, 4]": "1e400"}
         line = self.positivity(capsys, tmp_path, vals, "--mode", "float")

@@ -345,20 +345,36 @@ class TestQuads:
             assert type(ranks) is tuple and len(ranks) == 6
             assert all(type(r) is int for r in ranks)
             assert tuple(table.subset[r] for r in ranks) == sets
-            sides, diags, qbit = table.quad_tests[q]
+            sides, diags, index = table.quad_tests[q]
             assert sides == sum(1 << r for r in ranks[:4])
-            assert diags == 1 << ranks[4] | 1 << ranks[5] and qbit == 1 << q
+            assert diags == 1 << ranks[4] | 1 << ranks[5] and index == q
             for forward, removes, adds in ((True, sets[4], sets[5]), (False, sets[5], sets[4])):
                 mv, checked = table.quad_move(q, forward), Move.of(removes, adds)
                 assert mv == checked and vars(mv) == vars(checked)
                 assert (mv.anchor, mv.quad, mv.sides) == (anchor, (i, s, j, t), sets[:4])
 
+    @pytest.mark.parametrize("k, n", [(2, 6), (3, 7), (4, 8), (1, 5)])
+    def test_through_matches_listing(self, k, n):
+        table = _table(k, n)
+        sets = [s for *_, s in quads_bf(k, n)]
+        assert len(table.through) == table.size
+        for r in range(table.size):
+            qs = [q for q, six in enumerate(sets) if table.subset[r] in six]
+            if not qs:
+                assert table.through[r] is None
+                continue
+            touch, tests = table.through[r]
+            assert touch == sum(1 << q for q in qs)
+            assert len(tests) == len(qs) and all(t is table.quad_tests[q] for t, q in zip(tests, qs))
+        assert all(e is None for e in table.through) == (k < 2)
+
     def test_find_moves_builds_no_bit_form(self):
-        # the walk's quad_tests hold a q-bit int per quad: 4 GB at (7, 14)
+        # the walk's quad_tests hold C(n, k)-bit side ints per quad, and
+        # through an int over the quad indices per rank
         base = base_collection(5, 10)
         table = wscoll._Table(5, 10)
         assert find_moves(WSCollection(table, base.bits)) == find_moves(base)
-        assert "quad_tests" not in vars(table) and "steps" not in vars(table)
+        assert "quad_tests" not in vars(table) and "through" not in vars(table)
 
 
 class TestIncrementalWalk:
