@@ -130,8 +130,8 @@ PINS = (
     reduce_base(3, 40, 7, True, 4010, "f43228348c7aa0b7f46e95ac627dd5232fdae6c8fb7559f2a24ae53d3f128569"),
     reduce_base(2, 40, 1, False, 37, "4bb56c3357d47270f550d923fb179ae032ebaf5fe2371d67c7ed8510357d59af"),
     reduce_base(2, 40, 7, True, 51, "53fdc10cb7afbaf6a058f57e7e3bb67fe1960ead26a2ed4f05f4f80ed5f4f337"),
-    positivity(4, 9, "ones", "exact", None),
-    positivity(5, 10, "ones", "exact", None),
+    positivity(4, 9, "ones", "exact", "95bd4282e63ed0dd1eb3a0331348a37d1bdd5aee0b9b81aa2712af29b061bfa2"),
+    positivity(5, 10, "ones", "exact", "7062a69660c5210f19229d77e8c782fcc3e93ff52d83aab1f1c16e4fbcd3d930"),
     positivity(5, 10, "ratios", "exact", "d5ddd14e7efc9250cba63af4c3bc803f8a2773ac11c5535d0a31f0e2471951eb"),
     positivity(6, 12, "ratios", "exact", "da1c9e79bdbeb74fbc5d81602c8bb49ff3b0c6ef651ea699e031f93665c25fc3"),
     positivity(5, 10, "ratios", "float", "9343cfaef10f91367f72f047e5efe494d09ec0cfca59a746bc063482776526ba"),

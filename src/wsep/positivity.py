@@ -23,15 +23,19 @@ weakly separated members, which by purity is the same as maximal.  Anything
 else is a ValueError, because the relations need not reach every k-subset
 from it.  So is a member value that is not a finite real number (a str is
 not parsed, a bool is not a number, and an inf or a NaN, float or
-`Decimal`, is turned away before the sign test) or not positive.  Exact
-mode converts each member value with `Fraction` at ingress, so an int or
-float input is read as the rational it stands for.  It then runs on ints:
-each value is a reduced numerator and positive denominator, in two lists
-indexed by subset rank.  A derivation combines the ints of its relation
-and reduces the result once, by building its `Fraction`; a check is one
-integer cross-multiplication.  Each value's `Fraction` is built once, at
-ingress or at derivation, and kept for the returned values and witness
-texts in the list that holds the floats in float mode.
+`Decimal`, is turned away before the sign test) or not positive, and in
+float mode one too large for a float.  Each member value is read once: a
+value whose type is exactly int or `Fraction` is a finite real number, so
+it skips the type checks, and its sign is tested directly.  Exact mode
+keeps a `Fraction` as it is and converts any other value with `Fraction`,
+so an int or float input is read as the rational it stands for.  It then
+runs on ints: each value is a reduced numerator and positive denominator,
+in two lists indexed by subset rank.  A derivation combines the ints of its
+relation and reduces the result once, by building its `Fraction`; a check
+is one integer cross-multiplication, and builds a `Fraction` only for the
+witness of a failure.  Each value's `Fraction` is built once, at ingress or
+at derivation, and kept for the returned values and witness texts in the
+list that holds the floats in float mode.
 
 A relation is named by its id 2*q + d: q is its quad index in the rank
 table, and d is 0 when it derives anchor+{s,t} from anchor+{i,j} and 1 the
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
-from math import isfinite
+from math import inf, isfinite
 from numbers import Rational, Real
 from typing import Iterable, Mapping
 
@@ -138,7 +142,8 @@ def propagate(
     check every relation on the result.  Re-derivations of an already-known
     value must agree (exactly, or within rel_tol in float mode).  A
     collection that is not maximal, or a member value that is not a
-    finite positive real number, is a ValueError.
+    finite positive real number (in float mode, one that a float holds),
+    is a ValueError.
 
     One list holds the quads not yet handled, in index order, and each
     pass walks it.  A quad whose four sides and one diagonal are known (a
@@ -155,8 +160,11 @@ def propagate(
     id and every value.  A division by zero in a derivation returns at once.
 
     Exact mode runs on reduced int numerator/denominator pairs: a derived
-    value is reduced once, by its `Fraction`, and a check is one integer
-    cross-multiplication."""
+    value is reduced once, by its `Fraction`.  A quad found with its six
+    values known is checked as relation 2q, D[ij] D[st] = D[is] D[jt] +
+    D[it] D[sj], cleared of its denominators: one integer
+    cross-multiplication, and a `Fraction` for the witness only if it
+    fails."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
     require_maximal(c)
@@ -170,18 +178,28 @@ def propagate(
         if s not in vals:
             raise ValueError(f"no value supplied for member {s}")
         v = vals[s]
-        if isinstance(v, bool) or not isinstance(v, (Real, Decimal)) or not _finite(v):
+        kind = type(v)
+        if kind is not int and kind is not Fraction and (
+            isinstance(v, bool) or not isinstance(v, (Real, Decimal)) or not _finite(v)
+        ):
             raise ValueError(f"value for {s} is not a rational number")
-        if not v > 0:
+        # a Fraction's denominator is positive: its sign is its numerator's
+        if not (v.numerator if kind is Fraction else v) > 0:
             raise ValueError(f"value for {s} is not positive")
         if exact:
-            try:
-                v = Fraction(v)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"value for {s} is not a rational number") from None
+            if kind is not Fraction:
+                try:
+                    v = Fraction(v)
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(f"value for {s} is not a rational number") from None
             num[r], den[r] = v.numerator, v.denominator
         else:
-            v = float(v)
+            try:
+                v = float(v)
+            except OverflowError:  # an int or Fraction; a Decimal goes to inf
+                v = inf
+            if v == inf:
+                raise ValueError(f"value for {s} is too large for float mode")
         value[r], has[r] = v, 1
 
     def close(a, b) -> bool:
@@ -215,26 +233,30 @@ def propagate(
                 left.append(q)
                 continue
             known_both = has[rm] and has[add]
-            # derives (or checks) the other diagonal: anchor+{s,t} for d = 0
-            rel = 2 * q + (not has[rm])
-            if rel & 1:
-                rm, add = add, rm
             if exact:
-                # top / bot = (is*jt + it*sj) / rm, each value read as num / den
-                d_is_jt, d_it_sj = den[r_is] * den[r_jt], den[r_it] * den[r_sj]
-                top = (num[r_is] * num[r_jt] * d_it_sj + num[r_it] * num[r_sj] * d_is_jt) * den[rm]
-                bot = d_is_jt * d_it_sj * num[rm]
+                n_is, n_sj, n_jt, n_it = num[r_is], num[r_sj], num[r_jt], num[r_it]
+                d_is, d_sj, d_jt, d_it = den[r_is], den[r_sj], den[r_jt], den[r_it]
+                # D[is] D[jt] + D[it] D[sj] = sides / d_sides
+                d_is_jt, d_it_sj = d_is * d_jt, d_it * d_sj
+                sides, d_sides = n_is * n_jt * d_it_sj + n_it * n_sj * d_is_jt, d_is_jt * d_it_sj
                 if known_both:
-                    if num[add] * bot != top * den[add] and rel < failed:
-                        failed = rel
-                        why = (
+                    # relation 2q, D[ij] D[st] = sides / d_sides, by one
+                    # cross-multiplication: rm, add = ij, st
+                    if num[rm] * num[add] * d_sides != sides * den[rm] * den[add] and 2 * q < failed:
+                        failed, why = 2 * q, (
                             f"inconsistent re-derivation of {subset[add]}: "
-                            f"{value[add]} vs {Fraction(top, bot)}"
+                            f"{value[add]} vs {Fraction(sides * den[rm], d_sides * num[rm])}"
                         )
                     continue
-                v = value[add] = Fraction(top, bot)
+                if not has[rm]:  # relation 2q + 1 derives anchor+{i,j}
+                    rm, add = add, rm
+                v = value[add] = Fraction(sides * den[rm], d_sides * num[rm])
                 num[add], den[add] = v.numerator, v.denominator
             else:
+                # derives (or checks) the other diagonal: anchor+{s,t} for d = 0
+                rel = 2 * q + (not has[rm])
+                if rel & 1:
+                    rm, add = add, rm
                 done = None  # the direction a derivation checked
                 if not known_both:
                     if not value[rm]:

@@ -16,8 +16,17 @@ from typing import Iterable
 
 def as_subset(xs: Iterable[int]) -> tuple[int, ...]:
     """Canonical form: strictly increasing tuple; rejects duplicates and
-    elements that are not ints (a bool is not the int it equals)."""
+    elements that are not ints (a bool is not the int it equals).  Input
+    that is already canonical (plain ints, strictly increasing from 1) comes
+    back after one pass; only other input is sorted and checked."""
     t = tuple(xs)
+    prev = 0
+    for x in t:
+        if type(x) is not int or x <= prev:
+            break
+        prev = x
+    else:
+        return t
     for x in t:
         if not _is_int(x):
             raise ValueError(f"subset element {x!r} is not an integer")
@@ -271,7 +280,11 @@ class Dihedral:
 
 def diameter(K: Iterable[int], n: int) -> int:
     """Minimal length of a cyclic interval of [1..n] containing K."""
-    t = check_in_range(K, n)
+    return _diameter(check_in_range(K, n), n)
+
+
+def _diameter(t: tuple[int, ...], n: int) -> int:
+    """`diameter` of a subset that `check_in_range` has returned."""
     if not t:
         raise ValueError("diameter of the empty set is undefined")
     best_gap = max(
@@ -283,4 +296,4 @@ def diameter(K: Iterable[int], n: int) -> int:
 def is_boundary(K: Iterable[int], n: int) -> bool:
     """K consists of |K| cyclically consecutive indices."""
     t = check_in_range(K, n)
-    return diameter(t, n) == len(t)
+    return _diameter(t, n) == len(t)

@@ -272,7 +272,11 @@ class WSCollection:
     @staticmethod
     def of(k: int, n: int, sets: Iterable[Iterable[int]]) -> "WSCollection":
         """Check and canonicalise members given as iterables of ints; a
-        repeated member is an error."""
+        repeated member is an error.  A member of k distinct plain ints in
+        [1..n], in any order, goes to its bitmask in one pass; any other
+        goes through `check_in_range`, which names its fault or accepts it
+        (an int subclass), and then has its size checked.  The first faulty
+        member is the one named."""
         _require_dims(k, n, "k and n")
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k} and n={n}")
@@ -280,12 +284,21 @@ class WSCollection:
         rank = table.rank
         ranks = set()
         for s in sets:
-            t = check_in_range(s, n)
-            if len(t) != k:
-                raise ValueError(f"{t} is not a {k}-subset")
-            r = rank[_to_mask(t)]
+            t = tuple(s)
+            m = 0
+            for x in t:
+                if type(x) is not int or not 0 < x <= n:
+                    m = 0  # t is not empty, so a zero mask sends it to check_in_range
+                    break
+                m |= 1 << x
+            if len(t) != k or m.bit_count() != k:
+                t = check_in_range(t, n)
+                if len(t) != k:
+                    raise ValueError(f"{t} is not a {k}-subset")
+                m = _to_mask(t)
+            r = rank[m]
             if r in ranks:
-                raise ValueError(f"{t} appears more than once in the collection")
+                raise ValueError(f"{table.subset[r]} appears more than once in the collection")
             ranks.add(r)
         c = _Unbuilt.__new__(_Unbuilt)
         c.k, c.n, c.table = k, n, table
@@ -388,7 +401,7 @@ class WSCollection:
                 raise ValueError(f'"{key}" must be an integer, got {str(d[key]).lower()}')
         sets = d["sets"]
         if not isinstance(sets, list) or not all(
-            isinstance(t, list) and all(map(_is_int, t)) for t in sets
+            isinstance(t, list) and all(type(x) is int or _is_int(x) for x in t) for t in sets
         ):
             raise ValueError('"sets" must be a list of lists of integers')
         return WSCollection.of(d["k"], d["n"], sets)

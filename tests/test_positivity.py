@@ -475,6 +475,89 @@ class TestExactIngress:
         assert propagate(SQUARE, vals, mode=mode).ok
 
 
+@pytest.mark.parametrize("big", [10**400, Fraction(10**400, 3), Decimal("1e400")], ids=["int", "Fraction", "Decimal"])
+def test_float_mode_value_too_large_for_a_float(big):
+    c = base_collection(2, 5)
+    vals = {K: Fraction(1) for K in c.sets}
+    vals[(1, 2)] = big
+    for f in (propagate, positivity_test):
+        with pytest.raises(ValueError) as caught:
+            f(c, vals, mode="float")
+        assert str(caught.value) == "value for (1, 2) is too large for float mode"
+    assert propagate(c, vals).ok
+
+
+class FractionSub(Fraction):
+    """A `Fraction` subclass, which ingress reads as the `Fraction` it equals."""
+
+
+# each kind turns a rational with an exact binary expansion (an integer,
+# for int) into the value of that type which stands for it
+KINDS = {
+    "int": int,
+    "Fraction": Fraction,
+    "Fraction subclass": FractionSub,
+    "Decimal": lambda x: Decimal(x.numerator) / Decimal(x.denominator),
+    "float": float,
+}
+
+
+class TestIngressParity:
+    """A member value of type int, `Fraction`, a `Fraction` subclass,
+    `Decimal` or float is read as the number it stands for, in both modes:
+    the same values and witness, and the same error for a value that is not
+    positive."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("kind", KINDS, ids=str)
+    def test_same_values(self, mode, kind):
+        c = base_collection(3, 7)
+        for halves in (False, True):
+            # halves: no int stands for x / 2, so int reads the integer x
+            base = {K: Fraction(r + 2, 2 if halves and kind != "int" else 1) for r, K in enumerate(c.sets)}
+            want = propagate(c, base, mode=mode)
+            res = propagate(c, {K: KINDS[kind](v) for K, v in base.items()}, mode=mode)
+            assert res == want and res.ok
+            assert all(type(v) is (Fraction if mode == "exact" else float) for v in res.values.values())
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_mixed_kinds(self, mode):
+        c = base_collection(3, 7)
+        kinds = list(KINDS.values())
+        base = {K: Fraction(r + 2) for r, K in enumerate(c.sets)}
+        mixed = {K: kinds[r % len(kinds)](v) for r, (K, v) in enumerate(base.items())}
+        assert propagate(c, mixed, mode=mode) == propagate(c, base, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("kind", KINDS, ids=str)
+    def test_same_witness(self, monkeypatch, mode, kind):
+        # the swapped sides of test_least_failing_relation_is_the_witness
+        c = base_collection(2, 6)
+        base = {K: Fraction(2 * r + 2) for r, K in enumerate(c.sets)}
+        quads = list(c.table.quads)
+        r_is, r_sj, *rest = quads[1]
+        quads[1] = (r_sj, r_is, *rest)
+        monkeypatch.setattr(c.table, "quads", tuple(quads))
+        want = propagate(c, base, mode=mode)
+        res = propagate(c, {K: KINDS[kind](v) for K, v in base.items()}, mode=mode)
+        assert not want.ok and res == want
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize(
+        "kind, bad",
+        [(kind, bad) for kind in KINDS for bad in (Fraction(0), Fraction(-1), Fraction(-3, 2))
+         if kind != "int" or bad.denominator == 1],
+        ids=str,
+    )
+    def test_same_error(self, mode, kind, bad):
+        vals = {K: Fraction(1) for K in SQUARE.sets}
+        vals[(1, 3)] = KINDS[kind](bad)
+        for f in (propagate, positivity_test):
+            with pytest.raises(ValueError) as caught:
+                f(SQUARE, vals, mode=mode)
+            assert str(caught.value) == "value for (1, 3) is not positive"
+
+
 class TestVerdicts:
     def test_positive_point_verdict(self):
         pv = vandermonde_point([2, 3, 5, 7, 11, 13], 3).plucker_vector()

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from wsep import subsets
 from wsep.subsets import (
     Dihedral,
     MinorIndex,
@@ -356,6 +357,26 @@ class TestDiameter:
                 for K in combinations(range(1, n + 1), k):
                     assert diameter(K, n) == diameter_bf(K, n), (K, n)
 
+    def test_messages(self):
+        for f in (diameter, is_boundary):
+            for K, message in [
+                ((1, 9), "subset (1, 9) not contained in [1..8]"),
+                ((2, 2), "duplicate elements in subset (2, 2)"),
+                ((0, 2), "subset elements must be >= 1, got (0, 2)"),
+                ((1, 2.0), "subset element 2.0 is not an integer"),
+                ((), "diameter of the empty set is undefined"),
+            ]:
+                with pytest.raises(ValueError) as caught:
+                    f(K, 8)
+                assert str(caught.value) == message
+
+    def test_is_boundary_checks_once(self, monkeypatch):
+        calls = []
+        check = subsets.check_in_range
+        monkeypatch.setattr(subsets, "check_in_range", lambda K, n: calls.append(K) or check(K, n))
+        assert is_boundary((8, 1, 2), 8) and not is_boundary([1, 3, 4], 8)
+        assert calls == [(8, 1, 2), [1, 3, 4]]
+
 
 class TestParsing:
     def test_round_trip(self):
@@ -384,6 +405,33 @@ class TestParsing:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             as_subset((1, 1, 2))
+
+    def test_canonical_input_is_returned_as_is(self):
+        for t in [(), (1,), (1, 2, 3), (2, 5, 9), (1, 10**9)]:
+            assert as_subset(t) is t
+            assert as_subset(list(t)) == t and as_subset(iter(t)) == t
+
+    def test_other_input_is_sorted_and_checked(self):
+        class Int(int):
+            pass
+
+        assert as_subset((3, 1, 2)) == (1, 2, 3)
+        assert as_subset([Int(2), 1]) == (1, 2)
+        assert as_subset({5, 1}) == (1, 5)
+        for bad, message in [
+            ((1, 1), "duplicate elements in subset (1, 1)"),
+            ((3, 1, 3), "duplicate elements in subset (1, 3, 3)"),
+            ((0,), "subset elements must be >= 1, got (0,)"),
+            ((2, -1), "subset elements must be >= 1, got (-1, 2)"),
+            ((1, True), "subset element True is not an integer"),
+            ((1, 2, 1.5), "subset element 1.5 is not an integer"),
+            ((2, 1, "3"), "subset element '3' is not an integer"),
+            ((0, 0, "3"), "subset element '3' is not an integer"),
+            ((0, 0), "duplicate elements in subset (0, 0)"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                as_subset(bad)
+            assert str(caught.value) == message
 
     def test_non_int_elements_rejected(self):
         assert check_in_range([3, 1], 4) == (1, 3)

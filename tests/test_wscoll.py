@@ -877,6 +877,104 @@ class TestLibraryIngress:
         with pytest.raises(ValueError, match="subset element True is not an integer"):
             Move.of((True, 3), (2, 4))
 
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            ([(1, 2, 3), (True, 2, 4)], "subset element True is not an integer"),
+            ([(1, 2, 3), (1, 2.0, 4)], "subset element 2.0 is not an integer"),
+            ([(1, 2, 3), (1, "2", 4)], "subset element '2' is not an integer"),
+            ([(1, 2, 3), (0, 1, 2)], "subset elements must be >= 1, got (0, 1, 2)"),
+            ([(1, 2, 3), (4, -1, 2)], "subset elements must be >= 1, got (-1, 2, 4)"),
+            ([(1, 2, 3), (1, 2, 2)], "duplicate elements in subset (1, 2, 2)"),
+            ([(1, 2, 3), (2, 4, 2)], "duplicate elements in subset (2, 2, 4)"),
+            ([(1, 2, 3), (1, 2, 9)], "subset (1, 2, 9) not contained in [1..8]"),
+            ([(1, 2, 3), (10**9, 1, 2)], "subset (1, 2, 1000000000) not contained in [1..8]"),
+            ([(1, 2, 3), (2, 1)], "(1, 2) is not a 3-subset"),
+            ([(1, 2, 3), (4, 3, 2, 1)], "(1, 2, 3, 4) is not a 3-subset"),
+            ([(1, 2, 3), ()], "() is not a 3-subset"),
+            ([(1, 2, 3), (1, 2, 4), (3, 1, 2)], "(1, 2, 3) appears more than once in the collection"),
+            # within one member: a non-int element, then a repeat, then an
+            # element below 1, then one above n, then the size
+            ([(9, 0, 0, 2.5)], "subset element 2.5 is not an integer"),
+            ([(9, 0, 0)], "duplicate elements in subset (0, 0, 9)"),
+            ([(9, 0, 1, 2)], "subset elements must be >= 1, got (0, 1, 2, 9)"),
+            ([(9, 1, 2, 3)], "subset (1, 2, 3, 9) not contained in [1..8]"),
+        ],
+    )
+    def test_of_messages(self, sets, message):
+        with pytest.raises(ValueError) as caught:
+            WSCollection.of(3, 8, sets)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            # the first faulty member is the one named, whatever its fault
+            ([(1, 2, 9), (1, 2), (1, 1, 2)], "subset (1, 2, 9) not contained in [1..8]"),
+            ([(1, 2), (1, 2, 9), (1, 1, 2)], "(1, 2) is not a 3-subset"),
+            ([(1, 2, 3), (3, 2, 1), (0, 1, 2)], "(1, 2, 3) appears more than once in the collection"),
+            ([(1, 2, 3), (1, 1, 2), (3, 2, 1)], "duplicate elements in subset (1, 1, 2)"),
+            ([(1, 2, 3), (1, 2, 3.0), (0, 1, 2)], "subset element 3.0 is not an integer"),
+        ],
+    )
+    def test_of_names_the_first_faulty_member(self, sets, message):
+        with pytest.raises(ValueError) as caught:
+            WSCollection.of(3, 8, sets)
+        assert str(caught.value) == message
+
+    def test_of_dimension_messages(self):
+        with pytest.raises(ValueError) as caught:
+            WSCollection.of(3.0, 8, [])
+        assert str(caught.value) == "k and n must be integers, got 3.0 and 8"
+        with pytest.raises(ValueError) as caught:
+            WSCollection.of(9, 8, [])
+        assert str(caught.value) == "need 0 <= k <= n, got k=9 and n=8"
+
+    def test_of_accepts_unsorted_members_and_int_subclasses(self):
+        class Int(int):
+            pass
+
+        want = WSCollection.of(3, 8, [(1, 2, 3), (1, 2, 4), (2, 5, 8)])
+        for sets in [
+            [(3, 1, 2), (4, 2, 1), (8, 5, 2)],
+            [(2, 5, 8), [1, 2, 4], iter((1, 2, 3))],
+            [(Int(1), Int(2), Int(3)), (1, Int(4), 2), (Int(8), 5, 2)],
+            ({1, 2, 3}, (x for x in (4, 1, 2)), (2, 5, 8)),
+        ]:
+            c = WSCollection.of(3, 8, sets)
+            assert c == want and c.sets == ((1, 2, 3), (1, 2, 4), (2, 5, 8))
+            assert all(type(x) is int for s in c.sets for x in s)
+        assert WSCollection.of(0, 3, [()]).sets == ((),)
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ([], 'a collection must be a JSON object with keys "k", "n" and "sets"'),
+            ({"k": 3, "n": 8}, 'a collection must be a JSON object with keys "k", "n" and "sets"'),
+            ({"k": True, "n": 8, "sets": "x"}, '"k" must be an integer, got true'),
+            ({"k": 3, "n": False, "sets": "x"}, '"n" must be an integer, got false'),
+            ({"k": 3, "n": 8, "sets": "x"}, '"sets" must be a list of lists of integers'),
+            ({"k": 3, "n": 8, "sets": [(1, 2, 3)]}, '"sets" must be a list of lists of integers'),
+            ({"k": 3, "n": 8, "sets": [[0, 1, 2], [1, 2, True]]}, '"sets" must be a list of lists of integers'),
+            ({"k": 3, "n": 8, "sets": [[0, 1, 2], [1, 2, 3.0]]}, '"sets" must be a list of lists of integers'),
+            ({"k": 3, "n": 8, "sets": [[1, 2, 3], ["1", 2, 4]]}, '"sets" must be a list of lists of integers'),
+            ({"k": 3.0, "n": 8, "sets": []}, "k and n must be integers, got 3.0 and 8"),
+            ({"k": 3, "n": 8, "sets": [[1, 2, 3], [0, 1, 2]]}, "subset elements must be >= 1, got (0, 1, 2)"),
+            ({"k": 3, "n": 8, "sets": [[1, 2, 3], [1, 2, 2]]}, "duplicate elements in subset (1, 2, 2)"),
+            ({"k": 3, "n": 8, "sets": [[1, 2, 3], [9, 1, 2]]}, "subset (1, 2, 9) not contained in [1..8]"),
+            ({"k": 3, "n": 8, "sets": [[1, 2, 3], [1, 2]]}, "(1, 2) is not a 3-subset"),
+            ({"k": 3, "n": 8, "sets": [[1, 2, 3], [3, 2, 1]]}, "(1, 2, 3) appears more than once in the collection"),
+        ],
+    )
+    def test_from_json_dict_messages(self, d, message):
+        with pytest.raises(ValueError) as caught:
+            WSCollection.from_json_dict(d)
+        assert str(caught.value) == message
+
+    def test_from_json_dict_accepts_unsorted_members(self):
+        c = WSCollection.from_json_dict({"k": 3, "n": 8, "sets": [[2, 5, 8], [3, 1, 2]]})
+        assert c.sets == ((1, 2, 3), (2, 5, 8))
+
 
 class TestBitmaskKernel:
     """The int-per-collection layout against plain sorted-tuple computations."""
