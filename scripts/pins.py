@@ -118,6 +118,9 @@ print(f"{agree} of {total} interleaving patterns agree")
 WALK_START = ("import itertools; from wsep import wscoll; from wsep.wscoll import base_collection; "
               "print(sum(1 for _ in itertools.islice(wscoll._walk(base_collection(6, 12)), 200)))")
 
+ORBITS_ONE_OFF = ("from wsep.wscoll import base_collection, dihedral_orbits; "
+                  "print(len(dihedral_orbits([base_collection(7, 14)])))")
+
 PINS = (
     Pin("readme-blocks", ("-c", README_BLOCKS)),
     Pin("purity-sweep", ("scripts/purity_sweep.py", "200", "0")),
@@ -125,7 +128,10 @@ PINS = (
     Pin("nonparametrizable", ("scripts/search_nonparametrizable.py", "7", "8", "9"), stdout=NONPARAMETRIZABLE),
     Pin("gen-w3-9-count", (*CLI, "gen-w3", "--n", "9", "--count-only"), stdout='{"count": 18600}\n'),
     Pin("enumerate-4-8-count", (*CLI, "enumerate", "--k", "4", "--n", "8", "--count-only"), stdout='{"count": 5470}\n'),
-    Pin("gen-w3-10-count", (*CLI, "gen-w3", "--n", "10", "--count-only"), 30, '{"count": 168565}\n', rss_mb=60),
+    # the bounds guard the levels held as sets of ints (gen-w3) and the walk's queue of (state, moves, quad)
+    Pin("gen-w3-10-count", (*CLI, "gen-w3", "--n", "10", "--count-only"), 30, '{"count": 168565}\n', rss_mb=40.5),
+    Pin("enumerate-3-10-count", (*CLI, "enumerate", "--k", "3", "--n", "10", "--count-only"), 30,
+        '{"count": 168565}\n', rss_mb=41),
     reduce_base(3, 40, 1, False, 2879, "264a774ed7769441dbcbf66dadd5267e75f6e588ab00be6708e85297a1ccddd9"),
     reduce_base(3, 40, 7, True, 4010, "f43228348c7aa0b7f46e95ac627dd5232fdae6c8fb7559f2a24ae53d3f128569"),
     reduce_base(2, 40, 1, False, 37, "4bb56c3357d47270f550d923fb179ae032ebaf5fe2371d67c7ed8510357d59af"),
@@ -149,6 +155,8 @@ PINS = (
         sha256="6bce9640de2ade27f5d04f49aea7440847a75e844476cbab3f9ed3185cc63051", rss_mb=120),
     Pin("gr4-patterns", ("-c", GR4_PATTERNS), 60, "321 of 321 interleaving patterns agree\n", rss_mb=60),
     Pin("walk-6-12-start", ("-c", WALK_START), 30, "200\n", rss_mb=80),
+    # one orbit at a large table: the byte tables of the translates fill only the slots they read
+    Pin("orbits-7-14-one-off", ("-c", ORBITS_ONE_OFF), 30, "1\n", rss_mb=30),
 )
 
 # Runs argv[2:] and writes its peak RSS in KB to the file argv[1].  On Linux an exec'd child's

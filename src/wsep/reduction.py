@@ -15,11 +15,12 @@ members of its collection, through a dict, and certifies the result with
 fills no crossing row.
 
 `generate_w3` works on rank ints, with no collection built until it
-returns.  Each level holds `bits` ints of the (3, m) table, starting
-from the one collection of (3, 4).  Its map for index b is one list over
-every rank of the lower table (`_lift_maps`).  A level is closed under the
-polygon symmetries by mapping the ranks of each new lift through every
-`image[rot, refl]` of its table to the int of a translate, as
+returns.  Each level is a set of `bits` ints of the (3, m) table, starting
+from the one collection of (3, 4), and a member's ranks are decoded only
+when it is lifted.  Its map for index b is one list over every rank of the
+lower table (`_lift_maps`).  A level is closed under the polygon
+symmetries by adding the 2m translates of each new lift, read from the
+byte tables of one rotation and one reflection (`_Table.translates`), as
 `dihedral_orbits` does.  It only lifts collections it has itself
 certified, so it takes the admissible indices from the trusted `_f_set`,
 on masks, and certifies each lift with the crossing rows of its table
@@ -34,7 +35,7 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
-from .subsets import Dihedral, _precedes_masks, _require_dims, _to_mask
+from .subsets import _from_mask, _precedes_masks, _require_dims, _to_mask
 from .wscoll import (
     WSCollection,
     _pinch_index,
@@ -185,34 +186,26 @@ def generate_w3(n: int) -> set[WSCollection]:
 
 
 def _w3_bits(n: int) -> set[int]:
-    """The `bits` ints of the (3, n) table of `generate_w3(n)`.  Each lift
-    goes through the rank map of its index, and a lift not yet in the closed
-    set brings in its 2m translates.  A level below n maps each member to
-    its ranks, the image list that made it, so no member is decoded; level n
-    is a set, since nothing reads its ranks."""
+    """The `bits` ints of the (3, n) table of `generate_w3(n)`.  Every level
+    is a set of `bits`; a member's ranks are decoded when it is lifted, each
+    lift goes through the rank map of its index, and a lift not yet in the
+    closed set brings in its 2m translates (`_Table.translates`)."""
     _require_dims(3, n, "k and n")
     if n < 4:
         raise ValueError("need n >= 4")
     floor = w3_floor()
-    if n == 4:
-        return {floor.bits}
-    level, below = {floor.bits: floor.ranks()}, floor.table
+    level, below = {floor.bits}, floor.table
     for m in range(5, n + 1):
         table = _table(3, m)
         maps, crossing = _lift_maps(table), table.crossing
-        images = [table.image[g.rot, g.refl] for g in Dihedral.group(m)]
-        closed = set() if m == n else {}
-        for c, ranks in level.items():
+        closed = set()
+        for c in level:
+            ranks = _from_mask(c)
             for b in _f_set(below, c, ranks):
                 bits, lifted = _lift(table, ranks, maps[b])
                 if any(map(bits.__and__, map(crossing.__getitem__, lifted))):
                     raise AssertionError("lift produced a non-separated collection")
-                if bits in closed:  # its whole orbit is in already
-                    continue
-                moved = (map(image.__getitem__, lifted) for image in images)
-                if m == n:
-                    closed.update(sum(map((1).__lshift__, r)) for r in moved)
-                else:
-                    closed.update((sum(map((1).__lshift__, r)), r) for r in map(list, moved))
+                if bits not in closed:  # else its whole orbit is in already
+                    closed.update(table.translates(bits))
         level, below = closed, table
     return level

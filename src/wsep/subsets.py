@@ -78,20 +78,33 @@ def _to_mask(K: Iterable[int]) -> int:
     return m
 
 
-def _subset_mask(xs: Iterable[int]) -> int:
-    """`_to_mask(as_subset(xs))` in one pass over xs: an element that is not
-    a plain int >= 1, or a mask with fewer bits than xs has elements, hands
-    xs to `as_subset`, which raises its error for any xs it rejects (an int
-    subclass that is not a bool passes)."""
-    t = tuple(xs)
+def _bounded_mask(t: tuple, top: int) -> int | None:
+    """The bitmask of t when its elements are distinct plain ints in
+    [1..top], else None."""
     m = 0
     for x in t:
-        if type(x) is not int or x < 1:
-            as_subset(t)
+        if type(x) is not int or not 0 < x <= top:
+            return None
         m |= 1 << x
-    if m.bit_count() != len(t):
-        as_subset(t)
-    return m
+    return m if m.bit_count() == len(t) else None
+
+
+def _pair_masks(I: Iterable[int], J: Iterable[int]) -> tuple[int, int]:
+    """Bitmasks of I and of J, with the errors of `as_subset`, that never
+    grow past the pair: distinct plain ints up to |I| + |J| + 64
+    (|I| + |J| bounds the size of I | J) give the direct masks in one pass,
+    as on every pair of a Grassmannian the oracle checks; any other pair is
+    checked by `as_subset` and relabelled onto [1..|I | J|] in order, since
+    weak separation and the commutation exponents depend only on how I and
+    J interleave."""
+    t, u = tuple(I), tuple(J)
+    top = len(t) + len(u) + 64
+    mI, mJ = _bounded_mask(t, top), _bounded_mask(u, top)
+    if mI is not None and mJ is not None:
+        return mI, mJ
+    t, u = as_subset(t), as_subset(u)
+    order = {x: i for i, x in enumerate(sorted({*t, *u}), 1)}
+    return _to_mask(map(order.__getitem__, t)), _to_mask(map(order.__getitem__, u))
 
 
 def _from_mask(m: int) -> tuple[int, ...]:
@@ -154,8 +167,9 @@ def _weakly_separated_masks(I: int, J: int) -> bool:
 
 def weakly_separated(I: Iterable[int], J: Iterable[int]) -> bool:
     """Weak separation of two subsets of the same ground set [1..n], decided
-    on their bitmasks; a subset that `as_subset` rejects is a ValueError."""
-    return _weakly_separated_masks(_subset_mask(I), _subset_mask(J))
+    on their bitmasks (`_pair_masks`); a subset that `as_subset` rejects is
+    a ValueError."""
+    return _weakly_separated_masks(*_pair_masks(I, J))
 
 
 @dataclass(frozen=True)
@@ -196,7 +210,7 @@ def plucker_exponent(I: Iterable[int], J: Iterable[int]) -> int | None:
     |low| of the canonical split when I takes the large role, the negated
     swap otherwise; None when the pair is not weakly separated.  A subset
     that `as_subset` rejects is a ValueError."""
-    mI, mJ = _subset_mask(I), _subset_mask(J)
+    mI, mJ = _pair_masks(I, J)
     if mI.bit_count() != mJ.bit_count():
         raise ValueError("plucker_exponent needs equal-size subsets")
     split = _split_sizes(mI, mJ)

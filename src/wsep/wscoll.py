@@ -33,6 +33,14 @@ quads.  Each rank table also holds crossing rows, `crossing[r]` the int of
 the ranks not weakly separated from rank r, so that "r is separated from
 every member" is one AND.  The k=3 lift generator certifies every lift.
 
+The dihedral translates of a collection (`_Table.translates`, read by
+`dihedral_orbits` and by the closure of the k=3 lift generator) are taken
+on `bits`, one byte at a time: per table, one byte table of the rotation by
+one and one of a reflection give each translate as a sum of slots, and a
+slot is filled from the rank map `image` when first read, so a one-off
+orbit at a large (k, n) builds only the slots it reads.  `translate`,
+`reduce_to_base`'s witness and its level translation keep the rank map.
+
 A maximal collection is one that is separated and whose every non-member
 crosses some member.  By purity (Oh-Postnikov-Speyer, arXiv:1109.4434;
 Danilov-Karzanov-Koshevoy, 2010) that is the same as a separated collection
@@ -56,6 +64,7 @@ messages do not depend on the rule.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, total_ordering
 from itertools import combinations, groupby
@@ -68,9 +77,9 @@ from .subsets import (
     _from_mask,
     _is_int,
     _require_dims,
-    _subset_mask,
     _to_mask,
     _weakly_separated_masks,
+    as_subset,
     check_in_range,
     is_boundary,
 )
@@ -103,7 +112,9 @@ class _Table:
     as a bitmask, and `fragment[r]` as its JSON text, "[1, 2, 3]" as
     `json.dumps` writes it, from which `WSCollection.json_text` builds a
     listing line; `image[rot, refl][r]` is the rank of the image of rank r
-    under the dihedral element `Dihedral(n, rot, refl)`; `crossing[r]` is
+    under the dihedral element `Dihedral(n, rot, refl)`, and `_steps` holds
+    the byte tables of the rotation by one and the reflection that
+    `translates` reads, filled from `image` slot by slot; `crossing[r]` is
     the int of the ranks whose subsets are not weakly separated from that
     of rank r (C(n, k) pair tests per row, so only for tables whose every
     rank is in use).
@@ -157,6 +168,41 @@ class _Table:
             if not _weakly_separated_masks(a, mask[s]):
                 out |= 1 << s
         return out
+
+    @cached_property
+    def _steps(self) -> tuple:
+        """The byte tables of the rotation by one and of the reflection, each
+        with its `image` key: at byte position j, slot v holds the OR of
+        1 << image[8j + x] over the set bits x of v, or None until read.
+        Slot 0 holds 0 from the start."""
+        nb = self.size + 7 >> 3
+        return tuple(([[0] + [None] * 255 for _ in range(nb)], key) for key in ((1, False), (0, True)))
+
+    def translates(self, bits: int) -> list[int]:
+        """The 2n translates of the collection `bits` under `Dihedral.group`,
+        in the order x_0, ..., x_(n-1), sigma(x_0), ..., sigma(x_(n-1)) for
+        x_i = rho^i(bits): each one sum of byte-table slots over the bytes of
+        the int it is taken from.  A slot read while empty is filled from
+        `image` first, so a table fills only the slots its collections read."""
+        rho, sigma = self._steps
+        through = self._through
+        xs = [bits]
+        for _ in range(self.n - 1):
+            xs.append(through(rho, xs[-1]))
+        return xs + [through(sigma, x) for x in xs]
+
+    def _through(self, step: tuple, bits: int) -> int:
+        """The image of the collection `bits` under one of `_steps`."""
+        slots, key = step
+        b = bits.to_bytes(len(slots), "little")
+        try:
+            return sum(map(list.__getitem__, slots, b))
+        except TypeError:  # an empty slot
+            image = self.image[key]
+            for j, v in enumerate(b):
+                if slots[j][v] is None:
+                    slots[j][v] = sum(1 << image[8 * j + y] for y in _from_mask(v))
+            return sum(map(list.__getitem__, slots, b))
 
     @cached_property
     def quads(self) -> tuple:
@@ -339,13 +385,23 @@ class WSCollection:
         return [mask[r] for r in self.ranks()]
 
     def __contains__(self, s) -> bool:
-        # a non-iterable, a bool or another non-int element is no member
+        # a non-iterable, a bool or another non-int element, an element out
+        # of [1..n] or an unsorted member is no member; no mask wider than
+        # [1..n] is formed, and a collection made by `of` builds no `bits`
         try:
             t = tuple(s)
-            r = self.table.rank[_subset_mask(t)]
+            if check_in_range(t, self.n) != t:
+                return False
         except (TypeError, ValueError):
             return False
-        return r >= 0 and bool(self.bits >> r & 1) and self.table.subset[r] == t
+        r = self.table.rank[_to_mask(t)]
+        if r < 0:
+            return False
+        ranks = self._ranks
+        if ranks is None:
+            return bool(self.bits >> r & 1)
+        x = bisect_left(ranks, r)
+        return x < len(ranks) and ranks[x] == r
 
     def __len__(self) -> int:
         ranks = self._ranks
@@ -464,7 +520,7 @@ class Move:
     def of(removes: Iterable[int], adds: Iterable[int]) -> "Move":
         """The move swapping the diagonal removes for adds, each an iterable
         of ints; any pair that is not an exchange is a ValueError."""
-        mv = Move(_subset_mask(removes), _subset_mask(adds))
+        mv = Move(_to_mask(as_subset(removes)), _to_mask(as_subset(adds)))
         if _sides(mv.removes_mask, mv.adds_mask) is None:
             raise ValueError(f"{mv.removes} -> {mv.adds} is not an exchange of two diagonals")
         return mv
@@ -667,19 +723,25 @@ def _walk(seed: WSCollection) -> Iterator[tuple[int, int]]:
     The walk goes level by level.  Every move has its inverse, so a
     neighbour of a collection at distance d from the seed is at distance
     d - 1, d or d + 1, and only those three levels are kept to recognise
-    collections already seen.  A queued collection keeps its parent's
-    moves, the int of the quads that avoid both diagonals of its move and
-    the quads to re-test, both read from `through` for the two diagonals;
-    its own moves are derived when it is taken from the queue.
+    collections already seen.  A queued collection holds only its parent's
+    moves and the quad q of its move; when it is taken from the queue, the
+    quads that avoid both diagonals of q and the quads to re-test are read
+    from `through` for the two diagonals and its own moves derived.
     """
     table = seed.table
     quads, quad_tests, through, live = table.quads, table.quad_tests, table.through, table.live
     older, current = set(), {seed.bits}
-    level = [(seed.bits, 0, 0, quad_tests)]
+    level = [(seed.bits, 0, None)]
     while level:
         following, queued = set(), []
-        for bits, inherited, kept, tests in level:
-            moves = inherited & kept | live(bits, tests)
+        for bits, inherited, q in level:
+            if q is None:
+                moves = live(bits, quad_tests)
+            else:
+                _, _, _, _, r_ij, r_st = quads[q]
+                (touch_ij, via_ij), (touch_st, via_st) = through[r_ij], through[r_st]
+                tests = via_ij if bits >> r_ij & 1 else via_st
+                moves = inherited & ~(touch_ij | touch_st) | live(bits, tests)
             yield bits, moves
             rest = moves
             while rest:
@@ -690,9 +752,7 @@ def _walk(seed: WSCollection) -> Iterator[tuple[int, int]]:
                 if nxt in following or nxt in current or nxt in older:
                     continue
                 following.add(nxt)
-                _, _, _, _, r_ij, r_st = quads[q]
-                (touch_ij, via_ij), (touch_st, via_st) = through[r_ij], through[r_st]
-                queued.append((nxt, moves, ~(touch_ij | touch_st), via_ij if nxt >> r_ij & 1 else via_st))
+                queued.append((nxt, moves, q))
         older, current, level = current, following, queued
 
 
@@ -707,28 +767,23 @@ def dihedral_orbits(cs: Iterable[WSCollection]) -> list[tuple[WSCollection, ...]
     Orbits are listed and internally sorted canonically.
 
     Within one (k, n) the distinct collections are taken in the caller's
-    order, each one not yet placed gathering its orbit: its ranks are mapped
-    through each `image[rot, refl]` of its table to the int `bits` of a
-    translate, which is looked up among the collections not yet placed.  No
-    collection is built: the orbits hold the given ones.  Each orbit is then
-    sorted with `<`, its members taken in the caller's order, and the orbits
-    by their least members, so a sorted list needs one comparison per
+    order, each one not yet placed gathering its orbit: the 2n translates
+    of its `bits`, from the byte tables of its table (`_Table.translates`),
+    are looked up among the collections not yet placed.  No collection is
+    built and no member decoded: the orbits hold the given ones.  Each orbit
+    is then sorted with `<`, its members taken in the caller's order, and the
+    orbits by their least members, so a sorted list needs one comparison per
     collection and an unsorted one sorts only within orbits and leaders."""
     kn = attrgetter("k", "n")
     orbits = []
     for _, block in groupby(sorted(dict.fromkeys(cs), key=kn), key=kn):
         block = list(block)
         unplaced = {c.bits: x for x, c in enumerate(block)}
-        table = block[0].table
-        images = [table.image[g.rot, g.refl] for g in Dihedral.group(table.n)]
+        translates = block[0].table.translates
         found = []
         for c in block:
             if c.bits in unplaced:
-                ranks = c.ranks()
-                xs = [
-                    unplaced.pop(sum(map((1).__lshift__, map(image.__getitem__, ranks))), -1)
-                    for image in images
-                ]
+                xs = [unplaced.pop(x, -1) for x in translates(c.bits)]
                 found.append(tuple(sorted(block[x] for x in sorted(xs) if x >= 0)))
         found.sort(key=itemgetter(0))
         orbits += found

@@ -406,6 +406,21 @@ class TestPositivity:
         assert captured.err.startswith("error: the collection is not maximal")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", [10**6, 10**30])
+    def test_huge_n_is_not_maximal(self, capsys, tmp_path, n):
+        # the member ranks reach C(n, 3); testing the value keys for
+        # membership must not build the collection's int of that many bits
+        sets = [[1, 2, 3], [999998, 999999, 1000000]]
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps({"k": 3, "n": n, "sets": sets}))
+        vf = tmp_path / "v.json"
+        vf.write_text(json.dumps({json.dumps(s): "1" for s in sets}))
+        code = main(["positivity", "--collection", str(cf), "--values", str(vf)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: the collection is not maximal")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("key", ["[2,4,5]", "[5,4,2]", "[1,2]", "[1,2,3,4]"])
     def test_non_member_value_key_usage_error(self, capsys, tmp_path, key):
         # [2,4,5] is derived as 2 from these values; a key of the wrong size

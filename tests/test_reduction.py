@@ -209,7 +209,7 @@ class TestGenerate:
         with pytest.raises(ValueError, match="must be integers"):
             generate_w3(n)
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_int_levels_match_move_graph(self, n):
         walked = {c.bits for c in enumerate_component(base_collection(3, n))}
         assert _w3_bits(n) == walked

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -278,6 +279,61 @@ class TestPatternInvariance:
         assert minor_exponent(image(p), image(r)) == minor_exponent(p, r)
         stieffel = weakly_separated(stieffel_subset(p), stieffel_subset(r))
         assert weakly_separated(stieffel_subset(image(p)), stieffel_subset(image(r))) == stieffel
+
+
+class TestLargeElements:
+    """A pair with an element far above its size is decided on its
+    interleaving pattern, with no mask as wide as its largest element."""
+
+    PAIRS = [
+        ((1, 10**8), (2, 3), (1, 4), (2, 3)),
+        ((2, 3), (1, 10**8), (2, 3), (1, 4)),
+        ((5, 10**8, 10**9), (10**8, 10**8 + 1, 10**12), (1, 2, 4), (2, 3, 5)),
+        ((7, 10**20), (7, 10**20), (1, 2), (1, 2)),
+    ]
+
+    @pytest.mark.parametrize("I, J, small_I, small_J", PAIRS)
+    def test_pattern_decides_in_small_memory(self, I, J, small_I, small_J):
+        tracemalloc.start()
+        try:
+            got = weakly_separated(I, J), plucker_exponent(I, J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert got == (weakly_separated(small_I, small_J), plucker_exponent(small_I, small_J))
+        assert got[0] == weakly_separated_bf(I, J)
+
+    @given(
+        st.sets(st.integers(1, 12), max_size=6),
+        st.sets(st.integers(1, 12), max_size=6),
+        st.integers(100, 10**12),
+    )
+    def test_relabelled_pairs_match_direct_masks(self, I, J, scale):
+        # every scaled element is above |I| + |J| + 64, so the scaled pair
+        # is relabelled and the pair itself is not
+        I, J = sorted(I), sorted(J)
+        bI, bJ = [x * scale for x in I], [x * scale for x in J]
+        assert weakly_separated(bI, bJ) == weakly_separated(I, J)
+        if len(I) == len(J):
+            assert plucker_exponent(bI, bJ) == plucker_exponent(I, J)
+
+    @pytest.mark.parametrize(
+        "I, J, message",
+        [
+            ((1, 10**8), (2, 2), "duplicate elements in subset"),
+            ((1, 10**8), (0, 3), "subset elements must be >= 1"),
+            ((1, 10**8), (True, 3), "subset element True is not an integer"),
+            ((1, 1), (2, 10**8), "duplicate elements in subset"),
+            ((1, 10**8), (2, 3, 4), "plucker_exponent needs equal-size subsets"),
+        ],
+    )
+    def test_errors_are_those_of_small_elements(self, I, J, message):
+        with pytest.raises(ValueError, match=message):
+            plucker_exponent(I, J)
+        if "equal-size" not in message:
+            with pytest.raises(ValueError, match=message):
+                weakly_separated(I, J)
 
 
 class TestDihedral:

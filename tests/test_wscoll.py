@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import re
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -599,18 +600,21 @@ class TestOrbits:
             assert frozenset().union(*orbits) == cs
 
     def test_orbits_match_least_first_partition(self):
-        # the partition taken one least collection at a time, orbits sorted
+        # the partition taken one least collection at a time, orbits sorted;
+        # (2, 4) has 6 ranks in one partial byte, (3, 8) 56 ranks in 7 bytes
         rng = random.Random(4)
-        cs = sorted(component_of_base(3, 7))
-        for pool in (set(cs), set(rng.sample(cs, 100))):
+        cases = [(3, 7, None), (3, 7, 100), (2, 4, None), (2, 8, None), (4, 7, None), (3, 8, 300)]
+        for k, n, sample in cases:
+            cs = sorted(component_of_base(k, n))
+            pool = set(cs if sample is None else rng.sample(cs, sample))
             expected = []
             rest = set(pool)
             while rest:
                 c = min(rest)
-                orbit = {translate(c, g) for g in Dihedral.group(7)} & rest
+                orbit = {translate(c, g) for g in Dihedral.group(n)} & rest
                 rest -= orbit
                 expected.append(tuple(sorted(orbit)))
-            assert dihedral_orbits(pool) == sorted(expected)
+            assert dihedral_orbits(pool) == sorted(expected), (k, n, sample)
 
     def test_mixed_k_pool_lists_each_k_in_turn(self):
         # two collections of different k may share their bits int
@@ -643,6 +647,46 @@ class TestOrbits:
         orbits = dihedral_orbits(component_of_base(3, 6))
         base = base_collection(3, 6)
         assert any(base in o for o in orbits)
+
+
+class TestTranslateTables:
+    """`_Table.translates` reads the byte tables of one rotation and one
+    reflection, filled slot by slot from the `image` maps."""
+
+    def test_translates_in_group_order(self):
+        # rho^0, ..., rho^(n-1), then sigma after each of them
+        n = 7
+        powers = [Dihedral(n)]
+        for _ in range(n - 1):
+            powers.append(Dihedral(n, 1) * powers[-1])
+        group = powers + [Dihedral(n, 0, True) * g for g in powers]
+        for c in sorted(component_of_base(3, n))[:40]:
+            assert c.table.translates(c.bits) == [translate(c, g).bits for g in group]
+
+    def test_filled_slots_are_ors_over_the_image_map(self):
+        cs = component_of_base(3, 7)
+        table = next(iter(cs)).table
+        for c in cs:
+            table.translates(c.bits)
+        filled = 0
+        for slots, (rot, refl) in table._steps:
+            assert len(slots) == 5 and all(len(row) == 256 and row[0] == 0 for row in slots)
+            for j, row in enumerate(slots):
+                for v, entry in enumerate(row):
+                    if v and entry is not None:
+                        filled += 1
+                        ranks = [8 * j + x for x in _from_mask(v)]
+                        piece = WSCollection(table, sum(1 << r for r in ranks))
+                        assert entry == translate(piece, Dihedral(7, rot, refl)).bits
+        assert filled
+
+    def test_one_off_fills_only_the_slots_it_reads(self):
+        c = base_collection(7, 14)
+        table = c.table
+        vars(table).pop("_steps", None)  # as a fresh process has them
+        assert dihedral_orbits([c]) == [(c,)]
+        filled = sum(v is not None for slots, _ in table._steps for row in slots for v in row[1:])
+        assert 0 < filled <= 2 * 14 * len(c)
 
 
 class TestPurity:
@@ -1026,8 +1070,27 @@ class TestBitmaskKernel:
         with pytest.raises(AttributeError):
             object.__getattribute__(c, "bits")
         assert tuple(range(1, 11)) in c and (1, 2) not in c
+        with pytest.raises(AttributeError):
+            object.__getattribute__(c, "bits")
         assert c == WSCollection.of(10, 30, reversed(sets))
         assert hash(c) == hash(WSCollection.of(10, 30, sets))
+
+    def test_membership_forms_no_wide_int(self):
+        # an element above n is no member and no mask of it is formed; a
+        # collection made by `of` answers from its ranks, with no `bits`
+        c = WSCollection.of(3, 10**6, [(1, 2, 3), (999998, 999999, 1000000)])
+        base = base_collection(3, 6)
+        tracemalloc.start()
+        try:
+            got = [s in c for s in [(1, 2, 10**8), (1, 2, 3), (999998, 999999, 1000000), (1, 2, 4), (3, 2, 1)]]
+            got += [(1, 2, 10**8) in base, (1, 2, 3) in base]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [False, True, True, False, False, False, True]
+        assert peak < 1 << 20
+        with pytest.raises(AttributeError):
+            object.__getattribute__(c, "bits")
 
     def test_translate_matches_tuple_image(self):
         for c in component_of_base(3, 6):
