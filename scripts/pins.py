@@ -52,9 +52,10 @@ def base_and_values(k: int, n: int, values: str, tmp: Path) -> None:
     (tmp / "v.json").write_text(json.dumps(v))
 
 
-def reduce_base(k: int, n: int, rot: int, refl: bool, length: int, sha256: str) -> Pin:
+def reduce_base(k: int, n: int, rot: int, refl: bool, length: int, sha256: str, rss_mb: float) -> Pin:
     return Pin(f"reduce-base-{k}-{n}-{rot}" + "-refl" * refl, (*CLI, "reduce-base", "--file", "{tmp}/in.json"), 10,
-               contains=f'"length": {length},', sha256=sha256, build=lambda tmp: translated_base(k, n, rot, refl, tmp))
+               contains=f'"length": {length},', sha256=sha256, rss_mb=rss_mb,
+               build=lambda tmp: translated_base(k, n, rot, refl, tmp))
 
 
 def positivity(k, n, values, mode, sha256, timeout=15, rss_mb=60) -> Pin:
@@ -127,15 +128,20 @@ PINS = (
     Pin("lift-generator", ("scripts/count_collections.py", "9", "9")),
     Pin("nonparametrizable", ("scripts/search_nonparametrizable.py", "7", "8", "9"), stdout=NONPARAMETRIZABLE),
     Pin("gen-w3-9-count", (*CLI, "gen-w3", "--n", "9", "--count-only"), stdout='{"count": 18600}\n'),
+    # the full listing: every collection decoded for its sort key and its line
+    Pin("gen-w3-9", (*CLI, "gen-w3", "--n", "9"), 30,
+        sha256="58fac13b01f06be40375922c4c53f854a923c881b820621135a7c9e14ec7aba8", rss_mb=32),
     Pin("enumerate-4-8-count", (*CLI, "enumerate", "--k", "4", "--n", "8", "--count-only"), stdout='{"count": 5470}\n'),
     # the bounds guard the levels held as sets of ints (gen-w3) and the walk's queue of (state, moves, quad)
     Pin("gen-w3-10-count", (*CLI, "gen-w3", "--n", "10", "--count-only"), 30, '{"count": 168565}\n', rss_mb=40.5),
     Pin("enumerate-3-10-count", (*CLI, "enumerate", "--k", "3", "--n", "10", "--count-only"), 30,
         '{"count": 168565}\n', rss_mb=41),
-    reduce_base(3, 40, 1, False, 2879, "264a774ed7769441dbcbf66dadd5267e75f6e588ab00be6708e85297a1ccddd9"),
-    reduce_base(3, 40, 7, True, 4010, "f43228348c7aa0b7f46e95ac627dd5232fdae6c8fb7559f2a24ae53d3f128569"),
-    reduce_base(2, 40, 1, False, 37, "4bb56c3357d47270f550d923fb179ae032ebaf5fe2371d67c7ed8510357d59af"),
-    reduce_base(2, 40, 7, True, 51, "53fdc10cb7afbaf6a058f57e7e3bb67fe1960ead26a2ed4f05f4f80ed5f4f337"),
+    # the descent decodes at every table (k, 40), ..., (k, k+2): the bounds guard the byte rows it
+    # leaves, which share one empty row until a slot of theirs is written
+    reduce_base(3, 40, 1, False, 2879, "264a774ed7769441dbcbf66dadd5267e75f6e588ab00be6708e85297a1ccddd9", 26),
+    reduce_base(3, 40, 7, True, 4010, "f43228348c7aa0b7f46e95ac627dd5232fdae6c8fb7559f2a24ae53d3f128569", 26),
+    reduce_base(2, 40, 1, False, 37, "4bb56c3357d47270f550d923fb179ae032ebaf5fe2371d67c7ed8510357d59af", 22),
+    reduce_base(2, 40, 7, True, 51, "53fdc10cb7afbaf6a058f57e7e3bb67fe1960ead26a2ed4f05f4f80ed5f4f337", 22),
     positivity(4, 9, "ones", "exact", "95bd4282e63ed0dd1eb3a0331348a37d1bdd5aee0b9b81aa2712af29b061bfa2"),
     positivity(5, 10, "ones", "exact", "7062a69660c5210f19229d77e8c782fcc3e93ff52d83aab1f1c16e4fbcd3d930"),
     positivity(5, 10, "ratios", "exact", "d5ddd14e7efc9250cba63af4c3bc803f8a2773ac11c5535d0a31f0e2471951eb"),

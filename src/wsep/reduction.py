@@ -17,8 +17,9 @@ fills no crossing row.
 `generate_w3` works on rank ints, with no collection built until it
 returns.  Each level is a set of `bits` ints of the (3, m) table, starting
 from the one collection of (3, 4), and a member's ranks are decoded only
-when it is lifted.  Its map for index b is one list over every rank of the
-lower table (`_lift_maps`).  A level is closed under the polygon
+when it is lifted, from the byte table of its table (`_Table.ranks_of`).
+Its map for index b is one list over every rank of the lower table
+(`_lift_maps`).  A level is closed under the polygon
 symmetries by adding the 2m translates of each new lift, read from the
 byte tables of one rotation and one reflection (`_Table.translates`), as
 `dihedral_orbits` does.  It only lifts collections it has itself
@@ -35,7 +36,7 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
-from .subsets import _from_mask, _precedes_masks, _require_dims, _to_mask
+from .subsets import _precedes_masks, _require_dims, _to_mask
 from .wscoll import (
     WSCollection,
     _pinch_index,
@@ -187,9 +188,10 @@ def generate_w3(n: int) -> set[WSCollection]:
 
 def _w3_bits(n: int) -> set[int]:
     """The `bits` ints of the (3, n) table of `generate_w3(n)`.  Every level
-    is a set of `bits`; a member's ranks are decoded when it is lifted, each
-    lift goes through the rank map of its index, and a lift not yet in the
-    closed set brings in its 2m translates (`_Table.translates`)."""
+    is a set of `bits`; a member's ranks are decoded when it is lifted
+    (`_Table.ranks_of`), each lift goes through the rank map of its index,
+    and a lift not yet in the closed set brings in its 2m translates
+    (`_Table.translates`)."""
     _require_dims(3, n, "k and n")
     if n < 4:
         raise ValueError("need n >= 4")
@@ -200,7 +202,7 @@ def _w3_bits(n: int) -> set[int]:
         maps, crossing = _lift_maps(table), table.crossing
         closed = set()
         for c in level:
-            ranks = _from_mask(c)
+            ranks = below.ranks_of(c)
             for b in _f_set(below, c, ranks):
                 bits, lifted = _lift(table, ranks, maps[b])
                 if any(map(bits.__and__, map(crossing.__getitem__, lifted))):

@@ -33,13 +33,21 @@ quads.  Each rank table also holds crossing rows, `crossing[r]` the int of
 the ranks not weakly separated from rank r, so that "r is separated from
 every member" is one AND.  The k=3 lift generator certifies every lift.
 
-The dihedral translates of a collection (`_Table.translates`, read by
-`dihedral_orbits` and by the closure of the k=3 lift generator) are taken
-on `bits`, one byte at a time: per table, one byte table of the rotation by
-one and one of a reflection give each translate as a sum of slots, and a
-slot is filled from the rank map `image` when first read, so a one-off
-orbit at a large (k, n) builds only the slots it reads.  `translate`,
-`reduce_to_base`'s witness and its level translation keep the rank map.
+One byte-table kernel (`_Table._through`) reads a collection's `bits` one
+byte at a time: at byte position j, slot v holds the sum over the set bits
+x of v of f(8j + x), and the result is the sum of the slots the bytes pick.
+Per table there are three such tables.  The rotation by one and a
+reflection, f(r) = 1 << image[r], give the dihedral translates
+(`_Table.translates`, read by `dihedral_orbits` and by the closure of the
+k=3 lift generator); the decode, f(r) = (r,), gives the member ranks
+(`_Table.ranks_of`, behind `WSCollection.ranks` and so the sort key, the
+listing lines and `sets`, and read by the lift generator and by each level
+of `reduce_to_base`).  A slot is filled when first read, and every byte
+position shares one empty row until a slot of its own is written, so a
+one-off orbit or decode at a large (k, n) builds only what it reads.
+`_from_mask` decodes single masks, byte values and error messages only.
+`translate`, `reduce_to_base`'s witness and its level translation keep the
+rank map `image`.
 
 A maximal collection is one that is separated and whose every non-member
 crosses some member.  By purity (Oh-Postnikov-Speyer, arXiv:1109.4434;
@@ -64,6 +72,7 @@ messages do not depend on the rule.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, total_ordering
@@ -99,6 +108,14 @@ class _Lazy(dict):
         return value
 
 
+def _bit_of(image: dict, r: int) -> int:
+    return 1 << image[r]
+
+
+def _singleton(r: int) -> tuple[int]:
+    return (r,)
+
+
 class _Table:
     """The k-subsets of [1..n], 0 <= k <= n, ranked in lexicographic order,
     which is the order of their sorted tuples; in a collection, rank r
@@ -112,9 +129,13 @@ class _Table:
     as a bitmask, and `fragment[r]` as its JSON text, "[1, 2, 3]" as
     `json.dumps` writes it, from which `WSCollection.json_text` builds a
     listing line; `image[rot, refl][r]` is the rank of the image of rank r
-    under the dihedral element `Dihedral(n, rot, refl)`, and `_steps` holds
-    the byte tables of the rotation by one and the reflection that
-    `translates` reads, filled from `image` slot by slot; `crossing[r]` is
+    under the dihedral element `Dihedral(n, rot, refl)`.  The byte tables
+    of the one kernel `_through` are `_steps`, of the rotation by one and
+    the reflection, which `translates` reads, and `_decode`, of the rank
+    decode, which `ranks_of` reads; each is filled slot by slot as read,
+    and its byte positions share one empty row until one of their slots is
+    written (copy-on-write), since a table may serve a single decode, as
+    each level of the descent of `reduce_to_base` does.  `crossing[r]` is
     the int of the ranks whose subsets are not weakly separated from that
     of rank r (C(n, k) pair tests per row, so only for tables whose every
     rank is in use).
@@ -169,21 +190,34 @@ class _Table:
                 out |= 1 << s
         return out
 
+    def _byte_table(self, f, zero) -> tuple:
+        """An empty byte table of f over the ranks: (rows, empty, f), where
+        rows[j] is the row of byte position j, whose slot v holds the sum,
+        from `zero`, of f(8j + x) over the set bits x of v, or None until
+        read.  Every position shares the row `empty`, which holds only
+        `zero` in slot 0, until `_through` first writes a slot of its own."""
+        empty = [zero] + [None] * 255
+        return [empty] * (self.size + 7 >> 3), empty, f
+
     @cached_property
     def _steps(self) -> tuple:
-        """The byte tables of the rotation by one and of the reflection, each
-        with its `image` key: at byte position j, slot v holds the OR of
-        1 << image[8j + x] over the set bits x of v, or None until read.
-        Slot 0 holds 0 from the start."""
-        nb = self.size + 7 >> 3
-        return tuple(([[0] + [None] * 255 for _ in range(nb)], key) for key in ((1, False), (0, True)))
+        """The byte tables of the rotation by one and of the reflection, the
+        `image` maps of keys (1, False) and (0, True): f(r) = 1 << image[r]."""
+        return tuple(self._byte_table(partial(_bit_of, self.image[key]), 0) for key in ((1, False), (0, True)))
+
+    @cached_property
+    def _decode(self) -> tuple:
+        """The byte table of the rank decode: f(r) = (r,)."""
+        return self._byte_table(_singleton, ())
+
+    def ranks_of(self, bits: int) -> tuple[int, ...]:
+        """The ranks of the collection `bits`, ascending."""
+        return self._through(self._decode, bits)
 
     def translates(self, bits: int) -> list[int]:
         """The 2n translates of the collection `bits` under `Dihedral.group`,
         in the order x_0, ..., x_(n-1), sigma(x_0), ..., sigma(x_(n-1)) for
-        x_i = rho^i(bits): each one sum of byte-table slots over the bytes of
-        the int it is taken from.  A slot read while empty is filled from
-        `image` first, so a table fills only the slots its collections read."""
+        x_i = rho^i(bits), each read through one of `_steps`."""
         rho, sigma = self._steps
         through = self._through
         xs = [bits]
@@ -191,18 +225,24 @@ class _Table:
             xs.append(through(rho, xs[-1]))
         return xs + [through(sigma, x) for x in xs]
 
-    def _through(self, step: tuple, bits: int) -> int:
-        """The image of the collection `bits` under one of `_steps`."""
-        slots, key = step
-        b = bits.to_bytes(len(slots), "little")
+    @staticmethod
+    def _through(byte_table: tuple, bits: int):
+        """The sum of the slots of `byte_table` that the bytes of `bits`
+        pick, one per byte position.  A slot read while empty is filled
+        first, its row copied off the shared empty row when it is that, so a
+        table fills only the slots its collections read."""
+        rows, empty, f = byte_table
+        b = bits.to_bytes(len(rows), "little")
         try:
-            return sum(map(list.__getitem__, slots, b))
+            return sum(map(list.__getitem__, rows, b), empty[0])
         except TypeError:  # an empty slot
-            image = self.image[key]
             for j, v in enumerate(b):
-                if slots[j][v] is None:
-                    slots[j][v] = sum(1 << image[8 * j + y] for y in _from_mask(v))
-            return sum(map(list.__getitem__, slots, b))
+                row = rows[j]
+                if row[v] is None:
+                    if row is empty:
+                        row = rows[j] = empty.copy()
+                    row[v] = sum(map(f, [8 * j + x for x in _from_mask(v)]), empty[0])
+            return sum(map(list.__getitem__, rows, b), empty[0])
 
     @cached_property
     def quads(self) -> tuple:
@@ -289,6 +329,14 @@ class _Table:
         return sum(1 << self.rank[m] for m in tops if m not in boundary)
 
 
+def _member_mask(t: tuple[int, ...]) -> int:
+    """The bitmask of the checked subset t, sorted; an element above
+    `sys.maxsize` is a ValueError naming t, since no int has that bit."""
+    if t and t[-1] > sys.maxsize:
+        raise ValueError(f"subset {t} has an element above {sys.maxsize}, too large for a bitmask")
+    return _to_mask(t)
+
+
 @lru_cache(maxsize=32)
 def _table(k: int, n: int) -> _Table:
     return _Table(k, n)
@@ -321,19 +369,21 @@ class WSCollection:
         repeated member is an error.  A member of k distinct plain ints in
         [1..n], in any order, goes to its bitmask in one pass; any other
         goes through `check_in_range`, which names its fault or accepts it
-        (an int subclass), and then has its size checked.  The first faulty
-        member is the one named."""
+        (an int subclass), and then has its size checked, and an element
+        above `sys.maxsize` is refused before its bit is formed.  The first
+        faulty member is the one named."""
         _require_dims(k, n, "k and n")
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k} and n={n}")
         table = _table(k, n)
         rank = table.rank
         ranks = set()
+        top = min(n, sys.maxsize)
         for s in sets:
             t = tuple(s)
             m = 0
             for x in t:
-                if type(x) is not int or not 0 < x <= n:
+                if type(x) is not int or not 0 < x <= top:
                     m = 0  # t is not empty, so a zero mask sends it to check_in_range
                     break
                 m |= 1 << x
@@ -341,7 +391,7 @@ class WSCollection:
                 t = check_in_range(t, n)
                 if len(t) != k:
                     raise ValueError(f"{t} is not a {k}-subset")
-                m = _to_mask(t)
+                m = _member_mask(t)
             r = rank[m]
             if r in ranks:
                 raise ValueError(f"{table.subset[r]} appears more than once in the collection")
@@ -365,7 +415,7 @@ class WSCollection:
     def ranks(self) -> tuple[int, ...]:
         """Member ranks, ascending; decoded from `bits` on first use."""
         if self._ranks is None:
-            self._ranks = _from_mask(self.bits)
+            self._ranks = self.table.ranks_of(self.bits)
         return self._ranks
 
     def sort_key(self) -> tuple:
@@ -392,9 +442,10 @@ class WSCollection:
             t = tuple(s)
             if check_in_range(t, self.n) != t:
                 return False
+            m = _member_mask(t)
         except (TypeError, ValueError):
             return False
-        r = self.table.rank[_to_mask(t)]
+        r = self.table.rank[m]
         if r < 0:
             return False
         ranks = self._ranks
@@ -726,7 +777,8 @@ def _walk(seed: WSCollection) -> Iterator[tuple[int, int]]:
     collections already seen.  A queued collection holds only its parent's
     moves and the quad q of its move; when it is taken from the queue, the
     quads that avoid both diagonals of q and the quads to re-test are read
-    from `through` for the two diagonals and its own moves derived.
+    from `through` for the two diagonals and its own moves derived.  Its
+    move on q, which is live, leads back to its parent, so it is not tried.
     """
     table = seed.table
     quads, quad_tests, through, live = table.quads, table.quad_tests, table.through, table.live
@@ -743,7 +795,7 @@ def _walk(seed: WSCollection) -> Iterator[tuple[int, int]]:
                 tests = via_ij if bits >> r_ij & 1 else via_st
                 moves = inherited & ~(touch_ij | touch_st) | live(bits, tests)
             yield bits, moves
-            rest = moves
+            rest = moves if q is None else moves & ~(1 << q)
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -951,14 +1003,15 @@ def _moves_to_base(c: WSCollection) -> list[tuple[int, int]]:
         if k == 3:
             rot, refl = _witness(table, bits)
             image = table.image[rot, refl]
-            bits = sum(1 << image[r] for r in _from_mask(bits))
+            bits = sum(1 << image[r] for r in table.ranks_of(bits))
             ginv = Dihedral(m, rot, refl).inverse()
             q = (0, *(p[ginv.apply(x)] for x in range(1, m + 1)))
             undo.append((ginv, m, p))
         bits = _pinch_down(table, bits, q, moves)
-        mask, table = table.mask, _table(k, m - 1)
+        members = map(table.mask.__getitem__, table.ranks_of(bits))
+        table = _table(k, m - 1)
         rank, top = table.rank, 1 << m
-        bits = sum(1 << rank[s] for s in map(mask.__getitem__, _from_mask(bits)) if not s & top)
+        bits = sum(1 << rank[s] for s in members if not s & top)
         p = q
     for ginv, m, p in reversed(undo):
         moves += _undo_moves(ginv, m, p)

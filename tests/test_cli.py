@@ -662,6 +662,22 @@ class TestRangeIngress:
             line = TestBooleanIngress.one_error(capsys, argv)
             assert line == f"error: need 0 <= k <= n, got k={k} and n={n}", argv
 
+    @pytest.mark.parametrize("verb", ["validate", "reduce-base"])
+    def test_element_too_large_for_a_bitmask(self, capsys, tmp_path, verb):
+        # no int has bit 10**30, so the member is refused before its mask is formed
+        n = 10**30
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps({"k": 3, "n": n, "sets": [[1, 2, n]]}))
+        line = TestBooleanIngress.one_error(capsys, [verb, "--file", str(cf)])
+        assert line == f"error: subset (1, 2, {n}) has an element above {sys.maxsize}, too large for a bitmask"
+
+    def test_element_of_a_formable_mask_is_kept(self, capsys, tmp_path):
+        n = 10**6
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps({"k": 3, "n": n, "sets": [[1, 2, n]]}))
+        assert main(["validate", "--file", str(cf)]) == 0
+        assert capsys.readouterr().out == '{"issues": [], "ok": true}\n'
+
 
 def certify_cases():
     """(name, k, n, sets) of crossing and non-maximal collections, on tables

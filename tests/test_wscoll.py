@@ -7,6 +7,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import (
     closure_by_moves,
@@ -669,9 +670,10 @@ class TestTranslateTables:
         for c in cs:
             table.translates(c.bits)
         filled = 0
-        for slots, (rot, refl) in table._steps:
-            assert len(slots) == 5 and all(len(row) == 256 and row[0] == 0 for row in slots)
-            for j, row in enumerate(slots):
+        for (rows, empty, _), (rot, refl) in zip(table._steps, [(1, False), (0, True)]):
+            assert len(rows) == 5 and empty == [0] + [None] * 255
+            for j, row in enumerate(rows):
+                assert len(row) == 256 and row[0] == 0
                 for v, entry in enumerate(row):
                     if v and entry is not None:
                         filled += 1
@@ -685,8 +687,55 @@ class TestTranslateTables:
         table = c.table
         vars(table).pop("_steps", None)  # as a fresh process has them
         assert dihedral_orbits([c]) == [(c,)]
-        filled = sum(v is not None for slots, _ in table._steps for row in slots for v in row[1:])
+        filled = sum(v is not None for rows, _, _ in table._steps for row in rows for v in row[1:])
         assert 0 < filled <= 2 * 14 * len(c)
+        # a position none of whose slots was written still shares the empty row
+        for rows, empty, _ in table._steps:
+            assert empty == [0] + [None] * 255
+            assert sum(row is not empty for row in rows) <= filled
+
+
+class TestRankDecode:
+    """`_Table.ranks_of` reads the byte table of f(r) = (r,), the kernel of
+    the translates, filled slot by slot."""
+
+    @pytest.mark.parametrize("k, n", [(2, 4), (3, 7), (3, 8), (4, 9)])
+    @given(data=st.data())
+    def test_decode_matches_from_mask(self, k, n, data):
+        # 6, 35, 56 and 126 ranks: a partial last byte but for (3, 8)
+        table = _table(k, n)
+        full = (1 << table.size) - 1
+        top = 1 << table.size - 1
+        bits = data.draw(st.one_of(st.sampled_from([0, full, top, top | 1]), st.integers(0, full)))
+        assert table.ranks_of(bits) == _from_mask(bits)
+        assert WSCollection(table, bits).ranks() == _from_mask(bits)
+
+    def test_filled_slots_are_the_ranks_of_their_byte(self):
+        table = _table(4, 8)
+        for c in component_of_base(4, 8):
+            assert c.ranks() == _from_mask(c.bits)
+        rows, empty, _ = table._decode
+        assert len(rows) == 9 and empty == [()] + [None] * 255
+        for j, row in enumerate(rows):
+            for v, entry in enumerate(row):
+                assert entry is None or entry == tuple(8 * j + x for x in _from_mask(v))
+
+    def test_one_decode_allocates_only_the_rows_it_reads(self):
+        # a translate of base(3, 40) has 112 members over 1,235 byte
+        # positions: 256 slots for every position would take 2.5 MB
+        c = translate(base_collection(3, 40), Dihedral(40, 7, True))
+        table = c.table
+        vars(table).pop("_decode", None)  # as a fresh table has it
+        tracemalloc.start()
+        try:
+            ranks = table.ranks_of(c.bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ranks == _from_mask(c.bits)
+        assert peak < 1 << 20
+        rows, empty, _ = table._decode
+        assert sum(row is not empty for row in rows) <= len(c)
 
 
 class TestPurity:
@@ -1091,6 +1140,14 @@ class TestBitmaskKernel:
         assert peak < 1 << 20
         with pytest.raises(AttributeError):
             object.__getattribute__(c, "bits")
+
+    def test_element_too_large_for_a_bitmask(self):
+        # no int has bit 10**30: such a member is refused by name, and is no member
+        n = 10**30
+        with pytest.raises(ValueError, match=r"^subset \(1, 2, 10{30}\) has an element above"):
+            WSCollection.of(3, n, [(1, 2, 3), (2, 1, n)])
+        c = WSCollection.of(3, n, [(1, 2, 3)])
+        assert (1, 2, n) not in c and (1, 2, 3) in c
 
     def test_translate_matches_tuple_image(self):
         for c in component_of_base(3, 6):
