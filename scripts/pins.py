@@ -127,6 +127,9 @@ PINS = (
     Pin("purity-sweep", ("scripts/purity_sweep.py", "200", "0")),
     Pin("lift-generator", ("scripts/count_collections.py", "9", "9")),
     Pin("nonparametrizable", ("scripts/search_nonparametrizable.py", "7", "8", "9"), stdout=NONPARAMETRIZABLE),
+    # 480 of the 1430 triangulations at n = 10, in 30 orbits
+    Pin("nonparametrizable-10", ("scripts/search_nonparametrizable.py", "10"), 30,
+        sha256="8a1b670a520d8f173cbacfc5b541ae3180ccce13841f51da382a32c9f26e2878", rss_mb=25),
     Pin("gen-w3-9-count", (*CLI, "gen-w3", "--n", "9", "--count-only"), stdout='{"count": 18600}\n'),
     # the full listing: every collection decoded for its sort key and its line
     Pin("gen-w3-9", (*CLI, "gen-w3", "--n", "9"), 30,

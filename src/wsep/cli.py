@@ -56,11 +56,6 @@ def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _emit_lines(records) -> None:
-    for rec in records:
-        print(json.dumps(rec, sort_keys=True))
-
-
 def _emit_texts(lines) -> None:
     """Print lines of JSON text already written as `_emit` would write them."""
     write = sys.stdout.write
@@ -207,7 +202,8 @@ def cmd_wiring(args) -> int:
         text = _read_text(args.word_file)
         words = [parse_word(line) for line in text.splitlines() if line.strip()]
         payloads = [_wiring_payload(w, args) for w in words]
-        _emit_lines(payloads)
+        for payload in payloads:
+            _emit(payload)
         return OK if all(p["optimal"] for p in payloads) else NEGATIVE
     payload = _wiring_payload(parse_word(args.word), args)
     _emit(payload)

@@ -14,9 +14,9 @@ whatever order the relations derive them in.  Propagation is one closure
 over the exchange quads: a list of the quads not yet handled, walked in
 index order pass after pass, from which each quad leaves once it has
 derived a value or been checked.  So each relation is evaluated once per
-call, in float mode once per direction.  Default arithmetic is exact
-rational; float mode exists for sweeps and is checked against a relative
-tolerance.
+call, in float mode once per direction and, after a derivation, once more
+to check the direction it used.  Default arithmetic is exact rational;
+float mode exists for sweeps and is checked against a relative tolerance.
 
 Propagation starts from a maximal collection: one of k(n-k)+1 pairwise
 weakly separated members, which by purity is the same as maximal.  Anything
@@ -151,13 +151,14 @@ def propagate(
     other diagonal; a quad whose six values are all known is checked.
     Either way it leaves the list.  Passes repeat until one derives
     nothing.  A derivation checks its relation in both directions in exact
-    mode, since all values are positive rationals; in float mode it checks
-    the one direction, unless the value does not agree with itself (an inf
-    or nan), and the other direction is checked at once.  A check never
-    changes what is known, so the values are derived in the same order
-    whatever the checks find.  A failed check is recorded and the closure
-    runs on: the result carries the witness of the least failing relation
-    id and every value.  A division by zero in a derivation returns at once.
+    mode, since all values are positive rationals; in float mode both
+    directions are checked at once, the derived one too, which fails only
+    for a value that does not agree with itself (an inf or nan).  A check
+    never changes what is known, so the values are derived in the same
+    order whatever the checks find.  A failed check is recorded and the
+    closure runs on: the result carries the witness of the least failing
+    relation id and every value.  A division by zero in a derivation
+    returns at once.
 
     Exact mode runs on reduced int numerator/denominator pairs: a derived
     value is reduced once, by its `Fraction`.  A quad found with its six
@@ -253,20 +254,14 @@ def propagate(
                 v = value[add] = Fraction(sides * den[rm], d_sides * num[rm])
                 num[add], den[add] = v.numerator, v.denominator
             else:
-                # derives (or checks) the other diagonal: anchor+{s,t} for d = 0
-                rel = 2 * q + (not has[rm])
-                if rel & 1:
-                    rm, add = add, rm
-                done = None  # the direction a derivation checked
                 if not known_both:
+                    if not has[rm]:  # relation 2q + 1 derives anchor+{i,j}
+                        rm, add = add, rm
                     if not value[rm]:
                         return Propagation(False, values(), f"division by zero at {subset[rm]}")
-                    v = (value[r_is] * value[r_jt] + value[r_it] * value[r_sj]) / value[rm]
-                    value[add] = v
-                    if close(v, v):
-                        done = rel
+                    value[add] = (value[r_is] * value[r_jt] + value[r_it] * value[r_sj]) / value[rm]
                 for x in (2 * q, 2 * q + 1):
-                    text = x != done and x < failed and check(x)
+                    text = x < failed and check(x)
                     if text:
                         failed, why = x, text
                         break

@@ -11,7 +11,8 @@ the three adjoined sets (`_adjoined_ranks`); `_lift` builds it from such a
 map and checks that its size is |c| + 3 and that it holds the
 near-boundary marker {1, m-2, m-1}.  The public `lift` maps only the
 members of its collection, through a dict, and certifies the result with
-`wscoll._separated`, so a one-off lift at a large n keeps the pair loop and
+`is_maximal`, whose size test `_lift` has already passed, so its
+separation check keeps the pair loop for a one-off lift at a large n and
 fills no crossing row.
 
 `generate_w3` works on rank ints, with no collection built until it
@@ -40,9 +41,9 @@ from .subsets import _precedes_masks, _require_dims, _to_mask
 from .wscoll import (
     WSCollection,
     _pinch_index,
-    _separated,
     _table,
     _Table,
+    is_maximal,
     require_maximal,
 )
 
@@ -61,15 +62,16 @@ def project(c: WSCollection) -> WSCollection:
     n = c.n
     if (1, n - 2, n - 1) not in c:
         raise ValueError(f"projection requires {{1,{n-2},{n-1}}} in the collection")
+    table = _table(3, n - 1)
     top, below = 1 << n, 1 << (n - 1)
-    images = []
+    bits = 0
     for m in c.masks():
         if m & top:
             if m & below:
                 continue
             m ^= top | below
-        images.append(m)
-    out = WSCollection.of_masks(3, n - 1, images)
+        bits |= 1 << table.rank[m]  # a repeated image counts once: the size check catches it
+    out = WSCollection(table, bits)
     if len(out) != len(c) - 3:
         raise AssertionError("projection changed the size by an unexpected amount")
     return out
@@ -118,7 +120,7 @@ def lift(b_coll: WSCollection, b: int) -> WSCollection:
     relabel = {r: table.rank[_relabelled(mask[r], lb, old)] for r in ranks}
     bits, _ = _lift(table, ranks, (relabel, _adjoined_ranks(table, b)))
     out = WSCollection(table, bits)
-    if not _separated(out):
+    if not is_maximal(out):
         raise AssertionError("lift produced a non-separated collection")
     return out
 

@@ -36,42 +36,37 @@ def all_minor_indices(k: int, m: int, sizes=None) -> list[MinorIndex]:
     return out
 
 
-def _minor_pairs_agree(k: int, m: int, sizes=None) -> CheckResult:
-    minors = all_minor_indices(k, m, sizes)
-    polys = {mi: quantum_minor(mi) for mi in minors}
+def _pairs_agree(name: str, labels: list, polys: list, formula, separated) -> CheckResult:
+    """Every ordered pair (p, r) of `labels`, realized as the same places
+    of `polys`: the oracle's exponent is `formula(p, r)`, and it is None
+    exactly when `separated(p, r)` is False."""
     checked = 0
-    for a in range(len(minors)):
-        for b in range(len(minors)):
-            p, r = minors[a], minors[b]
-            oracle = quasi_commutation_exponent(polys[p], polys[r])
-            formula = minor_exponent(p, r)
-            separated = weakly_separated(stieffel_subset(p), stieffel_subset(r))
-            if (oracle is not None) != separated or oracle != formula:
+    for p, P in zip(labels, polys):
+        for r, R in zip(labels, polys):
+            oracle = quasi_commutation_exponent(P, R)
+            expected = formula(p, r)
+            if oracle != expected or (oracle is None) == separated(p, r):
                 return CheckResult(
-                    f"minors_{k}x{m}",
-                    False,
-                    f"mismatch at {p} vs {r}: oracle={oracle}, formula={formula}",
+                    name, False, f"mismatch at {p} vs {r}: oracle={oracle}, formula={expected}"
                 )
             checked += 1
-    return CheckResult(f"minors_{k}x{m}", True, f"{checked} ordered pairs agree")
+    return CheckResult(name, True, f"{checked} ordered pairs agree")
+
+
+def _minors_separated(p: MinorIndex, r: MinorIndex) -> bool:
+    return weakly_separated(stieffel_subset(p), stieffel_subset(r))
+
+
+def _minor_pairs_agree(k: int, m: int, sizes=None) -> CheckResult:
+    minors = all_minor_indices(k, m, sizes)
+    polys = list(map(quantum_minor, minors))
+    return _pairs_agree(f"minors_{k}x{m}", minors, polys, minor_exponent, _minors_separated)
 
 
 def _plucker_pairs_agree(k: int, n: int) -> CheckResult:
     subsets = list(combinations(range(1, n + 1), k))
-    polys = {K: plucker_realize(K, k, n) for K in subsets}
-    checked = 0
-    for I in subsets:
-        for J in subsets:
-            oracle = quasi_commutation_exponent(polys[I], polys[J])
-            formula = plucker_exponent(I, J)
-            if oracle != formula or (oracle is None) == weakly_separated(I, J):
-                return CheckResult(
-                    f"plucker_{k}_{n}",
-                    False,
-                    f"mismatch at {I} vs {J}: oracle={oracle}, formula={formula}",
-                )
-            checked += 1
-    return CheckResult(f"plucker_{k}_{n}", True, f"{checked} ordered pairs agree")
+    polys = [plucker_realize(K, k, n) for K in subsets]
+    return _pairs_agree(f"plucker_{k}_{n}", subsets, polys, plucker_exponent, weakly_separated)
 
 
 def check_straightening() -> CheckResult:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .subsets import MinorIndex, _require_dims, is_boundary, stieffel_subset
+from .subsets import MinorIndex, _require_dims, stieffel_subset
 from .wscoll import WSCollection
 
 Word = tuple[int, ...]
@@ -165,27 +165,13 @@ def word_collection(word: Word, k: int, m: int) -> WSCollection:
 
 
 def is_wiring_parametrizable(c: WSCollection) -> bool:
-    """k=2 criterion: some polygon edge e exists such that no chord of the
-    triangulation separates e from any other edge while avoiding both."""
+    """k=2 criterion: some polygon edge {i, i%n+1} meets every long chord of
+    the triangulation, a member {a, b} with 3 <= b - a <= n - 3.  An edge
+    that avoids both ends of a chord lies wholly on one side of it, and the
+    chord separates it from another edge exactly when the other side also
+    holds an edge that avoids those ends, which is when the chord is long."""
     if c.k != 2:
         raise ValueError("wiring parametrizability test is for k=2 collections")
     n = c.n
-    edges = sorted({tuple(sorted((i, i % n + 1))) for i in range(1, n + 1)})
-    chords = [s for s in c.sets if not is_boundary(s, n)]
-
-    def separates(chord, e, f) -> bool:
-        a, b = chord
-        inside = set(range(a + 1, b))
-        outside = set(range(1, n + 1)) - inside - {a, b}
-        return (set(e) <= inside and set(f) <= outside) or (
-            set(f) <= inside and set(e) <= outside
-        )
-
-    for e in edges:
-        if all(
-            not any(separates(ch, e, f) for ch in chords)
-            for f in edges
-            if f != e
-        ):
-            return True
-    return False
+    chords = [s for s in c.sets if 3 <= s[1] - s[0] <= n - 3]
+    return any(all(i in s or i % n + 1 in s for s in chords) for i in range(1, n + 1))

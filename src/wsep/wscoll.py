@@ -56,18 +56,19 @@ of k(n-k)+1 members, and that is what `is_maximal` tests and
 `require_maximal` demands; `propagate`, `reduce_to_base` and the k=3 verbs
 call the latter first.
 
-A check of separation (`is_maximal` and `require_maximal`, and the public
-`lift`) asks `_separated`, and the replay of `reduce_to_base` (which checks
-one rank per move) asks `_uses_rows`: either takes the rows when the table
-has at most `ROWS_PER_MEMBER` (4) subsets per member of the collection,
-`table.size <= 4 * len(c)`, and the pair loop otherwise.  A
-row costs C(n, k) pair tests once and one AND per use after, so the rows
-pay off on a small table checked repeatedly, such as (3, 7), (3, 8) and k=2
-up to n=15; a one-off check at a large (k, n) keeps the pair loop and fills
-no row.  The rule decides only how, never whether: both ways answer the
-predicate of `validate(c).ok`.  A caller that reports a failure takes its
-message from `validate`, which is the pair loop and the report, so the
-messages do not depend on the rule.
+A check of separation (`is_maximal` and `require_maximal`, and so the
+public `lift`) asks `_separated`, and the replay of `reduce_to_base` (which
+checks one rank per move) asks `_uses_rows`: either takes the rows when the
+table has at most `ROWS_PER_MEMBER` (4) subsets per member of the
+collection, `table.size <= 4 * len(c)`, and pair tests otherwise, which for
+`_separated` are `validate` itself.  A row costs C(n, k) pair tests once
+and one AND per use after, so the rows pay off on a small table checked
+repeatedly, such as (3, 7), (3, 8) and k=2 up to n=15; a one-off check at
+a large (k, n) keeps the pair loop and fills no row.  The rule decides
+only how, never whether: both ways answer the predicate of
+`validate(c).ok`.  A caller that reports a failure takes its message from
+`validate`, which is the pair loop and the report, so the messages do not
+depend on the rule.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from typing import Iterable, Iterator
 
 from .subsets import (
     Dihedral,
+    _bounded_mask,
     _from_mask,
     _is_int,
     _require_dims,
@@ -324,7 +326,7 @@ class _Table:
         """The int of the ranks of the non-boundary subsets that contain n:
         a collection's height is the bit count of its `bits` & this."""
         k, n, top = self.k, self.n, 1 << self.n
-        boundary = {_to_mask((n - j + x - 1) % n + 1 for x in range(k)) for j in range(k)}
+        boundary = set(map(_to_mask, boundary_sets(k, n)))
         tops = (top | _to_mask(t) for t in combinations(range(1, n), k - 1)) if k else ()
         return sum(1 << self.rank[m] for m in tops if m not in boundary)
 
@@ -367,11 +369,12 @@ class WSCollection:
     def of(k: int, n: int, sets: Iterable[Iterable[int]]) -> "WSCollection":
         """Check and canonicalise members given as iterables of ints; a
         repeated member is an error.  A member of k distinct plain ints in
-        [1..n], in any order, goes to its bitmask in one pass; any other
-        goes through `check_in_range`, which names its fault or accepts it
-        (an int subclass), and then has its size checked, and an element
-        above `sys.maxsize` is refused before its bit is formed.  The first
-        faulty member is the one named."""
+        [1..n], in any order, goes to its bitmask in one pass
+        (`subsets._bounded_mask`); any other goes through `check_in_range`,
+        which names its fault or accepts it (an int subclass), and then has
+        its size checked, and an element above `sys.maxsize` is refused
+        before its bit is formed.  The first faulty member is the one
+        named."""
         _require_dims(k, n, "k and n")
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k} and n={n}")
@@ -381,13 +384,8 @@ class WSCollection:
         top = min(n, sys.maxsize)
         for s in sets:
             t = tuple(s)
-            m = 0
-            for x in t:
-                if type(x) is not int or not 0 < x <= top:
-                    m = 0  # t is not empty, so a zero mask sends it to check_in_range
-                    break
-                m |= 1 << x
-            if len(t) != k or m.bit_count() != k:
+            m = _bounded_mask(t, top) if len(t) == k else None
+            if m is None:
                 t = check_in_range(t, n)
                 if len(t) != k:
                     raise ValueError(f"{t} is not a {k}-subset")
@@ -400,17 +398,6 @@ class WSCollection:
         c.k, c.n, c.table = k, n, table
         c._ranks = tuple(sorted(ranks))
         return c
-
-    @staticmethod
-    def of_masks(k: int, n: int, masks: Iterable[int]) -> "WSCollection":
-        """Trusted constructor from member bitmasks, each a k-subset of
-        [1..n]; a repeated mask counts once."""
-        table = _table(k, n)
-        rank = table.rank
-        bits = 0
-        for m in masks:
-            bits |= 1 << rank[m]
-        return WSCollection(table, bits)
 
     def ranks(self) -> tuple[int, ...]:
         """Member ranks, ascending; decoded from `bits` on first use."""
@@ -448,15 +435,12 @@ class WSCollection:
         r = self.table.rank[m]
         if r < 0:
             return False
-        ranks = self._ranks
-        if ranks is None:
-            return bool(self.bits >> r & 1)
+        ranks = self.ranks()
         x = bisect_left(ranks, r)
         return x < len(ranks) and ranks[x] == r
 
     def __len__(self) -> int:
-        ranks = self._ranks
-        return len(ranks) if ranks is not None else self.bits.bit_count()
+        return len(self.ranks())
 
     def __hash__(self) -> int:
         return self._hash
@@ -642,19 +626,12 @@ def _uses_rows(c: WSCollection) -> bool:
 
 def _separated(c: WSCollection) -> bool:
     """Whether c is weakly separated, `validate(c).ok`: one AND per member
-    with crossing rows, else pair tests over its pairs, as `_uses_rows`
-    decides, stopping at the first crossing."""
+    with crossing rows, stopping at the first crossing, else `validate`
+    itself, as `_uses_rows` decides."""
     if _uses_rows(c):
         bits, crossing = c.bits, c.table.crossing
-        for r in c.ranks():
-            if bits & crossing[r]:
-                return False
-        return True
-    members = c.masks()
-    for x, a in enumerate(members):
-        if not all(map(partial(_weakly_separated_masks, a), members[x + 1:])):
-            return False
-    return True
+        return not any(map(bits.__and__, map(crossing.__getitem__, c.ranks())))
+    return validate(c).ok
 
 
 def _separated_from(table: _Table, bits: int, r: int, members: Iterable[int] | None) -> bool:

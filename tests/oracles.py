@@ -12,9 +12,10 @@ rewriter monomial by monomial, value propagation by evaluating the exchange
 relation on every edge of the move-graph walk, the exchange quads of the
 rank table by listing sorted tuples, the exchange relations on a value
 assignment by evaluating them on that listing, the move-graph closure by
-scanning every state with `find_moves`, and the maximal weakly separated
+scanning every state with `find_moves`, the maximal weakly separated
 collections by a clique search of the weak-separation graph that makes no
-moves.
+moves, and the k=2 wiring criterion by a search over every chord and pair
+of polygon edges.
 
 `component_of_base` is not an oracle: it caches the move-graph closure of
 the base collection for the tests that share one.  Nor is `_edges`: it
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from wsep.laurent import Laurent, ONE, Q, Q_MINUS_Q_INV, ZERO
 from wsep.positivity import Propagation, _det
 from wsep.quantum import Gen, NCPoly, Word, _encode, normalize_word
-from wsep.subsets import _from_mask, _is_int, weakly_separated
+from wsep.subsets import _from_mask, _is_int, is_boundary, weakly_separated
 from wsep.wscoll import (
     WSCollection,
     _sides,
@@ -403,6 +404,25 @@ def maximal_weakly_separated_bf(k: int, n: int) -> set[tuple[tuple[int, ...], ..
         rest &= nbrs[x]
     expand(seed, rest, 0)
     return out
+
+
+def is_wiring_parametrizable_bf(c: WSCollection) -> bool:
+    """The k=2 wiring criterion by search: some polygon edge e exists such
+    that no chord of the triangulation c separates e from any other edge
+    while avoiding both."""
+    n = c.n
+    edges = sorted({tuple(sorted((i, i % n + 1))) for i in range(1, n + 1)})
+    chords = [s for s in c.sets if not is_boundary(s, n)]
+
+    def separates(chord, e, f) -> bool:
+        a, b = chord
+        inside = set(range(a + 1, b))
+        outside = set(range(1, n + 1)) - inside - {a, b}
+        return (set(e) <= inside and set(f) <= outside) or (set(f) <= inside and set(e) <= outside)
+
+    return any(
+        all(not any(separates(ch, e, f) for ch in chords) for f in edges if f != e) for e in edges
+    )
 
 
 def reduced_words_of_longest(size: int) -> list[tuple[int, ...]]:

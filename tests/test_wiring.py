@@ -5,7 +5,13 @@ from math import comb
 
 import pytest
 
-from oracles import all_optimal_words, component_of_base, reduced_words_of_longest, shuffles
+from oracles import (
+    all_optimal_words,
+    component_of_base,
+    is_wiring_parametrizable_bf,
+    reduced_words_of_longest,
+    shuffles,
+)
 from wsep.subsets import Dihedral, precedes
 from wsep.wiring import (
     black_part,
@@ -281,6 +287,12 @@ class TestParametrizability:
     def test_w29_has_non_parametrizable_member(self):
         bad = [c for c in component_of_base(2, 9) if not is_wiring_parametrizable(c)]
         assert bad
+
+    def test_matches_search(self):
+        # the long-chord form against the search over chords and edge pairs
+        for n in range(4, 10):
+            for c in component_of_base(2, n):
+                assert is_wiring_parametrizable(c) == is_wiring_parametrizable_bf(c), c
 
     def test_k3_rejected(self):
         with pytest.raises(ValueError):

@@ -1141,6 +1141,25 @@ class TestBitmaskKernel:
         with pytest.raises(AttributeError):
             object.__getattribute__(c, "bits")
 
+    @pytest.mark.parametrize("k, n", [(2, 6), (3, 8), (4, 9)])
+    def test_membership_and_size_from_ranks_or_bits(self, k, n):
+        # `of` answers from the ranks it keeps, with no `bits`; the same
+        # collection built from its `bits` decodes its ranks on first use
+        subsets = list(combinations(range(1, n + 1), k))
+        sets = subsets[::3]
+        table = _table(k, n)
+        bits = sum(1 << table.rank[_to_mask(s)] for s in sets)
+        made, built = WSCollection.of(k, n, sets), WSCollection(table, bits)
+        assert len(made) == len(WSCollection(table, bits)) == len(sets)
+        probes = subsets + [s[::-1] for s in sets]  # every member and non-member, and unsorted members
+        probes += [(0, *s[1:]) for s in sets] + [(*s[:-1], n + 1) for s in sets]  # out of range
+        want = [p in set(sets) for p in probes]
+        assert [p in made for p in probes] == want
+        assert [p in built for p in probes] == want
+        assert len(built) == len(sets)
+        with pytest.raises(AttributeError):
+            object.__getattribute__(made, "bits")
+
     def test_element_too_large_for_a_bitmask(self):
         # no int has bit 10**30: such a member is refused by name, and is no member
         n = 10**30
