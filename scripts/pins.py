@@ -131,7 +131,8 @@ PINS = (
     Pin("nonparametrizable-10", ("scripts/search_nonparametrizable.py", "10"), 30,
         sha256="8a1b670a520d8f173cbacfc5b541ae3180ccce13841f51da382a32c9f26e2878", rss_mb=25),
     Pin("gen-w3-9-count", (*CLI, "gen-w3", "--n", "9", "--count-only"), stdout='{"count": 18600}\n'),
-    # the full listing: every collection decoded for its sort key and its line
+    # the full listings: each collection's int decoded once, for the sort and for its line; the RSS
+    # bounds guard the listings made with no collection object per state
     Pin("gen-w3-9", (*CLI, "gen-w3", "--n", "9"), 30,
         sha256="58fac13b01f06be40375922c4c53f854a923c881b820621135a7c9e14ec7aba8", rss_mb=32),
     Pin("enumerate-4-8-count", (*CLI, "enumerate", "--k", "4", "--n", "8", "--count-only"), stdout='{"count": 5470}\n'),
@@ -161,7 +162,10 @@ PINS = (
     Pin("mat45-minor-pairs", ("-c", "from wsep import verify; r = verify._minor_pairs_agree(4, 5); print(r.ok, r.detail)"),
         60, "True 15625 ordered pairs agree\n", rss_mb=40),
     Pin("enumerate-4-9", (*CLI, "enumerate", "--k", "4", "--n", "9"), 60,
-        sha256="6bce9640de2ade27f5d04f49aea7440847a75e844476cbab3f9ed3185cc63051", rss_mb=120),
+        sha256="6bce9640de2ade27f5d04f49aea7440847a75e844476cbab3f9ed3185cc63051", rss_mb=70),
+    # 6815 orbits, each printed from the decoded ranks of its least member
+    Pin("orbits-4-9", (*CLI, "orbits", "--k", "4", "--n", "9"), 60,
+        sha256="9d6f5005444a8ee7310924d83d00940f9efc315ef583917602bc35b2b3260fb3", rss_mb=75),
     Pin("gr4-patterns", ("-c", GR4_PATTERNS), 60, "321 of 321 interleaving patterns agree\n", rss_mb=60),
     Pin("walk-6-12-start", ("-c", WALK_START), 30, "200\n", rss_mb=80),
     # one orbit at a large table: the byte tables of the translates fill only the slots they read

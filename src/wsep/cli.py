@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,16 +28,15 @@ from .subsets import (
 )
 from .wscoll import (
     WSCollection,
+    _orbits,
     _pinch_index,
+    _table,
     _walk,
     base_collection,
-    dihedral_orbits,
-    enumerate_component,
     reduce_to_base,
-    sizes_histogram,
     validate,
 )
-from .reduction import _w3_bits, generate_w3, lift, project
+from .reduction import _w3_bits, lift, project
 from .wiring import (
     chambers,
     format_word,
@@ -61,6 +61,13 @@ def _emit_texts(lines) -> None:
     write = sys.stdout.write
     for line in lines:
         write(line + "\n")
+
+
+def _emit_listing(table, bits) -> None:
+    """Print the collections `bits` of the table, one `json_text` line each,
+    in the order of `<`, which within one table is the order of their
+    ascending rank tuples: each is decoded once, and no collection built."""
+    _emit_texts(map(table.json_line, sorted(map(table.ranks_of, bits))))
 
 
 def _read_text(path: str) -> str:
@@ -147,24 +154,31 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         _emit({"count": sum(1 for _ in _walk(seed))})
         return OK
-    found = sorted(enumerate_component(seed), key=WSCollection.sort_key)
-    _emit_texts(c.json_text() for c in found)
+    bits = [b for b, _ in _walk(seed)]
+    # the summary first, so that the orbit partition's dict is gone before the rank tuples are built
+    sizes = Counter(map(int.bit_count, bits))
     summary = {
-        "count": len(found),
-        "orbit_count": len(dihedral_orbits(found)),
-        "sizes_histogram": {str(k): v for k, v in sizes_histogram(found).items()},
+        "count": len(bits),
+        "orbit_count": sum(1 for _ in _orbits(seed.table, bits)),
+        "sizes_histogram": {str(size): sizes[size] for size in sorted(sizes)},
     }
+    _emit_listing(seed.table, bits)
     _emit(summary)
     return OK
 
 
 def cmd_orbits(args) -> int:
-    found = enumerate_component(base_collection(args.k, args.n))
-    orbits = dihedral_orbits(found)
-    _emit_texts(
-        '{"representative": %s, "size": %d}' % (o[0].json_text(), len(o)) for o in orbits
+    seed = base_collection(args.k, args.n)
+    table, bits = seed.table, [b for b, _ in _walk(seed)]
+    # each orbit as (the ranks of its least member under `<`, its size), in the order of `<`
+    ranks_of = table.ranks_of
+    orbits = sorted(
+        (min(map(ranks_of, map(bits.__getitem__, xs))), len(xs)) for xs in _orbits(table, bits)
     )
-    _emit({"count": len(found), "orbit_count": len(orbits)})
+    _emit_texts(
+        '{"representative": %s, "size": %d}' % (table.json_line(r), size) for r, size in orbits
+    )
+    _emit({"count": len(bits), "orbit_count": len(orbits)})
     return OK
 
 
@@ -225,12 +239,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_gen_w3(args) -> int:
-    if args.count_only:
-        _emit({"count": len(_w3_bits(args.n))})
-        return OK
-    found = generate_w3(args.n)
-    _emit_texts(c.json_text() for c in sorted(found, key=WSCollection.sort_key))
-    _emit({"count": len(found)})
+    bits = _w3_bits(args.n)
+    if not args.count_only:
+        _emit_listing(_table(3, args.n), bits)
+    _emit({"count": len(bits)})
     return OK
 
 

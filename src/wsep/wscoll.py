@@ -6,7 +6,11 @@ A collection is one int over the lexicographic ranks of its member
 k-subsets, and an exchange move is a presence check plus an XOR on it;
 member sets are sorted tuples only at the boundary (`WSCollection.of`,
 `.sets`, JSON, and the properties of a `Move`); a listing line is joined
-from per-rank JSON fragments (`json_text`).
+from per-rank JSON fragments (`_Table.json_line`, behind `json_text`).
+The full listings of the CLI never build a collection per state: they
+take the walk's ints, decode each once, sort the rank tuples (within one
+table their order is that of `<`), print each line from its ranks, count
+orbits with `_orbits` and sizes with `int.bit_count`.
 
 A move is the pair (removes_mask, adds_mask) of its two diagonals as
 bitmasks, which alone fix it: the anchor is their intersection and the
@@ -38,11 +42,11 @@ byte at a time: at byte position j, slot v holds the sum over the set bits
 x of v of f(8j + x), and the result is the sum of the slots the bytes pick.
 Per table there are three such tables.  The rotation by one and a
 reflection, f(r) = 1 << image[r], give the dihedral translates
-(`_Table.translates`, read by `dihedral_orbits` and by the closure of the
-k=3 lift generator); the decode, f(r) = (r,), gives the member ranks
-(`_Table.ranks_of`, behind `WSCollection.ranks` and so the sort key, the
-listing lines and `sets`, and read by the lift generator and by each level
-of `reduce_to_base`).  A slot is filled when first read, and every byte
+(`_Table.translates`, read by the orbit partition `_orbits` and by the
+closure of the k=3 lift generator); the decode, f(r) = (r,), gives the
+member ranks (`_Table.ranks_of`, behind `WSCollection.ranks` and `sets`,
+and read by the listings, by the lift generator and by each level of
+`reduce_to_base`).  A slot is filled when first read, and every byte
 position shares one empty row until a slot of its own is written, so a
 one-off orbit or decode at a large (k, n) builds only what it reads.
 `_from_mask` decodes single masks, byte values and error messages only.
@@ -58,17 +62,18 @@ call the latter first.
 
 A check of separation (`is_maximal` and `require_maximal`, and so the
 public `lift`) asks `_separated`, and the replay of `reduce_to_base` (which
-checks one rank per move) asks `_uses_rows`: either takes the rows when the
-table has at most `ROWS_PER_MEMBER` (4) subsets per member of the
-collection, `table.size <= 4 * len(c)`, and pair tests otherwise, which for
-`_separated` are `validate` itself.  A row costs C(n, k) pair tests once
-and one AND per use after, so the rows pay off on a small table checked
-repeatedly, such as (3, 7), (3, 8) and k=2 up to n=15; a one-off check at
-a large (k, n) keeps the pair loop and fills no row.  The rule decides
-only how, never whether: both ways answer the predicate of
-`validate(c).ok`.  A caller that reports a failure takes its message from
-`validate`, which is the pair loop and the report, so the messages do not
-depend on the rule.
+checks one rank per move) asks `_uses_rows`: either takes the rows when
+filling the rows of the collection's m members that are still empty costs
+fewer than `ROWS_PER_MEMBER` (4) m^2 pair tests, `table.size * empty <
+4 * m ** 2`, and pair tests otherwise, which for `_separated` are
+`validate` itself.  A row costs C(n, k) pair tests once and one AND per
+use after, so the rows pay off on a small table checked repeatedly, such
+as (3, 7), (3, 8) and k=2 up to n=15, and on any table whose rows are
+already filled; a one-off check at a large (k, n) keeps the pair loop and
+fills no row.  The rule decides only how, never whether: both ways answer
+the predicate of `validate(c).ok`.  A caller that reports a failure takes
+its message from `validate`, which is the pair loop and the report, so the
+messages do not depend on the rule.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, total_ordering
-from itertools import combinations, groupby
+from itertools import combinations, groupby, repeat
 from math import comb
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
@@ -129,9 +134,9 @@ class _Table:
     `rank[m]` is the rank of bitmask m, or -1 if m is not a k-subset of
     [1..n]; `subset[r]` and `mask[r]` give rank r back as a sorted tuple and
     as a bitmask, and `fragment[r]` as its JSON text, "[1, 2, 3]" as
-    `json.dumps` writes it, from which `WSCollection.json_text` builds a
-    listing line; `image[rot, refl][r]` is the rank of the image of rank r
-    under the dihedral element `Dihedral(n, rot, refl)`.  The byte tables
+    `json.dumps` writes it, from which `json_line` builds a listing line;
+    `image[rot, refl][r]` is the rank of the image of rank r under the
+    dihedral element `Dihedral(n, rot, refl)`.  The byte tables
     of the one kernel `_through` are `_steps`, of the rotation by one and
     the reflection, which `translates` reads, and `_decode`, of the rank
     decode, which `ranks_of` reads; each is filled slot by slot as read,
@@ -158,6 +163,7 @@ class _Table:
         self.subset = _Lazy(self._subset_of)
         self.mask = _Lazy(lambda r: _to_mask(self.subset[r]))
         self.fragment = _Lazy(lambda r: "[%s]" % ", ".join(map(str, self.subset[r])))
+        self._line_head = '{"k": %d, "n": %d, "sets": [' % (k, n)
         self.image = _Lazy(lambda key: _Lazy(partial(self._image_of, Dihedral(n, *key))))
         self.crossing = _Lazy(self._crossing_of)
 
@@ -215,6 +221,14 @@ class _Table:
     def ranks_of(self, bits: int) -> tuple[int, ...]:
         """The ranks of the collection `bits`, ascending."""
         return self._through(self._decode, bits)
+
+    def json_line(self, ranks: Iterable[int]) -> str:
+        """The JSON text of the collection of the given ranks, ascending, as
+        `json.dumps(c.to_json_dict(), sort_keys=True)` writes it: the
+        table's head '{"k": k, "n": n, "sets": [', their `fragment`s and
+        "]}".  The one line format of `json_text` and of the listings, which
+        print it straight from decoded ranks."""
+        return self._line_head + ", ".join(map(self.fragment.__getitem__, ranks)) + "]}"
 
     def translates(self, bits: int) -> list[int]:
         """The 2n translates of the collection `bits` under `Dihedral.group`,
@@ -405,12 +419,6 @@ class WSCollection:
             self._ranks = self.table.ranks_of(self.bits)
         return self._ranks
 
-    def sort_key(self) -> tuple:
-        """(k, n, ranks()): sorting by this key gives the order of `<`, with
-        the comparisons made on tuples of ints.  It decodes the ranks, so it
-        pays off where they are decoded anyway, as in a printed listing."""
-        return (self.k, self.n, self.ranks())
-
     @property
     def sets(self) -> tuple[tuple[int, ...], ...]:
         subset = self.table.subset
@@ -476,10 +484,9 @@ class WSCollection:
         return {"k": self.k, "n": self.n, "sets": [list(s) for s in self.sets]}
 
     def json_text(self) -> str:
-        """`json.dumps(self.to_json_dict(), sort_keys=True)`, joined from
-        the per-rank fragments of the table."""
-        sets = ", ".join(map(self.table.fragment.__getitem__, self.ranks()))
-        return '{"k": %d, "n": %d, "sets": [%s]}' % (self.k, self.n, sets)
+        """`json.dumps(self.to_json_dict(), sort_keys=True)`: the table's
+        `json_line` of its ranks."""
+        return self.table.json_line(self.ranks())
 
     @staticmethod
     def from_json_dict(d: dict) -> "WSCollection":
@@ -619,9 +626,17 @@ ROWS_PER_MEMBER = 4
 
 
 def _uses_rows(c: WSCollection) -> bool:
-    """The cost rule: crossing rows when the table has at most
-    `ROWS_PER_MEMBER` subsets per member of c, else the pair loop."""
-    return c.table.size <= ROWS_PER_MEMBER * len(c)
+    """The cost rule: crossing rows when filling the rows of c's m members
+    that are still empty, C(n, k) pair tests each, costs fewer than
+    `ROWS_PER_MEMBER` m^2 pair tests, else the pair loop.  With every row
+    empty that is a table of fewer than `ROWS_PER_MEMBER` subsets per
+    member; with every row filled it is rows for any non-empty c."""
+    ranks, table = c.ranks(), c.table
+    budget = ROWS_PER_MEMBER * len(ranks) ** 2
+    if table.size * len(ranks) < budget:  # rows even with every row empty: no count
+        return True
+    empty = len(ranks) - sum(map(table.crossing.__contains__, ranks))
+    return table.size * empty < budget
 
 
 def _separated(c: WSCollection) -> bool:
@@ -791,29 +806,38 @@ def enumerate_component(seed: WSCollection) -> set[WSCollection]:
     return {WSCollection(table, bits) for bits, _ in _walk(seed)}
 
 
+def _orbits(table: _Table, bits: list[int]) -> Iterator[list[int]]:
+    """The dihedral orbits among the distinct collections `bits` of the
+    table, as lists of indices into `bits`.  Each collection not yet
+    placed, in the order of `bits`, gathers its orbit: its 2n translates,
+    from the byte tables of the table (`_Table.translates`), are looked up
+    among the collections not yet placed.  No collection is built and no
+    member decoded."""
+    unplaced = {b: x for x, b in enumerate(bits)}
+    translates = table.translates
+    for b in bits:
+        if b in unplaced:
+            yield [x for x in map(unplaced.pop, translates(b), repeat(-1)) if x >= 0]
+
+
 def dihedral_orbits(cs: Iterable[WSCollection]) -> list[tuple[WSCollection, ...]]:
     """Partition collections into orbits of the polygon-symmetry action.
     Orbits are listed and internally sorted canonically.
 
-    Within one (k, n) the distinct collections are taken in the caller's
-    order, each one not yet placed gathering its orbit: the 2n translates
-    of its `bits`, from the byte tables of its table (`_Table.translates`),
-    are looked up among the collections not yet placed.  No collection is
-    built and no member decoded: the orbits hold the given ones.  Each orbit
-    is then sorted with `<`, its members taken in the caller's order, and the
-    orbits by their least members, so a sorted list needs one comparison per
-    collection and an unsorted one sorts only within orbits and leaders."""
+    Within one (k, n) the distinct collections are partitioned in the
+    caller's order by `_orbits`, so the orbits hold the given ones.  Each
+    orbit is then sorted with `<`, its members taken in the caller's order,
+    and the orbits by their least members, so a sorted list needs one
+    comparison per collection and an unsorted one sorts only within orbits
+    and leaders."""
     kn = attrgetter("k", "n")
     orbits = []
     for _, block in groupby(sorted(dict.fromkeys(cs), key=kn), key=kn):
         block = list(block)
-        unplaced = {c.bits: x for x, c in enumerate(block)}
-        translates = block[0].table.translates
-        found = []
-        for c in block:
-            if c.bits in unplaced:
-                xs = [unplaced.pop(x, -1) for x in translates(c.bits)]
-                found.append(tuple(sorted(block[x] for x in sorted(xs) if x >= 0)))
+        found = [
+            tuple(sorted(block[x] for x in sorted(xs)))
+            for xs in _orbits(block[0].table, [c.bits for c in block])
+        ]
         found.sort(key=itemgetter(0))
         orbits += found
     return orbits
@@ -1055,10 +1079,3 @@ def reduce_to_base(c: WSCollection) -> Reduction:
     path = _moves_to_base(c)
     _replay(c, path)
     return Reduction(path=tuple(path), end=c.table.base)
-
-
-def sizes_histogram(cs: Iterable[WSCollection]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for c in cs:
-        hist[len(c)] = hist.get(len(c), 0) + 1
-    return dict(sorted(hist.items()))

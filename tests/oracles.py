@@ -17,6 +17,9 @@ collections by a clique search of the weak-separation graph that makes no
 moves, and the k=2 wiring criterion by a search over every chord and pair
 of polygon edges.
 
+The size histogram of a listing is counted member by member
+(`sizes_histogram`), apart from the bit counts of the CLI.
+
 `component_of_base` is not an oracle: it caches the move-graph closure of
 the base collection for the tests that share one.  Nor is `_edges`: it
 keeps the edges `propagate_every_edge` has taken from `find_moves` and
@@ -29,7 +32,7 @@ a greedy completion in lexicographic order, and the wiring words of
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -56,6 +59,12 @@ def component_of_base(k: int, n: int) -> frozenset:
     """The closure of base(k, n) under exchange moves, computed once per
     test run."""
     return frozenset(enumerate_component(base_collection(k, n)))
+
+
+def sizes_histogram(cs: Iterable[WSCollection]) -> dict[int, int]:
+    """{size: number of collections of that size}, in ascending size."""
+    hist = Counter(len(c.sets) for c in cs)
+    return dict(sorted(hist.items()))
 
 
 def precedes_bf(A, B) -> bool:

@@ -26,14 +26,13 @@ from wsep.wscoll import (
     base_collection,
     dihedral_orbits,
     reduce_to_base,
-    sizes_histogram,
     translate,
 )
 from wsep.reduction import f_set, generate_w3, lift, pinch_point, project
 from wsep.wiring import chambers, parse_word, word_collection
 from wsep.positivity import GrassmannPoint, propagate, vandermonde_point
 
-from oracles import all_optimal_words, component_of_base, weakly_separated_bf
+from oracles import all_optimal_words, component_of_base, sizes_histogram, weakly_separated_bf
 from test_wscoll import random_greedy_maximal
 
 

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import wsep
+from oracles import component_of_base, sizes_histogram
 from wsep.cli import main
-from wsep.reduction import pinch_point, project
+from wsep.reduction import generate_w3, pinch_point, project
 from wsep.subsets import Dihedral
-from wsep.wscoll import base_collection, translate
+from wsep.wscoll import WSCollection, base_collection, dihedral_orbits, translate
 
 
 def run(capsys, *argv):
@@ -75,13 +76,54 @@ class TestStieffel:
         assert code == 0
 
 
+def library_listing(argv: str) -> str:
+    """The stdout of a full listing, built from collection objects: sorted
+    with `<`, one `json_text` line each, orbits by `dihedral_orbits` and
+    sizes by `len`."""
+    verb, *dims = argv.split()[::2]
+    if verb == "gen-w3":
+        cs = sorted(generate_w3(int(dims[0])))
+        lines, summary = [c.json_text() for c in cs], {"count": len(cs)}
+    else:
+        cs = sorted(component_of_base(*map(int, dims)))
+        orbits = dihedral_orbits(cs)
+        summary = {"count": len(cs), "orbit_count": len(orbits)}
+        if verb == "orbits":
+            lines = ['{"representative": %s, "size": %d}' % (o[0].json_text(), len(o)) for o in orbits]
+        else:
+            lines = [c.json_text() for c in cs]
+            summary["sizes_histogram"] = {str(size): v for size, v in sizes_histogram(cs).items()}
+    return "".join(line + "\n" for line in lines) + json.dumps(summary, sort_keys=True) + "\n"
+
+
+def no_collection(*args):
+    raise RuntimeError("a WSCollection was built")
+
+
+LISTINGS = [f"enumerate --k 2 --n {n}" for n in range(4, 9)]
+LISTINGS += [f"enumerate --k 3 --n {n}" for n in (6, 7, 8)] + ["enumerate --k 4 --n 7", "enumerate --k 4 --n 8"]
+LISTINGS += [f"gen-w3 --n {n}" for n in range(5, 9)]
+LISTINGS += ["orbits --k 2 --n 8", "orbits --k 3 --n 8", "orbits --k 4 --n 8"]
+
+
 class TestEnumerate:
     def test_count_only(self, capsys, monkeypatch):
-        # counting builds no WSCollection per state
-        monkeypatch.setattr(wsep.cli, "enumerate_component", None)
+        # counting builds no WSCollection per state: only the seed, built first
+        base_collection(3, 6)
+        monkeypatch.setattr(WSCollection, "__init__", no_collection)
         code, out = run(capsys, "enumerate", "--k", "3", "--n", "6", "--count-only")
         assert json.loads(out) == {"count": 34}
         assert code == 0
+
+    @pytest.mark.parametrize("argv", LISTINGS)
+    def test_listing_matches_collection_objects(self, capsys, argv):
+        assert run(capsys, *argv.split()) == (0, library_listing(argv))
+
+    @pytest.mark.parametrize("argv", ["enumerate --k 3 --n 7", "orbits --k 4 --n 7", "gen-w3 --n 7"])
+    def test_full_listing_builds_no_collection_per_state(self, capsys, monkeypatch, argv):
+        expected = library_listing(argv)  # builds the seed too
+        monkeypatch.setattr(WSCollection, "__init__", no_collection)
+        assert run(capsys, *argv.split()) == (0, expected)
 
     def test_full_listing_with_summary(self, capsys):
         code, out = run(capsys, "enumerate", "--k", "2", "--n", "4")

@@ -15,6 +15,7 @@ from oracles import (
     component_of_base,
     maximal_weakly_separated_bf,
     quads_bf,
+    sizes_histogram,
     weakly_separated_bf,
 )
 from wsep import wscoll
@@ -32,7 +33,6 @@ from wsep.wscoll import (
     height,
     is_maximal,
     reduce_to_base,
-    sizes_histogram,
     _table,
     translate,
     validate,
@@ -518,10 +518,28 @@ class TestCrossingRule:
     def test_the_rule(self):
         rows = wscoll._uses_rows
         assert wscoll.ROWS_PER_MEMBER == 4
+        # every row empty: rows for a table of fewer than 4 subsets per member
+        for k, n in [(3, 7), (3, 8), (2, 15), (2, 16), (3, 9), (4, 8), (3, 40)]:
+            _table(k, n).crossing.clear()
         assert rows(base_collection(3, 7)) and rows(base_collection(3, 8))
         assert rows(base_collection(2, 15)) and not rows(base_collection(2, 16))
-        assert not rows(base_collection(3, 9))
+        assert not rows(base_collection(3, 9)) and not rows(base_collection(4, 8))
         assert not rows(WSCollection.of(3, 8, base_collection(3, 8).sets[:13]))
+        assert not rows(base_collection(3, 40))
+        # only the members' rows still empty are charged, C(n, k) pair tests
+        # each, against 4 m^2: (4, 8) has 17 members and 70 subsets, so rows
+        # once at most 16 are empty; a non-member's row counts for nothing
+        c = base_collection(4, 8)
+        c.table.crossing[next(r for r in range(c.table.size) if r not in c.ranks())]
+        assert not rows(c)
+        c.table.crossing[c.ranks()[0]]
+        assert rows(c)
+        # (3, 9) has 19 members and 84 subsets: rows once at most 17 are empty
+        c = base_collection(3, 9)
+        c.table.crossing[c.ranks()[0]]
+        assert not rows(c)
+        c.table.crossing[c.ranks()[1]]
+        assert rows(c)
 
     def test_reductions_match_pair_loop(self, monkeypatch):
         cs = self.cases()
@@ -1082,13 +1100,15 @@ class TestBitmaskKernel:
         assert [c.sets for c in sorted(cs)] == sorted(c.sets for c in cs)
         assert min(cs).sets == min(c.sets for c in cs)
 
-    def test_sort_key_gives_the_order(self):
+    def test_rank_tuples_give_the_order(self):
+        # the listings sort decoded rank tuples: within one (k, n) their order is that of `<`
         rng = random.Random(6)
         cs = list(component_of_base(3, 7)) + list(component_of_base(2, 6))
         pool = list(combinations(range(1, 7), 3))
         cs += [WSCollection.of(3, 6, rng.sample(pool, rng.randint(0, 6))) for _ in range(200)]
         rng.shuffle(cs)
-        assert sorted(cs, key=WSCollection.sort_key) == sorted(cs)
+        by_ranks = sorted(cs, key=lambda c: (c.k, c.n, c.table.ranks_of(c.bits)))
+        assert by_ranks == sorted(cs)
 
     def test_of_rejects_repeated_member(self):
         with pytest.raises(ValueError, match=r"\(1, 3\)"):
