@@ -140,10 +140,10 @@ PINS = (
     Pin("gen-w3-10-count", (*CLI, "gen-w3", "--n", "10", "--count-only"), 30, '{"count": 168565}\n', rss_mb=40.5),
     Pin("enumerate-3-10-count", (*CLI, "enumerate", "--k", "3", "--n", "10", "--count-only"), 30,
         '{"count": 168565}\n', rss_mb=41),
-    # the descent decodes at every table (k, 40), ..., (k, k+2): the bounds guard the byte rows it
-    # leaves, which share one empty row until a slot of theirs is written
-    reduce_base(3, 40, 1, False, 2879, "264a774ed7769441dbcbf66dadd5267e75f6e588ab00be6708e85297a1ccddd9", 26),
-    reduce_base(3, 40, 7, True, 4010, "f43228348c7aa0b7f46e95ac627dd5232fdae6c8fb7559f2a24ae53d3f128569", 26),
+    # the descent reads every level on the input's own (k, 40) table through an index map and builds
+    # no other table: the bounds guard that
+    reduce_base(3, 40, 1, False, 2879, "264a774ed7769441dbcbf66dadd5267e75f6e588ab00be6708e85297a1ccddd9", 22),
+    reduce_base(3, 40, 7, True, 4010, "f43228348c7aa0b7f46e95ac627dd5232fdae6c8fb7559f2a24ae53d3f128569", 22),
     reduce_base(2, 40, 1, False, 37, "4bb56c3357d47270f550d923fb179ae032ebaf5fe2371d67c7ed8510357d59af", 22),
     reduce_base(2, 40, 7, True, 51, "53fdc10cb7afbaf6a058f57e7e3bb67fe1960ead26a2ed4f05f4f80ed5f4f337", 22),
     positivity(4, 9, "ones", "exact", "95bd4282e63ed0dd1eb3a0331348a37d1bdd5aee0b9b81aa2712af29b061bfa2"),

@@ -233,7 +233,7 @@ def cmd_lift(args) -> int:
 def cmd_reduce(args) -> int:
     c = _load_collection(args.file)
     projected = project(c)  # checks c, so the pinch index needs no second check
-    b = _pinch_index(c.table, c.bits, c.n)
+    b = _pinch_index(c.table, c.bits, c.n, [1 << x for x in range(c.n + 1)])
     _emit({"projection": projected.to_json_dict(), "pinch_point": b})
     return OK
 

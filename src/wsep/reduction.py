@@ -80,7 +80,7 @@ def project(c: WSCollection) -> WSCollection:
 def pinch_point(c: WSCollection) -> int:
     """The unique b with {1,b,n-1} and {1,b,n} both present (k=3)."""
     _require_maximal_k3(c)
-    return _pinch_index(c.table, c.bits, c.n)
+    return _pinch_index(c.table, c.bits, c.n, [1 << x for x in range(c.n + 1)])
 
 
 def f_set(b_coll: WSCollection) -> set[int]:

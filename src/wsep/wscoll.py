@@ -21,12 +21,13 @@ the pair, or rejects a pair that is not an exchange; `Move.of` and
 added diagonal absent) and flips it: `apply_move` and the replay of
 `reduce_to_base` both call it.
 
-`reduce_to_base` works on ints from its ingress check to its output: the
-path is built as (removes_mask, adds_mask) pairs, the level collections of
-the construction are `bits` of the (k, m) tables, the path is replayed and
-certified on `bits` (`_flip` and one separation check per move), and
-`Reduction.json_text` prints it from per-rank fragments; a `Move` is built
-only when a caller reads `Reduction.moves`.
+`reduce_to_base` works on ints from its ingress check to its output, on
+the one table of its input: the path is built as (removes_mask, adds_mask)
+pairs, each level collection of the construction is the input's `bits`
+read through an index map from the level's indices to the input's, the
+path is replayed and certified on `bits` (`_flip` and one separation check
+per move), and `Reduction.json_text` prints it from per-rank fragments; a
+`Move` is built only when a caller reads `Reduction.moves`.
 
 `find_moves` scans every quad of the (k, n) table for one collection.  The
 closure walk (`enumerate_component`) scans only its seed: it carries each
@@ -45,13 +46,13 @@ reflection, f(r) = 1 << image[r], give the dihedral translates
 (`_Table.translates`, read by the orbit partition `_orbits` and by the
 closure of the k=3 lift generator); the decode, f(r) = (r,), gives the
 member ranks (`_Table.ranks_of`, behind `WSCollection.ranks` and `sets`,
-and read by the listings, by the lift generator and by each level of
-`reduce_to_base`).  A slot is filled when first read, and every byte
-position shares one empty row until a slot of its own is written, so a
-one-off orbit or decode at a large (k, n) builds only what it reads.
-`_from_mask` decodes single masks, byte values and error messages only.
-`translate`, `reduce_to_base`'s witness and its level translation keep the
-rank map `image`.
+and read by the listings and by the lift generator).  A slot is filled
+when first read, and every byte position shares one empty row until a slot
+of its own is written, so a one-off orbit or decode at a large (k, n)
+builds only what it reads.  `_from_mask` decodes single masks, byte values
+and error messages only.  `translate` maps each member rank through
+`_Table._image_of`; `reduce_to_base`'s witness and levels map indices, not
+ranks.
 
 A maximal collection is one that is separated and whose every non-member
 crosses some member.  By purity (Oh-Postnikov-Speyer, arXiv:1109.4434;
@@ -135,25 +136,24 @@ class _Table:
     [1..n]; `subset[r]` and `mask[r]` give rank r back as a sorted tuple and
     as a bitmask, and `fragment[r]` as its JSON text, "[1, 2, 3]" as
     `json.dumps` writes it, from which `json_line` builds a listing line;
-    `image[rot, refl][r]` is the rank of the image of rank r under the
-    dihedral element `Dihedral(n, rot, refl)`.  The byte tables
-    of the one kernel `_through` are `_steps`, of the rotation by one and
-    the reflection, which `translates` reads, and `_decode`, of the rank
-    decode, which `ranks_of` reads; each is filled slot by slot as read,
-    and its byte positions share one empty row until one of their slots is
-    written (copy-on-write), since a table may serve a single decode, as
-    each level of the descent of `reduce_to_base` does.  `crossing[r]` is
-    the int of the ranks whose subsets are not weakly separated from that
-    of rank r (C(n, k) pair tests per row, so only for tables whose every
-    rank is in use).
+    `_image_of(g, r)` is the rank of the image of rank r under the dihedral
+    element g.  The byte tables of the one kernel `_through` are `_steps`,
+    of the rotation by one and the reflection, which `translates` reads,
+    and `_decode`, of the rank decode, which `ranks_of` reads; each is
+    filled slot by slot as read, and its byte positions share one empty row
+    until one of their slots is written (copy-on-write), since a table may
+    serve a single decode or orbit, as the one-off `sets` of a large
+    collection, the end of a `reduce-base` path or `orbits` of one
+    collection at a large (k, n) do.  `crossing[r]` is the int of the ranks
+    whose subsets are not weakly separated from that of rank r (C(n, k)
+    pair tests per row, so only for tables whose every rank is in use).
 
     The table is the one holder of what is built per (k, n): besides the
     ranks and rows, the exchange quads (`quads`, six ranks each, which are
     the exchange relations `propagate` evaluates and from which the walk's
-    bit forms `quad_tests` and `through` are built), the base collection
-    (`base`) and the int of the ranks that count towards `height` (`top_inner`).
-    All of it goes with the table, once `_table` (the 32 most recently used)
-    has evicted it and no collection refers to it.
+    bit forms `quad_tests` and `through` are built) and the base collection
+    (`base`).  All of it goes with the table, once `_table` (the 32 most
+    recently used) has evicted it and no collection refers to it.
     """
 
     def __init__(self, k: int, n: int):
@@ -164,7 +164,6 @@ class _Table:
         self.mask = _Lazy(lambda r: _to_mask(self.subset[r]))
         self.fragment = _Lazy(lambda r: "[%s]" % ", ".join(map(str, self.subset[r])))
         self._line_head = '{"k": %d, "n": %d, "sets": [' % (k, n)
-        self.image = _Lazy(lambda key: _Lazy(partial(self._image_of, Dihedral(n, *key))))
         self.crossing = _Lazy(self._crossing_of)
 
     def _rank_of(self, m: int) -> int:
@@ -209,9 +208,13 @@ class _Table:
 
     @cached_property
     def _steps(self) -> tuple:
-        """The byte tables of the rotation by one and of the reflection, the
-        `image` maps of keys (1, False) and (0, True): f(r) = 1 << image[r]."""
-        return tuple(self._byte_table(partial(_bit_of, self.image[key]), 0) for key in ((1, False), (0, True)))
+        """The byte tables of the rotation by one and of the reflection,
+        f(r) = 1 << image[r], each over its own lazily filled rank map
+        `image` of the dihedral element (1, False) or (0, True)."""
+        return tuple(
+            self._byte_table(partial(_bit_of, _Lazy(partial(self._image_of, Dihedral(self.n, *key)))), 0)
+            for key in ((1, False), (0, True))
+        )
 
     @cached_property
     def _decode(self) -> tuple:
@@ -334,15 +337,6 @@ class _Table:
         out = WSCollection(self, sum(1 << rank[_to_mask(t)] for t in sets))
         assert len(out) == k * (n - k) + 1
         return out
-
-    @cached_property
-    def top_inner(self) -> int:
-        """The int of the ranks of the non-boundary subsets that contain n:
-        a collection's height is the bit count of its `bits` & this."""
-        k, n, top = self.k, self.n, 1 << self.n
-        boundary = set(map(_to_mask, boundary_sets(k, n)))
-        tops = (top | _to_mask(t) for t in combinations(range(1, n), k - 1)) if k else ()
-        return sum(1 << self.rank[m] for m in tops if m not in boundary)
 
 
 def _member_mask(t: tuple[int, ...]) -> int:
@@ -698,8 +692,8 @@ def base_collection(k: int, n: int) -> WSCollection:
 def translate(c: WSCollection, g: Dihedral) -> WSCollection:
     if g.n != c.n:
         raise ValueError("dihedral element acts on the wrong polygon")
-    image = c.table.image[g.rot, g.refl]
-    return WSCollection(c.table, sum(map((1).__lshift__, map(image.__getitem__, c.ranks()))))
+    image = partial(c.table._image_of, g)
+    return WSCollection(c.table, sum(map((1).__lshift__, map(image, c.ranks()))))
 
 
 def find_moves(c: WSCollection) -> list[Move]:
@@ -845,7 +839,8 @@ def dihedral_orbits(cs: Iterable[WSCollection]) -> list[tuple[WSCollection, ...]
 
 def height(c: WSCollection) -> int:
     """Number of non-boundary member sets containing the top index n."""
-    return (c.bits & c.table.top_inner).bit_count()
+    n = c.n
+    return sum(n in s and not is_boundary(s, n) for s in c.sets)
 
 
 @dataclass(frozen=True)
@@ -897,71 +892,85 @@ class Reduction:
         )
 
 
-def _witness(table: _Table, bits: int) -> tuple[int, bool]:
-    """(rot, refl) of the first g of `Dihedral.group` with the marker
-    {1, n-2, n-1} in g . c, for c the collection `bits` of a (3, n) table,
-    n >= 5: the marker is in g . c exactly when the image of its rank under
-    g^-1 is in c."""
-    n, image = table.n, table.image
-    r = table.rank[_to_mask((1, n - 2, n - 1))]
+def _witness(table: _Table, bits: int, m: int, p: tuple[int, ...]) -> tuple[int, bool]:
+    """(rot, refl) of the first g of `Dihedral.group(m)` with the marker
+    {1, m-2, m-1} in g . L, for L the level collection on [1..m], m >= 5,
+    of the collection `bits` of a (3, n) table in the frame p: the marker is
+    in g . L exactly when p(g^-1(marker)) is in `bits`.  The inverse of a
+    rotation by rot takes x to x - rot (mod m), and a reflection, sigma then
+    the rotation by rot, is its own inverse."""
+    rank = table.rank
+    marker = (1, m - 2, m - 1)
+    sigma = (0, 2, 1, *range(m, 2, -1))  # 1 <-> 2 and x >= 3 -> m+3-x
     for refl in (False, True):
-        for rot in range(n):
-            if bits >> image[(rot, True) if refl else (-rot % n, False)][r] & 1:
+        for rot in range(m):
+            ys = [sigma[x] + rot if refl else x - rot for x in marker]  # g^-1(x), before mod m
+            if bits >> rank[sum(1 << p[(y - 1) % m + 1] for y in ys)] & 1:
                 return rot, refl
     raise AssertionError("no dihedral translate contains the near-boundary marker")
 
 
-def _pinch_index(table: _Table, bits: int, top: int) -> int:
+def _pinch_index(table: _Table, bits: int, top: int, bit: list[int]) -> int:
     """The unique b with both prefix+{b,top-1} and prefix+{b,top} in the
-    collection `bits` of the table, k in {2, 3}: the largest b in
-    [2..top-2] (k=3) or [1..top-2] (k=2) whose prefix+{b,top} is present.
-    For k=3 the collection must contain {1,top-2,top-1}."""
+    level collection, k in {2, 3}: the largest b in [2..top-2] (k=3) or
+    [1..top-2] (k=2) whose prefix+{b,top} is present.  The level collection
+    is read from the collection `bits` of the table through the frame
+    `bit`, bit[x] being the bit of the table's index that level index x
+    stands for, so that a level set is a member when the sum of its bits
+    is; messages name level indices.  For k=3 the collection must contain
+    {1,top-2,top-1}."""
     k, rank = table.k, table.rank
 
     def has(m: int) -> bool:
         r = rank[m]
         return r >= 0 and bool(bits >> r & 1)
 
-    pre = 2 if k == 3 else 0  # the prefix: {1} for triples, empty for pairs
-    if k == 3 and not has(_to_mask((1, top - 2, top - 1))):
+    pre = bit[1] if k == 3 else 0  # the prefix: {1} for triples, empty for pairs
+    if k == 3 and not has(pre | bit[top - 2] | bit[top - 1]):
         raise ValueError(f"collection lacks {{1,{top-2},{top-1}}}")
     lo = 2 if k == 3 else 1
     for b in range(top - 2, lo - 1, -1):
-        if has(pre | 1 << b | 1 << top):
-            partner = pre | 1 << b | 1 << (top - 1)
-            if not has(partner):
+        if has(pre | bit[b] | bit[top]):
+            if not has(pre | bit[b] | bit[top - 1]):
+                partner = (2 if k == 3 else 0) | 1 << b | 1 << (top - 1)
                 raise ValueError(f"pinch candidate {b} lacks partner {_from_mask(partner)}")
             return b
     raise ValueError("no pinch index found")
 
 
-def _pinch_down(table: _Table, bits: int, q: tuple[int, ...], moves: list) -> int:
-    """Apply height-decreasing moves at the top index n of the table to the
-    collection `bits` until its height is 0, and return the result.  Each
-    move swaps prefix+{b,n} for prefix+{a,n-1}, where b is the pinch index
-    and a the largest smaller index with prefix+{a,n} present; it is
-    appended to `moves` as (removes_mask, adds_mask) with index x written
-    q[x].  The level is internal, so a `_pinch_index` ValueError here is a
-    construction fault: it is raised as an AssertionError naming the level
-    and the reason."""
-    k, top, rank = table.k, table.n, table.rank
-    qbit = [1 << x for x in q]
-    pre, qpre = (2, qbit[1]) if k == 3 else (0, 0)
-    lo = 2 if k == 3 else 1
-    t0, t1 = 1 << top, 1 << (top - 1)
-    inner = table.top_inner
-    while bits & inner:
+def _pinch_down(table: _Table, bits: int, top: int, bit: list[int], moves: list) -> int:
+    """Apply height-decreasing moves at the top index of the level
+    collection of `bits` in the frame `bit` (as in `_pinch_index`) until
+    its height is 0, and return the result.  Each move swaps prefix+{b,top}
+    for prefix+{a,top-1}, where b is the pinch index and a the largest
+    smaller index with prefix+{a,top} present; it is appended to `moves` as
+    (removes_mask, adds_mask), the masks it reads in `bits`.
+
+    The level ends when the pinch index is the least index, 2 for k=3 and 1
+    for k=2, which is when its height is 0: with the marker {1,top-2,top-1}
+    present, every k=3 member holding top either holds 1 or is a boundary
+    set, so each non-boundary one is prefix+{b,top} with b above the least
+    index; at height 0 the level minus top is maximal on [1..top-1] by
+    purity and holds the boundary partner prefix+{lo,top-1}.  The level is
+    internal, so a `_pinch_index` ValueError here is a construction fault:
+    it is raised as an AssertionError naming the level and the reason."""
+    k, rank = table.k, table.rank
+    pre, lo = (bit[1], 2) if k == 3 else (0, 1)
+    t0, t1 = bit[top], bit[top - 1]
+    while True:
         try:
-            b = _pinch_index(table, bits, top)
+            b = _pinch_index(table, bits, top, bit)
         except ValueError as exc:
             raise AssertionError(f"pinch at level {top}: {exc}") from None
-        a = next((x for x in range(b - 1, lo - 1, -1) if bits >> rank[pre | 1 << x | t0] & 1), None)
+        if b == lo:
+            return bits
+        a = next((x for x in range(b - 1, lo - 1, -1) if bits >> rank[pre | bit[x] | t0] & 1), None)
         if a is None:
             raise AssertionError("no companion index below the pinch index")
         # the replay checks the move: its sides, removes present and adds absent
-        bits ^= 1 << rank[pre | 1 << b | t0] | 1 << rank[pre | 1 << a | t1]
-        moves.append((qpre | qbit[b] | qbit[top], qpre | qbit[a] | qbit[top - 1]))
-    return bits
+        removes, adds = pre | bit[b] | t0, pre | bit[a] | t1
+        bits ^= 1 << rank[removes] | 1 << rank[adds]
+        moves.append((removes, adds))
 
 
 def _undo_moves(g: Dihedral, m: int, p: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -988,31 +997,27 @@ def _undo_moves(g: Dihedral, m: int, p: tuple[int, ...]) -> list[tuple[int, int]
 
 def _moves_to_base(c: WSCollection) -> list[tuple[int, int]]:
     """Moves reducing c to the base collection, as (removes_mask, adds_mask)
-    pairs in the indexing of c, one level m = n, ..., k+2 at a time.  At
-    level m, `bits` is a maximal collection of the (k, m) table whose index
-    x is the input's p[x].  For k=3 the witness g puts the near-boundary
-    marker in g . c, and the level is translated by it; pinch moves written
-    through q = p . g^-1 (q = p for k=2, which takes no witness) bring its
-    height at m to 0, and stripping m leaves the next level's collection,
-    with p = q.  For k=3 that leaves g^-1 . base(3, m) at each level, so the
-    undo moves follow the loop, innermost level first.  The replay, not
-    this function, checks the moves and that they land on the base."""
+    pairs in the indexing of c, one level m = n, ..., k+2 at a time, all on
+    the `bits` of c's own table.  At level m the frame p (p[x] for x in
+    1..m) names the index of c that level index x stands for, and the level
+    collection, a maximal collection on [1..m], is the set of F with p(F) a
+    current member.  For k=3 the witness g puts the near-boundary marker in
+    g . L, which the frame q = p . g^-1 reads (q = p for k=2, which takes no
+    witness); pinch moves written through q bring its height at m to 0.
+    The next level's collection is then the same `bits` read through q on
+    [1..m-1], so p = q and nothing is stripped.  For k=3 that leaves
+    g^-1 . base(3, m) at each level, so the undo moves follow the loop,
+    innermost level first.  The replay, not this function, checks the moves
+    and that they land on the base."""
     k, table, bits = c.k, c.table, c.bits
     p = q = tuple(range(c.n + 1))
     moves, undo = [], []
     for m in range(c.n, k + 1, -1):
         if k == 3:
-            rot, refl = _witness(table, bits)
-            image = table.image[rot, refl]
-            bits = sum(1 << image[r] for r in table.ranks_of(bits))
-            ginv = Dihedral(m, rot, refl).inverse()
+            ginv = Dihedral(m, *_witness(table, bits, m, p)).inverse()
             q = (0, *(p[ginv.apply(x)] for x in range(1, m + 1)))
             undo.append((ginv, m, p))
-        bits = _pinch_down(table, bits, q, moves)
-        members = map(table.mask.__getitem__, table.ranks_of(bits))
-        table = _table(k, m - 1)
-        rank, top = table.rank, 1 << m
-        bits = sum(1 << rank[s] for s in members if not s & top)
+        bits = _pinch_down(table, bits, m, [1 << x for x in q], moves)
         p = q
     for ginv, m, p in reversed(undo):
         moves += _undo_moves(ginv, m, p)
@@ -1058,10 +1063,12 @@ def reduce_to_base(c: WSCollection) -> Reduction:
     """A certified sequence of exchange moves from c to the base collection.
 
     The moves follow the paper's construction (`_moves_to_base`): at each
-    level pinch moves down to the top index, found and applied on the
-    level's `bits`; for k=3 a dihedral witness first, and after the last
-    level the moves that undo each level's symmetry (`_undo_moves`).  Each
-    move is kept as the pair of its diagonals' bitmasks in the indexing of c.
+    level pinch moves down to the top index, found and applied on c's own
+    `bits`, read through the level's index map; for k=3 a dihedral witness
+    first, and after the last level the moves that undo each level's
+    symmetry (`_undo_moves`).  Each move is kept as the pair of its
+    diagonals' bitmasks in the indexing of c, and no rank table other than
+    c's is built.
 
     c must have k in {2, 3} and k < n, and is checked by `require_maximal`;
     then every move is replayed on `bits` (`_replay`) with the one move

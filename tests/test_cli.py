@@ -1,19 +1,31 @@
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wsep
-from oracles import component_of_base, sizes_histogram
+from oracles import component_of_base, sizes_histogram, weakly_separated_bf
 from wsep.cli import main
 from wsep.reduction import generate_w3, pinch_point, project
 from wsep.subsets import Dihedral
-from wsep.wscoll import WSCollection, base_collection, dihedral_orbits, translate
+from wsep.wscoll import (
+    WSCollection,
+    apply_move,
+    base_collection,
+    dihedral_orbits,
+    find_moves,
+    translate,
+)
 
 
 def run(capsys, *argv):
@@ -207,9 +219,9 @@ class TestReduceBase:
         c = translate(base_collection(3, 8), Dihedral(8, 3, True))
         f = tmp_path / "c.json"
         f.write_text(json.dumps(c.to_json_dict()))
-        # every image of the marker's rank is a rank that no collection holds
-        table = c.table
-        monkeypatch.setattr(table, "image", wscoll._Lazy(lambda key: wscoll._Lazy(lambda r: table.size)))
+        # the witness searches an empty level collection, which holds no translate of the marker
+        real = wscoll._witness
+        monkeypatch.setattr(wscoll, "_witness", lambda table, bits, m, p: real(table, 0, m, p))
         code = main(["reduce-base", "--file", str(f)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
@@ -224,7 +236,7 @@ class TestReduceBase:
         f.write_text(json.dumps(c.to_json_dict()))
         # the identity witness leaves the level without its marker, which
         # the pinch step finds; that is a fault of the reduction, not of the input
-        monkeypatch.setattr(wscoll, "_witness", lambda table, bits: (0, False))
+        monkeypatch.setattr(wscoll, "_witness", lambda table, bits, m, p: (0, False))
         code = main(["reduce-base", "--file", str(f)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
@@ -239,6 +251,69 @@ class TestReduceBase:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: reduction needs k < n, got k={k} and n={n}\n"
+
+
+class TestReduceBaseIngress:
+    """`reduce-base` on random input: a maximal collection, a random
+    translate of the base followed by a random walk of moves, returns 0 with
+    a path that ends on the base; the same file with one mutation returns 2
+    with exactly one `error:` line, unless the mutation yields another
+    maximal collection, which must return 0 in the same way.  No input exits
+    1 or 3, and none raises."""
+
+    @staticmethod
+    def maximal(d) -> bool:
+        """Whether the file d holds a maximal collection with k in {2, 3}
+        and k < n: k(n-k)+1 distinct k-subsets of [1..n], pairwise weakly
+        separated by the brute-force oracle, which is maximal by purity."""
+        k, n, sets = d["k"], d["n"], d["sets"]
+        if k not in (2, 3) or not k < n:
+            return False
+        members = {tuple(sorted(s)) for s in sets}
+        ground = set(range(1, n + 1))
+        if len(members) != len(sets) or not all(len(set(t)) == k and set(t) <= ground for t in members):
+            return False
+        return len(members) == k * (n - k) + 1 and all(weakly_separated_bf(a, b) for a, b in combinations(members, 2))
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_exit_codes(self, data):
+        k = data.draw(st.sampled_from((2, 3)), label="k")
+        n = data.draw(st.integers(k + 2, 10 if k == 2 else 9), label="n")
+        g = Dihedral(n, data.draw(st.integers(0, n - 1)), data.draw(st.booleans()))
+        c = translate(base_collection(k, n), g)
+        for pick in data.draw(st.lists(st.integers(0, 99), max_size=12), label="walk"):
+            moves = find_moves(c)
+            c = apply_move(c, moves[pick % len(moves)])
+        d = c.to_json_dict()
+        sets = d["sets"]
+        mutation = data.draw(st.sampled_from(("none", "drop", "add", "replace", "k", "n")), label="mutation")
+        if mutation == "drop":
+            sets.pop(data.draw(st.integers(0, len(sets) - 1)))
+        elif mutation == "add":
+            sets.append(data.draw(st.lists(st.integers(-1, n + 1), min_size=k - 1, max_size=k + 1)))
+        elif mutation == "replace":
+            member = sets[data.draw(st.integers(0, len(sets) - 1))]
+            member[data.draw(st.integers(0, k - 1))] = data.draw(st.integers(-1, n + 1))
+        elif mutation != "none":
+            d[mutation] += data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(d))), redirect_stdout(out), redirect_stderr(err):
+            code = main(["reduce-base", "--file", "-"])
+        if not self.maximal(d):
+            assert (code, out.getvalue()) == (2, "")
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            return
+        assert (code, err.getvalue()) == (0, "")
+        rec = json.loads(out.getvalue())
+        base = base_collection(d["k"], d["n"])
+        assert rec["end"] == base.to_json_dict() and rec["length"] == len(rec["moves"])
+        members = {tuple(sorted(s)) for s in d["sets"]}
+        for mv in rec["moves"]:
+            removes, adds = tuple(mv["removes"]), tuple(mv["adds"])
+            assert removes in members and adds not in members
+            members = members - {removes} | {adds}
+        assert members == set(base.sets)
 
 
 class TestWiring:

@@ -13,6 +13,7 @@ from oracles import (
     closure_by_moves,
     complete_to_maximal,
     component_of_base,
+    diameter_bf,
     maximal_weakly_separated_bf,
     quads_bf,
     sizes_histogram,
@@ -826,8 +827,58 @@ class TestHeightAndReduction:
 
     def test_witness_exists_for_all_w36(self):
         for c in component_of_base(3, 6):
-            g = Dihedral(6, *wscoll._witness(c.table, c.bits))
+            g = Dihedral(6, *wscoll._witness(c.table, c.bits, 6, tuple(range(7))))
             assert (1, 4, 5) in translate(c, g)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_reduction_builds_no_other_table(self, monkeypatch, k):
+        # every level is read through an index map on the input's own table
+        rng = random.Random(35 + k)
+        cs = [random_greedy_maximal(k, 9, rng) for _ in range(4)]
+        cs.append(translate(base_collection(k, 9), Dihedral(9, 4, True)))
+        base = base_collection(k, 9)
+        real, calls = wscoll._table, []
+
+        def recorded(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(wscoll, "_table", recorded)
+        ends = [reduce_to_base(c).end for c in cs]
+        assert calls == []
+        assert ends == [base] * len(cs)
+
+    @pytest.mark.parametrize("m", range(5, 15))
+    def test_level_end_lemma(self, m):
+        # With the marker {1,m-2,m-1} present, a triple {s,t,m} with 1 < s < t
+        # is separated from it only as the boundary set {m-2,m-1,m}, so every
+        # non-boundary member holding m is {1,b,m}, with b above the least
+        # index 2; for pairs, {b,m} is non-boundary exactly for b above 1.
+        marker = (1, m - 2, m - 1)
+        separated = [(s, t) for s, t in combinations(range(2, m), 2) if weakly_separated_bf((s, t, m), marker)]
+        assert separated == [(m - 2, m - 1)]
+        assert diameter_bf((m - 2, m - 1, m), m) == 3
+        assert [b for b in range(2, m) if diameter_bf((1, b, m), m) != 3] == list(range(3, m - 1))
+        assert [b for b in range(1, m) if diameter_bf((b, m), m) != 2] == list(range(2, m - 1))
+
+    @pytest.mark.parametrize("k, n", [(2, 7), (2, 8), (3, 7), (3, 8)])
+    def test_level_ends_exactly_at_height_zero(self, k, n):
+        # the descent's stopping test, the pinch index at the least index,
+        # against height 0, on every collection that holds the k=3 marker
+        bit, lo = [1 << x for x in range(n + 1)], k - 1
+        for c in component_of_base(k, n):
+            if k == 2 or (1, n - 2, n - 1) in c:
+                assert (wscoll._pinch_index(c.table, c.bits, n, bit) == lo) == (height(c) == 0)
+
+    @pytest.mark.parametrize("k, n", [(2, 8), (3, 7), (4, 7)])
+    def test_height_counts_by_diameter(self, k, n):
+        for c in component_of_base(k, n):
+            assert height(c) == sum(n in s and diameter_bf(s, n) != k for s in c.sets)
+
+    def test_height_is_zero_for_k_0_and_k_n(self):
+        for n in (1, 4, 7):
+            assert height(WSCollection.of(0, n, [()])) == 0
+            assert height(WSCollection.of(n, n, [range(1, n + 1)])) == 0
 
     def test_reduction_rejects_non_maximal(self):
         with pytest.raises(ValueError):
