@@ -4,12 +4,15 @@
 Each pin (all, or each one named) runs a child Python process from the repository root with
 PYTHONPATH=src, under `timeout` where it has one (exit 124), and checks the child's exit code,
 stdout and own peak RSS.  One line per pin gives name, exit code, stdout or digest, child peak RSS
-and seconds; the run goes on past a failing pin and exits 1 if any failed.
+and seconds; the run goes on past a failing pin and exits 1 if any failed.  The last line names
+the interpreter that ran the children (the RSS bounds were measured on one version) and counts the
+pins that passed.
 """
 
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -220,7 +223,8 @@ def main(names: list[str]) -> int:
         return 2
     chosen = [p for p in PINS if not names or p.name in names]
     failed = [p.name for p in chosen if not run(p)[0]]
-    print(f"{len(chosen) - len(failed)} of {len(chosen)} pins passed" + "".join(f"; FAIL {n}" for n in failed))
+    print(f"Python {platform.python_version()}: {len(chosen) - len(failed)} of {len(chosen)} pins passed"
+          + "".join(f"; FAIL {n}" for n in failed))
     return 1 if failed else 0
 
 

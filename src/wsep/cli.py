@@ -1,9 +1,18 @@
 """Batch command-line surface with machine-readable JSON output.
 
 Exit codes: 0 computed positive/affirmative answer, 1 computed negative
-verdict, 2 usage error, 3 internal assertion failure, 141 (128 + SIGPIPE)
-stdout closed by its reader before the output was written.  stdout carries
-JSON or JSON-lines; diagnostics go to stderr.
+verdict, 2 usage error, 3 internal fault, 141 (128 + SIGPIPE) stdout closed
+by its reader before the output was written.  stdout carries JSON or
+JSON-lines; diagnostics go to stderr.
+
+Exit 1 comes only from a verdict a verb has computed (`ws-check`,
+`exponent`, `wiring`, `positivity`, `oracle-verify`, `validate`).  Every
+JSON file, and every key of a values file, is decoded once at ingress
+(`_loads`), and JSON nested too deeply to decode is a usage error naming
+the file: exit 2 with one `error:` line, as for any other input the verbs
+reject with a ValueError or OSError.  A failed internal assertion and any
+other exception that escapes a verb (a TypeError, a RecursionError or a
+MemoryError, say) exit 3 with one stderr line, never a traceback.
 """
 
 from __future__ import annotations
@@ -77,21 +86,30 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _loads(text: str, what: str):
+    """The JSON value of `text`; nesting too deep for the decoder is a
+    ValueError that names `what`."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to decode") from None
+
+
 def _load_collection(path: str) -> WSCollection:
-    return WSCollection.from_json_dict(json.loads(_read_text(path)))
+    return WSCollection.from_json_dict(_loads(_read_text(path), f"the JSON of {path}"))
 
 
 def _load_values(path: str, n: int) -> dict:
     """Values keyed by canonical subsets of [1..n]; a file that is not an
     object from JSON arrays of integers to rationals, or two keys naming the
     same subset, is an error.  Booleans are neither integers nor rationals."""
-    data = json.loads(_read_text(path))
+    data = _loads(_read_text(path), f"the JSON of {path}")
     if not isinstance(data, dict):
         raise ValueError("a values file must be a JSON object mapping subsets to rationals")
     out = {}
     for key, val in data.items():
         try:
-            K = json.loads(key)
+            K = _loads(key, f"a value key of {path}")
         except json.JSONDecodeError:
             K = None
         if not (isinstance(K, list) and all(map(_is_int, K))):
@@ -388,11 +406,14 @@ def main(argv=None) -> int:
         # so the flush at interpreter exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return PIPE_CLOSED
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
+        return INTERNAL
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return INTERNAL
 
 

@@ -11,9 +11,10 @@ the three adjoined sets (`_adjoined_ranks`); `_lift` builds it from such a
 map and checks that its size is |c| + 3 and that it holds the
 near-boundary marker {1, m-2, m-1}.  The public `lift` maps only the
 members of its collection, through a dict, and certifies the result with
-`is_maximal`, whose size test `_lift` has already passed, so its
-separation check keeps the pair loop for a one-off lift at a large n and
-fills no crossing row.
+`is_maximal`, whose size test `_lift` has already passed; its separation
+check takes the pair loop until the (3, n) table's pair tests have paid
+for the crossing rows (`wscoll._uses_rows`), so a one-off lift at a large
+n fills no crossing row.
 
 `generate_w3` works on rank ints, with no collection built until it
 returns.  Each level is a set of `bits` ints of the (3, m) table, starting
@@ -110,7 +111,9 @@ def _f_set(table: _Table, bits: int, ranks) -> set[int]:
 def lift(b_coll: WSCollection, b: int) -> WSCollection:
     """Inverse of projection: relabel the admissible members through the new
     top index n = top+1 and adjoin the three sets {1,b,n-1}, {1,n-1,n},
-    {n-2,n-1,n}.  Requires b in the admissible index set."""
+    {n-2,n-1,n}.  Requires b in the admissible index set.  The result is
+    certified by `is_maximal`, whose pair tests count towards the crossing
+    rows of the (3, n) table."""
     if b not in f_set(b_coll):
         raise ValueError(f"index {b} is not an admissible lift index")
     n = b_coll.n + 1

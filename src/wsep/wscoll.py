@@ -63,18 +63,18 @@ call the latter first.
 
 A check of separation (`is_maximal` and `require_maximal`, and so the
 public `lift`) asks `_separated`, and the replay of `reduce_to_base` (which
-checks one rank per move) asks `_uses_rows`: either takes the rows when
-filling the rows of the collection's m members that are still empty costs
-fewer than `ROWS_PER_MEMBER` (4) m^2 pair tests, `table.size * empty <
-4 * m ** 2`, and pair tests otherwise, which for `_separated` are
-`validate` itself.  A row costs C(n, k) pair tests once and one AND per
-use after, so the rows pay off on a small table checked repeatedly, such
-as (3, 7), (3, 8) and k=2 up to n=15, and on any table whose rows are
-already filled; a one-off check at a large (k, n) keeps the pair loop and
-fills no row.  The rule decides only how, never whether: both ways answer
-the predicate of `validate(c).ok`.  A caller that reports a failure takes
-its message from `validate`, which is the pair loop and the report, so the
-messages do not depend on the rule.
+checks one rank per move) asks `_uses_rows`: either takes the crossing rows
+once the pair tests the table's pair loops have already run
+(`_Table.pair_tests`) cover filling the rows of the collection's members
+that are still empty, C(n, k) pair tests each, and pair tests otherwise,
+which for `_separated` are `validate` itself.  A row costs C(n, k) pair
+tests once and one AND per use after, so a table checked repeatedly moves
+to rows once its pair loops have paid for them, a table whose member rows
+are filled takes them at once, and a one-off check at a large (k, n) keeps
+the pair loop and fills no row.  The rule decides only how, never whether:
+both ways answer the predicate of `validate(c).ok`.  A caller that reports
+a failure takes its message from `validate`, which is the pair loop and the
+report, so the messages do not depend on the rule.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from functools import cached_property, lru_cache, partial, total_ordering
 from itertools import combinations, groupby, repeat
 from math import comb
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .subsets import (
     Dihedral,
@@ -146,7 +146,10 @@ class _Table:
     collection, the end of a `reduce-base` path or `orbits` of one
     collection at a large (k, n) do.  `crossing[r]` is the int of the ranks
     whose subsets are not weakly separated from that of rank r (C(n, k)
-    pair tests per row, so only for tables whose every rank is in use).
+    pair tests per row, so only for tables whose every rank is in use), and
+    `pair_tests` counts the pair tests the table's pair loops (`validate`
+    and the pair side of `_separated_from`) have run, against which
+    `_uses_rows` weighs filling rows.
 
     The table is the one holder of what is built per (k, n): besides the
     ranks and rows, the exchange quads (`quads`, six ranks each, which are
@@ -165,6 +168,7 @@ class _Table:
         self.fragment = _Lazy(lambda r: "[%s]" % ", ".join(map(str, self.subset[r])))
         self._line_head = '{"k": %d, "n": %d, "sets": [' % (k, n)
         self.crossing = _Lazy(self._crossing_of)
+        self.pair_tests = 0
 
     def _rank_of(self, m: int) -> int:
         k, n = self.k, self.n
@@ -608,6 +612,7 @@ def validate(c: WSCollection) -> ValidationReport:
     """Test every pair of members for weak separation.  Members are
     k-subsets of [1..n] by construction."""
     masks = c.masks()
+    c.table.pair_tests += len(masks) * (len(masks) - 1) // 2
     issues = []
     for x, a in enumerate(masks):
         for b in masks[x + 1:]:
@@ -616,40 +621,36 @@ def validate(c: WSCollection) -> ValidationReport:
     return ValidationReport(not issues, tuple(issues))
 
 
-ROWS_PER_MEMBER = 4
-
-
 def _uses_rows(c: WSCollection) -> bool:
-    """The cost rule: crossing rows when filling the rows of c's m members
-    that are still empty, C(n, k) pair tests each, costs fewer than
-    `ROWS_PER_MEMBER` m^2 pair tests, else the pair loop.  With every row
-    empty that is a table of fewer than `ROWS_PER_MEMBER` subsets per
-    member; with every row filled it is rows for any non-empty c."""
+    """Crossing rows once the pair tests the table's pair loops have run,
+    `table.pair_tests`, cover filling the rows of c's members that are
+    still empty, C(n, k) pair tests each; else the pair loop.  A fresh
+    table takes the pair loop, and a table whose member rows are filled
+    takes the rows."""
     ranks, table = c.ranks(), c.table
-    budget = ROWS_PER_MEMBER * len(ranks) ** 2
-    if table.size * len(ranks) < budget:  # rows even with every row empty: no count
-        return True
     empty = len(ranks) - sum(map(table.crossing.__contains__, ranks))
-    return table.size * empty < budget
+    return table.size * empty <= table.pair_tests
 
 
 def _separated(c: WSCollection) -> bool:
     """Whether c is weakly separated, `validate(c).ok`: one AND per member
     with crossing rows, stopping at the first crossing, else `validate`
-    itself, as `_uses_rows` decides."""
+    itself, whose pair tests count towards the rows, as `_uses_rows`
+    decides."""
     if _uses_rows(c):
         bits, crossing = c.bits, c.table.crossing
         return not any(map(bits.__and__, map(crossing.__getitem__, c.ranks())))
     return validate(c).ok
 
 
-def _separated_from(table: _Table, bits: int, r: int, members: Iterable[int] | None) -> bool:
+def _separated_from(table: _Table, bits: int, r: int, members: Collection[int] | None) -> bool:
     """Whether rank r is weakly separated from every member of the
     collection `bits` of the table: one AND with its crossing row when
     `members` is None, else pair tests against `members`, the bitmasks of
-    the same collection."""
+    the same collection, counted in `table.pair_tests`."""
     if members is None:
         return not bits & table.crossing[r]
+    table.pair_tests += len(members)
     return all(map(partial(_weakly_separated_masks, table.mask[r]), members))
 
 
@@ -1030,8 +1031,10 @@ def _replay(c: WSCollection, path: list[tuple[int, int]]) -> None:
     by `_flip`, the one move check that `apply_move` makes too, and the
     rank flipped in is certified against the whole new collection: one AND
     with its crossing row when `_uses_rows(c)`, else pair tests against the
-    set of member masks, kept up to date move by move, so that with c
-    certified every collection on the path is.  The last must be the base.
+    set of member masks, kept up to date move by move and counted in
+    `table.pair_tests`, so that with c certified every collection on the
+    path is; the rule is asked once, before the first move.  The last must
+    be the base.
     A failure is an AssertionError naming the move and, for a move `_flip`
     rejects, its reason: only the construction can cause it."""
     table = c.table

@@ -316,6 +316,153 @@ class TestReduceBaseIngress:
         assert members == set(base.sets)
 
 
+DEEP = "[" * 100000 + "]" * 100000
+
+
+def call(argv):
+    """main(argv) with stdout and stderr captured: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExitCodes:
+    """Exit 1 is a computed verdict and nothing else: JSON too deeply nested
+    to decode is a usage error naming its file, and any other exception
+    that escapes a verb exits 3 with one stderr line."""
+
+    @staticmethod
+    def files(tmp_path):
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(base_collection(3, 6).to_json_dict()))
+        vf = tmp_path / "v.json"
+        vf.write_text(json.dumps({json.dumps(list(s)): "1" for s in base_collection(3, 6).sets}))
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP)
+        return cf, vf, deep
+
+    def test_deep_file(self, tmp_path):
+        cf, vf, deep = self.files(tmp_path)
+        for argv in [
+            ["validate", "--file", str(deep)],
+            ["reduce-base", "--file", str(deep)],
+            ["lift", "--file", str(deep), "--b", "2"],
+            ["reduce", "--file", str(deep)],
+            ["positivity", "--collection", str(deep), "--values", str(vf)],
+            ["positivity", "--collection", str(cf), "--values", str(deep)],
+            ["positivity", "--mode", "float", "--collection", str(cf), "--values", str(deep)],
+        ]:
+            message = f"error: the JSON of {deep} is nested too deeply to decode\n"
+            assert call(argv) == (2, "", message), argv
+
+    def test_deep_file_on_stdin(self):
+        with mock.patch.object(sys, "stdin", io.StringIO(DEEP)):
+            assert call(["validate", "--file", "-"]) == (2, "", "error: the JSON of - is nested too deeply to decode\n")
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_deep_value_key(self, tmp_path, mode):
+        cf, vf, _ = self.files(tmp_path)
+        values = json.loads(vf.read_text())
+        values[DEEP] = "1"
+        vf.write_text(json.dumps(values))
+        argv = ["positivity", "--mode", mode, "--collection", str(cf), "--values", str(vf)]
+        assert call(argv) == (2, "", f"error: a value key of {vf} is nested too deeply to decode\n")
+
+    def test_escaping_exception_exits_3(self, tmp_path, monkeypatch):
+        from wsep import cli
+
+        cf, _, _ = self.files(tmp_path)
+
+        def raising(c):
+            raise TypeError("unexpected\nfault")
+
+        monkeypatch.setattr(cli, "validate", raising)
+        code, out, err = call(["validate", "--file", str(cf)])
+        assert (code, out) == (3, "")
+        assert err == "internal error: TypeError('unexpected\\nfault')\n"
+
+
+class TestFileIngress:
+    """`validate`, `positivity` (exact and float mode, with its values file),
+    `lift` and `reduce` on random files: a maximal collection (a random
+    translate of the base followed by a random walk of moves) with member
+    values, and then at most one mutation of the collection file or of the
+    values file, nesting in a few thousand brackets among them.  `main`
+    returns 0, 1 or 2 and raises nothing; 2 prints nothing on stdout and
+    exactly one `error:` line; 0 and 1 print one JSON line and nothing on
+    stderr; 1 comes only from `validate` and `positivity`."""
+
+    VERBS = ("validate", "positivity-exact", "positivity-float", "lift", "reduce")
+    COLLECTION = ("none", "drop", "add", "replace", "member", "k", "n", "nest")
+    VALUES = ("drop", "extra", "value", "nest", "nest-key")
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_exit_codes(self, tmp_path_factory, data):
+        verb = data.draw(st.sampled_from(self.VERBS), label="verb")
+        k = 3 if verb in ("lift", "reduce") else data.draw(st.sampled_from((2, 3)), label="k")
+        n = data.draw(st.integers(k + 1, 8), label="n")
+        c = translate(base_collection(k, n), Dihedral(n, data.draw(st.integers(0, n - 1)), data.draw(st.booleans())))
+        for pick in data.draw(st.lists(st.integers(0, 99), max_size=8), label="walk"):
+            moves = find_moves(c)
+            if moves:
+                c = apply_move(c, moves[pick % len(moves)])
+        d = c.to_json_dict()
+        sets = d["sets"]
+        values = {json.dumps(s): str(data.draw(st.fractions(min_value=1, max_value=100))) for s in sets}
+        mutations = self.COLLECTION + (self.VALUES if verb.startswith("positivity") else ())
+        mutation = data.draw(st.sampled_from(mutations), label="mutation")
+        depth = data.draw(st.integers(1000, 5000), label="depth")
+        if mutation == "drop":
+            sets.pop(data.draw(st.integers(0, len(sets) - 1)))
+        elif mutation == "add":
+            sets.append(data.draw(st.lists(st.integers(-1, n + 1), min_size=k - 1, max_size=k + 1)))
+        elif mutation == "replace":
+            member = sets[data.draw(st.integers(0, len(sets) - 1))]
+            member[data.draw(st.integers(0, k - 1))] = data.draw(st.integers(-1, n + 1))
+        elif mutation == "member":
+            sets[data.draw(st.integers(0, len(sets) - 1))] = data.draw(st.sampled_from((None, 1, "x", True, [1.5])))
+        elif mutation in ("k", "n"):
+            d[mutation] += data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        elif mutation in self.VALUES and mutation != "nest":
+            keys = sorted(values)
+            key = keys[data.draw(st.integers(0, len(keys) - 1))]
+            if mutation == "drop":
+                del values[key]
+            elif mutation == "extra":
+                values[data.draw(st.sampled_from(("[1]", "[0, 1, 2]", "x", "[true, 2]", "[2, 1, 3]")))] = "1"
+            elif mutation == "value":
+                values[key] = data.draw(st.sampled_from(("0", "-1", "x", "1/0", True, None, [1], 1e300, "1e400")))
+            else:
+                values["[" * depth + key + "]" * depth] = values.pop(key)
+        texts = {"c": json.dumps(d), "v": json.dumps(values)}
+        if mutation == "nest":
+            which = "v" if verb.startswith("positivity") and data.draw(st.booleans()) else "c"
+            texts[which] = "[" * depth + texts[which] + "]" * depth
+        directory = tmp_path_factory.mktemp("ingress")
+        for name, text in texts.items():
+            (directory / f"{name}.json").write_text(text)
+        cf, vf = str(directory / "c.json"), str(directory / "v.json")
+        if verb == "validate":
+            argv = ["validate", "--file", cf]
+        elif verb == "lift":
+            argv = ["lift", "--file", cf, "--b", str(data.draw(st.integers(-1, n + 1)))]
+        elif verb == "reduce":
+            argv = ["reduce", "--file", cf]
+        else:
+            argv = ["positivity", "--mode", verb.split("-")[1], "--collection", cf, "--values", vf]
+        code, out, err = call(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            return
+        assert err == "" and out.count("\n") == 1 and json.loads(out)
+        assert code == 0 or verb in ("validate", "positivity-exact", "positivity-float")
+        if mutation == "none":
+            assert code == 0
+
+
 class TestWiring:
     def test_chambers_and_collection(self, capsys):
         code, out = run(

@@ -3,6 +3,7 @@ cheapest pin passes, each tampered copy of it fails under its own name, and
 each child's peak RSS is its own, whatever ran before it."""
 
 import importlib.util
+import platform
 from pathlib import Path
 
 import pytest
@@ -58,7 +59,7 @@ def test_a_failure_does_not_stop_the_run(monkeypatch, capsys):
     assert pins.main([]) == 1
     out = capsys.readouterr().out
     assert "FAIL tampered: " in out and f"ok {CHEAP.name}: " in out
-    assert out.endswith("1 of 2 pins passed; FAIL tampered\n")
+    assert out.endswith(f"\nPython {platform.python_version()}: 1 of 2 pins passed; FAIL tampered\n")
 
 
 def test_unknown_name_runs_nothing(capsys):

@@ -498,16 +498,17 @@ class TestMaximalityByPurity:
 
 class TestCrossingRule:
     """`_separated` and its callers give the same answers, moves and errors
-    with crossing rows as with the pair loop, and a table above the rule
-    fills no row."""
+    with crossing rows as with the pair loop, the rule takes the rows once
+    the table's counted pair tests have paid for them, and a one-off check
+    at a large table fills no row."""
 
     @staticmethod
     def pair_loop(monkeypatch):
-        monkeypatch.setattr(wscoll, "ROWS_PER_MEMBER", 0)
+        monkeypatch.setattr(wscoll, "_uses_rows", lambda c: False)
 
     @staticmethod
     def rows(monkeypatch):
-        monkeypatch.setattr(wscoll, "ROWS_PER_MEMBER", 10**9)
+        monkeypatch.setattr(wscoll, "_uses_rows", lambda c: True)
 
     @staticmethod
     def cases():
@@ -518,29 +519,38 @@ class TestCrossingRule:
 
     def test_the_rule(self):
         rows = wscoll._uses_rows
-        assert wscoll.ROWS_PER_MEMBER == 4
-        # every row empty: rows for a table of fewer than 4 subsets per member
-        for k, n in [(3, 7), (3, 8), (2, 15), (2, 16), (3, 9), (4, 8), (3, 40)]:
-            _table(k, n).crossing.clear()
-        assert rows(base_collection(3, 7)) and rows(base_collection(3, 8))
-        assert rows(base_collection(2, 15)) and not rows(base_collection(2, 16))
-        assert not rows(base_collection(3, 9)) and not rows(base_collection(4, 8))
-        assert not rows(WSCollection.of(3, 8, base_collection(3, 8).sets[:13]))
-        assert not rows(base_collection(3, 40))
-        # only the members' rows still empty are charged, C(n, k) pair tests
-        # each, against 4 m^2: (4, 8) has 17 members and 70 subsets, so rows
-        # once at most 16 are empty; a non-member's row counts for nothing
-        c = base_collection(4, 8)
-        c.table.crossing[next(r for r in range(c.table.size) if r not in c.ranks())]
+        # a fresh (4, 8) table, 70 subsets: the base has 17 members, so a
+        # check by the pair loop runs 136 pair tests, and the rows take
+        # 70 * 17 = 1190 while every member row is empty
+        table = wscoll._Table(4, 8)
+        c = WSCollection(table, base_collection(4, 8).bits)
+        checks = 0
+        while not rows(c) and checks < 20:
+            assert is_maximal(c) and len(table.crossing) == 0
+            checks += 1
+        assert (checks, table.pair_tests) == (9, 9 * 136)
+        assert is_maximal(c) and sorted(table.crossing) == list(c.ranks())
+        assert table.pair_tests == 9 * 136
+        # rows exactly when the count reaches 70 per empty member row; a
+        # filled row of a non-member counts for nothing
+        table = wscoll._Table(4, 8)
+        c = WSCollection(table, c.bits)
+        table.crossing[next(r for r in range(table.size) if r not in c.ranks())]
+        table.pair_tests = 70 * 17 - 1
         assert not rows(c)
-        c.table.crossing[c.ranks()[0]]
+        table.pair_tests += 1
         assert rows(c)
-        # (3, 9) has 19 members and 84 subsets: rows once at most 17 are empty
-        c = base_collection(3, 9)
-        c.table.crossing[c.ranks()[0]]
+        table.crossing[c.ranks()[0]]
+        table.pair_tests = 70 * 16 - 1
         assert not rows(c)
-        c.table.crossing[c.ranks()[1]]
-        assert rows(c)
+        # the pair side of `_separated_from` counts one test per member
+        assert wscoll._separated_from(table, c.bits, c.ranks()[1], c.masks())
+        assert table.pair_tests == 70 * 16 + 16 and rows(c)
+        # with every member row filled, rows on any count
+        table = wscoll._Table(4, 8)
+        for r in c.ranks():
+            table.crossing[r]
+        assert table.pair_tests == 0 and rows(WSCollection(table, c.bits))
 
     def test_reductions_match_pair_loop(self, monkeypatch):
         cs = self.cases()
