@@ -86,34 +86,18 @@ n=9: 24/429 non-parametrizable (2 orbits)
    chords: {1,3}, {1,4}, {1,7}, {4,6}, {4,7}, {7,9}
 """
 
-# the paper's criterion at k = 4 on every 97th ordered Gr(4,8) pair, as in tests/test_verify.py;
-# the sample empties the pattern table, and the RSS bound guards its memory
-GR48_SAMPLE = """from itertools import combinations, product
-from wsep.quantum import plucker_realize, quasi_commutation_exponent
-from wsep.subsets import plucker_exponent, weakly_separated
-subsets = list(combinations(range(1, 9), 4))
-agree = 0
-for I, J in list(product(subsets, subsets))[::97]:
-    c = quasi_commutation_exponent(plucker_realize(I, 4, 8), plucker_realize(J, 4, 8))
-    agree += c == plucker_exponent(I, J) and (c is not None) == weakly_separated(I, J)
-print(f"{agree} ordered pairs agree")
-"""
-
 # the paper's criterion at k = 4 for every n: the exponent of a Pluecker pair depends only on how I
-# and J interleave (tests/test_subsets.py::TestPatternInvariance), and each ordered pattern has one
-# representative with I | J = [1..C], C = 4..8, in Gr(4, C): sum C(C,4) C(4,8-C) = 321 of them
-GR4_PATTERNS = """from itertools import combinations
-from wsep.quantum import plucker_realize, quasi_commutation_exponent
+# and J interleave (tests/test_subsets.py::TestPatternInvariance), and `verify._plucker_patterns`
+# gives one representative per ordered pattern; no two share a pattern, so every pair misses the
+# exponent table
+GR4_PATTERNS = """from wsep.quantum import plucker_realize, quasi_commutation_exponent
 from wsep.subsets import plucker_exponent, weakly_separated
+from wsep.verify import _plucker_patterns
 agree = total = 0
-for C in range(4, 9):
-    for I in combinations(range(1, C + 1), 4):
-        rest = tuple(x for x in range(1, C + 1) if x not in I)
-        for shared in combinations(I, 8 - C):
-            J = tuple(sorted(rest + shared))
-            c = quasi_commutation_exponent(plucker_realize(I, 4, C), plucker_realize(J, 4, C))
-            agree += c == plucker_exponent(I, J) and (c is not None) == weakly_separated(I, J)
-            total += 1
+for n, I, J in _plucker_patterns(4):
+    c = quasi_commutation_exponent(plucker_realize(I, 4, n), plucker_realize(J, 4, n))
+    agree += c == plucker_exponent(I, J) and (c is not None) == weakly_separated(I, J)
+    total += 1
 print(f"{agree} of {total} interleaving patterns agree")
 """
 
@@ -159,9 +143,13 @@ PINS = (
     positivity(7, 14, "ratios", "float", "05ac53714d049ec06a91c02f2c088a5ff4dd899132f74dc039ffdd7eb25c7ab9", 30, 100),
     Pin("oracle-verify-full", (*CLI, "oracle-verify", "--suite", "full"), 30,
         sha256="98c75db4ac4851b32d8bde38c11803a823c3d945b3b8c633dc2e721bfb6efd63", rss_mb=40),
-    Pin("gr48-pair-sample", ("-c", GR48_SAMPLE), 60, "51 ordered pairs agree\n", rss_mb=40),
+    # the paper's criterion at k = 4 on every ordered Gr(4,8) pair: the 4,900 pairs relabel onto the 321
+    # interleaving patterns, so all but 321 are answered from the exponent table; the pattern table
+    # is emptied along the way, and the RSS bound guards both tables
+    Pin("gr48-all-pairs", ("-c", "from wsep import verify; r = verify._plucker_pairs_agree(4, 8); print(r.ok, r.detail)"),
+        60, "True 4900 ordered pairs agree\n", rss_mb=50),
     # the paper's criterion on every ordered pair of quantum minors of the 4x5 algebra, where it
-    # is new; the RSS bound guards the pattern table and the leaf coefficients
+    # is new; the RSS bound guards the pattern table, the exponent table and the leaf coefficients
     Pin("mat45-minor-pairs", ("-c", "from wsep import verify; r = verify._minor_pairs_agree(4, 5); print(r.ok, r.detail)"),
         60, "True 15625 ordered pairs agree\n", rss_mb=40),
     Pin("enumerate-4-9", (*CLI, "enumerate", "--k", "4", "--n", "9"), 60,

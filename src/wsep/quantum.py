@@ -60,6 +60,16 @@ its result once, and builds one `Laurent` per monomial;
 compares their raw maps in one pass over p*r, with nothing decoded and no
 `Laurent` built.
 
+Its answers are kept in a second table, `_EXPONENTS`, keyed by h and the
+two relabelled term lists.  Everything after the relabelling reads only
+those, so the key is exact: a pair seen before up to relabelling is
+answered without forming either product, and None (the pair does not
+quasi-commute) is stored like any other answer.  This table too holds at
+most `_PATTERNS_CACHED` entries and is emptied when full; it is kept apart
+from `_PATTERNS`, which a Gr(4,8) check empties every few pairs.  The 1,225
+ordered Gr(3,7) pairs come to 63 entries and the 4,900 ordered Gr(4,8)
+pairs to 321, one per interleaving pattern of the two subsets.
+
 Input is checked once, at that ingress: k and m must be ints, a letter a
 pair of int indices in range (a bool is not an int), a coefficient or a
 scale factor a `Laurent`, a power an int >= 0, the arguments of
@@ -175,6 +185,11 @@ def _rewrite(word: list[int], mask: int, p: int = 0) -> list:
 # concatenated codes (see `_product`); at most `_PATTERNS_CACHED` entries,
 # and emptied when full.
 _PATTERNS: dict[Code, list] = {}
+
+# The answers of `_exponent`, keyed by h and the two relabelled term lists
+# (see `quasi_commutation_exponent`); at most `_PATTERNS_CACHED` entries,
+# and emptied when full.
+_EXPONENTS: dict[tuple, int | None] = {}
 
 
 class _Pattern:
@@ -474,7 +489,8 @@ def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
     every nonzero term of p*r must meet an equal term of r*p at its exponent
     plus c, and the terms so matched must be all the nonzero terms of r*p.
     A word of p*r whose r*p coefficient is absent or cancels is None.  Both
-    arguments must be nonzero `NCPoly`s of one algebra."""
+    arguments must be nonzero `NCPoly`s of one algebra.  A pair seen before
+    up to relabelling is answered from `_EXPONENTS`, None included."""
     for name, x in (("p", p), ("r", r)):
         if not isinstance(x, NCPoly):
             raise ValueError(f"quasi-commutation argument {name} = {x!r} is not an NCPoly")
@@ -483,6 +499,21 @@ def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
     p._check_dims(r)
     pattern = _Pattern(p.m.bit_length(), p._t, r._t)
     a, b = pattern.relabel(p._t), pattern.relabel(r._t)
+    table = _EXPONENTS
+    key = (pattern.h, tuple(a), tuple(b))
+    if key in table:
+        return table[key]
+    if len(table) >= _PATTERNS_CACHED:
+        table.clear()
+    c = table[key] = _exponent(a, b, pattern)
+    return c
+
+
+def _exponent(
+    a: list[tuple[Code, tuple]], b: list[tuple[Code, tuple]], pattern: _Pattern
+) -> int | None:
+    """`quasi_commutation_exponent` of the polynomials whose terms
+    `pattern.relabel` gives as a and b."""
     pr = _product(a, b, pattern)
     rp = _product(b, a, pattern)
     c = None

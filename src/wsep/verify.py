@@ -4,6 +4,7 @@ Each check is independent and reports (name, ok, detail)."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -67,6 +68,19 @@ def _plucker_pairs_agree(k: int, n: int) -> CheckResult:
     subsets = list(combinations(range(1, n + 1), k))
     polys = [plucker_realize(K, k, n) for K in subsets]
     return _pairs_agree(f"plucker_{k}_{n}", subsets, polys, plucker_exponent, weakly_separated)
+
+
+def _plucker_patterns(k: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """One ordered pair (n, I, J) per interleaving pattern of two k-subsets:
+    the representative with I | J = [1..n], k <= n <= 2k, in Gr(k, n).  The
+    exponent of a pair depends only on how I and J interleave, so these
+    stand for every n; there are sum C(n, k) C(k, 2k - n) of them, 63 at
+    k = 3 and 321 at k = 4."""
+    for n in range(k, 2 * k + 1):
+        for I in combinations(range(1, n + 1), k):
+            rest = tuple(x for x in range(1, n + 1) if x not in I)
+            for shared in combinations(I, 2 * k - n):
+                yield n, I, tuple(sorted(rest + shared))
 
 
 def check_straightening() -> CheckResult:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsep.laurent import Laurent, ONE, Q, Q_INV
-from wsep.subsets import MinorIndex, stieffel_subset
+from wsep.subsets import MinorIndex, plucker_exponent, stieffel_subset
 from wsep import quantum, subsets
 from wsep.quantum import (
     NCPoly,
@@ -547,16 +547,24 @@ def random_poly(rng, k, m, max_letters=4, max_terms=3):
     return acc
 
 
+def empty_tables():
+    """Empty both module tables, `_PATTERNS` and `_EXPONENTS`, so that the
+    next product or exponent is computed cold."""
+    quantum._PATTERNS.clear()
+    quantum._EXPONENTS.clear()
+
+
 class TestPatternTable:
-    """`_product` looks each relabelled concatenation up in `_PATTERNS`;
-    its results must not depend on what the table holds."""
+    """`_product` looks each relabelled concatenation up in `_PATTERNS`, and
+    `quasi_commutation_exponent` each relabelled pair in `_EXPONENTS`; their
+    results must not depend on what the tables hold."""
 
     @staticmethod
     def ordered(p):
         return list(p._t.items())
 
     def test_scalars_and_the_empty_word(self):
-        quantum._PATTERNS.clear()
+        empty_tables()
         a, b = Laurent({-1: 2, 3: 1}), Laurent.term(-5, 2)
         s, t = NCPoly.scalar(2, 3, a), NCPoly.scalar(2, 3, b)
         for _ in range(2):  # cold, then warm
@@ -579,7 +587,7 @@ class TestPatternTable:
             + word_poly(k, m, [(2, 3), (1, 2), (1, 1)], Q_INV)
         )
         assert {len(w) for w in p.terms()} == {0, 1, 2, 3}
-        quantum._PATTERNS.clear()
+        empty_tables()
         for _ in range(2):
             for a, b in ((p, p), (p, gen(k, m, 1, 1)), (gen(k, m, 2, 3), p)):
                 assert self.ordered(a * b) == list(product_by_rewrite(a, b).items())
@@ -590,7 +598,7 @@ class TestPatternTable:
     def test_letter_width_changes(self, m):
         # B = m.bit_length() is 3 at m = 7 and 4 at m = 8, and decoding
         # must map the relabelled letters back to either
-        quantum._PATTERNS.clear()
+        empty_tables()
         rng = random.Random(m)
         for _ in range(30):
             p, r = random_poly(rng, 3, m), random_poly(rng, 3, m)
@@ -606,7 +614,7 @@ class TestPatternTable:
         # the relabelled codes (13, 10) are x[3,1] x[2,2] at h = 2, which
         # commute, and x[1,5] x[1,2] at h = 3, which do not: a key without h
         # would hand the second product the first one's leaves
-        quantum._PATTERNS.clear()
+        empty_tables()
         g = NCPoly.generator
         p = g(3, 2, 3, 1) + g(3, 2, 1, 1)
         assert (p * g(3, 2, 2, 2)).terms() == product_bf(p, g(3, 2, 2, 2))
@@ -621,9 +629,9 @@ class TestPatternTable:
         cold = {}
         for I in subsets:
             for J in subsets:
-                quantum._PATTERNS.clear()
+                empty_tables()
                 product = self.ordered(polys[I] * polys[J])
-                quantum._PATTERNS.clear()
+                empty_tables()
                 cold[I, J] = product, quasi_commutation_exponent(polys[I], polys[J])
         for (I, J), (product, exponent) in cold.items():
             assert self.ordered(polys[I] * polys[J]) == product
@@ -647,9 +655,9 @@ class TestPatternTable:
             cases.append((random_poly(rng, k, m), random_poly(rng, k, m), (k, m, word, coeff)))
         cold = []
         for p, r, args in cases:
-            quantum._PATTERNS.clear()
+            empty_tables()
             product = self.ordered(p * r)
-            quantum._PATTERNS.clear()
+            empty_tables()
             cold.append((product, list(normalize_word(*args).items())))
         for (p, r, args), (product, normal) in zip(cases, cold):
             assert self.ordered(p * r) == product == list(product_by_rewrite(p, r).items())
@@ -661,7 +669,7 @@ class TestPatternTable:
         polys = {K: plucker_realize(K, 3, 6) for K in subsets}
         expected = {(I, J): self.ordered(polys[I] * polys[J]) for I in subsets[:8] for J in subsets}
         monkeypatch.setattr(quantum, "_PATTERNS_CACHED", 50)
-        quantum._PATTERNS.clear()
+        empty_tables()
         sizes = []
         for (I, J), product in expected.items():
             assert self.ordered(polys[I] * polys[J]) == product
@@ -669,3 +677,73 @@ class TestPatternTable:
             assert sizes[-1] <= 50
         # the table filled up and was emptied along the way
         assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
+class TestExponentTable:
+    """`quasi_commutation_exponent` answers a pair it has seen up to
+    relabelling from `_EXPONENTS`, without forming either product."""
+
+    @pytest.mark.parametrize(
+        "first, second, exponent",
+        [
+            # weakly separated
+            (((1, 2, 3), (4, 5, 6)), ((2, 3, 4), (5, 6, 7)), 3),
+            # not weakly separated: None is an answer, and is stored too
+            (((1, 3, 5), (2, 4, 6)), ((2, 4, 6), (3, 5, 7)), None),
+        ],
+    )
+    def test_a_seen_pattern_is_not_rewritten(self, first, second, exponent, monkeypatch):
+        (I, J), (K, L) = first, second
+        empty_tables()
+        assert quasi_commutation_exponent(plucker_realize(I, 3, 7), plucker_realize(J, 3, 7)) == exponent
+        p, r = plucker_realize(K, 3, 7), plucker_realize(L, 3, 7)
+
+        def no_product(*args):
+            raise AssertionError("a seen pattern was rewritten")
+
+        monkeypatch.setattr(quantum, "_product", no_product)
+        assert quasi_commutation_exponent(p, r) == exponent
+        assert len(quantum._EXPONENTS) == 1
+
+    def test_keys_carry_the_width(self):
+        # the relabelled letters 13 and 10 are x[3,1] and x[2,2] at h = 2 and
+        # x[1,5] and x[1,2] at h = 3; each pair is keyed by its own h
+        empty_tables()
+        g = NCPoly.generator
+        pairs = [
+            (g(3, 2, 3, 1) + g(3, 2, 1, 1), g(3, 2, 2, 2)),
+            (g(1, 5, 1, 5) + g(1, 5, 1, 1) + g(1, 5, 1, 3) + g(1, 5, 1, 4), g(1, 5, 1, 2)),
+        ]
+        for p, r in pairs:
+            assert quasi_commutation_exponent(p, r) == quasi_commutation_bf(p, r)
+        keys = sorted(quantum._EXPONENTS, key=lambda key: key[0])
+        assert [key[0] for key in keys] == [2, 3]
+        for h, a, b in keys:
+            assert (13,) in [w for w, _ in a] and b[0][0] == (10,)
+
+    def test_bound_holds_and_clearing_keeps_answers(self, monkeypatch):
+        subsets = list(combinations(range(1, 7), 3))
+        polys = {K: plucker_realize(K, 3, 6) for K in subsets}
+        monkeypatch.setattr(quantum, "_PATTERNS_CACHED", 10)
+        empty_tables()
+        sizes = []
+        for I in subsets:
+            for J in subsets:
+                c = quasi_commutation_exponent(polys[I], polys[J])
+                assert c == plucker_exponent(I, J), (I, J)
+                sizes.append(len(quantum._EXPONENTS))
+                assert sizes[-1] <= 10
+        # the table filled up and was emptied along the way
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+    def test_one_entry_per_interleaving_pattern(self):
+        # the 1,225 ordered Gr(3,7) pairs relabel onto the 63 interleaving
+        # patterns at k = 3
+        subsets = list(combinations(range(1, 8), 3))
+        polys = {K: plucker_realize(K, 3, 7) for K in subsets}
+        empty_tables()
+        for I in subsets:
+            for J in subsets:
+                c = quasi_commutation_exponent(polys[I], polys[J])
+                assert c == plucker_exponent(I, J), (I, J)
+        assert len(quantum._EXPONENTS) == 63

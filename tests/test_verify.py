@@ -3,9 +3,10 @@ from itertools import combinations, product
 
 import pytest
 
+from wsep import quantum
 from wsep.quantum import plucker_realize, quasi_commutation_exponent
 from wsep.subsets import plucker_exponent, weakly_separated
-from wsep.verify import _minor_pairs_agree, _plucker_pairs_agree, run_suite
+from wsep.verify import _minor_pairs_agree, _plucker_pairs_agree, _plucker_patterns, run_suite
 
 
 def test_small_suite_all_green():
@@ -25,6 +26,21 @@ def test_plucker_3_6_pairs_agree():
     result = _plucker_pairs_agree(3, 6)
     assert result.ok, result.detail
     assert result.detail == "400 ordered pairs agree"
+
+
+def test_one_representative_per_interleaving_pattern():
+    # each representative covers [1..n] and relabels onto a pattern of its
+    # own, one exponent table entry each; the k = 4 ones are the
+    # gr4-patterns pin's
+    reps = list(_plucker_patterns(3))
+    assert len(reps) == 63 and sum(1 for _ in _plucker_patterns(4)) == 321
+    quantum._EXPONENTS.clear()
+    for n, I, J in reps:
+        assert set(I) | set(J) == set(range(1, n + 1))
+        c = quasi_commutation_exponent(plucker_realize(I, 3, n), plucker_realize(J, 3, n))
+        assert c == plucker_exponent(I, J), (I, J)
+        assert (c is not None) == weakly_separated(I, J), (I, J)
+    assert len(quantum._EXPONENTS) == 63
 
 
 @pytest.mark.parametrize("k, m, pairs", [(3, 4, 1156), (4, 4, 4761)])
