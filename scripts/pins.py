@@ -144,14 +144,15 @@ PINS = (
     Pin("oracle-verify-full", (*CLI, "oracle-verify", "--suite", "full"), 30,
         sha256="98c75db4ac4851b32d8bde38c11803a823c3d945b3b8c633dc2e721bfb6efd63", rss_mb=40),
     # the paper's criterion at k = 4 on every ordered Gr(4,8) pair: the 4,900 pairs relabel onto the 321
-    # interleaving patterns, so all but 321 are answered from the exponent table; the pattern table
-    # is emptied along the way, and the RSS bound guards both tables
+    # interleaving patterns, so all but 321 are answered from the shape-keyed exponent table; the
+    # pattern table is emptied along the way, and the RSS bound (35.5 MB read on 3.11) guards both
     Pin("gr48-all-pairs", ("-c", "from wsep import verify; r = verify._plucker_pairs_agree(4, 8); print(r.ok, r.detail)"),
-        60, "True 4900 ordered pairs agree\n", rss_mb=50),
+        60, "True 4900 ordered pairs agree\n", rss_mb=43),
     # the paper's criterion on every ordered pair of quantum minors of the 4x5 algebra, where it
-    # is new; the RSS bound guards the pattern table, the exponent table and the leaf coefficients
+    # is new; the RSS bound (26.6 MB read on 3.11) guards the pattern table, the shape-keyed
+    # exponent table and the leaf coefficients
     Pin("mat45-minor-pairs", ("-c", "from wsep import verify; r = verify._minor_pairs_agree(4, 5); print(r.ok, r.detail)"),
-        60, "True 15625 ordered pairs agree\n", rss_mb=40),
+        60, "True 15625 ordered pairs agree\n", rss_mb=33),
     Pin("enumerate-4-9", (*CLI, "enumerate", "--k", "4", "--n", "9"), 60,
         sha256="6bce9640de2ade27f5d04f49aea7440847a75e844476cbab3f9ed3185cc63051", rss_mb=70),
     # 6815 orbits, each printed from the decoded ranks of its least member

@@ -60,33 +60,50 @@ its result once, and builds one `Laurent` per monomial;
 compares their raw maps in one pass over p*r, with nothing decoded and no
 `Laurent` built.
 
-Its answers are kept in a second table, `_EXPONENTS`, keyed by h and the
-two relabelled term lists.  Everything after the relabelling reads only
-those, so the key is exact: a pair seen before up to relabelling is
-answered without forming either product, and None (the pair does not
-quasi-commute) is stored like any other answer.  This table too holds at
-most `_PATTERNS_CACHED` entries and is emptied when full; it is kept apart
-from `_PATTERNS`, which a Gr(4,8) check empties every few pairs.  The 1,225
-ordered Gr(3,7) pairs come to 63 entries and the 4,900 ordered Gr(4,8)
-pairs to 321, one per interleaving pattern of the two subsets.
+Its answers are kept in a second table, `_EXPONENTS`, keyed by each
+polynomial's own shape, so a warm call builds no `_Pattern` and no
+relabelled term list.  The shape, kept in the `_shape` slot, is a triple:
+the id of the polynomial's own relabelled term list (with its h), the mask
+of the rows its letters use and the mask of the columns, index i being bit
+4i.  The ids come from one intern table, `_SHAPES`, from the relabelled
+term lists to ints drawn from a counter that is never reset, so emptying
+the table cannot make two term lists share an id.  A general polynomial
+works its shape out on first use; `_minor` fills it directly, since every
+l-by-l minor relabels to the l-by-l quantum determinant, whose id is read
+once per l through the same path (`_determinant_id`).  The key is the two
+ids and the interleaving of the two row masks and of the two column masks:
+the hex digits of mask_p | mask_r << 1, rows then columns, with the 0
+digits dropped, so digit 1 marks an index only p uses, 2 one only r uses
+and 3 one both use.  The joint relabelling of the pair determines the two
+own relabellings and the two interleavings, and they determine it back, so
+the key is exact: a pair seen before up to relabelling is answered without
+relabelling or forming either product, and None (the pair does not
+quasi-commute) is stored like any other answer.  Only a miss builds the
+joint `_Pattern` and relabels.  `_SHAPES` and `_EXPONENTS` too hold at
+most `_PATTERNS_CACHED` entries each and are emptied when full;
+`_EXPONENTS` is kept apart from `_PATTERNS`, which a Gr(4,8) check empties
+every few pairs.  The 1,225 ordered Gr(3,7) pairs come to 63 entries and
+the 4,900 ordered Gr(4,8) pairs to 321, one per interleaving pattern of
+the two subsets.
 
-Input is checked once, at that ingress: k and m must be ints, a letter a
-pair of int indices in range (a bool is not an int), a coefficient or a
-scale factor a `Laurent`, a power an int >= 0, the arguments of
+Input is checked once, at that ingress: k and m must be ints of at least
+1 (`_require_algebra`, also at `embedding_images`), a letter a pair of int
+indices in range (a bool is not an int), a coefficient or a scale factor a
+`Laurent`, a power an int >= 0, the arguments of
 `quasi_commutation_exponent` `NCPoly`s, and a word given to the
 constructor in normal form.  Internal results are built with
 `NCPoly._trusted`.
 
 The generator images of the k-by-m embedding, and whether they satisfy the
 defining relations, are cached for the most recent `_EMBEDDINGS_CACHED` (28)
-shapes: every (k, m) with k, m >= 1 and k + m <= `_EMBEDDING_MAX_TOTAL` (8),
+algebras: every (k, m) with k, m >= 1 and k + m <= `_EMBEDDING_MAX_TOTAL` (8),
 the bound of `verify_embedding`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import count, permutations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -115,6 +132,13 @@ def _encode(word: Iterable[Gen], k: int, m: int) -> Code:
             raise ValueError(f"generator x[{i},{j}] outside the {k}x{m} algebra")
         out.append(i << b | j)
     return tuple(out)
+
+
+def _require_algebra(k, m) -> None:
+    """k and m are ints (a bool is not) of at least 1."""
+    _require_dims(k, m, "k and m")
+    if k < 1 or m < 1:
+        raise ValueError(f"k and m must be at least 1, got {k} and {m}")
 
 
 def _decode(w: Code, m: int) -> Word:
@@ -186,10 +210,37 @@ def _rewrite(word: list[int], mask: int, p: int = 0) -> list:
 # and emptied when full.
 _PATTERNS: dict[Code, list] = {}
 
-# The answers of `_exponent`, keyed by h and the two relabelled term lists
-# (see `quasi_commutation_exponent`); at most `_PATTERNS_CACHED` entries,
-# and emptied when full.
-_EXPONENTS: dict[tuple, int | None] = {}
+# The answers of `_exponent`, keyed by the two shape ids and the
+# interleavings of the masks (see `quasi_commutation_exponent`); at most
+# `_PATTERNS_CACHED` entries, and emptied when full.
+_EXPONENTS: dict[tuple[int, int, str], int | None] = {}
+
+# The shape id of each own relabelled term list, keyed by h and the list;
+# at most `_PATTERNS_CACHED` entries, and emptied when full.  Ids are never
+# reused, so an id held by a polynomial names one term list for good.
+_SHAPES: dict[tuple, int] = {}
+_SHAPE_IDS = count()
+
+
+def _intern(key: tuple) -> int:
+    """The `_SHAPES` id of an own relabelled term list, given as (h, list);
+    a new one on a miss.  Emptying the table forgets the determinants' ids
+    too, so a minor's id stays that of an equal polynomial."""
+    i = _SHAPES.get(key)
+    if i is None:
+        if len(_SHAPES) >= _PATTERNS_CACHED:
+            _SHAPES.clear()
+            _determinant_id.cache_clear()
+        i = _SHAPES[key] = next(_SHAPE_IDS)
+    return i
+
+
+def _spread(indices: Iterable[int]) -> int:
+    """The mask of a shape: bit 4i for each index i, one hex digit each."""
+    out = 0
+    for i in indices:
+        out |= 1 << 4 * i
+    return out
 
 
 class _Pattern:
@@ -296,7 +347,7 @@ def normalize_word(
     word and the word, relabelled by the word's own `_Pattern`: the scan
     starts at position 0, and the `_PATTERNS` key is the relabelled word,
     shared with every concatenation that relabels to it."""
-    _require_dims(k, m, "k and m")
+    _require_algebra(k, m)
     w = _encode(word, k, m)
     if not isinstance(coeff, Laurent):
         raise ValueError(
@@ -310,19 +361,22 @@ def normalize_word(
 
 class NCPoly:
     """Noncommutative polynomial over Z[q,q^-1] in normal form; its terms
-    map words of letter codes to nonzero `Laurent` coefficients."""
+    map words of letter codes to nonzero `Laurent` coefficients, and its
+    shape, None until first used, is the key `quasi_commutation_exponent`
+    reads (see the module docstring)."""
 
-    __slots__ = ("k", "m", "_t")
+    __slots__ = ("k", "m", "_t", "_shape")
 
     def __init__(self, k: int, m: int, terms: dict[Word, Laurent] | None = None):
-        """Terms map words to `Laurent` coefficients; k or m not an int, a
-        word outside the k-by-m algebra or not in normal form, or a
-        coefficient of another type, is a ValueError, and zero coefficients
-        are dropped."""
-        _require_dims(k, m, "k and m")
+        """Terms map words to `Laurent` coefficients; k or m not an int of
+        at least 1, a word outside the k-by-m algebra or not in normal form,
+        or a coefficient of another type, is a ValueError, and zero
+        coefficients are dropped."""
+        _require_algebra(k, m)
         self.k = k
         self.m = m
         self._t = {}
+        self._shape = None
         for word, c in (terms or {}).items():
             w = _encode(word, k, m)
             if any(w[p] > w[p + 1] for p in range(len(w) - 1)):
@@ -342,7 +396,19 @@ class NCPoly:
         p.k = k
         p.m = m
         p._t = t
+        p._shape = None
         return p
+
+    def _own_shape(self) -> tuple[int, int, int]:
+        """The shape, worked out and kept on first use: the `_SHAPES` id of
+        the terms relabelled by their own `_Pattern`, and the `_spread`
+        masks of the rows and of the columns the letters use."""
+        b = self.m.bit_length()
+        pattern = _Pattern(b, self._t)
+        i = _intern((pattern.h, tuple(pattern.relabel(self._t))))
+        rows = _spread(r >> b for r in pattern.rows[1:])
+        self._shape = (i, rows, _spread(pattern.cols[1:]))
+        return self._shape
 
     @staticmethod
     def zero(k: int, m: int) -> "NCPoly":
@@ -462,18 +528,34 @@ def _signed_permutations(l: int) -> tuple[tuple[tuple[int, ...], Laurent], ...]:
     return tuple(out)
 
 
-def _minor(k: int, m: int, rows: Sequence[int], cols: Sequence[int]) -> NCPoly:
-    """The quantum minor on rows and columns of the k-by-m algebra, both
-    already checked as non-empty subsets of equal size within it: the sum
-    over column permutations of (-q)^(-inversions) times the row-sorted
-    word, which is already in normal form."""
+def _minor_terms(m: int, rows: Sequence[int], cols: Sequence[int]) -> dict[Code, Laurent]:
+    """The terms of the quantum minor on rows and columns of an algebra with
+    m columns: the sum over column permutations of (-q)^(-inversions) times
+    the row-sorted word, which is already in normal form."""
     b = m.bit_length()
     rows = [r << b for r in rows]
-    terms = {
+    return {
         tuple([row | cols[s] for row, s in zip(rows, sigma)]): coeff
         for sigma, coeff in _signed_permutations(len(rows))
     }
-    return NCPoly._trusted(k, m, terms)
+
+
+@lru_cache(maxsize=None)
+def _determinant_id(l: int) -> int:
+    """The shape id of the l-by-l quantum determinant, worked out by
+    `NCPoly._own_shape`; every l-by-l minor relabels to it.  `_intern`
+    forgets it when it empties `_SHAPES`."""
+    full = range(1, l + 1)
+    return NCPoly._trusted(l, l, _minor_terms(l, full, full))._own_shape()[0]
+
+
+def _minor(k: int, m: int, rows: Sequence[int], cols: Sequence[int]) -> NCPoly:
+    """The quantum minor on rows and columns of the k-by-m algebra, both
+    already checked as non-empty subsets of equal size within it, with its
+    shape filled in: no relabelling is needed."""
+    p = NCPoly._trusted(k, m, _minor_terms(m, rows, cols))
+    p._shape = (_determinant_id(len(rows)), _spread(rows), _spread(cols))
+    return p
 
 
 def quantum_minor(mi: MinorIndex) -> NCPoly:
@@ -490,22 +572,27 @@ def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
     plus c, and the terms so matched must be all the nonzero terms of r*p.
     A word of p*r whose r*p coefficient is absent or cancels is None.  Both
     arguments must be nonzero `NCPoly`s of one algebra.  A pair seen before
-    up to relabelling is answered from `_EXPONENTS`, None included."""
+    up to relabelling is answered from `_EXPONENTS`, None included, keyed by
+    the two shape ids and the interleavings of the row masks and of the
+    column masks; only a miss builds the joint `_Pattern`."""
     for name, x in (("p", p), ("r", r)):
         if not isinstance(x, NCPoly):
             raise ValueError(f"quasi-commutation argument {name} = {x!r} is not an NCPoly")
     if p.is_zero() or r.is_zero():
         raise ValueError("quasi-commutation is undefined for zero inputs")
     p._check_dims(r)
-    pattern = _Pattern(p.m.bit_length(), p._t, r._t)
-    a, b = pattern.relabel(p._t), pattern.relabel(r._t)
+    i, rows_p, cols_p = p._shape or p._own_shape()
+    j, rows_r, cols_r = r._shape or r._own_shape()
+    key = (i, j, f"{rows_p | rows_r << 1:x}.{cols_p | cols_r << 1:x}".replace("0", ""))
     table = _EXPONENTS
-    key = (pattern.h, tuple(a), tuple(b))
-    if key in table:
+    try:
         return table[key]
+    except KeyError:
+        pass
+    pattern = _Pattern(p.m.bit_length(), p._t, r._t)
     if len(table) >= _PATTERNS_CACHED:
         table.clear()
-    c = table[key] = _exponent(a, b, pattern)
+    c = table[key] = _exponent(pattern.relabel(p._t), pattern.relabel(r._t), pattern)
     return c
 
 
@@ -578,7 +665,8 @@ _PATTERNS_CACHED = 8192
 def embedding_images(k: int, m: int) -> dict[Gen, NCPoly]:
     """Images of the x[i,j] under the coordinate embedding into the k-by-(k+m)
     algebra: each generator maps to the realized coordinate of its singleton
-    Stieffel subset."""
+    Stieffel subset; k or m not an int of at least 1 is a ValueError."""
+    _require_algebra(k, m)
     n = k + m
     return {
         (i, j): plucker_realize(stieffel_subset(MinorIndex((i,), (j,), k, m)), k, n)

@@ -70,6 +70,17 @@ def _plucker_pairs_agree(k: int, n: int) -> CheckResult:
     return _pairs_agree(f"plucker_{k}_{n}", subsets, polys, plucker_exponent, weakly_separated)
 
 
+def _covers(n: int, a: int, b: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each ordered pair (I, J) of an a-subset and a b-subset of [1..n] with
+    I | J = [1..n]: one per interleaving pattern of two such subsets whose
+    union has n elements."""
+    for I in combinations(range(1, n + 1), a):
+        rest = tuple(x for x in range(1, n + 1) if x not in I)
+        if len(rest) <= b:
+            for shared in combinations(I, b - len(rest)):
+                yield I, tuple(sorted(rest + shared))
+
+
 def _plucker_patterns(k: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """One ordered pair (n, I, J) per interleaving pattern of two k-subsets:
     the representative with I | J = [1..n], k <= n <= 2k, in Gr(k, n).  The
@@ -77,10 +88,24 @@ def _plucker_patterns(k: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int,
     stand for every n; there are sum C(n, k) C(k, 2k - n) of them, 63 at
     k = 3 and 321 at k = 4."""
     for n in range(k, 2 * k + 1):
-        for I in combinations(range(1, n + 1), k):
-            rest = tuple(x for x in range(1, n + 1) if x not in I)
-            for shared in combinations(I, 2 * k - n):
-                yield n, I, tuple(sorted(rest + shared))
+        for I, J in _covers(n, k, k):
+            yield n, I, J
+
+
+def _minor_patterns(rows: int) -> Iterator[tuple[MinorIndex, MinorIndex]]:
+    """One ordered pair (p, r) of minor indices per interleaving pattern of
+    two minors that use at most `rows` rows between them: the
+    representative in the R-by-C algebra whose row sets cover [1..R] and
+    whose column sets cover [1..C].  The exponent of a pair depends only on
+    how the row sets interleave and how the column sets do, so these stand
+    for every k and m; there are 405 of them with at most three rows."""
+    for R in range(1, rows + 1):
+        for a in range(1, R + 1):
+            for b in range(1, R + 1):
+                for C in range(max(a, b), a + b + 1):
+                    for P, Q in _covers(R, a, b):
+                        for Pc, Qc in _covers(C, a, b):
+                            yield MinorIndex(P, Pc, R, C), MinorIndex(Q, Qc, R, C)
 
 
 def check_straightening() -> CheckResult:

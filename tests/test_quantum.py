@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from wsep.laurent import Laurent, ONE, Q, Q_INV
 from wsep.subsets import MinorIndex, plucker_exponent, stieffel_subset
+from wsep.verify import all_minor_indices
 from wsep import quantum, subsets
 from wsep.quantum import (
     NCPoly,
@@ -120,6 +122,18 @@ class TestNormalize:
                 make()
         with pytest.raises(ValueError, match="not a Laurent polynomial"):
             normalize_word(2, 2, [(1, 1)], 3)
+
+    @pytest.mark.parametrize("k, m", [(-1, -3), (-4, -4), (0, 2), (2, 0), (-2, 5)])
+    def test_dimensions_below_one_rejected(self, k, m):
+        message = re.escape(f"k and m must be at least 1, got {k} and {m}")
+        for make in (
+            lambda: NCPoly(k, m),
+            lambda: NCPoly.one(k, m),
+            lambda: normalize_word(k, m, []),
+            lambda: embedding_images(k, m),
+        ):
+            with pytest.raises(ValueError, match=message):
+                make()
 
     def test_plucker_realize_checks_K_once(self, monkeypatch):
         cases = [
@@ -548,10 +562,13 @@ def random_poly(rng, k, m, max_letters=4, max_terms=3):
 
 
 def empty_tables():
-    """Empty both module tables, `_PATTERNS` and `_EXPONENTS`, so that the
-    next product or exponent is computed cold."""
+    """Empty the module tables, `_PATTERNS`, `_EXPONENTS` and `_SHAPES` with
+    the determinants' ids (as `_intern` does), so that the next product or
+    exponent is computed cold."""
     quantum._PATTERNS.clear()
     quantum._EXPONENTS.clear()
+    quantum._SHAPES.clear()
+    quantum._determinant_id.cache_clear()
 
 
 class TestPatternTable:
@@ -706,20 +723,26 @@ class TestExponentTable:
         assert len(quantum._EXPONENTS) == 1
 
     def test_keys_carry_the_width(self):
-        # the relabelled letters 13 and 10 are x[3,1] and x[2,2] at h = 2 and
-        # x[1,5] and x[1,2] at h = 3; each pair is keyed by its own h
+        # jointly relabelled, the letters 13 and 10 are x[3,1] and x[2,2] at
+        # h = 2 and x[1,5] and x[1,2] at h = 3: one code tuple for two
+        # patterns, which must get two entries, each with its own answer
         empty_tables()
         g = NCPoly.generator
         pairs = [
             (g(3, 2, 3, 1) + g(3, 2, 1, 1), g(3, 2, 2, 2)),
             (g(1, 5, 1, 5) + g(1, 5, 1, 1) + g(1, 5, 1, 3) + g(1, 5, 1, 4), g(1, 5, 1, 2)),
         ]
+        widths = []
         for p, r in pairs:
+            pattern = _Pattern(p.m.bit_length(), p._t, r._t)
+            assert (13,) in [w for w, _ in pattern.relabel(p._t)]
+            assert [w for w, _ in pattern.relabel(r._t)] == [(10,)]
+            widths.append(pattern.h)
             assert quasi_commutation_exponent(p, r) == quasi_commutation_bf(p, r)
-        keys = sorted(quantum._EXPONENTS, key=lambda key: key[0])
-        assert [key[0] for key in keys] == [2, 3]
-        for h, a, b in keys:
-            assert (13,) in [w for w, _ in a] and b[0][0] == (10,)
+        assert widths == [2, 3]
+        assert len(quantum._EXPONENTS) == 2
+        for (p, r), answer in zip(pairs, quantum._EXPONENTS.values()):
+            assert answer == quasi_commutation_bf(p, r)
 
     def test_bound_holds_and_clearing_keeps_answers(self, monkeypatch):
         subsets = list(combinations(range(1, 7), 3))
@@ -747,3 +770,66 @@ class TestExponentTable:
                 c = quasi_commutation_exponent(polys[I], polys[J])
                 assert c == plucker_exponent(I, J), (I, J)
         assert len(quantum._EXPONENTS) == 63
+
+
+class TestShapes:
+    """`quasi_commutation_exponent` keys `_EXPONENTS` by each polynomial's
+    own shape: the `_SHAPES` id of its own relabelled term list and the
+    masks of the rows and columns it uses."""
+
+    @pytest.mark.parametrize("k, m", [(3, 3), (4, 5), (2, 7)])
+    def test_minor_shapes_match_the_lazy_path(self, k, m):
+        for mi in all_minor_indices(k, m):
+            minor = quantum_minor(mi)
+            equal = NCPoly(k, m, minor.terms())
+            assert equal._shape is None
+            assert minor._shape == equal._own_shape(), mi
+
+    def test_warm_pair_builds_no_pattern(self, monkeypatch):
+        subsets = list(combinations(range(1, 8), 3))
+        polys = {K: plucker_realize(K, 3, 7) for K in subsets}
+        for I in subsets:
+            for J in subsets:
+                quasi_commutation_exponent(polys[I], polys[J])
+
+        def no_pattern(*args):
+            raise AssertionError("a warm pair built a _Pattern")
+
+        monkeypatch.setattr(quantum, "_Pattern", no_pattern)
+        for I, J in [((1, 2, 3), (5, 6, 7)), ((1, 3, 5), (2, 4, 6)), ((2, 4, 7), (2, 4, 7))]:
+            p, r = plucker_realize(I, 3, 7), plucker_realize(J, 3, 7)
+            assert quasi_commutation_exponent(p, r) == plucker_exponent(I, J)
+
+    def test_emptying_the_intern_table_keeps_answers(self, monkeypatch):
+        # each p scaled by its own power of q, which changes no exponent,
+        # brings a term list of its own to the intern table
+        monkeypatch.setattr(quantum, "_PATTERNS_CACHED", 10)
+        empty_tables()
+        subsets = list(combinations(range(1, 7), 3))
+        polys = {K: plucker_realize(K, 3, 6) for K in subsets}
+        named = {}
+        sizes = []
+        for e, (I, J) in enumerate((I, J) for I in subsets for J in subsets):
+            p = polys[I].scale(Laurent.term(1, e % 37))
+            assert quasi_commutation_exponent(p, polys[J]) == plucker_exponent(I, J), (I, J)
+            pattern = _Pattern(p.m.bit_length(), p._t)
+            own = (pattern.h, tuple(pattern.relabel(p._t)))
+            assert named.setdefault(p._shape[0], own) == own, "an id was reused"
+            sizes.append(len(quantum._SHAPES))
+            assert sizes[-1] <= 10
+        # the table filled up and was emptied along the way, and a minor
+        # built after that still has the id of an equal polynomial
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+        minor = plucker_realize((1, 2, 3), 3, 6)
+        assert minor._shape == NCPoly(3, 6, minor.terms())._own_shape()
+
+    def test_general_polynomial_matches_brute_force(self):
+        # the square of the initial coordinate, as in check_aux_exponents
+        empty_tables()
+        delta = plucker_realize((1, 2), 2, 4)
+        square = delta.pow(2)
+        assert square._shape is None
+        for K in combinations(range(1, 5), 2):
+            sk = plucker_realize(K, 2, 4)
+            for p, r in ((square, sk), (sk, square), (square, delta), (square, square)):
+                assert quasi_commutation_exponent(p, r) == quasi_commutation_bf(p, r), K

@@ -4,9 +4,16 @@ from itertools import combinations, product
 import pytest
 
 from wsep import quantum
-from wsep.quantum import plucker_realize, quasi_commutation_exponent
-from wsep.subsets import plucker_exponent, weakly_separated
-from wsep.verify import _minor_pairs_agree, _plucker_pairs_agree, _plucker_patterns, run_suite
+from wsep.quantum import plucker_realize, quantum_minor, quasi_commutation_exponent
+from wsep.subsets import minor_exponent, plucker_exponent, weakly_separated
+from wsep.verify import (
+    _minor_pairs_agree,
+    _minor_patterns,
+    _minors_separated,
+    _plucker_pairs_agree,
+    _plucker_patterns,
+    run_suite,
+)
 
 
 def test_small_suite_all_green():
@@ -41,6 +48,24 @@ def test_one_representative_per_interleaving_pattern():
         assert c == plucker_exponent(I, J), (I, J)
         assert (c is not None) == weakly_separated(I, J), (I, J)
     assert len(quantum._EXPONENTS) == 63
+
+
+def test_minor_criterion_for_at_most_three_rows():
+    # one representative per interleaving pattern of two minors that use at
+    # most three rows between them, each in the algebra its rows and columns
+    # cover, and so each with a key of its own; with the invariance of
+    # tests/test_subsets.py::TestPatternInvariance, the paper's criterion
+    # for every m with at most three rows
+    reps = list(_minor_patterns(3))
+    assert len(reps) == 405 and sum(1 for _ in _minor_patterns(2)) == 42
+    quantum._EXPONENTS.clear()
+    for p, r in reps:
+        assert set(p.rows) | set(r.rows) == set(range(1, p.k + 1))
+        assert set(p.cols) | set(r.cols) == set(range(1, p.m + 1))
+        c = quasi_commutation_exponent(quantum_minor(p), quantum_minor(r))
+        assert c == minor_exponent(p, r), (p, r)
+        assert (c is not None) == _minors_separated(p, r), (p, r)
+    assert len(quantum._EXPONENTS) == 405
 
 
 @pytest.mark.parametrize("k, m, pairs", [(3, 4, 1156), (4, 4, 4761)])
