@@ -101,6 +101,21 @@ for n, I, J in _plucker_patterns(4):
 print(f"{agree} of {total} interleaving patterns agree")
 """
 
+# the paper's criterion for two quantum minors with at most four rows between them, so for every m
+# at k <= 4: `verify._minor_patterns(4)` gives one representative per ordered pattern of how the row
+# sets and the column sets interleave, and each pattern is one exponent table entry
+MINOR_4_ROW_PATTERNS = """from wsep import quantum
+from wsep.quantum import quantum_minor, quasi_commutation_exponent
+from wsep.subsets import minor_exponent
+from wsep.verify import _minor_patterns, _minors_separated
+agree = total = 0
+for p, r in _minor_patterns(4):
+    c = quasi_commutation_exponent(quantum_minor(p), quantum_minor(r))
+    agree += c == minor_exponent(p, r) and (c is not None) == _minors_separated(p, r)
+    total += 1
+print(f"{agree} of {total} interleaving patterns agree, {len(quantum._EXPONENTS)} exponent table entries")
+"""
+
 # the first 200 states of the walk from base(6,12); the RSS bound guards the walk's per-table state,
 # which is linear in the 34,650 exchange relations
 WALK_START = ("import itertools; from wsep import wscoll; from wsep.wscoll import base_collection; "
@@ -110,19 +125,19 @@ ORBITS_ONE_OFF = ("from wsep.wscoll import base_collection, dihedral_orbits; "
                   "print(len(dihedral_orbits([base_collection(7, 14)])))")
 
 PINS = (
-    Pin("readme-blocks", ("-c", README_BLOCKS)),
-    Pin("purity-sweep", ("scripts/purity_sweep.py", "200", "0")),
-    Pin("lift-generator", ("scripts/count_collections.py", "9", "9")),
-    Pin("nonparametrizable", ("scripts/search_nonparametrizable.py", "7", "8", "9"), stdout=NONPARAMETRIZABLE),
+    Pin("readme-blocks", ("-c", README_BLOCKS), 30),
+    Pin("purity-sweep", ("scripts/purity_sweep.py", "200", "0"), 30),
+    Pin("lift-generator", ("scripts/count_collections.py", "9", "9"), 30),
+    Pin("nonparametrizable", ("scripts/search_nonparametrizable.py", "7", "8", "9"), 30, NONPARAMETRIZABLE),
     # 480 of the 1430 triangulations at n = 10, in 30 orbits
     Pin("nonparametrizable-10", ("scripts/search_nonparametrizable.py", "10"), 30,
         sha256="8a1b670a520d8f173cbacfc5b541ae3180ccce13841f51da382a32c9f26e2878", rss_mb=25),
-    Pin("gen-w3-9-count", (*CLI, "gen-w3", "--n", "9", "--count-only"), stdout='{"count": 18600}\n'),
+    Pin("gen-w3-9-count", (*CLI, "gen-w3", "--n", "9", "--count-only"), 30, '{"count": 18600}\n'),
     # the full listings: each collection's int decoded once, for the sort and for its line; the RSS
     # bounds guard the listings made with no collection object per state
     Pin("gen-w3-9", (*CLI, "gen-w3", "--n", "9"), 30,
         sha256="58fac13b01f06be40375922c4c53f854a923c881b820621135a7c9e14ec7aba8", rss_mb=32),
-    Pin("enumerate-4-8-count", (*CLI, "enumerate", "--k", "4", "--n", "8", "--count-only"), stdout='{"count": 5470}\n'),
+    Pin("enumerate-4-8-count", (*CLI, "enumerate", "--k", "4", "--n", "8", "--count-only"), 30, '{"count": 5470}\n'),
     # the bounds guard the levels held as sets of ints (gen-w3) and the walk's queue of (state, moves, quad)
     Pin("gen-w3-10-count", (*CLI, "gen-w3", "--n", "10", "--count-only"), 30, '{"count": 168565}\n', rss_mb=40.5),
     Pin("enumerate-3-10-count", (*CLI, "enumerate", "--k", "3", "--n", "10", "--count-only"), 30,
@@ -144,13 +159,14 @@ PINS = (
     Pin("oracle-verify-full", (*CLI, "oracle-verify", "--suite", "full"), 30,
         sha256="98c75db4ac4851b32d8bde38c11803a823c3d945b3b8c633dc2e721bfb6efd63", rss_mb=40),
     # the paper's criterion at k = 4 on every ordered Gr(4,8) pair: the 4,900 pairs relabel onto the 321
-    # interleaving patterns, so all but 321 are answered from the shape-keyed exponent table; the
-    # pattern table is emptied along the way, and the RSS bound (35.5 MB read on 3.11) guards both
+    # interleaving patterns, so all but 321 are answered from the exponent table, keyed by how the two
+    # minors' rows and columns interleave; the pattern table is emptied along the way, and the RSS
+    # bound (35.5 MB read on 3.11) guards both
     Pin("gr48-all-pairs", ("-c", "from wsep import verify; r = verify._plucker_pairs_agree(4, 8); print(r.ok, r.detail)"),
         60, "True 4900 ordered pairs agree\n", rss_mb=43),
     # the paper's criterion on every ordered pair of quantum minors of the 4x5 algebra, where it
-    # is new; the RSS bound (26.6 MB read on 3.11) guards the pattern table, the shape-keyed
-    # exponent table and the leaf coefficients
+    # is new; the RSS bound (26.6 MB read on 3.11) guards the pattern table, the exponent table
+    # keyed by interleaving and the leaf coefficients
     Pin("mat45-minor-pairs", ("-c", "from wsep import verify; r = verify._minor_pairs_agree(4, 5); print(r.ok, r.detail)"),
         60, "True 15625 ordered pairs agree\n", rss_mb=33),
     Pin("enumerate-4-9", (*CLI, "enumerate", "--k", "4", "--n", "9"), 60,
@@ -159,6 +175,8 @@ PINS = (
     Pin("orbits-4-9", (*CLI, "orbits", "--k", "4", "--n", "9"), 60,
         sha256="9d6f5005444a8ee7310924d83d00940f9efc315ef583917602bc35b2b3260fb3", rss_mb=75),
     Pin("gr4-patterns", ("-c", GR4_PATTERNS), 60, "321 of 321 interleaving patterns agree\n", rss_mb=60),
+    Pin("minor-4-row-patterns", ("-c", MINOR_4_ROW_PATTERNS), 60,
+        "3812 of 3812 interleaving patterns agree, 3812 exponent table entries\n", rss_mb=43),
     Pin("walk-6-12-start", ("-c", WALK_START), 30, "200\n", rss_mb=80),
     # one orbit at a large table: the byte tables of the translates fill only the slots they read
     Pin("orbits-7-14-one-off", ("-c", ORBITS_ONE_OFF), 30, "1\n", rss_mb=30),

@@ -35,8 +35,8 @@ relations compare rows with rows and columns with columns only, so the
 normal form of a relabelled word is the relabelled normal form, and many
 concatenations share one relabelled word: over all ordered Gr(3,7) pairs,
 88,200 concatenations come to 2,268 relabelled words.  A relabelled letter
-is i << h | j, h the bit length of the larger of the relabelled row and
-column counts, and a relabelled word is a tuple of such codes.
+is i << h | j, h the bit length of the larger of the numbers of relabelled
+rows and columns, and a relabelled word is a tuple of such codes.
 `_Pattern.relabel` gives each term as (relabelled word, tuple of its
 coefficient's (exponent, int) items), read once however many products the
 term joins.  Each concatenation's leaves are looked up in one module
@@ -60,31 +60,24 @@ its result once, and builds one `Laurent` per monomial;
 compares their raw maps in one pass over p*r, with nothing decoded and no
 `Laurent` built.
 
-Its answers are kept in a second table, `_EXPONENTS`, keyed by each
-polynomial's own shape, so a warm call builds no `_Pattern` and no
-relabelled term list.  The shape, kept in the `_shape` slot, is a triple:
-the id of the polynomial's own relabelled term list (with its h), the mask
-of the rows its letters use and the mask of the columns, index i being bit
-4i.  The ids come from one intern table, `_SHAPES`, from the relabelled
-term lists to ints drawn from a counter that is never reset, so emptying
-the table cannot make two term lists share an id.  A general polynomial
-works its shape out on first use; `_minor` fills it directly, since every
-l-by-l minor relabels to the l-by-l quantum determinant, whose id is read
-once per l through the same path (`_determinant_id`).  The key is the two
-ids and the interleaving of the two row masks and of the two column masks:
-the hex digits of mask_p | mask_r << 1, rows then columns, with the 0
-digits dropped, so digit 1 marks an index only p uses, 2 one only r uses
-and 3 one both use.  The joint relabelling of the pair determines the two
-own relabellings and the two interleavings, and they determine it back, so
-the key is exact: a pair seen before up to relabelling is answered without
+Its answers on pairs of quantum minors are kept in a second table,
+`_EXPONENTS`, so a warm call builds no `_Pattern` and no relabelled term
+list.  `_minor` keeps in the `_shape` slot the masks of the rows and of the
+columns the minor uses, index i being bit 4i; every other polynomial has
+no shape.  The key is the interleaving of the two row masks and of the two
+column masks: the hex digits of mask_p | mask_r << 1, rows then columns,
+with the 0 digits dropped, so digit 1 marks an index only p uses, 2 one
+only r uses and 3 one both use.  A minor is fixed by its rows and columns,
+so the key fixes the jointly relabelled pair and the pair fixes the key: a
+pair of minors seen before up to relabelling is answered without
 relabelling or forming either product, and None (the pair does not
-quasi-commute) is stored like any other answer.  Only a miss builds the
-joint `_Pattern` and relabels.  `_SHAPES` and `_EXPONENTS` too hold at
-most `_PATTERNS_CACHED` entries each and are emptied when full;
-`_EXPONENTS` is kept apart from `_PATTERNS`, which a Gr(4,8) check empties
-every few pairs.  The 1,225 ordered Gr(3,7) pairs come to 63 entries and
-the 4,900 ordered Gr(4,8) pairs to 321, one per interleaving pattern of
-the two subsets.
+quasi-commute) is stored like any other answer.  A pair in which either
+side is not a minor builds the joint `_Pattern` and stores nothing.
+`_EXPONENTS` too holds at most `_PATTERNS_CACHED` entries and is emptied
+when full; it is kept apart from `_PATTERNS`, which a Gr(4,8) check
+empties every few pairs.  The 1,225 ordered Gr(3,7) pairs come to 63
+entries and the 4,900 ordered Gr(4,8) pairs to 321, one per interleaving
+pattern of the two subsets.
 
 Input is checked once, at that ingress: k and m must be ints of at least
 1 (`_require_algebra`, also at `embedding_images`), a letter a pair of int
@@ -103,7 +96,7 @@ the bound of `verify_embedding`.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count, permutations
+from itertools import permutations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -210,33 +203,15 @@ def _rewrite(word: list[int], mask: int, p: int = 0) -> list:
 # and emptied when full.
 _PATTERNS: dict[Code, list] = {}
 
-# The answers of `_exponent`, keyed by the two shape ids and the
-# interleavings of the masks (see `quasi_commutation_exponent`); at most
+# The answers of `_exponent` on pairs of minors, keyed by the interleavings
+# of their masks (see `quasi_commutation_exponent`); at most
 # `_PATTERNS_CACHED` entries, and emptied when full.
-_EXPONENTS: dict[tuple[int, int, str], int | None] = {}
-
-# The shape id of each own relabelled term list, keyed by h and the list;
-# at most `_PATTERNS_CACHED` entries, and emptied when full.  Ids are never
-# reused, so an id held by a polynomial names one term list for good.
-_SHAPES: dict[tuple, int] = {}
-_SHAPE_IDS = count()
-
-
-def _intern(key: tuple) -> int:
-    """The `_SHAPES` id of an own relabelled term list, given as (h, list);
-    a new one on a miss.  Emptying the table forgets the determinants' ids
-    too, so a minor's id stays that of an equal polynomial."""
-    i = _SHAPES.get(key)
-    if i is None:
-        if len(_SHAPES) >= _PATTERNS_CACHED:
-            _SHAPES.clear()
-            _determinant_id.cache_clear()
-        i = _SHAPES[key] = next(_SHAPE_IDS)
-    return i
+_EXPONENTS: dict[str, int | None] = {}
 
 
 def _spread(indices: Iterable[int]) -> int:
-    """The mask of a shape: bit 4i for each index i, one hex digit each."""
+    """The mask of a minor's rows or columns: bit 4i for each index i, one
+    hex digit each."""
     out = 0
     for i in indices:
         out |= 1 << 4 * i
@@ -362,8 +337,8 @@ def normalize_word(
 class NCPoly:
     """Noncommutative polynomial over Z[q,q^-1] in normal form; its terms
     map words of letter codes to nonzero `Laurent` coefficients, and its
-    shape, None until first used, is the key `quasi_commutation_exponent`
-    reads (see the module docstring)."""
+    shape, None except on a minor, is what `quasi_commutation_exponent`
+    keys its table by (see the module docstring)."""
 
     __slots__ = ("k", "m", "_t", "_shape")
 
@@ -398,17 +373,6 @@ class NCPoly:
         p._t = t
         p._shape = None
         return p
-
-    def _own_shape(self) -> tuple[int, int, int]:
-        """The shape, worked out and kept on first use: the `_SHAPES` id of
-        the terms relabelled by their own `_Pattern`, and the `_spread`
-        masks of the rows and of the columns the letters use."""
-        b = self.m.bit_length()
-        pattern = _Pattern(b, self._t)
-        i = _intern((pattern.h, tuple(pattern.relabel(self._t))))
-        rows = _spread(r >> b for r in pattern.rows[1:])
-        self._shape = (i, rows, _spread(pattern.cols[1:]))
-        return self._shape
 
     @staticmethod
     def zero(k: int, m: int) -> "NCPoly":
@@ -540,21 +504,12 @@ def _minor_terms(m: int, rows: Sequence[int], cols: Sequence[int]) -> dict[Code,
     }
 
 
-@lru_cache(maxsize=None)
-def _determinant_id(l: int) -> int:
-    """The shape id of the l-by-l quantum determinant, worked out by
-    `NCPoly._own_shape`; every l-by-l minor relabels to it.  `_intern`
-    forgets it when it empties `_SHAPES`."""
-    full = range(1, l + 1)
-    return NCPoly._trusted(l, l, _minor_terms(l, full, full))._own_shape()[0]
-
-
 def _minor(k: int, m: int, rows: Sequence[int], cols: Sequence[int]) -> NCPoly:
     """The quantum minor on rows and columns of the k-by-m algebra, both
     already checked as non-empty subsets of equal size within it, with its
-    shape filled in: no relabelling is needed."""
+    shape, the `_spread` masks of its rows and of its columns."""
     p = NCPoly._trusted(k, m, _minor_terms(m, rows, cols))
-    p._shape = (_determinant_id(len(rows)), _spread(rows), _spread(cols))
+    p._shape = (_spread(rows), _spread(cols))
     return p
 
 
@@ -571,28 +526,32 @@ def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
     every nonzero term of p*r must meet an equal term of r*p at its exponent
     plus c, and the terms so matched must be all the nonzero terms of r*p.
     A word of p*r whose r*p coefficient is absent or cancels is None.  Both
-    arguments must be nonzero `NCPoly`s of one algebra.  A pair seen before
-    up to relabelling is answered from `_EXPONENTS`, None included, keyed by
-    the two shape ids and the interleavings of the row masks and of the
-    column masks; only a miss builds the joint `_Pattern`."""
+    arguments must be nonzero `NCPoly`s of one algebra.  A pair of minors
+    seen before up to relabelling is answered from `_EXPONENTS`, None
+    included, keyed by the interleavings of the row masks and of the column
+    masks; only a miss builds the joint `_Pattern`, and a pair in which
+    either side is not a minor is not stored."""
     for name, x in (("p", p), ("r", r)):
         if not isinstance(x, NCPoly):
             raise ValueError(f"quasi-commutation argument {name} = {x!r} is not an NCPoly")
     if p.is_zero() or r.is_zero():
         raise ValueError("quasi-commutation is undefined for zero inputs")
     p._check_dims(r)
-    i, rows_p, cols_p = p._shape or p._own_shape()
-    j, rows_r, cols_r = r._shape or r._own_shape()
-    key = (i, j, f"{rows_p | rows_r << 1:x}.{cols_p | cols_r << 1:x}".replace("0", ""))
     table = _EXPONENTS
-    try:
-        return table[key]
-    except KeyError:
-        pass
+    key = None
+    if p._shape and r._shape:
+        (rows_p, cols_p), (rows_r, cols_r) = p._shape, r._shape
+        key = f"{rows_p | rows_r << 1:x}.{cols_p | cols_r << 1:x}".replace("0", "")
+        try:
+            return table[key]
+        except KeyError:
+            pass
     pattern = _Pattern(p.m.bit_length(), p._t, r._t)
-    if len(table) >= _PATTERNS_CACHED:
-        table.clear()
-    c = table[key] = _exponent(pattern.relabel(p._t), pattern.relabel(r._t), pattern)
+    c = _exponent(pattern.relabel(p._t), pattern.relabel(r._t), pattern)
+    if key is not None:
+        if len(table) >= _PATTERNS_CACHED:
+            table.clear()
+        table[key] = c
     return c
 
 
@@ -661,7 +620,7 @@ _EMBEDDINGS_CACHED = _EMBEDDING_MAX_TOTAL * (_EMBEDDING_MAX_TOTAL - 1) // 2
 _PATTERNS_CACHED = 8192
 
 
-@lru_cache(maxsize=_EMBEDDINGS_CACHED)
+@lru_cache(maxsize=_EMBEDDINGS_CACHED, typed=True)
 def embedding_images(k: int, m: int) -> dict[Gen, NCPoly]:
     """Images of the x[i,j] under the coordinate embedding into the k-by-(k+m)
     algebra: each generator maps to the realized coordinate of its singleton
@@ -675,7 +634,7 @@ def embedding_images(k: int, m: int) -> dict[Gen, NCPoly]:
     }
 
 
-@lru_cache(maxsize=_EMBEDDINGS_CACHED)
+@lru_cache(maxsize=_EMBEDDINGS_CACHED, typed=True)
 def embedding_respects_relations(k: int, m: int) -> bool:
     """The generator images satisfy the same commutation relations pairwise."""
     phi = embedding_images(k, m)

@@ -22,6 +22,11 @@ def test_names_are_unique():
     assert len(set(names)) == len(names)
 
 
+def test_every_pin_has_a_timeout():
+    # a hung child would otherwise hold the run until the CI job's own limit
+    assert [p.name for p in pins.PINS if p.timeout is None] == []
+
+
 def test_cheapest_pin_passes(capsys):
     assert pins.run(CHEAP)[0], capsys.readouterr().out
 
