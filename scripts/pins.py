@@ -89,7 +89,8 @@ n=9: 24/429 non-parametrizable (2 orbits)
 # the paper's criterion at k = 4 for every n: the exponent of a Pluecker pair depends only on how I
 # and J interleave (tests/test_subsets.py::TestPatternInvariance), and `verify._plucker_patterns`
 # gives one representative per ordered pattern; no two share a pattern, so every pair misses the
-# exponent table
+# exponent table, and each miss rewrites its two products on a throwaway leaf table; the RSS bound
+# (21.0 MB read on 3.11) guards that no miss keeps its leaves
 GR4_PATTERNS = """from wsep.quantum import plucker_realize, quasi_commutation_exponent
 from wsep.subsets import plucker_exponent, weakly_separated
 from wsep.verify import _plucker_patterns
@@ -103,7 +104,8 @@ print(f"{agree} of {total} interleaving patterns agree")
 
 # the paper's criterion for two quantum minors with at most four rows between them, so for every m
 # at k <= 4: `verify._minor_patterns(4)` gives one representative per ordered pattern of how the row
-# sets and the column sets interleave, and each pattern is one exponent table entry
+# sets and the column sets interleave, and each pattern is one exponent table entry; the RSS bound
+# (21.1 MB read on 3.11) guards the 3,812 entries and that no miss keeps its leaves
 MINOR_4_ROW_PATTERNS = """from wsep import quantum
 from wsep.quantum import quantum_minor, quasi_commutation_exponent
 from wsep.subsets import minor_exponent
@@ -158,25 +160,25 @@ PINS = (
     positivity(7, 14, "ratios", "float", "05ac53714d049ec06a91c02f2c088a5ff4dd899132f74dc039ffdd7eb25c7ab9", 30, 100),
     Pin("oracle-verify-full", (*CLI, "oracle-verify", "--suite", "full"), 30,
         sha256="98c75db4ac4851b32d8bde38c11803a823c3d945b3b8c633dc2e721bfb6efd63", rss_mb=40),
-    # the paper's criterion at k = 4 on every ordered Gr(4,8) pair: the 4,900 pairs relabel onto the 321
+    # the paper's criterion at k = 4 on every ordered Gr(4,8) pair: the 4,900 pairs come to the 321
     # interleaving patterns, so all but 321 are answered from the exponent table, keyed by how the two
-    # minors' rows and columns interleave; the pattern table is emptied along the way, and the RSS
-    # bound (35.5 MB read on 3.11) guards both
+    # minors' rows and columns interleave; each of the 321 misses rewrites its products on a throwaway
+    # leaf table, and the RSS bound (21.0 MB read on 3.11) guards both
     Pin("gr48-all-pairs", ("-c", "from wsep import verify; r = verify._plucker_pairs_agree(4, 8); print(r.ok, r.detail)"),
-        60, "True 4900 ordered pairs agree\n", rss_mb=43),
+        60, "True 4900 ordered pairs agree\n", rss_mb=27),
     # the paper's criterion on every ordered pair of quantum minors of the 4x5 algebra, where it
-    # is new; the RSS bound (26.6 MB read on 3.11) guards the pattern table, the exponent table
-    # keyed by interleaving and the leaf coefficients
+    # is new; the RSS bound (19.5 MB read on 3.11) guards the exponent table keyed by interleaving,
+    # the leaf coefficients, and that no exponent miss keeps its leaves
     Pin("mat45-minor-pairs", ("-c", "from wsep import verify; r = verify._minor_pairs_agree(4, 5); print(r.ok, r.detail)"),
-        60, "True 15625 ordered pairs agree\n", rss_mb=33),
+        60, "True 15625 ordered pairs agree\n", rss_mb=24),
     Pin("enumerate-4-9", (*CLI, "enumerate", "--k", "4", "--n", "9"), 60,
         sha256="6bce9640de2ade27f5d04f49aea7440847a75e844476cbab3f9ed3185cc63051", rss_mb=70),
     # 6815 orbits, each printed from the decoded ranks of its least member
     Pin("orbits-4-9", (*CLI, "orbits", "--k", "4", "--n", "9"), 60,
         sha256="9d6f5005444a8ee7310924d83d00940f9efc315ef583917602bc35b2b3260fb3", rss_mb=75),
-    Pin("gr4-patterns", ("-c", GR4_PATTERNS), 60, "321 of 321 interleaving patterns agree\n", rss_mb=60),
+    Pin("gr4-patterns", ("-c", GR4_PATTERNS), 60, "321 of 321 interleaving patterns agree\n", rss_mb=27),
     Pin("minor-4-row-patterns", ("-c", MINOR_4_ROW_PATTERNS), 60,
-        "3812 of 3812 interleaving patterns agree, 3812 exponent table entries\n", rss_mb=43),
+        "3812 of 3812 interleaving patterns agree, 3812 exponent table entries\n", rss_mb=27),
     Pin("walk-6-12-start", ("-c", WALK_START), 30, "200\n", rss_mb=80),
     # one orbit at a large table: the byte tables of the translates fill only the slots they read
     Pin("orbits-7-14-one-off", ("-c", ORBITS_ONE_OFF), 30, "1\n", rss_mb=30),

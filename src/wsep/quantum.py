@@ -29,55 +29,41 @@ encoded once, where they enter (the `NCPoly(...)` constructor, `generator`,
 leave (`terms()`, `at_one()`, `str()` and the result of
 `normalize_word`).
 
-Products go through `_product`, which works on an order-preserving
-relabelling of the rows and columns its two factors use (`_Pattern`).  The
-relations compare rows with rows and columns with columns only, so the
-normal form of a relabelled word is the relabelled normal form, and many
-concatenations share one relabelled word: over all ordered Gr(3,7) pairs,
-88,200 concatenations come to 2,268 relabelled words.  A relabelled letter
-is i << h | j, h the bit length of the larger of the numbers of relabelled
-rows and columns, and a relabelled word is a tuple of such codes.
-`_Pattern.relabel` gives each term as (relabelled word, tuple of its
-coefficient's (exponent, int) items), read once however many products the
-term joins.  Each concatenation's leaves are looked up in one module
-table, `_PATTERNS`, keyed by h followed by the concatenated codes, since
-one code tuple reads as different letters at two values of h; an entry is
-the list of leaves as `_rewrite` returns it, with nothing expanded or
-merged when it is stored (most lookups of a Gr(4,8) check miss, so a miss
-must stay cheap).  A miss computes the leaves with `_rewrite`, its scan
-started at the join, the only place an inversion can be.  The table holds
-at most `_PATTERNS_CACHED` (8,192) entries and is emptied when full.
+Products go through `_product`, the module's one accumulation loop: it
+adds v q^x times the leaves of each concatenation of a left and a right
+word into a raw {word: {exponent: int}} map, for each term v q^x of the
+product of the two words' coefficients.  `_items` gives each factor's terms
+as (word, tuple of its coefficient's (exponent, int) items), read once
+however many products the term joins.  The leaves of a concatenation come
+from a table keyed by B followed by the concatenated codes, since B fixes
+what a code means; an entry is the list of leaves as `_rewrite` returns it,
+with nothing expanded or merged when it is stored.  A miss computes the
+leaves with `_rewrite`, its scan started at the join, the only place an
+inversion can be.  `NCPoly.__mul__` and `normalize_word` (the `_product` of
+its coefficient, as the empty word, and its word, so its scan starts at
+position 0) use the module table `_PATTERNS`, which holds at most
+`_PATTERNS_CACHED` (8,192) entries and is emptied when full.
+`NCPoly.__mul__` builds one `Laurent` per monomial of its result.
 
-`_product` holds the module's one accumulation loop: it adds v q^x times
-the leaves of a concatenation into a raw {word: {exponent: int}} map, for
-each term v q^x of the product of its two factors' coefficients.
-`normalize_word` is the `_product` of its coefficient (the empty word) and
-its word, relabelled by the word's own pattern, so its scan starts at
-position 0 and its table key is the relabelled word, shared with every
-concatenation that relabels to it.  `NCPoly.__mul__` decodes the words of
-its result once, and builds one `Laurent` per monomial;
-`quasi_commutation_exponent` relabels p and r once for both products and
-compares their raw maps in one pass over p*r, with nothing decoded and no
-`Laurent` built.
-
-Its answers on pairs of quantum minors are kept in a second table,
-`_EXPONENTS`, so a warm call builds no `_Pattern` and no relabelled term
-list.  `_minor` keeps in the `_shape` slot the masks of the rows and of the
-columns the minor uses, index i being bit 4i; every other polynomial has
-no shape.  The key is the interleaving of the two row masks and of the two
-column masks: the hex digits of mask_p | mask_r << 1, rows then columns,
-with the 0 digits dropped, so digit 1 marks an index only p uses, 2 one
-only r uses and 3 one both use.  A minor is fixed by its rows and columns,
-so the key fixes the jointly relabelled pair and the pair fixes the key: a
-pair of minors seen before up to relabelling is answered without
-relabelling or forming either product, and None (the pair does not
-quasi-commute) is stored like any other answer.  A pair in which either
-side is not a minor builds the joint `_Pattern` and stores nothing.
-`_EXPONENTS` too holds at most `_PATTERNS_CACHED` entries and is emptied
-when full; it is kept apart from `_PATTERNS`, which a Gr(4,8) check
-empties every few pairs.  The 1,225 ordered Gr(3,7) pairs come to 63
-entries and the 4,900 ordered Gr(4,8) pairs to 321, one per interleaving
-pattern of the two subsets.
+`quasi_commutation_exponent` compares the raw maps of p*r and r*p in one
+pass over p*r, with no `Laurent` built.  Its answers on pairs of quantum
+minors are kept in `_EXPONENTS`.  `_minor` keeps in the `_shape` slot the
+masks of the rows and of the columns the minor uses, index i being bit 4i;
+every other polynomial has no shape.  The key is the interleaving of the
+two row masks and of the two column masks: the hex digits of mask_p |
+mask_r << 1, rows then columns, with the 0 digits dropped, so digit 1 marks
+an index only p uses, 2 one only r uses and 3 one both use.  The relations
+compare rows only with rows and columns only with columns, so an
+order-preserving relabelling of the rows and columns maps normal forms to
+normal forms, and two pairs of minors that interleave alike have one
+exponent: a pair answered before up to relabelling forms neither product,
+and None (the pair does not quasi-commute) is stored like any other answer.
+A miss forms both products on one throwaway leaf table, not on
+`_PATTERNS`, since its answer is what is kept; a pair in which either side
+is not a minor is computed on every call and stored nowhere.  `_EXPONENTS`
+too holds at most `_PATTERNS_CACHED` entries and is emptied when full.  The
+1,225 ordered Gr(3,7) pairs come to 63 entries and the 4,900 ordered
+Gr(4,8) pairs to 321, one per interleaving pattern of the two subsets.
 
 Input is checked once, at that ingress: k and m must be ints of at least
 1 (`_require_algebra`, also at `embedding_images`), a letter a pair of int
@@ -198,9 +184,9 @@ def _rewrite(word: list[int], mask: int, p: int = 0) -> list:
     return leaves
 
 
-# The `_rewrite` leaves of relabelled concatenations, keyed by h and the
-# concatenated codes (see `_product`); at most `_PATTERNS_CACHED` entries,
-# and emptied when full.
+# The `_rewrite` leaves of the concatenations `NCPoly.__mul__` and
+# `normalize_word` meet, keyed by B and the concatenated codes (see
+# `_product`); at most `_PATTERNS_CACHED` entries, and emptied when full.
 _PATTERNS: dict[Code, list] = {}
 
 # The answers of `_exponent` on pairs of minors, keyed by the interleavings
@@ -218,68 +204,33 @@ def _spread(indices: Iterable[int]) -> int:
     return out
 
 
-class _Pattern:
-    """The order-preserving relabelling of the rows and columns used by the
-    terms of some polynomials onto rows 1..R and columns 1..C.
-
-    The defining relations compare rows with rows and columns with columns
-    only, so the normal form of a relabelled word is the relabelled normal
-    form.  A relabelled letter is i << h | j with h = max(R, C).bit_length()
-    (0 when no term has a letter), and a relabelled word is a tuple of such
-    codes."""
-
-    __slots__ = ("h", "mask", "code", "rows", "cols")
-
-    def __init__(self, b: int, *terms: dict[Code, Laurent]):
-        """b is the number of column bits of a letter code in the algebra,
-        m.bit_length()."""
-        letters = {x for t in terms for w in t for x in w}
-        col = (1 << b) - 1
-        rows = sorted({x >> b for x in letters})
-        cols = sorted({x & col for x in letters})
-        h = self.h = max(len(rows), len(cols)).bit_length()
-        self.mask = (1 << h) - 1
-        row_of = {r: i << h for i, r in enumerate(rows, 1)}
-        col_of = {c: j for j, c in enumerate(cols, 1)}
-        self.code = {x: row_of[x >> b] | col_of[x & col] for x in letters}
-        # back to the algebra's codes: relabelled row i is self.rows[i], and
-        # column j self.cols[j]
-        self.rows = [0, *(r << b for r in rows)]
-        self.cols = [0, *cols]
-
-    def relabel(self, t: dict[Code, Laurent]) -> list[tuple[Code, tuple]]:
-        """Each term of t as (relabelled word, tuple of its coefficient's
-        (exponent, int) items), read once for every product it joins."""
-        code = self.code
-        return [(tuple([code[x] for x in w]), tuple(c.items())) for w, c in t.items()]
-
-    def decode(self, w: Code) -> Code:
-        """The algebra's letter codes of a relabelled word."""
-        rows, cols, h, mask = self.rows, self.cols, self.h, self.mask
-        return tuple([rows[x >> h] | cols[x & mask] for x in w])
+def _items(t: dict[Code, Laurent]) -> list[tuple[Code, tuple]]:
+    """Each term of t as (word, tuple of its coefficient's (exponent, int)
+    items), read once for every product it joins."""
+    return [(w, tuple(c.items())) for w, c in t.items()]
 
 
 def _product(
     a: list[tuple[Code, tuple]],
     b: list[tuple[Code, tuple]],
-    pattern: _Pattern,
+    B: int,
+    table: dict[Code, list],
 ) -> dict[Code, dict[int, int]]:
     """The raw terms of the product of two normal-form term lists, both given
-    by `pattern.relabel`, keyed by relabelled word.  Each concatenation's
-    leaves come from `_PATTERNS`, keyed by h followed by the concatenated
-    codes: h keeps a code tuple read at two values of h apart.  On a miss,
-    `_rewrite` computes the leaves with its scan started at the join, the
-    only place an inversion can be, and they are stored as they come.  This
-    is the module's one accumulation loop: for each pair of coefficient
-    terms, v1 q^x1 of the left word and v2 q^x2 of the right, every leaf
-    (word, q^e (q - q^-1)^b) adds v1 v2 q^(x1 + x2) times its coefficient
-    into out[word].  Zero coefficients are kept."""
-    table = _PATTERNS
-    h, mask = pattern.h, pattern.mask
+    by `_items` in an algebra whose codes have B column bits, keyed by word.
+    Each concatenation's leaves come from `table`, keyed by B followed by
+    the concatenated codes: B fixes what a code means.  On a miss, `_rewrite`
+    computes the leaves with its scan started at the join, the only place an
+    inversion can be, and they are stored as they come.  This is the
+    module's one accumulation loop: for each pair of coefficient terms, v1
+    q^x1 of the left word and v2 q^x2 of the right, every leaf (word, q^e (q
+    - q^-1)^b) adds v1 v2 q^(x1 + x2) times its coefficient into out[word].
+    Zero coefficients are kept."""
+    mask = (1 << B) - 1
     out: dict[Code, dict[int, int]] = {}
     get = out.get
     for w1, c1 in a:
-        left = (h, *w1)
+        left = (B, *w1)
         join = max(len(w1) - 1, 0)
         for w2, c2 in b:
             key = left + w2
@@ -303,14 +254,13 @@ def _product(
     return out
 
 
-def _laurents(out: dict, decode=None) -> dict[Code, Laurent]:
-    """One Laurent per monomial of raw terms, each word passed through
-    decode when given; zeros dropped."""
+def _laurents(out: dict) -> dict[Code, Laurent]:
+    """One Laurent per monomial of raw terms; zeros dropped."""
     t = {}
     for w, acc in out.items():
         c = {e: v for e, v in acc.items() if v}
         if c:
-            t[decode(w) if decode else w] = Laurent._trusted(c)
+            t[w] = Laurent._trusted(c)
     return t
 
 
@@ -319,19 +269,17 @@ def normalize_word(
 ) -> dict[Word, Laurent]:
     """Rewrite coeff * word into normal form, returning monomial -> Laurent;
     checked at ingress.  This is the `_product` of coeff times the empty
-    word and the word, relabelled by the word's own `_Pattern`: the scan
-    starts at position 0, and the `_PATTERNS` key is the relabelled word,
-    shared with every concatenation that relabels to it."""
+    word and the word: the scan starts at position 0, and the `_PATTERNS`
+    key is (B, *word), shared with every product whose concatenation it
+    is."""
     _require_algebra(k, m)
     w = _encode(word, k, m)
     if not isinstance(coeff, Laurent):
         raise ValueError(
             f"coefficient {coeff!r} of word {_decode(w, m)} is not a Laurent polynomial"
         )
-    t = {w: ONE}
-    pattern = _Pattern(m.bit_length(), t)
-    out = _product([((), tuple(coeff.items()))], pattern.relabel(t), pattern)
-    return _laurents(out, lambda w: _decode(pattern.decode(w), m))
+    out = _product(_items({(): coeff}), _items({w: ONE}), m.bit_length(), _PATTERNS)
+    return {_decode(w, m): c for w, c in _laurents(out).items()}
 
 
 class NCPoly:
@@ -421,9 +369,8 @@ class NCPoly:
         """The product by `_product`, one Laurent per monomial; both sides'
         words are already checked."""
         self._check_dims(other)
-        pattern = _Pattern(self.m.bit_length(), self._t, other._t)
-        out = _product(pattern.relabel(self._t), pattern.relabel(other._t), pattern)
-        return NCPoly._trusted(self.k, self.m, _laurents(out, pattern.decode))
+        out = _product(_items(self._t), _items(other._t), self.m.bit_length(), _PATTERNS)
+        return NCPoly._trusted(self.k, self.m, _laurents(out))
 
     def scale(self, c: Laurent) -> "NCPoly":
         """c times self; c must be a `Laurent`."""
@@ -527,10 +474,10 @@ def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
     plus c, and the terms so matched must be all the nonzero terms of r*p.
     A word of p*r whose r*p coefficient is absent or cancels is None.  Both
     arguments must be nonzero `NCPoly`s of one algebra.  A pair of minors
-    seen before up to relabelling is answered from `_EXPONENTS`, None
+    that interleaves as one seen before is answered from `_EXPONENTS`, None
     included, keyed by the interleavings of the row masks and of the column
-    masks; only a miss builds the joint `_Pattern`, and a pair in which
-    either side is not a minor is not stored."""
+    masks; only a miss forms the two products, and a pair in which either
+    side is not a minor is not stored."""
     for name, x in (("p", p), ("r", r)):
         if not isinstance(x, NCPoly):
             raise ValueError(f"quasi-commutation argument {name} = {x!r} is not an NCPoly")
@@ -546,8 +493,7 @@ def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
             return table[key]
         except KeyError:
             pass
-    pattern = _Pattern(p.m.bit_length(), p._t, r._t)
-    c = _exponent(pattern.relabel(p._t), pattern.relabel(r._t), pattern)
+    c = _exponent(_items(p._t), _items(r._t), p.m.bit_length())
     if key is not None:
         if len(table) >= _PATTERNS_CACHED:
             table.clear()
@@ -555,13 +501,14 @@ def quasi_commutation_exponent(p: NCPoly, r: NCPoly) -> int | None:
     return c
 
 
-def _exponent(
-    a: list[tuple[Code, tuple]], b: list[tuple[Code, tuple]], pattern: _Pattern
-) -> int | None:
-    """`quasi_commutation_exponent` of the polynomials whose terms
-    `pattern.relabel` gives as a and b."""
-    pr = _product(a, b, pattern)
-    rp = _product(b, a, pattern)
+def _exponent(a: list[tuple[Code, tuple]], b: list[tuple[Code, tuple]], B: int) -> int | None:
+    """`quasi_commutation_exponent` of the polynomials whose terms `_items`
+    gives as a and b, in an algebra whose codes have B column bits.  Both
+    products share one throwaway leaf table, not `_PATTERNS`: a minor pair's
+    answer is kept in `_EXPONENTS`, and no other pair is kept at all."""
+    table: dict[Code, list] = {}
+    pr = _product(a, b, B, table)
+    rp = _product(b, a, B, table)
     c = None
     matched = 0
     for w, acc in pr.items():

@@ -150,19 +150,20 @@ def check_quasi_central() -> CheckResult:
 
 def check_aux_exponents() -> CheckResult:
     """The two bridge identities behind the minor exponent formula: powers of
-    the initial coordinate against realized Stieffel coordinates."""
+    the initial coordinate against realized Stieffel coordinates.  Each
+    power and each coordinate is built once, before the pair loop."""
     k = m = 2
     n = k + m
     delta = plucker_realize(tuple(range(1, k + 1)), k, n)
     minors = all_minor_indices(k, m)
+    power = {s: delta.pow(s - 1) for s in {mi.size for mi in minors}}
+    realized = {mi: plucker_realize(stieffel_subset(mi), k, n) for mi in minors}
     for p in minors:
         for r in minors:
-            sp = plucker_realize(stieffel_subset(p), k, n)
-            sr = plucker_realize(stieffel_subset(r), k, n)
-            c1 = quasi_commutation_exponent(delta.pow(p.size - 1), sr)
+            c1 = quasi_commutation_exponent(power[p.size], realized[r])
             if c1 != r.size * (p.size - 1):
                 return CheckResult("aux_exponents", False, f"power identity fails at {p},{r}")
-            c2 = quasi_commutation_exponent(sp, delta.pow(r.size - 1))
+            c2 = quasi_commutation_exponent(realized[p], power[r.size])
             if c2 != p.size * (1 - r.size):
                 return CheckResult("aux_exponents", False, f"swap identity fails at {p},{r}")
     return CheckResult("aux_exponents", True, "both auxiliary exponent identities hold")

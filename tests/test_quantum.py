@@ -11,8 +11,8 @@ from wsep.verify import all_minor_indices
 from wsep import quantum, subsets
 from wsep.quantum import (
     NCPoly,
-    _Pattern,
     _LEAF_COEFFS,
+    _items,
     _laurents,
     _leaf_coeff,
     _product,
@@ -368,9 +368,8 @@ class TestQuasiCommutation:
 
     @staticmethod
     def raw_products(p, r):
-        pattern = _Pattern(p.m.bit_length(), p._t, r._t)
-        a, b = pattern.relabel(p._t), pattern.relabel(r._t)
-        return _product(a, b, pattern), _product(b, a, pattern)
+        a, b, B = _items(p._t), _items(r._t), p.m.bit_length()
+        return _product(a, b, B, {}), _product(b, a, B, {})
 
     @staticmethod
     def assert_none_both_ways(p, r):
@@ -581,9 +580,9 @@ def empty_tables():
 
 
 class TestPatternTable:
-    """`_product` looks each relabelled concatenation up in `_PATTERNS`, and
-    `quasi_commutation_exponent` each relabelled pair in `_EXPONENTS`; their
-    results must not depend on what the tables hold."""
+    """`NCPoly.__mul__` and `normalize_word` look each concatenation up in
+    `_PATTERNS`, and `quasi_commutation_exponent` each pair of minors in
+    `_EXPONENTS`; their results must not depend on what the tables hold."""
 
     @staticmethod
     def ordered(p):
@@ -597,8 +596,8 @@ class TestPatternTable:
             assert (s * t).terms() == {(): a * b}
             assert (NCPoly.one(2, 3) * NCPoly.one(2, 3)).terms() == {(): ONE}
             assert quasi_commutation_exponent(s, t) == 0
-        # the empty word with no letters at all is relabelled at h = 0
-        assert _Pattern(2, s._t, t._t).h == 0
+        # the empty word times itself is keyed by B alone
+        assert (3 .bit_length(),) in quantum._PATTERNS
         x = word_poly(2, 3, [(2, 3), (1, 1)])
         assert (s * x).terms() == x.scale(a).terms()
         assert (x * s).terms() == x.scale(a).terms()
@@ -622,8 +621,8 @@ class TestPatternTable:
 
     @pytest.mark.parametrize("m", [7, 8])
     def test_letter_width_changes(self, m):
-        # B = m.bit_length() is 3 at m = 7 and 4 at m = 8, and decoding
-        # must map the relabelled letters back to either
+        # B = m.bit_length() is 3 at m = 7 and 4 at m = 8, and the table
+        # keys and the decoding must read the letters at either
         empty_tables()
         rng = random.Random(m)
         for _ in range(30):
@@ -637,9 +636,9 @@ class TestPatternTable:
         assert (a * b).terms() == product_bf(a, b)
 
     def test_keys_carry_the_width(self):
-        # the relabelled codes (13, 10) are x[3,1] x[2,2] at h = 2, which
-        # commute, and x[1,5] x[1,2] at h = 3, which do not: a key without h
-        # would hand the second product the first one's leaves
+        # the codes (13, 10) are x[3,1] x[2,2] at B = 2, which commute, and
+        # x[1,5] x[1,2] at B = 3, which do not: a key without B would hand
+        # the second product the first one's leaves
         empty_tables()
         g = NCPoly.generator
         p = g(3, 2, 3, 1) + g(3, 2, 1, 1)
@@ -667,8 +666,8 @@ class TestPatternTable:
             assert cold[I, J][0] == list(product_by_rewrite(polys[I], polys[J]).items())
 
     def test_cold_and_warm_agree_on_random_products(self):
-        # normalize_word goes through `_product` too, keyed by its
-        # relabelled word, so its entries are shared with the products'
+        # normalize_word goes through `_product` too, keyed by B and its
+        # word, so its entries are shared with the products'
         rng, word_rng = random.Random(11), random.Random(12)
         cases = []
         for _ in range(120):
@@ -731,24 +730,30 @@ class TestExponentTable:
         assert quasi_commutation_exponent(p, r) == exponent
         assert len(quantum._EXPONENTS) == 1
 
-    def test_keys_carry_the_width(self):
-        # jointly relabelled, the letters 13 and 10 are x[3,1] and x[2,2] at
-        # h = 2 and x[1,5] and x[1,2] at h = 3: one code tuple for two
-        # patterns, each with its own answer
+    def test_keys_carry_the_width(self, monkeypatch):
+        # the letters 13 and 10 are x[3,1] and x[2,2] at B = 2 and x[1,5]
+        # and x[1,2] at B = 3: one code tuple for two pairs, each with its
+        # own answer, and each product keys its leaves by its own B
         empty_tables()
         g = NCPoly.generator
         pairs = [
             (g(3, 2, 3, 1) + g(3, 2, 1, 1), g(3, 2, 2, 2)),
             (g(1, 5, 1, 5) + g(1, 5, 1, 1) + g(1, 5, 1, 3) + g(1, 5, 1, 4), g(1, 5, 1, 2)),
         ]
-        widths = []
+        keys = []
+        product = quantum._product
+
+        def keyed_product(a, b, B, table):
+            out = product(a, b, B, table)
+            keys.append((B, set(table)))
+            return out
+
+        monkeypatch.setattr(quantum, "_product", keyed_product)
         for p, r in pairs:
-            pattern = _Pattern(p.m.bit_length(), p._t, r._t)
-            assert (13,) in [w for w, _ in pattern.relabel(p._t)]
-            assert [w for w, _ in pattern.relabel(r._t)] == [(10,)]
-            widths.append(pattern.h)
+            assert (13,) in p._t and list(r._t) == [(10,)]
             assert quasi_commutation_exponent(p, r) == quasi_commutation_bf(p, r)
-        assert widths == [2, 3]
+        assert [B for B, _ in keys] == [2, 2, 3, 3]
+        assert (2, 13, 10) in keys[0][1] and (3, 13, 10) in keys[2][1]
 
     def test_bound_holds_and_clearing_keeps_answers(self, monkeypatch):
         subsets = list(combinations(range(1, 7), 3))
@@ -766,7 +771,7 @@ class TestExponentTable:
         assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
     def test_one_entry_per_interleaving_pattern(self):
-        # the 1,225 ordered Gr(3,7) pairs relabel onto the 63 interleaving
+        # the 1,225 ordered Gr(3,7) pairs come to the 63 interleaving
         # patterns at k = 3
         subsets = list(combinations(range(1, 8), 3))
         polys = {K: plucker_realize(K, 3, 7) for K in subsets}
@@ -792,17 +797,17 @@ class TestShapes:
             for r, R in zip(minors, equal):
                 assert quasi_commutation_exponent(p, r) == quasi_commutation_exponent(P, R)
 
-    def test_warm_pair_builds_no_pattern(self, monkeypatch):
+    def test_warm_pair_forms_no_product(self, monkeypatch):
         subsets = list(combinations(range(1, 8), 3))
         polys = {K: plucker_realize(K, 3, 7) for K in subsets}
         for I in subsets:
             for J in subsets:
                 quasi_commutation_exponent(polys[I], polys[J])
 
-        def no_pattern(*args):
-            raise AssertionError("a warm pair built a _Pattern")
+        def no_product(*args):
+            raise AssertionError("a warm pair formed a product")
 
-        monkeypatch.setattr(quantum, "_Pattern", no_pattern)
+        monkeypatch.setattr(quantum, "_product", no_product)
         for I, J in [((1, 2, 3), (5, 6, 7)), ((1, 3, 5), (2, 4, 6)), ((2, 4, 7), (2, 4, 7))]:
             p, r = plucker_realize(I, 3, 7), plucker_realize(J, 3, 7)
             assert quasi_commutation_exponent(p, r) == plucker_exponent(I, J)
@@ -820,3 +825,16 @@ class TestShapes:
             for p, r in ((square, sk), (sk, square), (square, delta), (square, square), (scaled, sk), (sk, scaled)):
                 assert quasi_commutation_exponent(p, r) == quasi_commutation_bf(p, r), K
         assert not quantum._EXPONENTS
+
+    def test_a_miss_leaves_the_leaf_table_alone(self):
+        # a minor pair's answer is kept in `_EXPONENTS` and any other pair's
+        # nowhere, so the leaves of a miss's products are not kept either
+        empty_tables()
+        delta, other = plucker_realize((1, 2), 2, 5), plucker_realize((3, 5), 2, 5)
+        square = delta.pow(2)
+        before = dict(quantum._PATTERNS)
+        for p, r in ((delta, other), (square, other), (other, square)):
+            c = quasi_commutation_exponent(p, r)
+            assert c == quasi_commutation_bf(p, r)
+            assert quantum._PATTERNS == before
+        assert len(quantum._EXPONENTS) == 1

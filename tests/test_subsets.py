@@ -3,7 +3,7 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wsep import subsets
 from wsep.subsets import (
@@ -24,7 +24,7 @@ from wsep.subsets import (
     weakly_separated,
     _weakly_separated_masks,
 )
-from wsep.quantum import quantum_minor, quasi_commutation_exponent
+from wsep.quantum import NCPoly, quantum_minor, quasi_commutation_exponent
 
 from oracles import (
     diameter_bf,
@@ -240,8 +240,31 @@ def embedding(data, size, top):
     return (0, *sorted(images)), n
 
 
+def minor_pair(data, R, C):
+    """Two random minor indices of the R-by-C algebra and their images
+    under random order-preserving maps of the rows into [1..k] and of the
+    columns into [1..m], k <= 6 and m <= 10; rows and columns that neither
+    minor uses are embedded too."""
+
+    def index():
+        l = data.draw(st.integers(1, min(R, C)))
+        rows, cols = (
+            data.draw(st.lists(st.integers(1, top), min_size=l, max_size=l, unique=True))
+            for top in (R, C)
+        )
+        return MinorIndex(rows, cols, R, C)
+
+    p, r = index(), index()
+    (f, k), (g, m) = embedding(data, R, 6), embedding(data, C, 10)
+
+    def image(mi):
+        return MinorIndex([f[x] for x in mi.rows], [g[x] for x in mi.cols], k, m)
+
+    return p, r, image(p), image(r)
+
+
 class TestPatternInvariance:
-    """The formula side depends only on how the indices compare: an
+    """Both sides depend only on how the indices compare: an
     order-preserving relabelling changes no exponent and no separation."""
 
     @given(st.data())
@@ -259,26 +282,25 @@ class TestPatternInvariance:
 
     @given(st.data())
     def test_minor_pairs(self, data):
-        # rows and columns that neither minor uses are embedded too
-        R, C = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
-
-        def index():
-            l = data.draw(st.integers(1, min(R, C)))
-            rows, cols = (
-                data.draw(st.lists(st.integers(1, top), min_size=l, max_size=l, unique=True))
-                for top in (R, C)
-            )
-            return MinorIndex(rows, cols, R, C)
-
-        p, r = index(), index()
-        (f, k), (g, m) = embedding(data, R, 6), embedding(data, C, 10)
-
-        def image(mi):
-            return MinorIndex([f[x] for x in mi.rows], [g[x] for x in mi.cols], k, m)
-
-        assert minor_exponent(image(p), image(r)) == minor_exponent(p, r)
+        p, r, fp, fr = minor_pair(data, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6)))
+        assert minor_exponent(fp, fr) == minor_exponent(p, r)
         stieffel = weakly_separated(stieffel_subset(p), stieffel_subset(r))
-        assert weakly_separated(stieffel_subset(image(p)), stieffel_subset(image(r))) == stieffel
+        assert weakly_separated(stieffel_subset(fp), stieffel_subset(fr)) == stieffel
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_minor_pairs_on_the_oracle(self, data):
+        # the oracle rewrites in the algebra's own letters, and its exponent
+        # table keys a pair of minors by how they interleave; copies with no
+        # shape are computed in full on both sides, so this checks that key
+        p, r, fp, fr = minor_pair(data, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)))
+
+        def unkeyed(mi):
+            return NCPoly(mi.k, mi.m, quantum_minor(mi).terms())
+
+        assert quasi_commutation_exponent(unkeyed(fp), unkeyed(fr)) == quasi_commutation_exponent(
+            unkeyed(p), unkeyed(r)
+        )
 
 
 class TestLargeElements:

@@ -77,9 +77,9 @@ def test_minor_pairs_agree_beyond_the_full_suite(k, m, pairs):
 
 
 def test_plucker_4_8_pair_sample_agrees():
-    # the paper's criterion at k = 4 on every 97th ordered Gr(4,8) pair; the
-    # 4x4 minors meet more relabelled concatenations than the pattern table
-    # holds, so the sample also empties the table at its real bound
+    # the paper's criterion at k = 4 on every 97th ordered Gr(4,8) pair; each
+    # pair that misses the exponent table rewrites its two products of 4x4
+    # minors, 24 terms each, on a throwaway leaf table
     subsets = list(combinations(range(1, 9), 4))
     exponents = Counter()
     for I, J in list(product(subsets, subsets))[::97]:
